@@ -1,6 +1,6 @@
 (* Seeded chaos soak over the self-healing surface: one driver process
-   spawns real pom_compile daemons, clients, and procs workers, injects
-   deterministic faults between them, and asserts the three invariants
+   spawns real pom_compile daemons and clients, injects deterministic
+   faults between them, and asserts the three invariants
    every failure mode must preserve:
 
    - no hangs:      every spawned process finishes inside its watchdog
@@ -12,13 +12,8 @@
                     them — server, respawned executor, journal replay,
                     or the client's local fallback.
 
-   Four scenarios, interleaved under a seeded schedule:
+   Three scenarios, interleaved under a seeded schedule:
 
-   - worker-kill:       POM_FAULTS dse:worker-kill kills procs DSE
-                        workers mid-chunk; supervision respawns them (or
-                        exhausts its budget and the search degrades to
-                        the in-process path) — either way exit 0 and the
-                        golden design;
    - daemon-kill:       kill -9 the --serve daemon while a --connect
                         client is in flight; the client retries, then
                         compiles locally — exit 0, golden design;
@@ -91,32 +86,17 @@ let read_lines path =
     lines
   end
 
-(* Replace any existing binding so the child sees exactly our value. *)
-let env_with overrides =
-  let keys = List.map fst overrides in
-  let kept =
-    Array.to_list (Unix.environment ())
-    |> List.filter (fun kv ->
-           match String.index_opt kv '=' with
-           | Some i -> not (List.mem (String.sub kv 0 i) keys)
-           | None -> true)
-  in
-  Array.of_list (kept @ List.map (fun (k, v) -> k ^ "=" ^ v) overrides)
-
 type outcome = Exited of int | Hang
 
 (* Spawn with stdout/stderr to files; SIGKILL on watchdog expiry. *)
-let spawn ?(env = []) args =
+let spawn args =
   let out = tmp (Printf.sprintf "out-%d" (next_int 1_000_000)) in
   let err = out ^ ".err" in
   let fd flags p = Unix.openfile p flags 0o600 in
   let fd_out = fd [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] out in
   let fd_err = fd [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] err in
   let argv = Array.of_list (Lazy.force exe :: args) in
-  let pid =
-    Unix.create_process_env argv.(0) argv (env_with env) Unix.stdin fd_out
-      fd_err
-  in
+  let pid = Unix.create_process argv.(0) argv Unix.stdin fd_out fd_err in
   Unix.close fd_out;
   Unix.close fd_err;
   (pid, out, err)
@@ -140,8 +120,8 @@ let wait_with_timeout ?(timeout_s = 90.0) pid =
   in
   go ()
 
-let run_cli ?env ?timeout_s args =
-  let pid, out, err = spawn ?env args in
+let run_cli ?timeout_s args =
+  let pid, out, err = spawn args in
   let st = wait_with_timeout ?timeout_s pid in
   let lines = read_lines out and errs = read_lines err in
   (try Sys.remove out with Sys_error _ -> ());
@@ -191,16 +171,6 @@ let check ~scenario ~round ~expect_exit (st, lines, errs) =
   | Exited _ -> { scenario; round; pass = true; detail = "ok" }
 
 (* -- scenarios ---------------------------------------------------------- *)
-
-let worker_kill round =
-  let hit = 1 + next_int 4 in
-  let r =
-    run_cli
-      ~env:
-        [ ("POM_FAULTS", Printf.sprintf "dse:worker-kill=kill@%d" hit) ]
-      (base_args @ [ "--jobs-mode"; "procs"; "-j"; "2" ])
-  in
-  check ~scenario:"worker-kill" ~round ~expect_exit:0 r
 
 let wait_for_socket path =
   let deadline = Unix.gettimeofday () +. 10.0 in
@@ -338,14 +308,13 @@ let run () =
   | _ -> failwith "golden compile failed — cannot calibrate the soak");
   let scenarios =
     [
-      ("worker-kill", worker_kill);
       ("daemon-kill", daemon_kill);
       ("journal-truncate", journal_truncate);
       ("executor-crash", executor_crash);
     ]
   in
-  (* seeded interleaving: pull rounds from a shuffled deck so daemon and
-     worker faults alternate unpredictably but reproducibly *)
+  (* seeded interleaving: pull rounds from a shuffled deck so the
+     scenarios alternate unpredictably but reproducibly *)
   let deck =
     List.concat_map
       (fun (name, f) ->

@@ -7,21 +7,8 @@
      dune exec bench/main.exe <id>       -- one experiment
      dune exec bench/main.exe bechamel   -- only the timing section *)
 
-(* worker-domain budget for the dse experiment (-j/--jobs) *)
-let jobs_flag = ref (max 4 Pom.Par.default_jobs)
-
-(* how the dse experiment spends that budget (--jobs-mode) *)
-let mode_flag = ref Pom.Par.Domains
-
-(* target items per work-stealing chunk for the dse experiment (--chunk) *)
-let chunk_flag = ref Pom.Par.default_chunk
-
 let experiments =
   [
-    ( "dse",
-      fun () ->
-        Pom.Par.set_chunk !chunk_flag;
-        Bench_dse.run ~jobs:!jobs_flag ~mode:!mode_flag () );
     ("fig2", Bench_fig2.run);
     ("table3", Bench_table3.run);
     ("fig11", Bench_fig11.run);
@@ -106,40 +93,11 @@ let run_bechamel () =
     results
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let rec strip = function
-    | ("-j" | "--jobs") :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some j when j >= 1 -> jobs_flag := j
-        | Some _ | None ->
-            Printf.eprintf "-j expects a positive integer, got %s\n" n;
-            exit 1);
-        strip rest
-    | "--jobs-mode" :: m :: rest ->
-        (match Pom.Par.mode_of_string m with
-        | Ok mode -> mode_flag := mode
-        | Error msg ->
-            prerr_endline msg;
-            exit 1);
-        strip rest
-    | "--chunk" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some c when c >= 1 -> chunk_flag := c
-        | Some _ | None ->
-            Printf.eprintf "--chunk expects a positive integer, got %s\n" n;
-            exit 1);
-        strip rest
-    | x :: rest -> x :: strip rest
-    | [] -> []
-  in
-  match strip args with
+  match Array.to_list Sys.argv |> List.tl with
   | [] ->
       List.iter (fun (_, run) -> run ()) experiments;
       run_bechamel ()
-  | [ "bechamel" ] ->
-      run_bechamel ();
-      Pom.Par.set_chunk !chunk_flag;
-      Bench_dse.run ~jobs:!jobs_flag ~mode:!mode_flag ()
+  | [ "bechamel" ] -> run_bechamel ()
   | ids ->
       List.iter
         (fun id ->

@@ -267,12 +267,10 @@ let framework_of_string = function
 
 let run workload from_c size framework schedules lint werror emit_c emit_mlir
     emit_testbench validate check_legality timeline trace timing dump_after
-    verify_each resource_frac jobs jobs_mode chunk _worker deadline on_error
-    checkpoint inject list_workloads serve connect queue no_request_cache
-    stop_socket stats_socket retries retry_backoff health_socket cache_journal
-    =
+    verify_each resource_frac jobs deadline on_error checkpoint inject
+    list_workloads serve connect queue no_request_cache stop_socket
+    stats_socket retries retry_backoff health_socket cache_journal =
   require_positive_int "--jobs" jobs;
-  require_positive_int "--chunk" chunk;
   require_positive_int "--size" size;
   require_positive_int "--queue" queue;
   require_positive_int "--retries" retries;
@@ -280,12 +278,6 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
   Option.iter (require_positive_float "--deadline") deadline;
   require_positive_float "--resource-fraction" resource_frac;
   Pom.Par.set_jobs jobs;
-  Pom.Par.set_chunk chunk;
-  (match Pom.Par.mode_of_string jobs_mode with
-  | Ok m -> Pom.Par.set_mode m
-  | Error m ->
-      prerr_endline m;
-      exit 1);
   let on_error =
     match Pom.Resilience.Policy.of_string on_error with
     | Ok p -> p
@@ -628,52 +620,18 @@ let frac_arg =
     & info [ "resource-fraction" ]
         ~doc:"Scale the device resource budget (Fig. 11 sweeps).")
 
+(* perfbench/serve.ml starts its daemon with -j 1 *)
 let jobs_arg =
   Arg.(
     value
     & opt int Pom.Par.default_jobs
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker-domain budget for the DSE search and polyhedral analyses \
-           (default: the machine's recommended domain count).  The compiled \
-           design is identical for every N; N=1 runs fully sequentially.")
-
-let jobs_mode_arg =
-  Arg.(
-    value
-    & opt string "domains"
-    & info [ "jobs-mode" ] ~docv:"MODE"
-        ~doc:
-          "How the -j budget is spent: 'domains' (default) shares the \
-           evaluation across OCaml domains in this process; 'procs' \
-           shards it across N 'pom_compile --worker' child processes \
-           speaking the framed wire protocol on their pipes.  Either \
-           mode compiles the identical design.")
-
-let chunk_arg =
-  Arg.(
-    value
-    & opt int Pom.Par.default_chunk
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Target number of DSE candidates per work-stealing chunk.  \
-           Workers take whole chunks and split one in half only when the \
-           queue runs dry, so larger chunks amortize scheduling and \
-           wire-protocol overhead while smaller ones balance load.  The \
-           compiled design is identical for every N.")
-
-(* --worker never reaches Cmdliner (it is intercepted in the entry
-   point below, before argv parsing), but declaring it here documents
-   the flag in --help. *)
-let worker_arg =
-  Arg.(
-    value & flag
-    & info [ "worker" ]
-        ~doc:
-          "Run as a DSE evaluation worker: serve framed work units on \
-           stdin/stdout until the parent closes the pipe.  Spawned \
-           automatically by --jobs-mode procs; not intended for \
-           interactive use.")
+          "Worker-domain budget for the polyhedral analyses (dependence, \
+           dependence graph, legality, bounds verification) (default: the \
+           machine's recommended domain count).  The DSE search is \
+           sequential, so the compiled design is identical for every N; \
+           N=1 runs fully sequentially.")
 
 let deadline_arg =
   Arg.(
@@ -835,12 +793,12 @@ let cmd =
         ~doc:"on success (including a clean --serve daemon shutdown).";
       Cmd.Exit.info 1
         ~doc:
-          "on usage errors (bad numeric options, unparsable input — \
-           POM307), an unbindable --serve socket, or an unreachable \
-           --stop/--server-stats/--health socket.  An unreachable \
-           --connect socket is not fatal: after --retries transport \
-           retries the client compiles locally and exits by that \
-           compile's result.";
+          "on usage errors (unknown options, bad numeric options, \
+           unparsable input — POM307), an unbindable --serve socket, or \
+           an unreachable --stop/--server-stats/--health socket.  An \
+           unreachable --connect socket is not fatal: after --retries \
+           transport retries the client compiles locally and exits by \
+           that compile's result.";
       Cmd.Exit.info 2
         ~doc:"on analyzer errors or an illegal schedule (POM1xx/POM2xx).";
       Cmd.Exit.info 3
@@ -857,15 +815,12 @@ let cmd =
       $ schedule_arg $ lint_arg $ werror_arg $ emit_c_arg $ emit_mlir_arg
       $ emit_testbench_arg $ validate_arg $ check_legality_arg $ timeline_arg
       $ trace_arg $ timing_arg $ dump_after_arg $ verify_each_arg $ frac_arg
-      $ jobs_arg $ jobs_mode_arg $ chunk_arg $ worker_arg $ deadline_arg
-      $ on_error_arg
-      $ checkpoint_arg $ inject_arg $ list_arg $ serve_arg $ connect_arg
-      $ queue_arg $ no_request_cache_arg $ stop_arg $ server_stats_arg
-      $ retries_arg $ retry_backoff_arg $ health_arg $ cache_journal_arg)
+      $ jobs_arg $ deadline_arg $ on_error_arg $ checkpoint_arg $ inject_arg
+      $ list_arg $ serve_arg $ connect_arg $ queue_arg $ no_request_cache_arg
+      $ stop_arg $ server_stats_arg $ retries_arg $ retry_backoff_arg
+      $ health_arg $ cache_journal_arg)
 
+(* Cmdliner exits 124 on a command-line parse error (unknown flag,
+   malformed value); the documented contract gives usage errors 1. *)
 let () =
-  (* --worker must not pay for (or be confused by) Cmdliner parsing: the
-     protocol owns stdin/stdout from the first byte. *)
-  if Array.exists (String.equal "--worker") Sys.argv then
-    exit (Pom.Dse.Worker.main ())
-  else exit (Cmd.eval' cmd)
+  exit (match Cmd.eval' cmd with c when c = Cmd.Exit.cli_error -> 1 | c -> c)

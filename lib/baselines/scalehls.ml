@@ -87,28 +87,22 @@ let realize_unit u =
       (fun (c, order, extents) -> Stage2.realize c order extents u.par)
       u.members
 
+let hw_directives units =
+  List.concat_map
+    (fun u -> List.concat_map (fun r -> r.Stage2.hw_directives) u.realization)
+    units
+
 (* The plan (hardware application + partition derivation) is shared with
    {!Stage2.realization_plan} — same memo, same key — so a ladder rung the
-   POM search already planned, or one a worker shipped back, costs a
-   lookup here. *)
-let evaluate_realized ~cache ~device ~composition ~latency_mode func base
-    realizations =
-  let hw =
-    List.concat_map
-      (fun rs -> List.concat_map (fun r -> r.Stage2.hw_directives) rs)
-      realizations
-  in
-  let plan = Stage2.realization_plan ~cache func base hw in
+   POM search already planned costs a lookup here. *)
+let evaluate ~cache ~device ~composition ~latency_mode func base units =
+  let plan = Stage2.realization_plan ~cache func base (hw_directives units) in
   let prog, report =
     Memo.synthesize cache ~composition ~latency_mode ~device
       ~directives:plan.Memo.plan_directives func (fun () ->
         List.fold_left Prog.apply plan.Memo.plan_prog_hw plan.Memo.plan_parts)
   in
   (prog, plan.Memo.plan_directives, report)
-
-let evaluate ~cache ~device ~composition ~latency_mode func base units =
-  evaluate_realized ~cache ~device ~composition ~latency_mode func base
-    (List.map (fun u -> u.realization) units)
 
 (* Per-unit operator usage — the quantity ScaleHLS's per-loop budget check
    sees (global banking overhead is not in it).  Each check re-profiles the
@@ -136,20 +130,14 @@ let usage_sub (a : Resource.usage) (b : Resource.usage) =
     bram = a.Resource.bram - b.Resource.bram;
   }
 
-let greedy_pass ?(cache = Memo.global) ?jobs ?chunk ?checkpoint
-    ?(on_result = fun _ -> ()) () =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pom_par.Par.jobs ()
-  in
-  let chunk =
-    match chunk with Some c -> max 1 c | None -> Pom_par.Par.chunk ()
-  in
+let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
+    () =
   Pass.v ~name:"scalehls-greedy-dse"
     ~descr:"greedy program-order factor-ladder DSE under a dataflow budget"
     (fun (st : State.t) ->
       (* same journal protocol as {!Pom_dse.Stage2.run}: replay intact
          records into the report memo, journal every synthesized rung, and
-         let the sequential greedy walk replay a resumed run into hits *)
+         let the greedy walk replay a resumed run into hits *)
       Memo.with_journal cache checkpoint @@ fun _journal_notes ->
       let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
       let func = st.State.func and device = st.State.device in
@@ -198,13 +186,8 @@ let greedy_pass ?(cache = Memo.global) ?jobs ?chunk ?checkpoint
       in
       let stopped = ref false in
       let candidate_prog () =
-        let hw =
-          List.concat_map
-            (fun u ->
-              List.concat_map (fun r -> r.Stage2.hw_directives) u.realization)
-            units
-        in
-        (Stage2.realization_plan ~cache func base hw).Memo.plan_prog_hw
+        (Stage2.realization_plan ~cache func base (hw_directives units))
+          .Memo.plan_prog_hw
       in
       let current = ref (eval ()) in
       let budget =
@@ -216,126 +199,11 @@ let greedy_pass ?(cache = Memo.global) ?jobs ?chunk ?checkpoint
             bram = Resource.bram18_blocks device;
           }
       in
-      (* Process sharding (--jobs-mode procs): ladder rungs are dealt to
-         worker processes as framed hardware-directive candidates; their
-         keyed replies are absorbed into this memo, warming exactly the
-         entries the greedy walk will ask for.  Pool spawn failure
-         degrades to sequential evaluation. *)
-      let pool =
-        if
-          jobs <= 1
-          || Pom_par.Par.mode () <> Pom_par.Par.Procs
-          || Pom_par.Pool.in_worker ()
-        then None
-        else
-          match
-            Pom_dse.Workpool.borrow ~jobs ~func ~device ~composition
-              ~latency_mode ~base ()
-          with
-          | pool -> Some pool
-          | exception _ -> None
-      in
-      Fun.protect
-        ~finally:(fun () -> Option.iter Pom_dse.Workpool.release pool)
-      @@ fun () ->
-      (* With a worker budget, warm the report memo for all of a unit's
-         ladder rungs before its greedy walk: a rung evaluation depends only
-         on this unit's degree (the other units' realizations are frozen
-         during the walk), so the whole ladder is known up front.  The walk
-         itself replays the sequential algorithm against warm cache
-         entries — results and counters are unchanged. *)
-      let ladder_points u =
-        let realize_at par =
-          List.map
-            (fun (c, order, extents) -> Stage2.realize c order extents par)
-            u.members
-        in
-        let rungs, _ =
-          List.fold_left
-            (fun (acc, seen) par ->
-              if par <= u.par then (acc, seen)
-              else
-                let r = realize_at par in
-                if List.mem r seen then (acc, seen)
-                else ((par, r) :: acc, r :: seen))
-            ([], [ realize_at u.par ])
-            ladder
-        in
-        let point (_, r) =
-          List.map
-            (fun v -> if v.id = u.id then r else v.realization)
-            units
-        in
-        List.map point (List.rev rungs)
-      in
-      (* One unit's ladder is the canonical tile-ladder chunk: every rung
-         shares the schedule skeleton (the other units are frozen), so it
-         is submitted as one group — shipped in [chunk]-sized frames to
-         the worker processes, or handed whole to the work-stealing
-         executor, which splits it only when a worker goes idle. *)
-      let prefetch_ladder_fn =
-        if jobs <= 1 || Pom_par.Pool.in_worker () then None
-        else
-          match pool with
-          | Some pool ->
-              Some
-                (fun u ->
-                  let hws =
-                    List.map
-                      (List.concat_map (fun rs ->
-                           List.concat_map
-                             (fun r -> r.Stage2.hw_directives)
-                             rs))
-                      (ladder_points u)
-                  in
-                  if hws <> [] then
-                    let { Pom_dse.Workpool.evaluated = items; _ } =
-                      Pom_dse.Workpool.eval_chunks pool ~chunk hws
-                    in
-                    List.iter
-                      (fun (hw, (it : Pom_dse.Workpool.item)) ->
-                        Memo.absorb_report cache ~key:it.Pom_dse.Workpool.r_key
-                          ( it.Pom_dse.Workpool.prog,
-                            it.Pom_dse.Workpool.report );
-                        Memo.absorb_plan cache
-                          ~key:(Memo.plan_key ~base ~hw ~bank_cap:None func)
-                          {
-                            Memo.plan_directives =
-                              base @ hw @ it.Pom_dse.Workpool.parts;
-                            plan_parts = it.Pom_dse.Workpool.parts;
-                            plan_prog_hw = it.Pom_dse.Workpool.prog_hw;
-                          })
-                      items)
-          | None when Pom_par.Par.mode () = Pom_par.Par.Procs -> None
-          | None ->
-              Some
-                (fun u ->
-                  let points = Array.of_list (ladder_points u) in
-                  if Array.length points > 0 then
-                    ignore
-                      (Pom_par.Chunks.run ~jobs ~chunk
-                         ~f:(fun _ point ->
-                           try
-                             ignore
-                               (evaluate_realized ~cache ~device ~composition
-                                  ~latency_mode func base point)
-                           with _ -> ())
-                         [ points ]))
-      in
-      (* a pool that exhausts its respawn budget (POM311) retires the
-         prefetch; the greedy walk replays sequentially, same design *)
-      let prefetch_ladder = ref prefetch_ladder_fn in
       if not huge then
         List.iter
           (fun u ->
             if not !stopped then begin
             (* greedy: push this unit as far as the remaining budget allows *)
-            (match !prefetch_ladder with
-            | Some warm -> (
-                try warm u
-                with Pom_resilience.Error.Error { code = "POM311"; _ } ->
-                  prefetch_ladder := None)
-            | None -> ());
             let continue_ = ref true in
             List.iter
               (fun par ->
@@ -436,11 +304,11 @@ let greedy_pass ?(cache = Memo.global) ?jobs ?chunk ?checkpoint
         dse_cpu_s = st.State.dse_cpu_s +. (Sys.time () -. cpu0);
       })
 
-let passes ?cache ?jobs ?chunk ?checkpoint ?on_result () =
+let passes ?cache ?checkpoint ?on_result () =
   [
     interchange_pass ();
     Passes.structural ();
-    greedy_pass ?cache ?jobs ?chunk ?checkpoint ?on_result ();
+    greedy_pass ?cache ?checkpoint ?on_result ();
   ]
 
 let run ?(device = Device.xc7z020) ?(dnn = false) func =

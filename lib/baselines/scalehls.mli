@@ -37,17 +37,6 @@ type result = {
     larger pipeline.  Initialize the state with the dataflow composition
     and the intended latency mode.
 
-    [jobs] (default {!Pom_par.Par.jobs}) sets the worker budget of the
-    greedy pass.  With [jobs > 1] each unit's factor ladder — one
-    tile-ladder chunk sharing a schedule skeleton — is speculatively
-    evaluated concurrently to warm the plan and report memos before the
-    sequential greedy walk replays over it: on the chunked work-stealing
-    executor in domains mode, or shipped in [chunk]-sized request frames
-    (default {!Pom_par.Par.chunk}) to worker processes in procs mode.  The
-    chosen design is identical across job counts, chunk sizes and steal
-    interleavings, and [jobs = 1] reproduces the sequential walk
-    bit-for-bit.
-
     [checkpoint] names a crash-safe journal: every synthesized ladder rung
     is appended as it is evaluated, and a killed run resumed against the
     same journal replays the intact records into the report memo and
@@ -55,8 +44,6 @@ type result = {
     {!Pom_pipeline.Memo.with_journal}). *)
 val passes :
   ?cache:Pom_pipeline.Memo.t ->
-  ?jobs:int ->
-  ?chunk:int ->
   ?checkpoint:string ->
   ?on_result:(result -> unit) ->
   unit ->

@@ -40,14 +40,14 @@ type compiled = {
    synthesize/lower/simplify/emit tail.  Searching flows (`Scalehls,
    `Pom_auto) fill the program slot themselves; the others accumulate
    directives and apply them with the shared schedule-apply pass. *)
-let head_passes ?jobs ?checkpoint framework =
+let head_passes ?checkpoint framework =
   match framework with
   | `Baseline -> [ Passes.structural (); Passes.schedule_apply () ]
   | `Pluto -> Baselines.Pluto.passes () @ [ Passes.schedule_apply () ]
   | `Polsca -> Baselines.Polsca.passes () @ [ Passes.schedule_apply () ]
-  | `Scalehls -> Baselines.Scalehls.passes ?jobs ?checkpoint ()
+  | `Scalehls -> Baselines.Scalehls.passes ?checkpoint ()
   | `Pom_manual -> [ Passes.user_schedule (); Passes.schedule_apply () ]
-  | `Pom_auto -> Dse.Engine.passes ?jobs ?checkpoint ()
+  | `Pom_auto -> Dse.Engine.passes ?checkpoint ()
 
 (* The degradation contract, per pass.  A required pass produces the
    artifact the compile exists to deliver — skipping it cannot yield a
@@ -76,6 +76,7 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
     ?(dnn = false) ?(dump_after = []) ?(verify_each = false)
     ?(simulate = false) ?jobs ?deadline_s ?max_ticks
     ?(on_error = Pom_resilience.Policy.Abort) ?checkpoint func =
+  Par.with_jobs (Option.value jobs ~default:(Par.jobs ())) @@ fun () ->
   Pom_resilience.Policy.with_policy on_error @@ fun () ->
   Pom_resilience.Budget.with_budget ?deadline_s ?max_ticks @@ fun () ->
   let baseline_latency = Pom_hls.Report.baseline_latency func in
@@ -88,7 +89,7 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
   in
   let pipeline =
     guard_pipeline
-      (head_passes ?jobs ?checkpoint framework
+      (head_passes ?checkpoint framework
       @ [ Passes.legality_check (); Passes.lint_pragmas () ]
       @ Passes.tail ())
   in

@@ -20,8 +20,8 @@
 (** Re-exported subsystem entry points. *)
 
 (** The parallel-execution budget: {!Par.set_jobs}/{!Par.with_jobs} set the
-    process-wide worker-domain count used by the searching flows and the
-    polyhedral analyses ([1] = fully sequential). *)
+    process-wide worker-domain count the polyhedral analyses fan out over
+    ([1] = fully sequential).  The DSE searches are sequential. *)
 module Par = Pom_par.Par
 
 module Poly = Pom_poly
@@ -90,10 +90,11 @@ type compiled = {
     [simulate] additionally runs the functional simulator (small problem
     sizes only).
 
-    [jobs] (default {!Par.jobs}) sets the worker-domain budget of the
-    searching flows ([`Scalehls], [`Pom_auto]); the compiled design is
-    identical across job counts, and [jobs = 1] reproduces the sequential
-    search bit-for-bit.
+    [jobs] (default {!Par.jobs}; read by perfbench/cold.ml) is the
+    {!Par.map} budget for the call: the dependence, dependence-graph,
+    legality and bounds-verification analyses fan out over that many
+    domains.  The DSE searches are sequential, so the compiled design is
+    the same at every [jobs].
 
     Resilience controls: [deadline_s]/[max_ticks] install a cooperative
     {!Resilience.Budget} for the whole compile — the polyhedral kernels,

@@ -14,8 +14,8 @@ type outcome = {
    coupling between the two pass closures. *)
 type State.ext += Stage1_output of Stage1.t
 
-let passes ?par_cap ?bank_cap ?steps ?cache ?jobs ?chunk ?checkpoint ?(on_stage1 = fun _ -> ())
-    ?(on_result = fun _ -> ()) () =
+let passes ?par_cap ?bank_cap ?steps ?cache ?checkpoint
+    ?(on_stage1 = fun _ -> ()) ?(on_result = fun _ -> ()) () =
   [
     Pass.v ~name:"stage1-transform"
       ~descr:"dependence-aware code transformation (DSE stage 1)"
@@ -60,7 +60,7 @@ let passes ?par_cap ?bank_cap ?steps ?cache ?jobs ?chunk ?checkpoint ?(on_stage1
         let r =
           Stage2.run ~device:st.State.device
             ~composition:st.State.composition ?par_cap ?bank_cap ?steps ?cache
-            ?jobs ?chunk ?checkpoint st.State.func s1
+            ?checkpoint st.State.func s1
         in
         on_result r;
         {
@@ -76,13 +76,15 @@ let passes ?par_cap ?bank_cap ?steps ?cache ?jobs ?chunk ?checkpoint ?(on_stage1
   ]
 
 let run ?(device = Pom_hls.Device.xc7z020) ?composition ?par_cap ?bank_cap
-    ?steps ?cache ?jobs ?chunk ?checkpoint func =
+    ?steps ?cache ?jobs ?checkpoint func =
+  Pom_par.Par.with_jobs (Option.value jobs ~default:(Pom_par.Par.jobs ()))
+  @@ fun () ->
   (* Sys.time is CPU time; the Table III "DSE time" column is wall clock,
      so measure both and report them separately. *)
   let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
   let stage1 = ref None and result = ref None in
   let pipeline =
-    passes ?par_cap ?bank_cap ?steps ?cache ?jobs ?chunk ?checkpoint
+    passes ?par_cap ?bank_cap ?steps ?cache ?checkpoint
       ~on_stage1:(fun s1 -> stage1 := Some s1)
       ~on_result:(fun r -> result := Some r)
       ()

@@ -29,17 +29,17 @@ val passes :
   ?bank_cap:int ->
   ?steps:(int -> int list) ->
   ?cache:Pom_pipeline.Memo.t ->
-  ?jobs:int ->
-  ?chunk:int ->
   ?checkpoint:string ->
   ?on_stage1:(Stage1.t -> unit) ->
   ?on_result:(Stage2.result -> unit) ->
   unit ->
   Pom_pipeline.State.t Pom_pipeline.Pass.t list
 
-(** [jobs], [chunk] and [checkpoint] are forwarded to {!Stage2.run}; the
-    chosen design is identical across job counts, chunk sizes, and across a
-    kill-and-resume of a checkpointed search (see {!Stage2.run}). *)
+(** [jobs] (default {!Pom_par.Par.jobs}; read by perfbench/cold.ml) is the
+    {!Pom_par.Par.map} budget for the call; the search itself is
+    sequential.  [checkpoint] is forwarded to {!Stage2.run}: the chosen
+    design is identical across a kill-and-resume of a checkpointed
+    search. *)
 val run :
   ?device:Pom_hls.Device.t ->
   ?composition:Pom_hls.Resource.composition ->
@@ -48,7 +48,6 @@ val run :
   ?steps:(int -> int list) ->
   ?cache:Pom_pipeline.Memo.t ->
   ?jobs:int ->
-  ?chunk:int ->
   ?checkpoint:string ->
   Pom_dsl.Func.t ->
   outcome

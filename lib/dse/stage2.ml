@@ -2,7 +2,6 @@ open Pom_dsl
 open Pom_polyir
 open Pom_hls
 module Memo = Pom_pipeline.Memo
-module Chunks = Pom_par.Chunks
 
 type result = {
   directives : Schedule.t list;
@@ -15,7 +14,7 @@ type result = {
   report_cache_hits : int;
   cold_syntheses : int;
   pruned : int;
-  sched : Chunks.stats;
+  sched : Pom_par.Par.Chunks.stats;  (* read by perfbench/cold.ml *)
 }
 
 (* ---- parallelism realization for one compute ---- *)
@@ -212,14 +211,18 @@ let realize_unit u =
 
 (* ---- full-program evaluation ---- *)
 
+let hw_directives units =
+  List.concat_map
+    (fun u -> List.concat_map (fun r -> r.hw_directives) u.realization)
+    units
+
 (* The shared work of a candidate is memoized at two levels: the
    base-directive prefix application (the schedule memo, one entry for the
    whole search) and the candidate's realization plan — hardware-directive
    application plus the derived partition plan (the plan memo, one entry
-   per design point).  A speculatively warmed design point is thereby a
-   guaranteed O(lookup) hit for the sequential replay: recovering the
-   report key costs a plan lookup, never a re-application of the hardware
-   directives. *)
+   per design point).  The search asks for each candidate's plan twice:
+   the analyzer's pre-pruning check reads its scheduled program, then the
+   evaluation reads its directive list — the second request is a lookup. *)
 let realization_plan ?bank_cap ~cache func base hw =
   Memo.plan cache
     ~key:(Memo.plan_key ~base ~hw ~bank_cap func)
@@ -233,80 +236,16 @@ let realization_plan ?bank_cap ~cache func base hw =
         plan_prog_hw = prog_hw;
       })
 
-let evaluate_realized ?bank_cap ~cache ~device ~composition func
-    base_directives realizations =
-  let hw =
-    List.concat_map
-      (fun rs -> List.concat_map (fun r -> r.hw_directives) rs)
-      realizations
+let evaluate ?bank_cap ~cache ~device ~composition func base_directives units =
+  let plan =
+    realization_plan ?bank_cap ~cache func base_directives (hw_directives units)
   in
-  let plan = realization_plan ?bank_cap ~cache func base_directives hw in
   let prog, report =
     Memo.synthesize cache ~composition ~device
       ~directives:plan.Memo.plan_directives func (fun () ->
         List.fold_left Prog.apply plan.Memo.plan_prog_hw plan.Memo.plan_parts)
   in
   (prog, plan.Memo.plan_directives, report)
-
-let evaluate ?bank_cap ~cache ~device ~composition func base_directives units =
-  evaluate_realized ?bank_cap ~cache ~device ~composition func base_directives
-    (List.map (fun u -> u.realization) units)
-
-(* ---- speculative evaluation of the search frontier ---- *)
-
-let unit_realizes u par =
-  List.map (fun (c, order, extents) -> realize c order extents par) u.members
-
-(* Whether stepping [u] from [from_par] to [to_par] produces different
-   hardware at all: factor clamping can collapse a larger request onto the
-   same realization, which the search prunes without synthesizing — so the
-   frontier skips it too. *)
-let realization_changes u ~from_par ~to_par =
-  unit_realizes u to_par <> unit_realizes u from_par
-
-(* The speculative frontier: parallelism vectors reachable from the
-   incumbent within [depth] accepted steps, in deterministic DFS order,
-   capped at [cap] points.  Evaluating the frontier concurrently warms the
-   report memo; the search itself then replays the exact sequential
-   algorithm against warm entries, which is what keeps --jobs N results
-   identical to --jobs 1. *)
-let frontier ~steps ~depth ~cap units =
-  let ua = Array.of_list units in
-  let base = Array.map (fun u -> u.par) ua in
-  let seen = Hashtbl.create 64 in
-  let out = ref [] in
-  let n_out = ref 0 in
-  let rec expand d pars =
-    if d < depth then
-      Array.iteri
-        (fun i u ->
-          if u.active && !n_out < cap then
-            List.iter
-              (fun p ->
-                if
-                  p > pars.(i)
-                  && p <= u.max_par
-                  && !n_out < cap
-                  && realization_changes u ~from_par:pars.(i) ~to_par:p
-                then begin
-                  let next = Array.copy pars in
-                  next.(i) <- p;
-                  let key = Array.to_list next in
-                  if not (Hashtbl.mem seen key) then begin
-                    Hashtbl.add seen key ();
-                    out := next :: !out;
-                    incr n_out;
-                    expand (d + 1) next
-                  end
-                end)
-              (steps pars.(i)))
-        ua
-  in
-  expand 0 base;
-  List.rev !out
-
-let realizations_of units pars =
-  List.mapi (fun i u -> unit_realizes u pars.(i)) units
 
 (* ---- the bottleneck-oriented search ---- *)
 
@@ -355,45 +294,25 @@ let critical_bottleneck ~report ~paths units =
 let default_steps par = [ par * 2; par * 3 / 2 ]
 
 let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
-    ?(par_cap = 64) ?bank_cap ?(steps = default_steps)
-    ?(cache = Pom_pipeline.Memo.global) ?(jobs = Pom_par.Par.jobs ())
-    ?(chunk = Pom_par.Par.chunk ()) ?checkpoint func (stage1 : Stage1.t) =
-  let jobs = max 1 jobs in
-  let chunk = max 1 chunk in
+    ?(par_cap = 64) ?bank_cap ?(steps = default_steps) ?(cache = Memo.global)
+    ?checkpoint func (stage1 : Stage1.t) =
   (* Journal every genuinely synthesized design point; on resume the intact
-     records are replayed into the report memo first, so the sequential
-     replay below re-derives the exact decision sequence of the
-     uninterrupted search from warm cache entries. *)
-  Pom_pipeline.Memo.with_journal cache checkpoint @@ fun journal_notes ->
-  let memo0 = Pom_pipeline.Memo.snapshot cache in
+     records are replayed into the report memo first, so the search below
+     re-derives the exact decision sequence of the uninterrupted search
+     from warm cache entries. *)
+  Memo.with_journal cache checkpoint @@ fun journal_notes ->
+  let memo0 = Memo.snapshot cache in
   let base = stage1.Stage1.directives in
-  let prog_base = Pom_pipeline.Memo.schedule cache func base in
+  let prog_base = Memo.schedule cache func base in
   let units = units_of prog_base ~par_cap in
   let paths = Pom_depgraph.Graph.data_paths (Pom_depgraph.Graph.build func) in
   let evaluations = ref 0 in
-  (* Hit/miss accounting is per sequential evaluation (the speculative warm
-     below is synchronous, so these deltas are exclusively the search's
-     own): at jobs > 1 the raw memo counters also carry speculative
-     traffic, which must not inflate the "served from cache" headline. *)
-  let search_hits = ref 0 and search_misses = ref 0 in
   let counted thunk =
     incr evaluations;
     (* the per-evaluation fault site: [kill] here simulates the process
-       dying on the Nth sequential evaluation (the kill-and-resume test);
-       the speculative prefetch below never passes through it *)
+       dying on the Nth evaluation (the kill-and-resume test) *)
     Pom_resilience.Fault.point "dse:evaluate";
-    let before = Pom_pipeline.Memo.snapshot cache in
-    let r = thunk () in
-    let after = Pom_pipeline.Memo.snapshot cache in
-    search_hits :=
-      !search_hits
-      + (after.Pom_pipeline.Memo.report_hits
-        - before.Pom_pipeline.Memo.report_hits);
-    search_misses :=
-      !search_misses
-      + (after.Pom_pipeline.Memo.report_misses
-        - before.Pom_pipeline.Memo.report_misses);
-    r
+    thunk ()
   in
   let evaluate_counted () =
     counted (fun () ->
@@ -409,201 +328,18 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
         (String.concat ", " (List.map (fun (c, _, _) -> c) u.members))
         u.max_par)
     units;
-  (* Speculation: before each sequential decision, evaluate the candidate
-     frontier concurrently purely to warm the report memo.  Failures are
-     swallowed — a speculative point the sequential search would never reach
-     must not be able to abort the search — and nothing below mutates the
-     search state, so the replayed decisions (and every counter the replay
-     increments) are exactly those of the sequential algorithm. *)
-  (* Process sharding (--jobs-mode procs): the same speculative frontier,
-     dealt to worker processes over framed pipes instead of pool domains.
-     Workers compute design points with the exact evaluate_realized
-     recipe and reply keyed for this memo, so absorbing them is
-     indistinguishable from having computed them here — and the
-     sequential replay stays bit-identical.  A pool that cannot be
-     spawned degrades to sequential evaluation (never a failed search). *)
-  let pool =
-    if
-      jobs <= 1
-      || Pom_par.Par.mode () <> Pom_par.Par.Procs
-      || Pom_par.Pool.in_worker ()
-    then None
-    else
-      match
-        Workpool.borrow ~jobs ~func ~device ~composition
-          ~latency_mode:`Sequential ~base ?bank_cap ()
-      with
-      | pool -> Some pool
-      | exception e ->
-          log
-            "parallel: worker pool unavailable (%s); evaluating sequentially"
-            (Printexc.to_string e);
-          None
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Workpool.release pool)
-  @@ fun () ->
-  let depth = min 2 (max 1 (jobs - 1)) in
-  let cap = 4 * jobs in
-  let sched = ref (Chunks.zero_stats ~jobs ~chunk_size:chunk) in
-  (* Candidates already dealt in an earlier iteration are warm (or in that
-     iteration's absorb path); don't re-warm them.  The table is keyed by
-     the printed hardware-directive list — the same identity the plan memo
-     uses — so dedup is shared by both jobs modes. *)
-  let dispatched = Hashtbl.create 64 in
-  (* The fresh slice of the speculative frontier, grouped per varied unit:
-     each group is a tile ladder — candidates stepping one unit's
-     parallelism off the shared incumbent skeleton — which is the
-     contiguity the chunked executor preserves (a chunk's candidates share
-     their schedule prefix, so the plan memo's shared work amortizes). *)
-  let fresh_frontier () =
-    let base_pars = Array.of_list (List.map (fun u -> u.par) units) in
-    let varied pars =
-      let n = Array.length pars in
-      let rec first i = if i >= n then 0 else if pars.(i) <> base_pars.(i) then i else first (i + 1) in
-      first 0
-    in
-    let fresh =
-      List.filter_map
-        (fun pars ->
-          let rzs = realizations_of units pars in
-          let hw =
-            List.concat_map
-              (fun rs -> List.concat_map (fun r -> r.hw_directives) rs)
-              rzs
-          in
-          let k =
-            String.concat ";" (List.map (Format.asprintf "%a" Schedule.pp) hw)
-          in
-          if Hashtbl.mem dispatched k then None
-          else begin
-            Hashtbl.add dispatched k ();
-            Some (varied pars, rzs, hw)
-          end)
-        (frontier ~steps ~depth ~cap units)
-    in
-    let groups =
-      List.sort_uniq Int.compare (List.map (fun (g, _, _) -> g) fresh)
-    in
-    List.map
-      (fun g -> List.filter (fun (g', _, _) -> g' = g) fresh)
-      groups
-  in
-  let prefetch_fn =
-    if jobs <= 1 || Pom_par.Pool.in_worker () then None
-    else
-      match pool with
-      | Some pool ->
-          log
-            "parallel: %d-way process-sharded speculative evaluation \
-             (frontier depth %d, cap %d, chunk %d)"
-            jobs depth cap chunk;
-          Some
-            (fun () ->
-              let hws =
-                List.concat_map
-                  (List.map (fun (_, _, hw) -> hw))
-                  (fresh_frontier ())
-              in
-              if hws <> [] then begin
-                let before = Workpool.stats pool in
-                let { Workpool.n_chunks; forfeited; evaluated = items } =
-                  Workpool.eval_chunks pool ~chunk hws
-                in
-                let after = Workpool.stats pool in
-                List.iter
-                  (fun (hw, (it : Workpool.item)) ->
-                    Memo.absorb_report cache ~key:it.Workpool.r_key
-                      (it.Workpool.prog, it.Workpool.report);
-                    Memo.absorb_plan cache
-                      ~key:(Memo.plan_key ~base ~hw ~bank_cap func)
-                      {
-                        Memo.plan_directives = base @ hw @ it.Workpool.parts;
-                        plan_parts = it.Workpool.parts;
-                        plan_prog_hw = it.Workpool.prog_hw;
-                      })
-                  items;
-                (* chunks are dealt round-robin over the live workers; no
-                   stealing happens across processes *)
-                let alive = max 1 (Workpool.alive pool) in
-                let worker_items = Array.make jobs 0 in
-                List.iteri
-                  (fun c (_ : Schedule.t list) ->
-                    let w = c / chunk mod alive in
-                    worker_items.(w) <- worker_items.(w) + 1)
-                  hws;
-                sched :=
-                  Chunks.merge !sched
-                    {
-                      Chunks.jobs;
-                      chunk_size = chunk;
-                      chunks = n_chunks;
-                      items = List.length hws;
-                      steals = 0;
-                      splits = 0;
-                      forfeited;
-                      respawns =
-                        after.Pom_par.Procs.respawned
-                        - before.Pom_par.Procs.respawned;
-                      worker_items;
-                    }
-              end)
-      | None when Pom_par.Par.mode () = Pom_par.Par.Procs ->
-          (* procs requested but no pool: Par.map is sequential in this
-             mode, so a domain-style warm would only repeat the replay *)
-          None
-      | None ->
-          log
-            "parallel: %d-way chunked work-stealing speculative evaluation \
-             (frontier depth %d, cap %d, chunk %d)"
-            jobs depth cap chunk;
-          Some
-            (fun () ->
-              let groups =
-                List.map
-                  (fun g ->
-                    Array.of_list (List.map (fun (_, rzs, _) -> rzs) g))
-                  (fresh_frontier ())
-              in
-              if groups <> [] then
-                sched :=
-                  Chunks.merge !sched
-                    (Chunks.run ~jobs ~chunk
-                       ~f:(fun _ rzs ->
-                         try
-                           ignore
-                             (evaluate_realized ?bank_cap ~cache ~device
-                                ~composition func base rzs)
-                         with _ -> ())
-                       groups))
-  in
-  (* a ref so a pool that burns through its respawn budget (POM311) can
-     retire the prefetch for the rest of the search instead of aborting
-     it — the sequential replay below evaluates everything the warm
-     would have, so the design is unchanged, just slower *)
-  let prefetch = ref prefetch_fn in
   let iterations = ref 0 in
   let pruned = ref 0 in
   (* the analyzer's pre-pruning oracle sees the candidate's scheduled
      program (cheap: memoized base + directive application) but never its
      synthesis *)
   let candidate_prog () =
-    let hw =
-      List.concat_map
-        (fun u -> List.concat_map (fun r -> r.hw_directives) u.realization)
-        units
-    in
-    (realization_plan ?bank_cap ~cache func base hw).Memo.plan_prog_hw
+    (realization_plan ?bank_cap ~cache func base (hw_directives units))
+      .Memo.plan_prog_hw
   in
   let continue_ = ref true in
   while !continue_ && !iterations < 60 do
     incr iterations;
-    (match !prefetch with
-    | Some warm -> (
-        try warm ()
-        with Pom_resilience.Error.Error { code = "POM311"; message; _ } ->
-          log "parallel: %s; continuing without speculative prefetch" message;
-          prefetch := None)
-    | None -> ());
     let _, _, report = !current in
     match critical_bottleneck ~report ~paths units with
     | None -> continue_ := false
@@ -705,21 +441,19 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
      pipeline's hls-synthesize pass, a --trace re-run) free. *)
   let prog, report =
     counted (fun () ->
-        Pom_pipeline.Memo.synthesize cache ~composition ~device ~directives
+        Memo.synthesize cache ~composition ~device ~directives
           func (fun () -> prog0))
   in
-  let memo1 = Pom_pipeline.Memo.snapshot cache in
-  let report_cache_hits = !search_hits in
-  let cold_syntheses = !search_misses in
+  let memo1 = Memo.snapshot cache in
+  let report_cache_hits = memo1.Memo.report_hits - memo0.Memo.report_hits in
+  let cold_syntheses = memo1.Memo.report_misses - memo0.Memo.report_misses in
   log
     "memo: %d of %d QoR evaluations served from cache (%d cold syntheses, %d \
      schedule-prefix hits)"
     report_cache_hits !evaluations cold_syntheses
-    (memo1.Pom_pipeline.Memo.schedule_hits
-    - memo0.Pom_pipeline.Memo.schedule_hits);
+    (memo1.Memo.schedule_hits - memo0.Memo.schedule_hits);
   if !pruned > 0 then
     log "analyzer: %d design points pruned before synthesis" !pruned;
-  if !sched.Chunks.items > 0 then log "scheduler: %a" Chunks.pp !sched;
   let tile_vectors =
     List.concat_map
       (fun u ->
@@ -739,5 +473,5 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
     report_cache_hits;
     cold_syntheses;
     pruned = !pruned;
-    sched = !sched;
+    sched = { Pom_par.Par.Chunks.chunks = 0; steals = 0; splits = 0 };
   }

@@ -32,10 +32,8 @@ val partition_plan : ?bank_cap:int -> Pom_polyir.Prog.t -> Schedule.t list
     candidate's hardware directives and its report synthesis: apply the
     (schedule-memoized) base prefix, apply [hw], derive the partition plan
     ({!partition_plan} under [bank_cap]).  One plan-memo entry per design
-    point; shared verbatim by the search, the analyzer's pre-pruning
-    oracle, the ScaleHLS baseline, and the process workers — which is what
-    makes a speculatively warmed design point a guaranteed lookup for the
-    sequential replay. *)
+    point, shared verbatim by the search, the analyzer's pre-pruning
+    oracle, and the ScaleHLS baseline. *)
 val realization_plan :
   ?bank_cap:int ->
   cache:Pom_pipeline.Memo.t ->
@@ -67,11 +65,8 @@ type result = {
           synthesis: every copy the candidate adds would serialize on a
           loop-carried dependence, so under the QoR model it cannot beat
           the incumbent *)
-  sched : Pom_par.Chunks.stats;
-      (** the speculative warm's scheduler counters, accumulated over the
-          search: chunks/items dealt, steals and splits (domains mode;
-          zero in procs mode, where chunks are shipped whole), per-worker
-          item counts.  All zero at [jobs = 1]. *)
+  sched : Pom_par.Par.Chunks.stats;
+      (** read by perfbench/cold.ml; always zero (the search is sequential) *)
 }
 
 (** [run func stage1] performs the bottleneck-oriented search.
@@ -86,22 +81,13 @@ type result = {
     [checkpoint], when given, is a crash-safe journal path: every
     genuinely synthesized design point is appended as it is evaluated, and
     on restart the intact records are replayed into the report memo before
-    the search begins — the sequential replay then re-derives the exact
-    decision sequence of the uninterrupted search, so a killed-and-resumed
-    run produces identical directives, tile vectors, and report.
+    the search begins — the search then re-derives the exact decision
+    sequence of the uninterrupted search, so a killed-and-resumed run
+    produces identical directives, tile vectors, and report.
 
-    [jobs] (default {!Pom_par.Par.jobs}) sets the worker budget.  With
-    [jobs > 1] the search speculatively evaluates the fresh slice of the
-    candidate frontier (the design points reachable within a few accepted
-    steps, minus the already-dispatched ones) concurrently to warm the
-    plan and report memos, then replays the exact sequential decision
-    sequence against the warm cache — so the chosen directives, tile
-    vectors, and report are identical across job counts, chunk sizes, and
-    steal interleavings, and [jobs = 1] reproduces the sequential search
-    bit-for-bit.  The warm runs on the chunked work-stealing executor
-    ({!Pom_par.Chunks}) in domains mode, or ships chunks to worker
-    processes in procs mode; [chunk] (default {!Pom_par.Par.chunk}) is the
-    target chunk granularity in both. *)
+    The search is sequential: the paper's bottleneck-oriented search
+    decides each step from the previous step's report.  Only the
+    polyhedral analyses underneath fan out, over {!Pom_par.Par.map}. *)
 val run :
   ?device:Pom_hls.Device.t ->
   ?composition:Pom_hls.Resource.composition ->
@@ -109,8 +95,6 @@ val run :
   ?bank_cap:int ->
   ?steps:(int -> int list) ->
   ?cache:Pom_pipeline.Memo.t ->
-  ?jobs:int ->
-  ?chunk:int ->
   ?checkpoint:string ->
   Func.t ->
   Stage1.t ->

@@ -15,14 +15,6 @@ let in_worker_key = Domain.DLS.new_key (fun () -> false)
 
 let in_worker () = Domain.DLS.get in_worker_key
 
-(* Run [f] flagged as pool work: nested {!Par.map} calls inside it go
-   sequential.  The chunked executor marks its stealing workers with this —
-   they are peers of pool workers, not submitters. *)
-let as_worker f =
-  let was = Domain.DLS.get in_worker_key in
-  Domain.DLS.set in_worker_key true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set in_worker_key was) f
-
 let rec worker_loop pool =
   Mutex.lock pool.lock;
   let rec next () =

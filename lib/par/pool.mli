@@ -31,11 +31,6 @@ val size : t -> int
     executes tasks of the batch it submitted). *)
 val in_worker : unit -> bool
 
-(** Run [f] flagged as pool work (nested {!Par.map} calls go sequential),
-    restoring the previous flag after.  Used by the chunked work-stealing
-    executor for its worker bodies. *)
-val as_worker : (unit -> 'a) -> 'a
-
 (** [parallel_map pool f xs] applies [f] to every element of [xs] using the
     pool, returning results in input order.  If one or more applications
     raise, the exception of the lowest-index element is re-raised after the

@@ -11,12 +11,10 @@ type counters = {
 }
 
 (* One candidate's realization plan: everything between the shared schedule
-   skeleton and report synthesis.  Caching it is what makes a speculatively
-   warmed design point a *guaranteed* hit for the sequential replay — the
-   replay recovers the full directive list (including the partition plan,
-   which otherwise requires applying the hardware directives just to compute
-   the report key) and the scheduled pre-partition program by lookup, so a
-   warm point costs two table reads and zero polyhedral work. *)
+   skeleton and report synthesis.  The search asks for each plan twice —
+   once for the analyzer's pre-pruning check, once to evaluate the
+   candidate — so caching it saves re-applying the hardware directives and
+   re-deriving the partition plan on the second request. *)
 type plan = {
   plan_directives : Pom_dsl.Schedule.t list;  (* base @ hw @ parts *)
   plan_parts : Pom_dsl.Schedule.t list;
@@ -25,10 +23,11 @@ type plan = {
 
 (* A table entry is either a settled value or a claim by the domain that is
    computing it, stamped with the claim time.  Claims are what keep the
-   counters deterministic under parallel DSE evaluation: when several domains
-   race on one key, exactly one counts a miss and computes; the rest poll
-   until the slot settles and count hits, so a batch of candidate evaluations
-   costs one miss per distinct design point regardless of scheduling.
+   counters deterministic under concurrent requests (pool tasks, daemon
+   threads): when several race on one key, exactly one counts a miss and
+   computes; the rest poll until the slot settles and count hits, so
+   concurrent requests cost one miss per distinct key regardless of
+   scheduling.
 
    The timestamp is the liveness escape hatch: a claim whose owner died
    without withdrawing it (a worker domain torn down mid-compute) would
@@ -235,19 +234,6 @@ let plan t ~key compute =
     ~miss:(fun c -> c.plan_misses <- c.plan_misses + 1)
     compute
 
-(* Merge a worker-computed plan, mirroring {!absorb_report} (minus the
-   observer: plans are never journaled — they are cheap to recompute next
-   to a synthesis and the journal schema stays report-only). *)
-let absorb_plan t ~key value =
-  Mutex.lock t.lock;
-  (match Hashtbl.find_opt t.plans key with
-  | Some (Done _) -> ()
-  | _ ->
-      t.c.plan_misses <- t.c.plan_misses + 1;
-      guard_capacity t t.plans;
-      Hashtbl.replace t.plans key (Done value));
-  Mutex.unlock t.lock
-
 let report_key ~composition ~latency_mode ~device ~directives func =
   String.concat "##"
     [
@@ -289,26 +275,6 @@ let restore_report t ~key value =
   | Some (Done _) -> ()
   | _ -> Hashtbl.replace t.reports key (Done value));
   Mutex.unlock t.lock
-
-(* Merge an externally computed report (a worker process's reply): counts a
-   miss and fires the observer exactly as if this process had computed it —
-   so procs-mode prefetch journals its points and keeps the hit/miss
-   deltas deterministic — but a key already settled (or raced to Done by a
-   domain) is left alone without a count or a re-journal. *)
-let absorb_report t ~key value =
-  Mutex.lock t.lock;
-  let fresh =
-    match Hashtbl.find_opt t.reports key with
-    | Some (Done _) -> false
-    | _ ->
-        t.c.report_misses <- t.c.report_misses + 1;
-        guard_capacity t t.reports;
-        Hashtbl.replace t.reports key (Done value);
-        true
-  in
-  let obs = t.report_observer in
-  Mutex.unlock t.lock;
-  if fresh then match obs with Some f -> f ~key value | None -> ()
 
 (* The journal's record payload: the wire-encoded design point.  The codec
    pair is the schema {!Pom_resilience.Checkpoint.version} covers. *)

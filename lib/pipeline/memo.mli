@@ -25,9 +25,8 @@ type counters = {
 (** One candidate's realization plan — the work between the shared schedule
     skeleton and report synthesis: the full directive list (base, hardware,
     and the derived partition plan) plus the scheduled pre-partition
-    program.  Caching it makes a speculatively warmed design point a
-    guaranteed hit for the sequential replay: recovering the report key no
-    longer requires re-applying the hardware directives. *)
+    program.  The DSE asks for each candidate's plan twice (pre-pruning,
+    then evaluation); the second request is a lookup. *)
 type plan = {
   plan_directives : Schedule.t list;  (** base @ hw @ parts *)
   plan_parts : Schedule.t list;
@@ -105,11 +104,6 @@ val plan_key :
     one key cost a single miss). *)
 val plan : t -> key:string -> (unit -> plan) -> plan
 
-(** Merge a plan computed outside this process (a worker's reply): counts a
-    plan miss when fresh, silent no-op when [key] is already settled.
-    Plans are never journaled. *)
-val absorb_plan : t -> key:string -> plan -> unit
-
 (** The report-memo key for one design point — the key the checkpoint
     journal records, stable across processes (a structural fingerprint, no
     addresses or hashes of mutable state). *)
@@ -133,13 +127,6 @@ val set_report_observer :
     search behave as if its cache were warm.  A key already settled is left
     alone. *)
 val restore_report :
-  t -> key:string -> Pom_polyir.Prog.t * Pom_hls.Report.t -> unit
-
-(** Merge a design point computed outside this process (a worker's reply):
-    counts a report miss and fires the observer exactly like a local
-    computation — procs-mode prefetch journals through this — but is a
-    silent no-op when [key] is already settled. *)
-val absorb_report :
   t -> key:string -> Pom_polyir.Prog.t * Pom_hls.Report.t -> unit
 
 (** [with_journal t (Some path) f]: open the checkpoint journal at [path],

@@ -13,8 +13,8 @@ type t = {
 
 (* The ambient budget.  An [Atomic] rather than DLS: pool worker domains
    must observe the budget the submitting domain installed, so a deadline
-   covers speculative DSE evaluation and parallel legality checking without
-   threading a token through every call. *)
+   covers parallel dependence and legality checking without threading a
+   token through every call. *)
 let current : t option Atomic.t = Atomic.make None
 
 let install ?deadline_s ?max_ticks ?cancel () =

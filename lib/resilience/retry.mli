@@ -1,7 +1,7 @@
 (** Capped exponential backoff with deterministic seeded jitter.
 
     The client side of the self-healing story: a transient transport
-    failure (daemon restarting, socket mid-handover, worker respawning)
+    failure (daemon restarting, socket mid-handover, executor respawning)
     deserves a bounded number of delayed re-attempts, not an immediate
     hard failure — and a {e deterministic} schedule, so tests and the
     chaos harness replay the exact same timing decisions from a seed.

@@ -1,6 +1,6 @@
 (** Stream framing for wire-encoded records.
 
-    Every persistent file and worker pipe carries one framed stream:
+    Every persistent file and daemon socket carries one framed stream:
 
     {v
     +------+----+-------------------+----------------+
@@ -12,7 +12,7 @@
 
     [fv] is the single-byte framing format version ({!format_version});
     the header's [kind] names the stream (["pom-dse-journal"],
-    ["pom-dse-worker"], ...) and its schema [version] covers the record
+    ["pom-cache-journal"], ...) and its schema [version] covers the record
     payload codecs.  Each record is a varint [tag], a varint byte
     [len], the payload, and a CRC-32 over the encoded tag+len+payload.
 

@@ -3,8 +3,8 @@
     A ['a t] couples an encoder, a strict decoder, and a pretty-printer
     for one OCaml type, derived from a single declarative description
     (primitives composed with [list]/[option]/[record]/[union]/...).
-    Every persistent artifact and every byte of worker IPC in the
-    pipeline goes through these codecs instead of [Marshal], so on-disk
+    Every persistent artifact and every byte of client/daemon IPC in
+    the pipeline goes through these codecs instead of [Marshal], so on-disk
     data survives compiler upgrades and corrupt input surfaces as a
     typed error, never a segfault or an unchecked cast.
 

@@ -249,9 +249,7 @@ let test_stage2_pruning () =
   let stage1 = Pom.Dse.Stage1.run f in
   let cache = Pom.Pipeline.Memo.create () in
   let synth0 = Pom.Hls.Report.synth_count () in
-  (* jobs=1: with speculative parallel evaluation the process-wide synth
-     count would also include warm-up syntheses the search never asked for *)
-  let r = Pom.Dse.Stage2.run ~cache ~jobs:1 f stage1 in
+  let r = Pom.Dse.Stage2.run ~cache f stage1 in
   let synths = Pom.Hls.Report.synth_count () - synth0 in
   Alcotest.(check bool) "at least one point pruned" true
     (r.Pom.Dse.Stage2.pruned >= 1);

@@ -1,6 +1,7 @@
-(* Exit-code contract of the pom_compile driver: 0 success, 1 usage errors,
-   2 analyzer/legality failures.  The driver binary is a declared dune
-   dependency, so the tests run against the freshly built executable. *)
+(* Exit-code contract of the pom_compile driver: 0 success, 1 usage errors
+   (command-line parse errors included), 2 analyzer/legality failures.  The
+   driver binary is a declared dune dependency, so the tests run against
+   the freshly built executable. *)
 
 (* the driver lives next to this test in the build tree, so resolve it from
    the test binary itself and stay independent of the runner's cwd *)
@@ -21,14 +22,19 @@ let test_usage_errors () =
   Alcotest.(check int) "unknown workload" 1 (run "-w no-such-kernel");
   Alcotest.(check int) "unknown framework" 1 (run "-w gemm -f no-such-flow");
   Alcotest.(check int) "malformed schedule" 1
-    (run "-w gemm -f pom-manual --schedule \"pipeline s\"")
+    (run "-w gemm -f pom-manual --schedule \"pipeline s\"");
+  (* command-line parse errors, including flags of retired scheduler
+     modes that old scripts may still pass *)
+  Alcotest.(check int) "unknown flag" 1 (run "-w gemm --bogus-flag");
+  Alcotest.(check int) "--jobs-mode" 1 (run "-w gemm --jobs-mode procs");
+  Alcotest.(check int) "--chunk" 1 (run "-w gemm --chunk 8")
 
 (* Numeric options must be rejected up front with a clear usage error,
    never clamped or allowed to wedge a worker pool. *)
 let test_bad_numeric_options () =
   Alcotest.(check int) "--jobs 0" 1 (run "-w gemm -j 0");
   Alcotest.(check int) "--jobs negative" 1 (run "-w gemm --jobs=-2");
-  Alcotest.(check int) "--chunk 0" 1 (run "-w gemm --chunk=0");
+  Alcotest.(check int) "--jobs not a number" 1 (run "-w gemm -j abc");
   Alcotest.(check int) "--size negative" 1 (run "-w gemm --size=-5");
   Alcotest.(check int) "--deadline 0" 1 (run "-w gemm --deadline=0");
   Alcotest.(check int) "--deadline negative" 1 (run "-w gemm --deadline=-1.5");

@@ -100,11 +100,99 @@ let test_resource_constraint_sweep () =
 let test_dnn_reuse_vs_dataflow () =
   let pom = Pom.compile ~framework:`Pom_auto ~dnn:true (Dnn.resnet18 ()) in
   let shls = Pom.compile ~framework:`Scalehls ~dnn:true (Dnn.resnet18 ()) in
+  let speedup c = Printf.sprintf "%.4f" (Pom.speedup c) in
+  Alcotest.(check string) "pom speedup" "88.0065" (speedup pom);
+  Alcotest.(check string) "scalehls speedup" "34.8362" (speedup shls);
   Alcotest.(check bool) "pom feasible" true pom.Pom.report.Pom_hls.Report.feasible;
   Alcotest.(check bool) "pom faster" true (Pom.speedup pom > Pom.speedup shls);
   Alcotest.(check bool) "pom uses fewer DSPs" true
     (pom.Pom.report.Pom_hls.Report.usage.Pom_hls.Resource.dsp
     < shls.Pom.report.Pom_hls.Report.usage.Pom_hls.Resource.dsp)
+
+(* The reproduction pinned exactly: the POM rows of Tables III, V and VII
+   as recorded in perfbench/golden/designs.txt, at one and two jobs (the
+   search is sequential, so the budget cannot move a design), and the
+   ScaleHLS Table III speedups of EXPERIMENTS.md. *)
+let design (c : Pom.compiled) =
+  let r = c.Pom.report in
+  let ints xs = String.concat "," (List.map string_of_int xs) in
+  Printf.sprintf "speedup=%.4f ii=%s tiles=%s par=%.2f dsp=%d lut=%d"
+    (Pom.speedup c)
+    (String.concat ";"
+       (List.map (fun (_, ii) -> string_of_int ii) r.Pom_hls.Report.iis))
+    (String.concat ";"
+       (List.map (fun (s, v) -> s ^ ":" ^ ints v) c.Pom.tile_vectors))
+    r.Pom_hls.Report.parallelism r.Pom_hls.Report.usage.Pom_hls.Resource.dsp
+    r.Pom_hls.Report.usage.Pom_hls.Resource.lut
+
+let pinned_pom =
+  [
+    ( "gemm",
+      (fun () -> Polybench.gemm 4096),
+      "speedup=512.0000 ii=1 tiles=s:1,2,16 par=32.00 dsp=160 lut=30280" );
+    ( "bicg",
+      (fun () -> Polybench.bicg 4096),
+      "speedup=223.9987 ii=4 tiles=s_s:1,32;s_q:1,32 par=8.00 dsp=80 lut=38840"
+    );
+    ( "gesummv",
+      (fun () -> Polybench.gesummv 4096),
+      "speedup=447.9610 ii=1;1 tiles=s_tmp:1,16;s_y:1,16;s_sum:24 par=24.00 \
+       dsp=184 lut=37100" );
+    ( "2mm",
+      (fun () -> Polybench.mm2 4096),
+      "speedup=512.0000 ii=1;1 tiles=mm_tmp:1,2,16;mm_d:1,2,16 par=32.00 \
+       dsp=160 lut=40840" );
+    ( "3mm",
+      (fun () -> Polybench.mm3 4096),
+      "speedup=512.0000 ii=1;1;1 tiles=mm_e:1,2,16;mm_f:1,2,16;mm_g:1,2,16 \
+       par=32.00 dsp=160 lut=48320" );
+    ( "jacobi-2d",
+      (fun () -> Polybench.jacobi2d 4096),
+      "speedup=144.5549 ii=3 tiles=s0:1,1,16;s1:1,1,16 par=5.33 dsp=110 \
+       lut=20940" );
+    ( "edge-detect",
+      (fun () -> Image.edge_detect 4096),
+      "speedup=332.5612 ii=1;1;1 tiles=s_gx:1,3,16;s_gy:1,2,16;s_mag:1,1,16 \
+       par=48.00 dsp=94 lut=50505" );
+    ( "gaussian",
+      (fun () -> Image.gaussian 4096),
+      "speedup=136.5701 ii=5 tiles=s_gauss:1,1,16 par=3.20 dsp=129 lut=18230"
+    );
+    ( "blur",
+      (fun () -> Image.blur 4096),
+      "speedup=521.0930 ii=2;1 tiles=s_bx:1,3,16;s_by:1,2,16 par=32.00 \
+       dsp=217 lut=52920" );
+    ( "seidel",
+      (fun () -> Polybench.seidel ~tsteps:8 256),
+      "speedup=29.2602 ii=115 tiles=s:1,8,8 par=0.56 dsp=16 lut=18240" );
+  ]
+
+let pinned_scalehls =
+  [
+    ("gemm", (fun () -> Polybench.gemm 4096), "512.0");
+    ("bicg", (fun () -> Polybench.bicg 4096), "13.7");
+    ("gesummv", (fun () -> Polybench.gesummv 4096), "447.7");
+    ("2mm", (fun () -> Polybench.mm2 4096), "270.3");
+    ("3mm", (fun () -> Polybench.mm3 4096), "42.9");
+  ]
+
+let test_pinned_designs () =
+  List.iter
+    (fun (name, build, expected) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at jobs=%d" name jobs)
+            expected
+            (design (Pom.compile ~framework:`Pom_auto ~jobs (build ()))))
+        [ 1; 2 ])
+    pinned_pom;
+  List.iter
+    (fun (name, build, expected) ->
+      Alcotest.(check string) ("scalehls " ^ name) expected
+        (Printf.sprintf "%.1f"
+           (Pom.speedup (Pom.compile ~framework:`Scalehls (build ())))))
+    pinned_scalehls
 
 let test_dse_faster_than_scalehls_search () =
   (* Table III: POM's bottleneck-oriented DSE needs fewer QoR evaluations
@@ -169,6 +257,8 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "all frameworks run" `Quick test_all_frameworks_run;
+          Alcotest.test_case "pinned Table III/V/VII designs" `Slow
+            test_pinned_designs;
           Alcotest.test_case "gemm ordering" `Quick test_paper_ordering_gemm;
           Alcotest.test_case "bicg ordering" `Quick test_paper_ordering_bicg;
           Alcotest.test_case "stencil: only POM improves" `Quick

@@ -1,7 +1,7 @@
 (* The parallel-execution subsystem: the fixed-size domain pool (result
    ordering, exception propagation, nested-use rejection), the domain-safe
-   report memo under concurrent requests, and the end-to-end guarantee that
-   the DSE engine picks the identical design at every job count. *)
+   report memo under concurrent requests, and the projection cache under
+   the DSE engine. *)
 
 module Par = Pom.Par
 module Pool = Pom.Par.Pool
@@ -74,83 +74,6 @@ let test_par_facade_budget () =
         "sequential path" [ 1; 4; 9 ]
         (Par.map (fun x -> x * x) [ 1; 2; 3 ]))
 
-(* -------- the work-stealing deque -------- *)
-
-let test_deque_semantics () =
-  let module Deque = Pom.Par.Deque in
-  let d = Deque.create () in
-  Alcotest.(check bool) "fresh deque is empty" true (Deque.is_empty d);
-  List.iter (Deque.push d) [ 1; 2; 3 ];
-  Alcotest.(check int) "length counts pushes" 3 (Deque.length d);
-  Alcotest.(check (option int)) "owner pops LIFO" (Some 3) (Deque.pop d);
-  Alcotest.(check (option int)) "thief steals FIFO" (Some 1) (Deque.steal d);
-  Alcotest.(check (option int))
-    "last element reachable from either end" (Some 2) (Deque.steal d);
-  Alcotest.(check (option int)) "empty pop" None (Deque.pop d);
-  Alcotest.(check (option int)) "empty steal" None (Deque.steal d);
-  Alcotest.(check bool) "drained deque is empty" true (Deque.is_empty d)
-
-(* -------- the chunked executor -------- *)
-
-(* Force the split-on-idle path deterministically: worker 0's own deque
-   holds (bottom to top) a 4-item chunk and a blocker chunk.  LIFO pop
-   hands worker 0 the blocker, which waits until all four items are done —
-   and the only way they can run is for the idle worker to steal the
-   4-item chunk FIFO, which (len > 1) must split it.  Every interleaving
-   of the two workers reaches the same conclusion, so the assertions below
-   are race-free. *)
-let test_chunks_split_on_idle () =
-  let module Chunks = Pom.Par.Chunks in
-  let done_w = Atomic.make 0 in
-  let f _idx = function
-    | `W -> Atomic.incr done_w
-    | `Fast -> ()
-    | `Block ->
-        let t0 = Unix.gettimeofday () in
-        while Atomic.get done_w < 4 do
-          if Unix.gettimeofday () -. t0 > 10.0 then
-            failwith "split-on-idle watchdog expired";
-          Unix.sleepf 0.0001
-        done
-  in
-  let stats =
-    Chunks.run ~jobs:2 ~chunk:4 ~f
-      [ Array.make 4 `W; [| `Fast |]; [| `Block |] ]
-  in
-  Alcotest.(check int) "every item ran" 6 stats.Chunks.items;
-  Alcotest.(check int) "three chunks after re-chunking" 3 stats.Chunks.chunks;
-  Alcotest.(check bool) "the idle worker stole" true (stats.Chunks.steals >= 1);
-  Alcotest.(check bool)
-    "the stolen multi-item chunk split" true
-    (stats.Chunks.splits >= 1);
-  Alcotest.(check int) "per-worker accounting sums to the total" 6
-    (Array.fold_left ( + ) 0 stats.Chunks.worker_items)
-
-let test_chunks_exception_lowest_index () =
-  Alcotest.check_raises "the lowest-index item's exception surfaces"
-    (Failure "boom 7") (fun () ->
-      ignore
-        (Pom.Par.Chunks.run ~jobs:4 ~chunk:1
-           ~f:(fun idx () ->
-             if idx = 7 || idx = 13 then failwith (Printf.sprintf "boom %d" idx))
-           [ Array.make 20 () ]))
-
-let test_chunks_exactly_once_when_jobs_one () =
-  let seen = ref [] in
-  let stats =
-    Pom.Par.Chunks.run ~jobs:1 ~chunk:3
-      ~f:(fun idx () -> seen := idx :: !seen)
-      [ Array.make 7 () ]
-  in
-  (* chunk order is deque (LIFO) order even at jobs=1 — the contract is
-     exactly-once with commutative effects, not submission order *)
-  Alcotest.(check (list int))
-    "every item runs exactly once"
-    (List.init 7 Fun.id)
-    (List.sort compare !seen);
-  Alcotest.(check int) "no steals" 0 stats.Pom.Par.Chunks.steals;
-  Alcotest.(check int) "no splits" 0 stats.Pom.Par.Chunks.splits
-
 (* -------- the memo under concurrent requests -------- *)
 
 let test_memo_single_miss_under_concurrency () =
@@ -178,82 +101,24 @@ let test_memo_single_miss_under_concurrency () =
         (List.for_all (fun (_, r) -> r == r0) rest)
   | [] -> Alcotest.fail "no results"
 
-(* -------- cross-jobs determinism of the DSE engine -------- *)
+(* -------- the projection cache under the DSE engine -------- *)
 
 let directive_strings (r : Pom.Dse.Stage2.result) =
   List.map
     (Format.asprintf "%a" Pom.Dsl.Schedule.pp)
     r.Pom.Dse.Stage2.directives
 
-let check_identical_design name build =
-  let run jobs =
-    (Pom.Dse.Engine.run ~cache:(Memo.create ()) ~jobs build).Pom.Dse.Engine
-      .result
-  in
-  let seq = run 1 and par = run 4 in
-  Alcotest.(check (list string))
-    (name ^ ": identical directives") (directive_strings seq)
-    (directive_strings par);
-  Alcotest.(check bool)
-    (name ^ ": identical tile vectors") true
-    (seq.Pom.Dse.Stage2.tile_vectors = par.Pom.Dse.Stage2.tile_vectors);
-  Alcotest.(check bool)
-    (name ^ ": identical report") true
-    (seq.Pom.Dse.Stage2.report = par.Pom.Dse.Stage2.report);
-  Alcotest.(check int)
-    (name ^ ": identical evaluation count")
-    seq.Pom.Dse.Stage2.evaluations par.Pom.Dse.Stage2.evaluations;
-  Alcotest.(check int)
-    (name ^ ": identical pruning count")
-    seq.Pom.Dse.Stage2.pruned par.Pom.Dse.Stage2.pruned
-
-let test_engine_deterministic_gemm () =
-  check_identical_design "gemm 512" (Polybench.gemm 512)
-
-(* The executor promises design identity under *any* steal interleaving.
-   The [par:steal-miss] fault site lets us pick adversarial ones
-   deterministically: each armed visit makes one steal attempt fail as if
-   the thief lost the race, shifting every subsequent interleaving. *)
-let test_steal_interleavings_deterministic () =
-  let func = Polybench.gemm 512 in
-  let baseline =
-    (Pom.Dse.Engine.run ~cache:(Memo.create ()) ~jobs:1 func).Pom.Dse.Engine
-      .result
-  in
-  Fun.protect ~finally:Pom.Resilience.Fault.reset @@ fun () ->
-  List.iter
-    (fun n ->
-      Pom.Resilience.Fault.configure
-        (Printf.sprintf "par:steal-miss=fail@%d" n);
-      let r =
-        (Pom.Dse.Engine.run ~cache:(Memo.create ()) ~jobs:4 func).Pom.Dse
-          .Engine.result
-      in
-      let tag = Printf.sprintf "steal-miss@%d" n in
-      Alcotest.(check (list string))
-        (tag ^ ": identical directives") (directive_strings baseline)
-        (directive_strings r);
-      Alcotest.(check bool)
-        (tag ^ ": identical report") true
-        (r.Pom.Dse.Stage2.report = baseline.Pom.Dse.Stage2.report))
-    [ 1; 2; 5; 9 ]
-
-(* The speculative warm must make its design points guaranteed hits for
-   the sequential replay: a parallel run on a fresh memo therefore shows
-   plan and report hits (the replay finding the warm's entries), never a
-   silent second synthesis of the same point. *)
-let test_warm_populates_memo () =
-  let cache = Memo.create () in
-  ignore (Pom.Dse.Engine.run ~cache ~jobs:4 (Polybench.gemm 512));
-  let c = Memo.counters cache in
-  Alcotest.(check bool)
-    "the replay hit warmed plans" true (c.Memo.plan_hits > 0);
-  Alcotest.(check bool)
-    "the replay hit warmed reports" true (c.Memo.report_hits > 0)
-
 (* The projection cache is an optimization, not an approximation: with it
-   disabled the engine must pick the bit-identical design. *)
+   disabled the engine must pick the bit-identical design.  It must also
+   pay: a cold gemm-512 search hits its own entries. *)
 let test_projcache_bit_identity () =
+  Pom.Poly.Projcache.reset ();
+  ignore
+    (Pom.Dse.Engine.run ~cache:(Memo.create ()) ~jobs:1 (Polybench.gemm 512));
+  let p = Pom.Poly.Projcache.stats () in
+  Alcotest.(check bool)
+    "a cold gemm-512 search hits the projection cache" true
+    (p.Pom.Poly.Projcache.exact_hits + p.Pom.Poly.Projcache.param_hits > 0);
   let func = Polybench.bicg 512 in
   let fast =
     (Pom.Dse.Engine.run ~cache:(Memo.create ()) ~jobs:1 func).Pom.Dse.Engine
@@ -273,171 +138,6 @@ let test_projcache_bit_identity () =
     "identical report" true
     (slow.Pom.Dse.Stage2.report = fast.Pom.Dse.Stage2.report)
 
-let test_engine_deterministic_bicg () =
-  check_identical_design "bicg 512" (Polybench.bicg 512)
-
-let test_scalehls_deterministic () =
-  let func = Polybench.mm2 256 in
-  let run jobs =
-    let result = ref None in
-    let _st, _records =
-      Pom.Pipeline.Pass.run
-        (Pom.Baselines.Scalehls.passes ~cache:(Memo.create ()) ~jobs
-           ~on_result:(fun r -> result := Some r)
-           ())
-        (Pom.Pipeline.State.init ~composition:Pom.Hls.Resource.Dataflow
-           ~latency_mode:`Sequential ~device:Pom.Hls.Device.xc7z020 func)
-    in
-    Option.get !result
-  in
-  let seq = run 1 and par = run 4 in
-  Alcotest.(check bool)
-    "identical report" true
-    (seq.Pom.Baselines.Scalehls.report = par.Pom.Baselines.Scalehls.report);
-  Alcotest.(check bool)
-    "identical tile vectors" true
-    (seq.Pom.Baselines.Scalehls.tile_vectors
-    = par.Pom.Baselines.Scalehls.tile_vectors);
-  Alcotest.(check int) "identical evaluation count"
-    seq.Pom.Baselines.Scalehls.evaluations
-    par.Pom.Baselines.Scalehls.evaluations
-
-(* -------- worker-process pool shutdown -------- *)
-
-(* A healthy pool shuts down promptly: the workers exit on EOF/SIGTERM and
-   are reaped within (well under) the grace window. *)
-let test_procs_shutdown_healthy () =
-  let exe = Pom.Dse.Workpool.default_exe () in
-  let procs =
-    Pom.Par.Procs.create ~exe ~args:[ "--worker" ]
-      ~header:Pom.Dse.Workpool.header ~jobs:2 ()
-  in
-  Alcotest.(check int) "both workers alive" 2 (Pom.Par.Procs.alive procs);
-  let t0 = Unix.gettimeofday () in
-  Pom.Par.Procs.shutdown procs;
-  let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "healthy shutdown is fast (%.3f s)" dt)
-    true (dt < 2.0);
-  (* idempotent *)
-  Pom.Par.Procs.shutdown procs
-
-(* The bug this guards against: a wedged worker that ignores both its
-   closed stdin and SIGTERM used to park [shutdown] forever on a blocking
-   [waitpid].  The [procs:serve-wedge] fault site (armed through the
-   inherited POM_FAULTS environment) makes the worker exactly that
-   hostile; shutdown must escalate to SIGKILL and return within the
-   grace window. *)
-let test_procs_shutdown_wedged_worker () =
-  let exe = Pom.Dse.Workpool.default_exe () in
-  Unix.putenv "POM_FAULTS" "procs:serve-wedge=fail@1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "POM_FAULTS" "") @@ fun () ->
-  let procs =
-    Pom.Par.Procs.create ~exe ~args:[ "--worker" ]
-      ~header:Pom.Dse.Workpool.header ~jobs:1 ()
-  in
-  Alcotest.(check int) "worker handshook" 1 (Pom.Par.Procs.alive procs);
-  (* the wedged worker ignores SIGTERM before it echoes its greeting, so
-     a completed handshake proves the worker is already immune to
-     everything but SIGKILL *)
-  let t0 = Unix.gettimeofday () in
-  Pom.Par.Procs.shutdown ~grace_s:0.5 procs;
-  let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "shutdown waited out the grace window (%.3f s)" dt)
-    true (dt >= 0.4);
-  Alcotest.(check bool)
-    (Printf.sprintf "wedged shutdown completes within the grace window \
-                     (%.3f s)"
-       dt)
-    true
-    (dt < 5.0)
-
-(* -------- worker supervision and respawn -------- *)
-
-(* The chunk-eval request the [dse:worker-kill] fault site guards: the
-   payload decodes to an empty chunk (the site fires before the decode),
-   so a surviving worker answers instantly with an empty reply. *)
-let chunk_tag = Pom.Dse.Workpool.tag_eval_chunk
-
-let empty_chunk =
-  Pom_wire.Wire.to_string Pom.Dse.Workpool.chunk_request_codec []
-
-let with_faulted_pool ?respawn ~spec ~jobs f =
-  let exe = Pom.Dse.Workpool.default_exe () in
-  Unix.putenv "POM_FAULTS" spec;
-  Fun.protect ~finally:(fun () -> Unix.putenv "POM_FAULTS" "") @@ fun () ->
-  let procs =
-    Pom.Par.Procs.create ?respawn ~backoff_base_s:0.01 ~exe
-      ~args:[ "--worker" ] ~header:Pom.Dse.Workpool.header ~jobs ()
-  in
-  Fun.protect ~finally:(fun () -> Pom.Par.Procs.shutdown procs) (fun () ->
-      f procs)
-
-(* Each worker dies on its second chunk; the supervisor must respawn it
-   (replaying the handshake) and re-dispatch the forfeited-in-flight item
-   exactly once, so every reply still arrives.  With jobs=2 and six
-   items the schedule consumes exactly the default 2*jobs budget. *)
-let test_procs_supervised_respawn () =
-  with_faulted_pool ~spec:"dse:worker-kill=kill@2" ~jobs:2 @@ fun procs ->
-  let replies =
-    Pom.Par.Procs.rpc procs ~tag:chunk_tag (List.init 6 (fun _ -> empty_chunk))
-  in
-  Alcotest.(check int) "every item answered" 6
-    (List.length (List.filter Option.is_some replies));
-  let s = Pom.Par.Procs.stats procs in
-  Alcotest.(check int) "both workers died twice" 4 s.Pom.Par.Procs.deaths;
-  Alcotest.(check int) "each death respawned" 4 s.Pom.Par.Procs.respawned;
-  Alcotest.(check int) "nothing forfeited" 0 s.Pom.Par.Procs.forfeited;
-  Alcotest.(check int) "pool back to full strength" 2
-    (Pom.Par.Procs.alive procs)
-
-(* respawn:0 keeps the historical degrade-only contract, but the losses
-   are counted — the observability satellite even with supervision off *)
-let test_procs_unsupervised_counts_losses () =
-  with_faulted_pool ~respawn:0 ~spec:"dse:worker-kill=kill@1" ~jobs:1
-  @@ fun procs ->
-  let replies =
-    Pom.Par.Procs.rpc procs ~tag:chunk_tag (List.init 3 (fun _ -> empty_chunk))
-  in
-  Alcotest.(check bool) "all items lost" true
-    (List.for_all Option.is_none replies);
-  let s = Pom.Par.Procs.stats procs in
-  Alcotest.(check int) "one death" 1 s.Pom.Par.Procs.deaths;
-  Alcotest.(check int) "no respawns without a budget" 0
-    s.Pom.Par.Procs.respawned;
-  Alcotest.(check int) "every item counted forfeited" 3
-    s.Pom.Par.Procs.forfeited;
-  Alcotest.(check int) "pool is empty" 0 (Pom.Par.Procs.alive procs)
-
-(* Budget exhausted AND no live worker left: the typed POM311 failure the
-   search layers catch to disable speculative prefetch. *)
-let test_procs_respawn_exhaustion_is_pom311 () =
-  with_faulted_pool ~respawn:1 ~spec:"dse:worker-kill=kill@1" ~jobs:1
-  @@ fun procs ->
-  match
-    Pom.Par.Procs.rpc procs ~tag:chunk_tag (List.init 2 (fun _ -> empty_chunk))
-  with
-  | _ -> Alcotest.fail "expected POM311 after the respawn budget was spent"
-  | exception Pom.Resilience.Error.Error e ->
-      Alcotest.(check string) "typed code" "POM311" e.Pom.Resilience.Error.code;
-      Alcotest.(check int) "no live workers" 0 (Pom.Par.Procs.alive procs)
-
-(* A broadcast sent before the death must be replayed into the
-   replacement: the respawned worker still answers chunk requests that
-   depend on nothing (empty chunks), proving the handshake + replay
-   completed rather than leaving a half-initialized worker. *)
-let test_procs_respawn_replays_broadcast () =
-  with_faulted_pool ~spec:"dse:worker-kill=kill@2" ~jobs:1 @@ fun procs ->
-  Pom.Par.Procs.broadcast procs ~tag:Pom.Dse.Workpool.tag_hello "not-a-hello";
-  let replies =
-    Pom.Par.Procs.rpc procs ~tag:chunk_tag [ empty_chunk; empty_chunk ]
-  in
-  Alcotest.(check int) "items re-dispatched and answered" 2
-    (List.length (List.filter Option.is_some replies));
-  let s = Pom.Par.Procs.stats procs in
-  Alcotest.(check int) "one respawn" 1 s.Pom.Par.Procs.respawned
-
 let () =
   Alcotest.run "par"
     [
@@ -456,51 +156,13 @@ let () =
             test_filter_map_ordering;
           Alcotest.test_case "Par facade budget" `Quick test_par_facade_budget;
         ] );
-      ( "deque",
-        [ Alcotest.test_case "LIFO owner, FIFO thief" `Quick test_deque_semantics ] );
-      ( "chunks",
-        [
-          Alcotest.test_case "split on idle" `Quick test_chunks_split_on_idle;
-          Alcotest.test_case "lowest-index exception" `Quick
-            test_chunks_exception_lowest_index;
-          Alcotest.test_case "exactly once at jobs=1" `Quick
-            test_chunks_exactly_once_when_jobs_one;
-        ] );
       ( "memo",
         [
           Alcotest.test_case "single miss under concurrency" `Quick
             test_memo_single_miss_under_concurrency;
         ] );
-      ( "procs-shutdown",
-        [
-          Alcotest.test_case "healthy pool reaps promptly" `Quick
-            test_procs_shutdown_healthy;
-          Alcotest.test_case "wedged worker is SIGKILLed within grace" `Quick
-            test_procs_shutdown_wedged_worker;
-        ] );
-      ( "procs-supervision",
-        [
-          Alcotest.test_case "killed workers respawn, items redelivered"
-            `Quick test_procs_supervised_respawn;
-          Alcotest.test_case "unsupervised losses are counted" `Quick
-            test_procs_unsupervised_counts_losses;
-          Alcotest.test_case "budget exhaustion raises POM311" `Quick
-            test_procs_respawn_exhaustion_is_pom311;
-          Alcotest.test_case "respawn replays broadcasts" `Quick
-            test_procs_respawn_replays_broadcast;
-        ] );
       ( "determinism",
         [
-          Alcotest.test_case "engine gemm 512, jobs 1 = jobs 4" `Slow
-            test_engine_deterministic_gemm;
-          Alcotest.test_case "engine bicg 512, jobs 1 = jobs 4" `Slow
-            test_engine_deterministic_bicg;
-          Alcotest.test_case "scalehls 2mm 256, jobs 1 = jobs 4" `Slow
-            test_scalehls_deterministic;
-          Alcotest.test_case "gemm 512 under forced steal misses" `Slow
-            test_steal_interleavings_deterministic;
-          Alcotest.test_case "warm populates the memo" `Slow
-            test_warm_populates_memo;
           Alcotest.test_case "projection cache is bit-identical" `Slow
             test_projcache_bit_identity;
         ] );

@@ -434,7 +434,12 @@ let test_daemon_kill_local_fallback_bit_identical () =
   (* a real daemon process, kill -9'd: the socket file stays behind with
      nobody listening, so every retry sees a transient connection error *)
   let socket = fresh_socket () in
-  let exe = Pom.Dse.Workpool.default_exe () in
+  (* the driver lives next to this test in the build tree *)
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat ".." (Filename.concat "bin" "pom_compile.exe"))
+  in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid =
     Unix.create_process exe

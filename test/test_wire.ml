@@ -1,8 +1,6 @@
 (* The wire layer: codec round-trips (property-based and on real compiler
    types), golden-file format stability, frame CRC/truncation behaviour,
-   journal version bumps, and the process-sharded worker pool — including
-   the end-to-end guarantee that --jobs-mode procs compiles the identical
-   design, with and without a working worker executable. *)
+   and journal version bumps. *)
 
 module W = Pom_wire.Wire
 module Frame = Pom_wire.Frame
@@ -265,72 +263,6 @@ let test_journal_unknown_tag_skipped () =
         "the unknown record is preserved, not truncated" size0
         (Unix.stat path).Unix.st_size)
 
-(* -------- the worker pool -------- *)
-
-let test_workpool_roundtrip () =
-  let func = Polybench.gemm 16 in
-  let pool =
-    (* default_exe resolves ../bin/pom_compile.exe next to this test
-       executable, regardless of the caller's working directory *)
-    Pom.Dse.Workpool.create ~exe:(Pom.Dse.Workpool.default_exe ()) ~jobs:2
-      ~func
-      ~device:Pom.Hls.Device.xc7z020 ~composition:Pom.Hls.Resource.Reuse
-      ~latency_mode:`Sequential ~base:[] ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Pom.Dse.Workpool.shutdown pool)
-    (fun () ->
-      let results =
-        Pom.Dse.Workpool.eval pool
-          [ []; [ Sched.pipeline "s" "k" 1 ]; [ Sched.unroll "s" "j" 2 ] ]
-      in
-      Alcotest.(check bool)
-        "workers evaluate design points" true
-        (List.length results >= 1);
-      List.iter
-        (fun (key, (_, report)) ->
-          Alcotest.(check bool) "memo key is non-empty" true (key <> "");
-          Alcotest.(check bool)
-            "report has a latency" true
-            (report.Pom.Hls.Report.latency > 0))
-        results)
-
-let directive_strings (o : Pom.Dse.Engine.outcome) =
-  pp_dirs o.Pom.Dse.Engine.result.Pom.Dse.Stage2.directives
-
-let run_dse ~jobs func =
-  Pom.Dse.Engine.run ~cache:(Pom.Pipeline.Memo.create ()) ~jobs func
-
-let check_same_design what a b =
-  Alcotest.(check (list string))
-    (what ^ ": directives") (directive_strings a) (directive_strings b);
-  Alcotest.(check bool)
-    (what ^ ": report") true
-    (a.Pom.Dse.Engine.result.Pom.Dse.Stage2.report
-    = b.Pom.Dse.Engine.result.Pom.Dse.Stage2.report)
-
-let test_procs_identical_design () =
-  let build () = Polybench.gemm 64 in
-  let seq = run_dse ~jobs:1 (build ()) in
-  let par =
-    Pom.Par.with_mode Pom.Par.Procs (fun () -> run_dse ~jobs:3 (build ()))
-  in
-  check_same_design "procs vs sequential" seq par
-
-let test_procs_degrades_without_worker_exe () =
-  (* a bogus worker executable must cost only the speculative warm-up:
-     the search falls back to in-process evaluation, same design *)
-  Unix.putenv "POM_WORKER_EXE" "/nonexistent/pom-worker";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "POM_WORKER_EXE" "")
-    (fun () ->
-      let build () = Polybench.bicg 64 in
-      let seq = run_dse ~jobs:1 (build ()) in
-      let par =
-        Pom.Par.with_mode Pom.Par.Procs (fun () -> run_dse ~jobs:3 (build ()))
-      in
-      check_same_design "degraded procs vs sequential" seq par)
-
 let () =
   Alcotest.run "wire"
     [
@@ -359,14 +291,5 @@ let () =
             test_journal_version_bump;
           Alcotest.test_case "unknown tags skipped" `Quick
             test_journal_unknown_tag_skipped;
-        ] );
-      ( "procs",
-        [
-          Alcotest.test_case "workpool round-trip" `Quick
-            test_workpool_roundtrip;
-          Alcotest.test_case "identical design" `Slow
-            test_procs_identical_design;
-          Alcotest.test_case "degrades without worker exe" `Slow
-            test_procs_degrades_without_worker_exe;
         ] );
     ]
