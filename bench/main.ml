@@ -29,8 +29,49 @@ let experiments =
     ("chaos", Bench_chaos.run);
   ]
 
+(* The dependence query the QoR model makes for every candidate of a DNN
+   search, cold: on ResNet-18's conv2 after Stage 1, tiled as Stage 2
+   realizes parallelism 16, with the projection cache emptied inside the
+   timed closure. *)
+let carried_distances_conv () =
+  let module Prog = Pom.Polyir.Prog in
+  let module Stmt_poly = Pom.Polyir.Stmt_poly in
+  let func = Pom.Workloads.Dnn.resnet18 () in
+  let base =
+    Prog.apply_all
+      (Prog.of_func_unscheduled func)
+      (Pom.Dse.Stage1.run func).Pom.Dse.Stage1.directives
+  in
+  let conv = Prog.stmt base "conv2" in
+  let order = Stmt_poly.loop_order conv in
+  let extents =
+    List.map
+      (fun d ->
+        match Pom.Poly.Basic_set.const_range d conv.Stmt_poly.domain with
+        | Some lb, Some ub -> ub - lb + 1
+        | _ -> invalid_arg "carried_distances_conv: unbounded loop")
+      order
+  in
+  let tiled =
+    Prog.stmt
+      (Prog.apply_all base
+         (Pom.Dse.Stage2.realize "conv2" order extents 16)
+           .Pom.Dse.Stage2.hw_directives)
+      "conv2"
+  in
+  let domain = Pom.Hls.Summary.ordered_domain tiled in
+  let write, reads = Pom.Hls.Summary.transformed_accesses tiled in
+  Bechamel.Staged.stage (fun () ->
+      Pom.Poly.Projcache.reset ();
+      List.iter
+        (fun read ->
+          ignore
+            (Pom.Poly.Dep.carried_distances ~domain ~source:write ~sink:read))
+        reads)
+
 (* one bechamel Test per table/figure, timing the dominant toolchain path
-   of that experiment at a reduced problem size *)
+   of that experiment at a reduced problem size, plus the cold dependence
+   query under the DSE *)
 let bechamel_tests =
   let open Bechamel in
   let dse build = Staged.stage (fun () -> ignore (Pom.Dse.Engine.run (build ()))) in
@@ -67,6 +108,7 @@ let bechamel_tests =
            ignore (Pom.Emit.Emit.hls_c (Pom.Affine.Lower.lower prog))));
     Test.make ~name:"fig16:jacobi-pom-dse"
       (dse (fun () -> Pom.Workloads.Polybench.jacobi1d ~tsteps:16 512));
+    Test.make ~name:"dse:carried-distances-conv" (carried_distances_conv ());
   ]
 
 let run_bechamel () =

@@ -106,12 +106,17 @@ let evaluate ~cache ~device ~composition ~latency_mode func base units =
 
 (* Per-unit operator usage — the quantity ScaleHLS's per-loop budget check
    sees (global banking overhead is not in it).  Each check re-profiles the
-   program, so it counts as a QoR evaluation. *)
-let unit_usage ?count prog u =
+   unit's statements (profiles are per statement, so the other units'
+   would be discarded unread), and counts as a QoR evaluation. *)
+let unit_usage ?count (prog : Prog.t) u =
   (match count with Some c -> incr c | None -> ());
-  let profiles = Summary.profile_all prog in
   let mine =
-    List.filter (fun p -> p.Summary.group = u.id) profiles
+    List.filter_map
+      (fun (s : Stmt_poly.t) ->
+        if Pom_poly.Sched.const_at s.Stmt_poly.sched 0 = u.id then
+          Some (Summary.of_stmt prog s)
+        else None)
+      prog.Prog.stmts
   in
   let partitions = Report.partition_fn prog in
   let eval = Latency.eval_group ~partitions mine in
@@ -190,6 +195,12 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
           .Memo.plan_prog_hw
       in
       let current = ref (eval ()) in
+      (* the incumbent's hardware signature, recomputed only when a rung
+         is accepted (as in {!Stage2.run}) *)
+      let signature_of (prog, _, _) =
+        lazy (Pom_analysis.Lint.hw_signature prog)
+      in
+      let incumbent_signature = ref (signature_of !current) in
       let budget =
         ref
           {
@@ -211,11 +222,10 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
                   let saved_par = u.par and saved_real = u.realization in
                   u.par <- par;
                   realize_unit u;
-                  let cur_prog, _, _ = !current in
                   if
                     not
                       (Pom_analysis.Lint.gains_parallelism
-                         ~before:(Pom_analysis.Lint.hw_signature cur_prog)
+                         ~before:(Lazy.force !incumbent_signature)
                          (candidate_prog ()))
                   then begin
                     (* analyzer pre-pruning: factor clamping collapsed this
@@ -251,7 +261,10 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
                   if
                     usage_fits !budget usage
                     && trial_report.Report.latency < cur_report.Report.latency
-                  then current := trial
+                  then begin
+                    current := trial;
+                    incumbent_signature := signature_of trial
+                  end
                   else if
                     usage_fits !budget usage
                     && trial_report.Report.latency = cur_report.Report.latency

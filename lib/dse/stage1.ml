@@ -12,6 +12,7 @@ type t = {
   directives : Schedule.t list;
   nodes : node_plan list;
   iterations : int;
+  paths : string list list;
 }
 
 (* Emit the interchanges realizing [desired] starting from [current]. *)
@@ -191,4 +192,5 @@ let run ?(max_iterations = 8) func =
           else p)
         plans;
     iterations;
+    paths = Graph.data_paths graph;
   }

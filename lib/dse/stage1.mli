@@ -22,6 +22,9 @@ type t = {
   directives : Schedule.t list;
   nodes : node_plan list;
   iterations : int;  (** analyze/transform rounds used *)
+  paths : string list list;
+      (** the dependence graph's data paths ({!Pom_depgraph.Graph.data_paths}),
+          which Stage 2 orders by latency *)
 }
 
 (** [run func] plans dependence-aware transformations for every compute of

@@ -252,35 +252,43 @@ let evaluate ?bank_cap ~cache ~device ~composition func base_directives units =
 let unit_latency (report : Report.t) u =
   Option.value ~default:0 (List.assoc_opt u.id report.Report.group_latencies)
 
-let critical_bottleneck ~report ~paths units =
+(* Each data path as the units it crosses, in path order without repeats.
+   Units never change membership during a search, so this is computed once
+   per search, not once per iteration. *)
+let unit_paths ~paths units =
   let unit_of_compute name =
     List.find_opt
       (fun u -> List.exists (fun (c, _, _) -> c = name) u.members)
       units
   in
-  let unit_paths =
+  List.map
+    (fun path ->
+      let us = List.filter_map unit_of_compute path in
+      let seen = Hashtbl.create 4 in
+      List.filter
+        (fun u ->
+          if Hashtbl.mem seen u.id then false
+          else begin
+            Hashtbl.add seen u.id ();
+            true
+          end)
+        us)
+    paths
+
+let critical_bottleneck ~report unit_paths =
+  (* each path's weight once per report, not once per comparison; the sort
+     is stable, so ties keep path order *)
+  let weighted =
     List.map
-      (fun path ->
-        let us = List.filter_map unit_of_compute path in
-        let seen = Hashtbl.create 4 in
-        List.filter
-          (fun u ->
-            if Hashtbl.mem seen u.id then false
-            else begin
-              Hashtbl.add seen u.id ();
-              true
-            end)
-          us)
-      paths
-  in
-  let weight us =
-    List.fold_left (fun acc u -> acc + unit_latency report u) 0 us
+      (fun us ->
+        (List.fold_left (fun acc u -> acc + unit_latency report u) 0 us, us))
+      unit_paths
   in
   let sorted =
-    List.sort (fun a b -> Int.compare (weight b) (weight a)) unit_paths
+    List.stable_sort (fun (wa, _) (wb, _) -> Int.compare wb wa) weighted
   in
   List.find_map
-    (fun us ->
+    (fun (_, us) ->
       let actives = List.filter (fun u -> u.active) us in
       match
         List.sort
@@ -305,7 +313,7 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
   let base = stage1.Stage1.directives in
   let prog_base = Memo.schedule cache func base in
   let units = units_of prog_base ~par_cap in
-  let paths = Pom_depgraph.Graph.data_paths (Pom_depgraph.Graph.build func) in
+  let unit_paths = unit_paths ~paths:stage1.Stage1.paths units in
   let evaluations = ref 0 in
   let counted thunk =
     incr evaluations;
@@ -319,6 +327,10 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
         evaluate ?bank_cap ~cache ~device ~composition func base units)
   in
   let current = ref (evaluate_counted ()) in
+  (* the incumbent's hardware signature, recomputed only when a candidate
+     is accepted — every pre-pruning check compares against it *)
+  let signature_of (prog, _, _) = lazy (Pom_analysis.Lint.hw_signature prog) in
+  let incumbent_signature = ref (signature_of !current) in
   let trace = ref [] in
   let log fmt = Format.kasprintf (fun m -> trace := m :: !trace) fmt in
   List.iter (fun m -> log "%s" m) journal_notes;
@@ -341,7 +353,7 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
   while !continue_ && !iterations < 60 do
     incr iterations;
     let _, _, report = !current in
-    match critical_bottleneck ~report ~paths units with
+    match critical_bottleneck ~report unit_paths with
     | None -> continue_ := false
     | Some u ->
         (* escalate by doubling; when the doubled design no longer fits or
@@ -353,11 +365,10 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
             let saved_par = u.par and saved_real = u.realization in
             u.par <- par;
             realize_unit u;
-            let cur_prog, _, _ = !current in
             if
               not
                 (Pom_analysis.Lint.gains_parallelism
-                   ~before:(Pom_analysis.Lint.hw_signature cur_prog)
+                   ~before:(Lazy.force !incumbent_signature)
                    (candidate_prog ()))
             then begin
               (* factor clamping collapsed the request onto the incumbent's
@@ -414,6 +425,7 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
                 !iterations u.id saved_par par cur_report.Report.latency
                 trial_report.Report.latency;
               current := trial;
+              incumbent_signature := signature_of trial;
               true
             end
             else begin

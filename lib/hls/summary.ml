@@ -41,11 +41,11 @@ let ordered_domain (s : Stmt_poly.t) =
 
 (* Dependence analysis dominates profiling cost and depends only on the
    domain, schedule, and index map — not the hardware attributes the DSE
-   mutates between trials — so it memoizes well across a search.  Parallel
-   candidate evaluation synthesizes on worker domains, so the cache is
-   mutex-guarded; the analysis itself runs outside the lock (racing domains
-   may compute the same entry twice — the results are equal, last write
-   wins). *)
+   mutates between trials — so it memoizes well across a search.  The
+   search itself is sequential; the mutex keeps this process-global cache
+   safe for callers on other domains or threads.  The analysis runs outside
+   the lock (two racing callers may compute the same entry twice — the
+   results are equal, last write wins). *)
 let dep_cache : (string, dep list) Hashtbl.t = Hashtbl.create 256
 
 let dep_cache_lock = Mutex.create ()
@@ -67,17 +67,14 @@ let analyze_deps_uncached (s : Stmt_poly.t) =
   let write, reads = transformed_accesses s in
   List.concat_map
     (fun read ->
-      match Dep.analyze ~domain ~source:write ~sink:read with
-      | Some d ->
+      match Dep.carried_distances ~domain ~source:write ~sink:read with
+      | [] -> []
+      | levels ->
           [
             List.filter_map
-              (fun (ld : Dep.level_dep) ->
-                match (List.nth ld.Dep.distance (ld.Dep.level - 1)).Dep.dmin with
-                | Some dist -> Some (ld.Dep.level, dist)
-                | None -> None)
-              d.Dep.carried;
-          ]
-      | None -> [])
+              (fun (level, dmin) -> Option.map (fun d -> (level, d)) dmin)
+              levels;
+          ])
     reads
 
 let analyze_deps (s : Stmt_poly.t) =

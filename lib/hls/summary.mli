@@ -48,6 +48,11 @@ val pipeline_level : t -> int option
 val transformed_accesses :
   Stmt_poly.t -> Pom_poly.Dep.access * Pom_poly.Dep.access list
 
+(** The statement's domain with its dimension tuple in schedule order, so
+    that {!Pom_poly.Dep}'s lexicographic levels are its loop levels: the
+    domain the dependences of {!t.deps} are analyzed over. *)
+val ordered_domain : Stmt_poly.t -> Pom_poly.Basic_set.t
+
 (** Dependence-analysis memo counters since process start as
     [(hits, misses)] — the cache is keyed on the hardware-stripped
     statement, so a DSE search that revisits a schedule skeleton with

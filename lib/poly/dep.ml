@@ -51,71 +51,88 @@ let conflict_at_level ~domain ~source ~sink level =
   Basic_set.make all
     (domain_constrs src_dim @ domain_constrs snk_dim @ same_element @ order)
 
-let distance_entries ~ds conflict =
-  List.map
-    (fun d ->
-      let diff =
-        Linexpr.sub (Linexpr.var (snk_dim d)) (Linexpr.var (src_dim d))
-      in
-      { dmin = Feasible.min_of diff conflict; dmax = Feasible.max_of diff conflict })
-    ds
+(* [sink_d - source_d]: the distance along dimension [d]. *)
+let diff d = Linexpr.sub (Linexpr.var (snk_dim d)) (Linexpr.var (src_dim d))
 
-let analyze ~domain ~source ~sink =
-  if source.array <> sink.array then None
+(* The levels whose conflict polyhedron is non-empty, in order, each mapped
+   by [found level conflict].  The polyhedron is proven non-empty once, here;
+   [found] reads distances off it without re-testing. *)
+let carried_levels ~domain ~source ~sink ~found ~unknown =
+  if source.array <> sink.array then []
   else if List.length source.indices <> List.length sink.indices then
-    invalid_arg "Dep.analyze: access rank mismatch"
+    invalid_arg "Dep: access rank mismatch"
   else
-    let ds = Basic_set.dims domain in
-    let n = List.length ds in
     (* each level's conflict polyhedron is independent of the others, so the
        emptiness tests and distance extractions fan out across domains
        (sequential under --jobs 1 or when already inside a pool task) *)
-    let carried =
-      Pom_par.Par.filter_map
-        (fun level ->
-          let conflict = conflict_at_level ~domain ~source ~sink level in
-          try
-            if Feasible.is_empty conflict then None
-            else Some { level; distance = distance_entries ~ds conflict }
-          with Pom_resilience.Budget.Budget_exceeded _ as e ->
-            (* Degradation policy: a dependence test that ran out of budget
-               must err conservative — assume the dependence exists, with
-               unknown ([None]/[None] -> [Star]) distances at this level.
-               Every transform that would need the distance is then rejected
-               as unsafe, which loses performance but never correctness. *)
-            if Pom_resilience.Policy.degrading () then
-              Some
-                {
-                  level;
-                  distance = List.map (fun _ -> { dmin = None; dmax = None }) ds;
-                }
-            else raise e)
-        (List.init n (fun k -> k + 1))
+    Pom_par.Par.filter_map
+      (fun level ->
+        let conflict = conflict_at_level ~domain ~source ~sink level in
+        try
+          if Feasible.is_empty conflict then None
+          else Some (found level conflict)
+        with Pom_resilience.Budget.Budget_exceeded _ as e ->
+          (* Degradation policy: a dependence test that ran out of budget
+             must err conservative — assume the dependence exists, with
+             unknown ([None]/[None] -> [Star]) distances at this level.
+             Every transform that would need the distance is then rejected
+             as unsafe, which loses performance but never correctness. *)
+          if Pom_resilience.Policy.degrading () then Some (unknown level)
+          else raise e)
+      (List.init (Basic_set.n_dims domain) (fun k -> k + 1))
+
+let carried_distances ~domain ~source ~sink =
+  let ds = Basic_set.dims domain in
+  carried_levels ~domain ~source ~sink
+    ~found:(fun level conflict ->
+      let d = List.nth ds (level - 1) in
+      (level, fst (Feasible.range_nonempty (diff d) conflict)))
+    ~unknown:(fun level -> (level, None))
+
+let analyze ~domain ~source ~sink =
+  let ds = Basic_set.dims domain in
+  let carried =
+    carried_levels ~domain ~source ~sink
+      ~found:(fun level conflict ->
+        {
+          level;
+          distance =
+            List.map
+              (fun d ->
+                let dmin, dmax = Feasible.range_nonempty (diff d) conflict in
+                { dmin; dmax })
+              ds;
+        })
+      ~unknown:(fun level ->
+        {
+          level;
+          distance = List.map (fun _ -> { dmin = None; dmax = None }) ds;
+        })
+  in
+  if carried = [] then None
+  else
+    let direction =
+      List.mapi
+        (fun k _ ->
+          (* summarize across carrying levels *)
+          let mins =
+            List.filter_map (fun ld -> (List.nth ld.distance k).dmin) carried
+          and maxs =
+            List.filter_map (fun ld -> (List.nth ld.distance k).dmax) carried
+          in
+          match (mins, maxs) with
+          | [], _ | _, [] -> Star
+          | _ ->
+              let dmin = List.fold_left min max_int mins
+              and dmax = List.fold_left max min_int maxs in
+              if List.length mins < List.length carried then Star
+              else if dmin >= 1 then Lt
+              else if dmax <= -1 then Gt
+              else if dmin = 0 && dmax = 0 then Eq
+              else Star)
+        ds
     in
-    if carried = [] then None
-    else
-      let direction =
-        List.mapi
-          (fun k _ ->
-            (* summarize across carrying levels *)
-            let mins =
-              List.filter_map (fun ld -> (List.nth ld.distance k).dmin) carried
-            and maxs =
-              List.filter_map (fun ld -> (List.nth ld.distance k).dmax) carried
-            in
-            match (mins, maxs) with
-            | [], _ | _, [] -> Star
-            | _ ->
-                let dmin = List.fold_left min max_int mins
-                and dmax = List.fold_left max min_int maxs in
-                if List.length mins < List.length carried then Star
-                else if dmin >= 1 then Lt
-                else if dmax <= -1 then Gt
-                else if dmin = 0 && dmax = 0 then Eq
-                else Star)
-          ds
-      in
-      Some { carried; direction }
+    Some { carried; direction }
 
 let outermost_level t =
   match t.carried with

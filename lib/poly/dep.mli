@@ -37,6 +37,17 @@ type t = {
     never conflict. *)
 val analyze : domain:Basic_set.t -> source:access -> sink:access -> t option
 
+(** [carried_distances ~domain ~source ~sink] is the part of {!analyze}
+    that the QoR model reads: for each carrying level, outermost first, the
+    level and its minimal distance at that same level ([None] when
+    unbounded, or when the level's test ran out of budget under the
+    degradation policy).  [[]] exactly when {!analyze} is [None]; otherwise
+    it equals [(ld.level, (List.nth ld.distance (ld.level - 1)).dmin)] over
+    [analyze]'s carried levels, without building the other distance
+    entries. *)
+val carried_distances :
+  domain:Basic_set.t -> source:access -> sink:access -> (int * int option) list
+
 (** First (outermost) level that carries the dependence. *)
 val innermost_level : t -> int
 

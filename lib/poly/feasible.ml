@@ -18,15 +18,25 @@ let elimination_exact d s =
         (fun (cl, _) -> List.for_all (fun (cu, _) -> cl = 1 || cu = 1) uppers)
         lowers
 
+(* [`Empty] needs only an infeasible shadow and [`Nonempty] an all-exact
+   chain, so both verdicts hold in any elimination order; the order only
+   decides how long the chain stays exact.  While it is exact, an exactly
+   eliminable dimension goes first: tiling gives the outer dimension a
+   non-unit bound that would otherwise turn the chain inexact and force the
+   enumeration fallback.  Once inexact, dimensions go in tuple order. *)
 let rec rational_empty s exact =
   let s = Basic_set.simplify s in
   if Basic_set.is_obviously_empty s then `Empty
   else
     match Basic_set.dims s with
     | [] -> if exact then `Nonempty else `Maybe
-    | d :: _ ->
-        let exact = exact && elimination_exact d s in
-        rational_empty (Basic_set.project_out d s) exact
+    | d :: _ as ds ->
+        let exact_dim =
+          if exact then List.find_opt (fun d -> elimination_exact d s) ds
+          else None
+        in
+        let d = Option.value exact_dim ~default:d in
+        rational_empty (Basic_set.project_out d s) (exact_dim <> None)
 
 let range_with_window d s =
   let lb, ub = Basic_set.const_range d s in
@@ -110,14 +120,9 @@ let with_objective e s k =
   in
   k obj (Basic_set.project_onto [ obj ] lifted)
 
-let min_of e s =
-  if is_empty s then None
-  else
-    with_objective e s (fun obj projected ->
-        fst (Basic_set.const_range obj projected))
+let range_nonempty e s =
+  with_objective e s (fun obj projected -> Basic_set.const_range obj projected)
 
-let max_of e s =
-  if is_empty s then None
-  else
-    with_objective e s (fun obj projected ->
-        snd (Basic_set.const_range obj projected))
+let min_of e s = if is_empty s then None else fst (range_nonempty e s)
+
+let max_of e s = if is_empty s then None else snd (range_nonempty e s)

@@ -1,12 +1,13 @@
 (** Integer feasibility and point enumeration for basic sets.
 
     Emptiness is decided by equality elimination with a GCD divisibility
-    test, Fourier–Motzkin elimination for the remaining inequalities, and —
-    when the eliminated dimensions kept non-unit coefficients (where FM's
-    rational shadow might overapproximate the integer points) — a bounded
-    exact search over the set's constant bounding box.  Loop-nest iteration
-    domains and their dependence polyhedra always fall in the exact
-    fragment. *)
+    test, Fourier–Motzkin elimination for the remaining inequalities
+    (exactly eliminable dimensions first, while every step so far was
+    exact), and — when the eliminated dimensions kept non-unit
+    coefficients (where FM's rational shadow might overapproximate the
+    integer points) — a bounded exact search over the set's constant
+    bounding box.  Loop-nest iteration domains and their dependence
+    polyhedra, tiled ones included, usually fall in the exact fragment. *)
 
 (** [is_empty s] holds iff [s] contains no integer point. *)
 val is_empty : Basic_set.t -> bool
@@ -31,3 +32,9 @@ val count : ?limit:int -> Basic_set.t -> int
 val min_of : Linexpr.t -> Basic_set.t -> int option
 
 val max_of : Linexpr.t -> Basic_set.t -> int option
+
+(** [range_nonempty e s] is [(min_of e s, max_of e s)] for a set the caller
+    has already proven non-empty: both bounds come from one projection onto
+    [e], with no emptiness test.  On an empty set the result is
+    meaningless. *)
+val range_nonempty : Linexpr.t -> Basic_set.t -> int option * int option

@@ -122,6 +122,177 @@ let prop_distance_witnessed =
       done;
       (Dep.analyze ~domain ~source:w ~sink:r <> None) = !exists)
 
+(* ---- differential: the QoR model's query and the single-proof boxes ----
+
+   Every statement of the Table III/V/VII kernels, and a conv, a pool and a
+   residual statement of the DNNs, in the iteration space the QoR model
+   profiles: after Stage 1, and after Stage 2's realization at parallelism
+   1, 4 and 16.  Each write/read pair is checked twice: the carried-distance
+   query against [Dep.analyze], and [Dep.analyze] against a reference built
+   here without sharing its code — the conflict polyhedron of each level
+   rebuilt, and each distance bound from its own [Feasible.min_of]/[max_of],
+   each of which tests emptiness again. *)
+
+module P = Pom.Workloads.Polybench
+module I = Pom.Workloads.Image
+module D = Pom.Workloads.Dnn
+module Stmt_poly = Pom.Polyir.Stmt_poly
+module Prog = Pom.Polyir.Prog
+
+let reference_conflict ~domain ~(source : Dep.access) ~(sink : Dep.access)
+    level =
+  let ds = Basic_set.dims domain in
+  let rename tag e =
+    List.fold_left (fun e d -> Linexpr.rename_dim d (tag ^ d) e) e
+      (Linexpr.dims e)
+  in
+  let copy tag =
+    List.map
+      (function
+        | Constr.Eq e -> Constr.Eq (rename tag e)
+        | Constr.Ge e -> Constr.Ge (rename tag e))
+      (Basic_set.constraints domain)
+  in
+  let same_element =
+    List.map2
+      (fun i j -> Constr.eq (rename "s$" i) (rename "t$" j))
+      source.Dep.indices sink.Dep.indices
+  in
+  let order =
+    List.concat
+      (List.mapi
+         (fun k d ->
+           let s = v ("s$" ^ d) and t = v ("t$" ^ d) in
+           if k + 1 < level then [ Constr.eq s t ]
+           else if k + 1 = level then [ Constr.lt s t ]
+           else [])
+         ds)
+  in
+  Basic_set.make
+    (List.map (( ^ ) "s$") ds @ List.map (( ^ ) "t$") ds)
+    (copy "s$" @ copy "t$" @ same_element @ order)
+
+let reference_boxes ~domain ~source ~sink =
+  if source.Dep.array <> sink.Dep.array then []
+  else
+    let ds = Basic_set.dims domain in
+    List.filter_map
+      (fun level ->
+        let conflict = reference_conflict ~domain ~source ~sink level in
+        if Feasible.is_empty conflict then None
+        else
+          Some
+            ( level,
+              List.map
+                (fun d ->
+                  let diff = Linexpr.sub (v ("t$" ^ d)) (v ("s$" ^ d)) in
+                  ( Feasible.min_of diff conflict,
+                    Feasible.max_of diff conflict ))
+                ds ))
+      (List.init (List.length ds) (fun k -> k + 1))
+
+let boxes_of = function
+  | None -> []
+  | Some (d : Dep.t) ->
+      List.map
+        (fun (ld : Dep.level_dep) ->
+          ( ld.Dep.level,
+            List.map (fun (e : Dep.entry) -> (e.Dep.dmin, e.Dep.dmax))
+              ld.Dep.distance ))
+        d.Dep.carried
+
+let check_stmt label (s : Stmt_poly.t) =
+  let domain = Pom.Hls.Summary.ordered_domain s in
+  let write, reads = Pom.Hls.Summary.transformed_accesses s in
+  List.iter
+    (fun read ->
+      let label = label ^ " " ^ Stmt_poly.name s ^ " <- " ^ read.Dep.array in
+      let boxes = boxes_of (Dep.analyze ~domain ~source:write ~sink:read) in
+      Alcotest.(check (list (pair int (option int))))
+        (label ^ ": carried distances")
+        (List.map
+           (fun (level, box) -> (level, fst (List.nth box (level - 1))))
+           boxes)
+        (Dep.carried_distances ~domain ~source:write ~sink:read);
+      Alcotest.(check (list (pair int (list (pair (option int) (option int))))))
+        (label ^ ": distance boxes")
+        (reference_boxes ~domain ~source:write ~sink:read)
+        boxes)
+    reads
+
+(* The statements named by [only] (all when [None]) after Stage 1, then
+   after every statement is realized at [par]. *)
+let check_func ?only func =
+  let base =
+    Prog.apply_all
+      (Prog.of_func_unscheduled func)
+      (Pom.Dse.Stage1.run func).Pom.Dse.Stage1.directives
+  in
+  let picked (prog : Prog.t) =
+    List.filter
+      (fun s ->
+        match only with
+        | None -> true
+        | Some names -> List.mem (Stmt_poly.name s) names)
+      prog.Prog.stmts
+  in
+  Option.iter
+    (fun names ->
+      Alcotest.(check int) "named statements found" (List.length names)
+        (List.length (picked base)))
+    only;
+  List.iter (check_stmt "stage 1") (picked base);
+  List.iter
+    (fun par ->
+      let hw =
+        List.concat_map
+          (fun s ->
+            let order = Stmt_poly.loop_order s in
+            let extents =
+              List.map
+                (fun d ->
+                  match Basic_set.const_range d s.Stmt_poly.domain with
+                  | Some lb, Some ub -> ub - lb + 1
+                  | _ -> Alcotest.fail "unbounded loop")
+                order
+            in
+            (Pom.Dse.Stage2.realize (Stmt_poly.name s) order extents par)
+              .Pom.Dse.Stage2.hw_directives)
+          (picked base)
+      in
+      List.iter
+        (check_stmt (Printf.sprintf "par %d" par))
+        (picked (Prog.apply_all base hw)))
+    [ 1; 4; 16 ]
+
+let differential_cases =
+  List.map
+    (fun (name, build) ->
+      Alcotest.test_case name `Quick (fun () -> check_func (build ())))
+    [
+      ("gemm-4096", fun () -> P.gemm 4096);
+      ("bicg-4096", fun () -> P.bicg 4096);
+      ("gesummv-4096", fun () -> P.gesummv 4096);
+      ("2mm-4096", fun () -> P.mm2 4096);
+      ("3mm-4096", fun () -> P.mm3 4096);
+      ("atax-4096", fun () -> P.atax 4096);
+      ("mvt-4096", fun () -> P.mvt 4096);
+      ("syrk-1024", fun () -> P.syrk 1024);
+      ("trmm-1024", fun () -> P.trmm 1024);
+      ("jacobi-1d-4096", fun () -> P.jacobi1d 4096);
+      ("jacobi-2d-4096", fun () -> P.jacobi2d 4096);
+      ("seidel-t8-256", fun () -> P.seidel ~tsteps:8 256);
+      ("edge-detect-4096", fun () -> I.edge_detect 4096);
+      ("gaussian-4096", fun () -> I.gaussian 4096);
+      ("blur-4096", fun () -> I.blur 4096);
+    ]
+  @ [
+      Alcotest.test_case "vgg16 conv and pool" `Quick (fun () ->
+          check_func ~only:[ "conv2"; "pool1" ] (D.vgg16 ()));
+      Alcotest.test_case "resnet18 residual" `Quick (fun () ->
+          check_func ~only:[ "res1_1" ] (D.resnet18 ()));
+    ]
+
 let () =
   Alcotest.run "dep"
     [
@@ -136,4 +307,5 @@ let () =
           Alcotest.test_case "diagonal stencil distance" `Quick test_seidel_diagonal;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_distance_witnessed ]);
+      ("differential", differential_cases);
     ]

@@ -69,6 +69,30 @@ let test_min_max_empty () =
   let e = Basic_set.make [ "i" ] [ Constr.ge (v "i") (c 1); Constr.le (v "i") (c 0) ] in
   Alcotest.(check (option int)) "min of empty" None (Feasible.min_of (v "i") e)
 
+(* [y <= 2x <= y + k] with [y = 2z + 1] over a box: the first dimension
+   [x] eliminates inexactly (its bounds pair two coefficients of 2) but [y]
+   exactly (a unit equality), so the exact-first elimination order decides
+   the set without enumerating.  The answer must be the one enumeration
+   gives: with [k = 1], [x = z + 1] is a point; with [k = 0], [2x = 2z + 1]
+   has no integer solution. *)
+let inexact_first k =
+  Basic_set.make [ "x"; "y"; "z" ]
+    (Constr.ge (Linexpr.term 2 "x") (v "y")
+    :: Constr.le (Linexpr.term 2 "x") (Linexpr.add (v "y") (c k))
+    :: Constr.eq (v "y") (Linexpr.add (Linexpr.term 2 "z") (c 1))
+    :: List.concat_map
+         (fun d -> [ Constr.ge (v d) (c 0); Constr.le (v d) (c 8) ])
+         [ "x"; "y"; "z" ])
+
+let test_exact_first_elimination () =
+  List.iter
+    (fun (name, s, expected) ->
+      Alcotest.(check bool) (name ^ ": enumeration") expected
+        (Feasible.enumerate s = []);
+      Alcotest.(check bool) (name ^ ": is_empty") expected
+        (Feasible.is_empty s))
+    [ ("non-empty", inexact_first 1, false); ("empty", inexact_first 0, true) ]
+
 (* random small polyhedra come from the refutation engine's shared
    generator — one distribution (and one shrinker) serves this suite,
    test_basic_set, and the pom_refute fuzzing driver *)
@@ -128,6 +152,8 @@ let () =
           Alcotest.test_case "sampling" `Quick test_sample;
           Alcotest.test_case "optimization" `Quick test_min_max;
           Alcotest.test_case "optimization over empty" `Quick test_min_max_empty;
+          Alcotest.test_case "exact-first elimination" `Quick
+            test_exact_first_elimination;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -97,17 +97,28 @@ let test_resource_constraint_sweep () =
       prev_latency := c.Pom.report.Pom_hls.Report.latency)
     [ 0.25; 0.5; 0.75; 1.0 ]
 
+(* Table V's networks, pinned to perfbench/golden/designs.txt *)
 let test_dnn_reuse_vs_dataflow () =
-  let pom = Pom.compile ~framework:`Pom_auto ~dnn:true (Dnn.resnet18 ()) in
-  let shls = Pom.compile ~framework:`Scalehls ~dnn:true (Dnn.resnet18 ()) in
-  let speedup c = Printf.sprintf "%.4f" (Pom.speedup c) in
-  Alcotest.(check string) "pom speedup" "88.0065" (speedup pom);
-  Alcotest.(check string) "scalehls speedup" "34.8362" (speedup shls);
-  Alcotest.(check bool) "pom feasible" true pom.Pom.report.Pom_hls.Report.feasible;
-  Alcotest.(check bool) "pom faster" true (Pom.speedup pom > Pom.speedup shls);
-  Alcotest.(check bool) "pom uses fewer DSPs" true
-    (pom.Pom.report.Pom_hls.Report.usage.Pom_hls.Resource.dsp
-    < shls.Pom.report.Pom_hls.Report.usage.Pom_hls.Resource.dsp)
+  List.iter
+    (fun (name, build, pom_speedup, shls_speedup) ->
+      let pom = Pom.compile ~framework:`Pom_auto ~dnn:true (build ()) in
+      let shls = Pom.compile ~framework:`Scalehls ~dnn:true (build ()) in
+      let speedup c = Printf.sprintf "%.4f" (Pom.speedup c) in
+      Alcotest.(check string) (name ^ " pom speedup") pom_speedup (speedup pom);
+      Alcotest.(check string)
+        (name ^ " scalehls speedup")
+        shls_speedup (speedup shls);
+      Alcotest.(check bool) (name ^ " pom feasible") true
+        pom.Pom.report.Pom_hls.Report.feasible;
+      Alcotest.(check bool) (name ^ " pom faster") true
+        (Pom.speedup pom > Pom.speedup shls);
+      Alcotest.(check bool) (name ^ " pom uses fewer DSPs") true
+        (pom.Pom.report.Pom_hls.Report.usage.Pom_hls.Resource.dsp
+        < shls.Pom.report.Pom_hls.Report.usage.Pom_hls.Resource.dsp))
+    [
+      ("resnet18", Dnn.resnet18, "88.0065", "34.8362");
+      ("vgg16", Dnn.vgg16, "63.4245", "32.2776");
+    ]
 
 (* The reproduction pinned exactly: the POM rows of Tables III, V and VII
    as recorded in perfbench/golden/designs.txt, at one and two jobs (the

@@ -260,7 +260,7 @@ let test_admission_overload () =
     (Unix.out_channel_of_descr slow_fd)
     (Protocol.Compile
        (Client.request ~id:100 ~framework:`Pom_auto
-          (Pom.Workloads.Polybench.seidel 256)));
+          (Pom.Workloads.Dnn.resnet18 ())));
   Unix.sleepf 0.15;
   (* executor busy: this one parks in the queue *)
   let queued_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
