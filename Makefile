@@ -33,10 +33,10 @@ smoke: build
 	dune exec bin/pom_compile.exe -- -w gemm    -s $(SMOKE_SIZE) -f pom        --timing --trace
 
 # Property-based refutation: replay the committed counterexample corpus,
-# then search fresh cases in all three oracle families under a wall-clock
-# budget.  Exit 2 = counterexample found; the shrunk repro is saved into
-# $(FUZZ_CORPUS) ready to commit as a regression test.
-FUZZ_SECONDS := 60
+# then search fresh cases in each of the four oracle families under a
+# wall-clock budget per family.  Exit 2 = counterexample found; the shrunk
+# repro is saved into $(FUZZ_CORPUS) ready to commit as a regression test.
+FUZZ_SECONDS := 15
 FUZZ_CASES := 100000
 FUZZ_SEED := 0
 FUZZ_CORPUS := test/refute-corpus

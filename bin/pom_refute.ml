@@ -1,11 +1,12 @@
 (* pom_refute: property-based refutation of the compiler's trust anchors.
 
-   Three oracle families (see lib/refute): `poly` cross-checks projection
+   Four oracle families (see lib/refute): `poly` cross-checks projection
    and feasibility against brute-force point enumeration, `semantic`
-   cross-checks the legality engine against observed execution, and
+   cross-checks the legality engine against observed execution,
    `degrade` replays compiles under injected faults asserting the POM30x
-   degradation contract.  Counterexamples are shrunk to minimal form and,
-   with --corpus, saved as replayable .case files. *)
+   degradation contract, and `qor` refutes the QoR model against
+   operational lower bounds.  Counterexamples are shrunk to minimal form
+   and, with --corpus, saved as replayable .case files. *)
 
 open Cmdliner
 module Refute = Pom.Refute
@@ -28,16 +29,17 @@ let family_arg =
     & info [ "family" ] ~docv:"FAM"
         ~doc:
           "Oracle family to run: poly, semantic, degrade, or qor.  Repeatable; \
-           default all three.")
+           default all four.")
 
 let budget_arg =
   Arg.(
     value & opt (some float) None
     & info [ "budget" ] ~docv:"SECONDS"
         ~doc:
-          "Wall-clock budget for the whole search.  The engine stops \
-           cleanly at a case boundary when it expires; counterexamples \
-           found before expiry are kept.")
+          "Wall-clock budget per family: each family searches under its \
+           own budget, so the families that run first cannot starve the \
+           rest.  The engine stops cleanly at a case boundary when it \
+           expires; counterexamples found before expiry are kept.")
 
 let corpus_arg =
   Arg.(
@@ -117,12 +119,13 @@ let run seed cases families budget corpus replay_only inject =
             Fmt.pr "  saved %s@." path
         | None -> ()
       in
-      let search () =
+      if not replay_only then
         List.iter
           (fun family ->
             let stats =
-              Refute.Engine.run ~seed ~cases ~on_finding:(on_finding corpus)
-                family
+              Pom.Resilience.Budget.with_budget ?deadline_s:budget (fun () ->
+                  Refute.Engine.run ~seed ~cases
+                    ~on_finding:(on_finding corpus) family)
             in
             Fmt.pr "%a@." Refute.Engine.pp_stats stats;
             if stats.Refute.Engine.precision_misses > 0 then
@@ -131,10 +134,7 @@ let run seed cases families budget corpus replay_only inject =
                  engine executed bit-identically anyway — imprecision, not \
                  unsoundness@."
                 stats.Refute.Engine.precision_misses)
-          families
-      in
-      if not replay_only then
-        Pom.Resilience.Budget.with_budget ?deadline_s:budget search;
+          families;
       match (regressions, !found) with
       | 0, 0 -> 0
       | _ -> 2)

@@ -89,49 +89,16 @@ let lint_unrolls ~loc (p : Summary.t) =
 
 (* ---- bank-conflict check: port demand of the unrolled body vs banks ---- *)
 
-(* Mirrors the access model of {!Pom_hls.Latency.res_mii}: an access
-   contributes one port operation per unrolled copy it actually varies
-   with, and a partition factor multiplies the reachable banks only along
-   dimensions the index varies on.  Each bank is dual-ported. *)
+(* The access model of {!Latency.res_mii} over the unrolled body:
+   an access contributes one port operation per unrolled copy it actually
+   varies with, and a partition factor multiplies the reachable banks only
+   along dimensions the index varies on.  Each bank is dual-ported. *)
 let lint_ports ~loc ~partitions (p : Summary.t) =
-  let unroll_of dim =
-    match
-      List.find_opt (fun (l : Summary.loop) -> l.Summary.dim = dim)
-        p.Summary.loops
-    with
-    | Some l -> l.Summary.unroll
-    | None -> 1
-  in
-  let unrolled_dims =
-    List.filter_map
-      (fun (l : Summary.loop) ->
-        if l.Summary.unroll > 1 then Some l.Summary.dim else None)
-      p.Summary.loops
-  in
   let seen = Hashtbl.create 4 in
   List.concat_map
-    (fun (array, per_dim) ->
-      let ops =
-        List.fold_left
-          (fun acc d -> acc * unroll_of d)
-          1
-          (List.sort_uniq String.compare
-             (List.filter
-                (fun d -> List.mem d unrolled_dims)
-                (List.concat per_dim)))
-      in
-      let factors = partitions array in
-      let banks =
-        List.fold_left
-          (fun acc (k, f) ->
-            let varies =
-              match List.nth_opt per_dim k with
-              | Some dims -> List.exists (fun d -> List.mem d unrolled_dims) dims
-              | None -> false
-            in
-            if f > 1 && varies then acc * f else acc)
-          1
-          (List.mapi (fun k f -> (k, f)) factors)
+    (fun ((array, _) as access) ->
+      let ops, banks =
+        Latency.access_ports ~partitions ~loops:p.Summary.loops access
       in
       if ops > 2 * banks && not (Hashtbl.mem seen array) then begin
         Hashtbl.add seen array ();

@@ -17,22 +17,69 @@ let seq_iter_cost (p : Summary.t) =
 
 (* Unrolling a level whose dimension carries a dependence yields a serial
    chain, not parallel copies. *)
-let effective_unroll (p : Summary.t) =
-  List.fold_left
-    (fun acc (k, (l : Summary.loop)) ->
-      let carried =
-        List.exists (List.exists (fun (lvl, _) -> lvl = k)) p.Summary.deps
-      in
-      if carried then acc else acc * l.Summary.unroll)
-    1
-    (List.mapi (fun i l -> (i + 1, l)) p.Summary.loops)
+let parallel_loops (p : Summary.t) =
+  let carried k = List.exists (List.exists (fun (lvl, _) -> lvl = k)) in
+  List.filteri (fun i _ -> not (carried (i + 1) p.Summary.deps)) p.Summary.loops
 
-let sequential_stmt_latency (p : Summary.t) =
+let effective_unroll p =
+  List.fold_left (fun acc l -> acc * l.Summary.unroll) 1 (parallel_loops p)
+
+(* Port operations accumulate per array; each array's operations move
+   through dual-ported banks, and the busiest array decides. *)
+let add_demand demand array cost =
+  Hashtbl.replace demand array
+    (cost +. Option.value ~default:0.0 (Hashtbl.find_opt demand array))
+
+let port_cycles demand =
+  Hashtbl.fold
+    (fun _ cost acc -> max acc (int_of_float (Float.ceil (cost /. 2.0))))
+    demand 1
+
+let access_ports ~partitions ~loops (array, per_dim) =
+  let copies d =
+    match List.find_opt (fun (l : Summary.loop) -> l.Summary.dim = d) loops with
+    | Some l -> l.Summary.unroll
+    | None -> 1
+  in
+  let ops =
+    List.fold_left
+      (fun acc d -> acc * copies d)
+      1
+      (List.sort_uniq String.compare (List.concat per_dim))
+  in
+  let banks =
+    List.fold_left
+      (fun acc (k, f) ->
+        match List.nth_opt per_dim k with
+        | Some dims when f > 1 && List.exists (fun d -> copies d > 1) dims ->
+            acc * f
+        | _ -> acc)
+      1
+      (List.mapi (fun k f -> (k, f)) (partitions array))
+  in
+  (ops, banks)
+
+(* Port pressure of one sequential step: the parallel copies of every
+   access issue together, and each array's banks are dual-ported. *)
+let step_ports ~partitions (p : Summary.t) =
+  let loops = parallel_loops p in
+  let demand = Hashtbl.create 8 in
+  List.iter
+    (fun ((array, _) as access) ->
+      let ops, banks = access_ports ~partitions ~loops access in
+      add_demand demand array (float_of_int ops /. float_of_int banks))
+    p.Summary.access_dims;
+  port_cycles demand
+
+let sequential_stmt_latency ~partitions (p : Summary.t) =
   let u = max 1 (effective_unroll p) in
-  cdiv p.Summary.total_points u * seq_iter_cost p
+  cdiv p.Summary.total_points u
+  * max (seq_iter_cost p) (step_ports ~partitions p)
 
-let sequential_latency profiles =
-  List.fold_left (fun acc p -> acc + sequential_stmt_latency p) 0 profiles
+let sequential_latency ~partitions profiles =
+  List.fold_left
+    (fun acc p -> acc + sequential_stmt_latency ~partitions p)
+    0 profiles
 
 (* Per-statement quantities relative to the group's pipeline level [p]. *)
 type pipe_view = {
@@ -158,28 +205,26 @@ let res_mii ~partitions views =
               1
               (List.mapi (fun k f -> (k, f)) factors)
           in
-          let cost = float_of_int n /. float_of_int (max 1 banks) in
-          Hashtbl.replace demand array
-            (cost +. Option.value ~default:0.0 (Hashtbl.find_opt demand array)))
+          add_demand demand array
+            (float_of_int n /. float_of_int (max 1 banks)))
         v.profile.Summary.access_dims)
     views;
-  Hashtbl.fold
-    (fun _ cost acc -> max acc (int_of_float (Float.ceil (cost /. 2.0))))
-    demand 1
+  port_cycles demand
 
 (* Statements sharing the leading scalar constant are one fusion group, but
    they overlap in one pipeline only when their schedules agree on every
    scalar position before the pipelined level; statements sequenced by an
    inner scalar (e.g. the two ping-pong sweeps inside a shared time loop)
-   run as consecutive pipelines whose latencies add. *)
+   run as consecutive pipelines whose latencies add.  A statement without a
+   pipelined loop never joins a pipeline, even one at its own depth + 1. *)
 let copipeline_key (p : Summary.t) =
-  let level =
+  let level, pipelined =
     match Summary.pipeline_level p with
-    | Some l -> l
-    | None -> List.length p.Summary.loops + 1
+    | Some l -> (l, true)
+    | None -> (List.length p.Summary.loops + 1, false)
   in
   let sched = p.Summary.stmt.Pom_polyir.Stmt_poly.sched in
-  (level, List.init level (fun k -> Pom_poly.Sched.const_at sched k))
+  (level, List.init level (Pom_poly.Sched.const_at sched), pipelined)
 
 let eval_subgroup ~partitions profiles =
   let group =
@@ -190,7 +235,7 @@ let eval_subgroup ~partitions profiles =
   let levels = List.filter_map Summary.pipeline_level profiles in
   match levels with
   | [] ->
-      let latency = sequential_latency profiles in
+      let latency = sequential_latency ~partitions profiles in
       {
         group;
         pipelined = false;
@@ -222,15 +267,18 @@ let eval_subgroup ~partitions profiles =
       let serial_bound =
         List.fold_left (fun acc v -> max acc v.serial) 1 views
       in
+      let res_bound = res_mii ~partitions views in
       let ii =
-        List.fold_left max 1
-          [ target; rec_bound; serial_bound; res_mii ~partitions views ]
+        List.fold_left max 1 [ target; rec_bound; serial_bound; res_bound ]
       in
+      (* an iteration lasts at least as long as issuing its serial steps
+         and its port operations takes *)
       let depth =
-        4
-        + List.fold_left
-            (fun acc p -> max acc p.Summary.body.Opchar.crit_path)
-            0 profiles
+        max (max serial_bound res_bound)
+          (4
+          + List.fold_left
+              (fun acc p -> max acc p.Summary.body.Opchar.crit_path)
+              0 profiles)
       in
       let outer = List.fold_left (fun acc v -> max acc v.outer_trips) 1 views in
       let pipe_trips =

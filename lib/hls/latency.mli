@@ -29,9 +29,20 @@ val eval_group : partitions:(string -> int list) -> Summary.t list -> group_eval
 val eval_program :
   partitions:(string -> int list) -> Summary.t list -> group_eval list * int
 
-(** Latency of the untransformed, unannotated program (the paper's
-    "original C code without any optimization" baseline). *)
-val sequential_latency : Summary.t list -> int
+(** Port operations and reachable banks of one [Summary.access_dims] entry
+    whose copies are the unrolls of [loops]: one operation per distinct
+    address; a partition factor multiplies the banks only along array
+    dimensions whose index varies between copies. *)
+val access_ports :
+  partitions:(string -> int list) ->
+  loops:Summary.loop list ->
+  string * string list list ->
+  int * int
+
+(** Latency without pipelining; of the untransformed, unannotated program,
+    the paper's "original C code without any optimization" baseline. *)
+val sequential_latency :
+  partitions:(string -> int list) -> Summary.t list -> int
 
 (** Materialized parallel copies of one statement: the product of its
     unroll factors over the levels that do not carry a dependence (unrolled

@@ -88,7 +88,8 @@ let synthesize ?(composition = Resource.Reuse) ?(latency_mode = `Sequential)
 
 let baseline_latency func =
   let prog = Prog.of_func_unscheduled func in
-  Latency.sequential_latency (Summary.profile_all prog)
+  Latency.sequential_latency ~partitions:(partition_fn prog)
+    (Summary.profile_all prog)
 
 let speedup ~baseline t = float_of_int baseline /. float_of_int t.latency
 

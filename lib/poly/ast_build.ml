@@ -24,11 +24,16 @@ let constr_of_lower iter (coef, e) =
 let constr_of_upper iter (coef, e) =
   normalize_exn (Constr.Ge (Linexpr.sub e (Linexpr.term coef iter)))
 
-let sort_bounds bs =
-  List.sort
-    (fun (c1, e1) (c2, e2) ->
-      match Int.compare c1 c2 with 0 -> Linexpr.compare e1 e2 | n -> n)
-    bs
+let compare_bound (c1, e1) (c2, e2) =
+  match Int.compare c1 c2 with 0 -> Linexpr.compare e1 e2 | n -> n
+
+let sort_bounds bs = List.sort compare_bound bs
+
+(* Equal bounds can hold differently shaped expression maps, so compare
+   them with [Linexpr.compare], never with polymorphic [=]. *)
+let equal_bounds (l1, u1) (l2, u2) =
+  let same = List.equal (fun a b -> compare_bound a b = 0) in
+  same l1 l2 && same u1 u2
 
 (* Drop bounds implied by the remaining constraints: bound [b] of the split
    [(kept_before, b, rest_after)] is redundant when the set with [b] replaced
@@ -182,7 +187,8 @@ and build_subgroup depth states =
       let all_equal =
         match with_bounds with
         | [] -> true
-        | (_, first) :: rest -> List.for_all (fun (_, b) -> b = first) rest
+        | (_, first) :: rest ->
+            List.for_all (fun (_, b) -> equal_bounds b first) rest
       in
       let lbs, ubs, entered =
         if all_equal then begin

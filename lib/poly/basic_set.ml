@@ -129,7 +129,8 @@ let compact constrs =
    constraints than this before compaction.  The default sits far above
    anything a well-formed kernel produces; lowering it turns pathological
    projections into a typed [Budget_exceeded] instead of a quadratic spin.
-   An [Atomic] so DSE worker domains see a test/CLI override. *)
+   An [Atomic] so the analyses' [Par.map] domains see a test/CLI
+   override. *)
 let default_projection_cap = 20_000
 
 let cap = Atomic.make default_projection_cap
@@ -143,185 +144,85 @@ let with_projection_cap n f =
   set_projection_cap n;
   Fun.protect ~finally:(fun () -> Atomic.set cap prev) f
 
-let fm_site = "poly:fm-projection"
-
-(* Replay the budget semantics of one elimination, cached or not: the cap
-   check and tick sequence must be indistinguishable between a cold
-   projection and a cache hit, so deadline/work-capped runs degrade at the
-   same point either way. *)
-let charge_budget d = function
-  | Projcache.Unit_eq -> Pom_resilience.Budget.tick fm_site
-  | Projcache.Fm { n_low; n_up; n_rest } ->
-      let materialized = (n_low * n_up) + n_rest in
-      if materialized > Atomic.get cap then
-        raise
-          (Pom_resilience.Budget.Budget_exceeded
-             {
-               site = fm_site;
-               reason =
-                 Printf.sprintf
-                   "eliminating %s would combine %d lower x %d upper \
-                    bounds into %d constraints (cap %d)"
-                   d n_low n_up materialized (Atomic.get cap);
-             });
-      (* the combination work is proportional to what it materializes *)
-      Pom_resilience.Budget.tick ~cost:(max 1 (n_low * n_up)) fm_site
-
-(* Lift constraint [i]: replace its constant by the parameter dimension
-   [Projcache.param_dim i], keeping the gradient.  The elimination is then
-   computed symbolically over (dims + parameters); substituting the
-   constants back and compacting yields exactly the concrete projection,
-   because {!compact} re-normalizes every constraint (normalization is
-   idempotent, a violated constant maps to the canonical contradiction, and
-   tautologies are dropped either way) and every structural decision of the
-   algorithm — unit-equality choice, lower/upper/rest split, the cap
-   check — depends only on the coefficients, never the constants. *)
-let lift i c =
-  let e = Constr.expr c in
-  let e' =
-    Linexpr.add
-      (Linexpr.sub e (Linexpr.const (Linexpr.const_of e)))
-      (Linexpr.var (Projcache.param_dim i))
-  in
-  match c with Constr.Eq _ -> Constr.Eq e' | Constr.Ge _ -> Constr.Ge e'
-
-(* Eliminate equalities on [d] first when one has coefficient +-1: exact
-   integer substitution.  Otherwise pairwise FM combination.  Either way the
-   template body is the *raw* symbolic constraint list — lifted expressions
-   always mention a parameter, so no tautology can be detected (or dropped)
-   before instantiation; the final {!compact} makes the same drops the
-   un-lifted algorithm made inline. *)
-let template_of d remaining_dims constrs =
-  let lifted = List.mapi lift constrs in
-  let unit_eq =
-    List.find_opt
-      (fun c -> Constr.is_eq c && abs (Linexpr.coeff (Constr.expr c) d) = 1)
-      lifted
-  in
-  match unit_eq with
-  | Some c ->
-      let t_path = Projcache.Unit_eq in
-      charge_budget d t_path;
-      (* c*d + rest = 0 with c = +-1, so d = -rest/c *)
+let bounds_of d s =
+  let lowers = ref [] and uppers = ref [] and rest = ref [] in
+  List.iter
+    (fun c ->
       let e = Constr.expr c in
       let cd = Linexpr.coeff e d in
-      let rest = Linexpr.sub e (Linexpr.term cd d) in
-      let repl = Linexpr.scale (-cd) rest in
-      let body =
-        List.filter_map
-          (fun c' -> if c' == c then None else Some (Constr.subst d repl c'))
-          lifted
-      in
-      { Projcache.t_dims = remaining_dims; body; t_path }
-  | None ->
-      (* Split into lower bounds (c*d >= e, c>0), upper bounds (c*d <= e,
-         c>0), and independent constraints; equalities contribute both. *)
-      let lowers = ref [] and uppers = ref [] and rest = ref [] in
-      List.iter
-        (fun c ->
-          let e = Constr.expr c in
-          let cd = Linexpr.coeff e d in
-          if cd = 0 then rest := c :: !rest
-          else
-            let others = Linexpr.sub e (Linexpr.term cd d) in
-            match c with
-            | Constr.Ge _ ->
-                if cd > 0 then
-                  (* cd*d + others >= 0: cd*d >= -others *)
-                  lowers := (cd, Linexpr.neg others) :: !lowers
-                else uppers := (-cd, others) :: !uppers
-            | Constr.Eq _ ->
-                if cd > 0 then begin
-                  lowers := (cd, Linexpr.neg others) :: !lowers;
-                  uppers := (cd, Linexpr.neg others) :: !uppers
-                end
-                else begin
-                  lowers := (-cd, others) :: !lowers;
-                  uppers := (-cd, others) :: !uppers
-                end)
-        lifted;
-      let n_low = List.length !lowers and n_up = List.length !uppers in
-      let t_path =
-        Projcache.Fm { n_low; n_up; n_rest = List.length !rest }
-      in
-      (* cap check and tick happen before the combination is materialized,
-         exactly as the un-lifted algorithm ordered them *)
-      charge_budget d t_path;
-      let combined =
-        List.concat_map
-          (fun (cl, el) ->
-            List.map
-              (fun (cu, eu) ->
-                (* cl*d >= el and cu*d <= eu imply cl*eu - cu*el >= 0 *)
-                Constr.Ge
-                  (Linexpr.sub (Linexpr.scale cl eu) (Linexpr.scale cu el)))
-              !uppers)
-          !lowers
-      in
-      { Projcache.t_dims = remaining_dims; body = combined @ !rest; t_path }
+      if cd = 0 then rest := c :: !rest
+      else
+        let others = Linexpr.sub e (Linexpr.term cd d) in
+        match c with
+        | Constr.Ge _ ->
+            if cd > 0 then lowers := (cd, Linexpr.neg others) :: !lowers
+            else uppers := (-cd, others) :: !uppers
+        | Constr.Eq _ ->
+            let bound =
+              if cd > 0 then (cd, Linexpr.neg others) else (-cd, others)
+            in
+            lowers := bound :: !lowers;
+            uppers := bound :: !uppers)
+    s.constrs;
+  (List.rev !lowers, List.rev !uppers, List.rev !rest)
 
+let fm_site = "poly:fm-projection"
+
+(* Eliminate an equality on [d] when one has coefficient +-1: exact integer
+   substitution.  Otherwise combine every lower bound with every upper
+   bound, after checking the cap and charging the budget — before anything
+   is materialized. *)
 let project_out d s =
   if not (List.mem d s.dims) then s
   else begin
     (* injection hook for the degradation refuter: a fault armed here must
-       degrade exactly like a genuine projection blow-up, and it fires per
-       call whether or not the cache hits — visit counts are preserved *)
+       degrade exactly like a genuine projection blow-up *)
     Pom_resilience.Fault.point fm_site;
-    let remaining_dims = List.filter (fun x -> x <> d) s.dims in
-    let cacheable =
-      Projcache.enabled () && not (List.exists Projcache.is_param_dim s.dims)
+    let dims = List.filter (fun x -> x <> d) s.dims in
+    let unit_eq =
+      List.find_index
+        (fun c -> Constr.is_eq c && abs (Linexpr.coeff (Constr.expr c) d) = 1)
+        s.constrs
     in
-    let finish (p : Projcache.projection) =
-      { dims = p.Projcache.p_dims; constrs = p.Projcache.p_constrs; simplified = true }
+    let constrs =
+      match unit_eq with
+      | Some i ->
+          Pom_resilience.Budget.tick fm_site;
+          (* c*d + rest = 0 with c = +-1, so d = -rest/c *)
+          let e = Constr.expr (List.nth s.constrs i) in
+          let cd = Linexpr.coeff e d in
+          let repl = Linexpr.scale (-cd) (Linexpr.sub e (Linexpr.term cd d)) in
+          List.filteri (fun j _ -> j <> i) s.constrs
+          |> List.map (Constr.subst d repl)
+      | None ->
+          let lowers, uppers, rest = bounds_of d s in
+          let n_low = List.length lowers and n_up = List.length uppers in
+          let materialized = (n_low * n_up) + List.length rest in
+          if materialized > Atomic.get cap then
+            raise
+              (Pom_resilience.Budget.Budget_exceeded
+                 {
+                   site = fm_site;
+                   reason =
+                     Printf.sprintf
+                       "eliminating %s would combine %d lower x %d upper \
+                        bounds into %d constraints (cap %d)"
+                       d n_low n_up materialized (Atomic.get cap);
+                 });
+          (* the combination work is proportional to what it materializes *)
+          Pom_resilience.Budget.tick ~cost:(max 1 (n_low * n_up)) fm_site;
+          List.concat_map
+            (fun (cl, el) ->
+              List.map
+                (fun (cu, eu) ->
+                  (* cl*d >= el and cu*d <= eu imply cl*eu - cu*el >= 0 *)
+                  Constr.Ge
+                    (Linexpr.sub (Linexpr.scale cl eu) (Linexpr.scale cu el)))
+                uppers)
+            lowers
+          @ rest
     in
-    let exact_key =
-      if cacheable then Some (Projcache.exact_key d s.dims s.constrs)
-      else None
-    in
-    match Option.bind exact_key Projcache.find_exact with
-    | Some p ->
-        charge_budget d p.Projcache.p_path;
-        finish p
-    | None ->
-        let tpl =
-          match
-            if cacheable then
-              Projcache.find_param (Projcache.param_key d s.dims s.constrs)
-            else None
-          with
-          | Some tpl ->
-              charge_budget d tpl.Projcache.t_path;
-              tpl
-          | None ->
-              (* charges its own budget, and raises *before* combining when
-                 over the cap — nothing is cached in that case, so a later
-                 call under a raised cap recomputes and succeeds *)
-              let tpl = template_of d remaining_dims s.constrs in
-              if cacheable then
-                Projcache.store_param
-                  (Projcache.param_key d s.dims s.constrs)
-                  tpl;
-              tpl
-        in
-        let bindings =
-          List.mapi
-            (fun i c ->
-              ( Projcache.param_dim i,
-                Linexpr.const (Linexpr.const_of (Constr.expr c)) ))
-            s.constrs
-        in
-        let p =
-          {
-            Projcache.p_dims = tpl.Projcache.t_dims;
-            p_constrs =
-              compact (List.map (Constr.subst_all bindings) tpl.Projcache.body);
-            p_path = tpl.Projcache.t_path;
-          }
-        in
-        (match exact_key with
-        | Some k -> Projcache.store_exact k p
-        | None -> ());
-        finish p
+    { dims; constrs = compact constrs; simplified = true }
   end
 
 let project_onto keep s =
@@ -361,28 +262,6 @@ let fix_dim d v s =
         s.constrs
     in
     { dims = List.filter (fun x -> x <> d) s.dims; constrs; simplified = false }
-
-let bounds_of d s =
-  let lowers = ref [] and uppers = ref [] and rest = ref [] in
-  List.iter
-    (fun c ->
-      let e = Constr.expr c in
-      let cd = Linexpr.coeff e d in
-      if cd = 0 then rest := c :: !rest
-      else
-        let others = Linexpr.sub e (Linexpr.term cd d) in
-        match c with
-        | Constr.Ge _ ->
-            if cd > 0 then lowers := (cd, Linexpr.neg others) :: !lowers
-            else uppers := (-cd, others) :: !uppers
-        | Constr.Eq _ ->
-            let bound =
-              if cd > 0 then (cd, Linexpr.neg others) else (-cd, others)
-            in
-            lowers := bound :: !lowers;
-            uppers := bound :: !uppers)
-    s.constrs;
-  (List.rev !lowers, List.rev !uppers, List.rev !rest)
 
 (* ceil/floor of integer division *)
 let cdiv a b =
@@ -437,10 +316,6 @@ let const_range d s =
       None uppers
   in
   (lb, ub)
-
-let equal a b =
-  a.dims = b.dims
-  && List.sort Constr.compare a.constrs = List.sort Constr.compare b.constrs
 
 let pp ppf s =
   Format.fprintf ppf "{ [%s] : %a }"

@@ -114,8 +114,6 @@ val bounds_of :
     unbounded. *)
 val const_range : string -> t -> int option * int option
 
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

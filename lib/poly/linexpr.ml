@@ -2,53 +2,12 @@ module Smap = Map.Make (String)
 
 type t = { coeffs : int Smap.t; const : int }
 
-(* Hash-consing: every expression leaving a constructor is interned, so
-   structurally equal terms share one physical value and [equal]/[compare]
-   get an [==] fast path.  The polyhedral layer churns through millions of
-   small expressions (every constraint row of every domain and schedule),
-   most of them duplicates of a few thousand shapes. *)
-module Key = struct
-  type nonrec t = t
-
-  let equal a b =
-    a.const = b.const && Smap.equal Int.equal a.coeffs b.coeffs
-
-  let hash e =
-    Smap.fold
-      (fun d c acc -> (acc * 31) + Hashtbl.hash (d, c))
-      e.coeffs
-      (Hashtbl.hash e.const)
-end
-
-module Tbl = Hashtbl.Make (Key)
-
-(* One intern table per domain: interning is pure bookkeeping, so sharding it
-   keeps the constructors lock-free under parallel DSE evaluation.  Two
-   domains may hold distinct physical copies of the same expression — [==] is
-   only ever a fast path, [equal]/[compare] fall back to structure. *)
-let table_key = Domain.DLS.new_key (fun () -> Tbl.create 4096)
-
-(* Capacity guard: a table only ever grows, so cap it and start over rather
-   than retaining every expression the domain has seen. *)
-let max_interned = 100_000
-
-let intern e =
-  let table = Domain.DLS.get table_key in
-  match Tbl.find_opt table e with
-  | Some canonical -> canonical
-  | None ->
-      if Tbl.length table >= max_interned then Tbl.reset table;
-      Tbl.add table e e;
-      e
-
-let interned_terms () = Tbl.length (Domain.DLS.get table_key)
-
 let normalize e =
-  intern { e with coeffs = Smap.filter (fun _ c -> c <> 0) e.coeffs }
+  { e with coeffs = Smap.filter (fun _ c -> c <> 0) e.coeffs }
 
-let zero = intern { coeffs = Smap.empty; const = 0 }
+let zero = { coeffs = Smap.empty; const = 0 }
 
-let const k = intern { coeffs = Smap.empty; const = k }
+let const k = { coeffs = Smap.empty; const = k }
 
 let term c d =
   normalize { coeffs = Smap.singleton d c; const = 0 }
@@ -62,14 +21,13 @@ let add a b =
       const = a.const + b.const;
     }
 
-let neg a =
-  intern { coeffs = Smap.map (fun c -> -c) a.coeffs; const = -a.const }
+let neg a = { coeffs = Smap.map (fun c -> -c) a.coeffs; const = -a.const }
 
 let sub a b = add a (neg b)
 
 let scale k a =
   if k = 0 then zero
-  else intern { coeffs = Smap.map (fun c -> k * c) a.coeffs; const = k * a.const }
+  else { coeffs = Smap.map (fun c -> k * c) a.coeffs; const = k * a.const }
 
 let coeff e d = match Smap.find_opt d e.coeffs with Some c -> c | None -> 0
 
@@ -115,15 +73,13 @@ let div_exact k e =
     if x mod k <> 0 then invalid_arg "Linexpr.div_exact: not divisible"
     else x / k
   in
-  intern { coeffs = Smap.map div e.coeffs; const = div e.const }
+  { coeffs = Smap.map div e.coeffs; const = div e.const }
 
 let compare a b =
-  if a == b then 0
-  else
-    let c = Smap.compare Int.compare a.coeffs b.coeffs in
-    if c <> 0 then c else Int.compare a.const b.const
+  let c = Smap.compare Int.compare a.coeffs b.coeffs in
+  if c <> 0 then c else Int.compare a.const b.const
 
-let equal a b = a == b || compare a b = 0
+let equal a b = compare a b = 0
 
 let pp ppf e =
   let terms = Smap.bindings e.coeffs in

@@ -5,9 +5,9 @@
     the atom from which constraints, sets, maps, and schedules are built,
     mirroring the role of [isl_aff] in the Integer Set Library.
 
-    Values are hash-consed: constructors intern their result, so
-    structurally equal expressions are physically shared and
-    {!equal}/{!compare} short-circuit on physical equality. *)
+    Two equal expressions may be represented differently, so compare them
+    with {!equal}/{!compare}, never with polymorphic [=], [compare] or
+    [Hashtbl.hash]. *)
 
 type t
 
@@ -66,10 +66,6 @@ val div_exact : int -> t -> t
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
-
-(** Number of distinct expressions currently interned (observability for
-    the hash-consing table; resets when the capacity guard trips). *)
-val interned_terms : unit -> int
 
 val pp : Format.formatter -> t -> unit
 

@@ -1,36 +1,4 @@
-(* Keyed projection cache: the storage half of incremental Fourier–Motzkin.
-
-   DSE evaluates ladders of neighboring design points whose iteration
-   domains differ only in tile-bound *constants* — the constraint gradients,
-   dimension tuples and elimination structure are identical from candidate
-   to candidate, so every FM projection the dependence analysis performs is
-   re-derivable from one symbolic computation.  Two levels of reuse:
-
-   - the *exact* level keys a projection on the full constraint system
-     (constants included) and returns the previously computed result — this
-     is what fires inside one candidate's emptiness recursion, where the
-     same shrinking systems are projected over and over;
-
-   - the *parametric* level keys on the constraint system with every
-     constant abstracted to a parameter dimension and stores the raw
-     symbolic combination (the template); a hit substitutes the candidate's
-     constants and re-compacts, skipping the bound split and the pairwise
-     combination arithmetic.  This is the cross-tile-size reuse: project
-     once, substitute per candidate.
-
-   The cache stores *structure* only — {!Basic_set} owns the algorithm and
-   replays the cap check and budget ticks identically on hits, so cached
-   and cold runs are indistinguishable to the resilience layer. *)
-
-type path = Unit_eq | Fm of { n_low : int; n_up : int; n_rest : int }
-
-type projection = {
-  p_dims : string list;
-  p_constrs : Constr.t list;
-  p_path : path;
-}
-
-type template = { t_dims : string list; body : Constr.t list; t_path : path }
+(* Read by perfbench/cold.ml; Basic_set.project_out caches nothing. *)
 
 type stats = {
   exact_hits : int;
@@ -39,128 +7,5 @@ type stats = {
   param_misses : int;
 }
 
-(* Parameter dimensions use a prefix no frontend produces ("π$"); sets that
-   already mention it (a projection of a template, conceivably) bypass the
-   cache entirely rather than risk capture. *)
-let param_prefix = "\207\128$"
-
-let param_dim i = param_prefix ^ string_of_int i
-
-let is_param_dim d =
-  String.length d >= 3 && String.sub d 0 3 = param_prefix
-
-let lock = Mutex.create ()
-let exact : (string, projection) Hashtbl.t = Hashtbl.create 1024
-let templates : (string, template) Hashtbl.t = Hashtbl.create 256
-let c_exact_hits = ref 0
-let c_exact_misses = ref 0
-let c_param_hits = ref 0
-let c_param_misses = ref 0
-let enabled_flag = Atomic.make true
-
-let enabled () = Atomic.get enabled_flag
-
-let set_enabled b = Atomic.set enabled_flag b
-
-let with_enabled b f =
-  let saved = enabled () in
-  set_enabled b;
-  Fun.protect ~finally:(fun () -> set_enabled saved) f
-
-(* Wholesale reset past the cap, like the memo's capacity guard: a long
-   benchmark sweep must not retain every projection it ever computed. *)
-let max_exact = 32_768
-let max_templates = 8_192
-
-let add_expr b ~with_const e =
-  List.iter
-    (fun d ->
-      Buffer.add_string b d;
-      Buffer.add_char b '*';
-      Buffer.add_string b (string_of_int (Linexpr.coeff e d));
-      Buffer.add_char b '+')
-    (Linexpr.dims e);
-  if with_const then Buffer.add_string b (string_of_int (Linexpr.const_of e))
-
-let key ~with_const d dims constrs =
-  let b = Buffer.create 256 in
-  Buffer.add_string b d;
-  Buffer.add_char b '\000';
-  List.iter
-    (fun x ->
-      Buffer.add_string b x;
-      Buffer.add_char b ',')
-    dims;
-  Buffer.add_char b '\000';
-  List.iter
-    (fun c ->
-      Buffer.add_char b (match c with Constr.Eq _ -> '=' | Constr.Ge _ -> '>');
-      add_expr b ~with_const (Constr.expr c);
-      Buffer.add_char b '|')
-    constrs;
-  Buffer.contents b
-
-let exact_key d dims constrs = key ~with_const:true d dims constrs
-
-let param_key d dims constrs = key ~with_const:false d dims constrs
-
-let find_exact k =
-  Mutex.lock lock;
-  let r = Hashtbl.find_opt exact k in
-  (match r with
-  | Some _ -> incr c_exact_hits
-  | None -> incr c_exact_misses);
-  Mutex.unlock lock;
-  r
-
-let store_exact k p =
-  Mutex.lock lock;
-  if Hashtbl.length exact >= max_exact then Hashtbl.reset exact;
-  Hashtbl.replace exact k p;
-  Mutex.unlock lock
-
-let find_param k =
-  Mutex.lock lock;
-  let r = Hashtbl.find_opt templates k in
-  (match r with
-  | Some _ -> incr c_param_hits
-  | None -> incr c_param_misses);
-  Mutex.unlock lock;
-  r
-
-let store_param k t =
-  Mutex.lock lock;
-  if Hashtbl.length templates >= max_templates then Hashtbl.reset templates;
-  Hashtbl.replace templates k t;
-  Mutex.unlock lock
-
 let stats () =
-  Mutex.lock lock;
-  let s =
-    {
-      exact_hits = !c_exact_hits;
-      exact_misses = !c_exact_misses;
-      param_hits = !c_param_hits;
-      param_misses = !c_param_misses;
-    }
-  in
-  Mutex.unlock lock;
-  s
-
-(* Every cacheable projection does an exact lookup first, so exact_hits +
-   exact_misses is the call count; a parametric hit on the fallthrough still
-   skips the combination arithmetic, so it counts as a hit. *)
-let hit_rate s =
-  let total = s.exact_hits + s.exact_misses in
-  if total = 0 then 0.0
-  else float_of_int (s.exact_hits + s.param_hits) /. float_of_int total
-
-let reset () =
-  Mutex.lock lock;
-  Hashtbl.reset exact;
-  Hashtbl.reset templates;
-  c_exact_hits := 0;
-  c_exact_misses := 0;
-  c_param_hits := 0;
-  c_param_misses := 0;
-  Mutex.unlock lock
+  { exact_hits = 0; exact_misses = 0; param_hits = 0; param_misses = 0 }

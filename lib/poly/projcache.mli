@@ -1,28 +1,6 @@
-(** Keyed projection cache: concurrent storage for incremental
-    Fourier–Motzkin elimination (see {!Basic_set.project_out}, which owns
-    the algorithm and the budget semantics).
-
-    Two levels: an {e exact} level keyed on the full constraint system, and
-    a {e parametric} level keyed with every constant abstracted away, whose
-    value is the raw symbolic combination (template) to be re-instantiated
-    per candidate.  Neighboring tile sizes in a DSE ladder differ only in
-    tile-bound constants, so they share templates. *)
-
-(** How the projection was computed — replayed on hits so budget ticks and
-    the blowup-cap check behave identically to a cold run. *)
-type path = Unit_eq | Fm of { n_low : int; n_up : int; n_rest : int }
-
-type projection = {
-  p_dims : string list;
-  p_constrs : Constr.t list;
-  p_path : path;
-}
-
-(** [body] is the raw (un-compacted) symbolic constraint list over the
-    remaining dimensions plus parameter dimensions [param_dim i], one per
-    input constraint; instantiation substitutes the input constants and
-    compacts. *)
-type template = { t_dims : string list; body : Constr.t list; t_path : path }
+(** Counters of the Fourier–Motzkin projection cache this library no
+    longer has.  Kept only because [perfbench/cold.ml] reads them; every
+    count is zero. *)
 
 type stats = {
   exact_hits : int;
@@ -31,39 +9,4 @@ type stats = {
   param_misses : int;
 }
 
-(** The parameter dimension standing for input constraint [i]'s constant. *)
-val param_dim : int -> string
-
-(** Whether a dimension name is a cache parameter — sets mentioning one
-    bypass the cache to avoid capture. *)
-val is_param_dim : string -> bool
-
-val exact_key : string -> string list -> Constr.t list -> string
-
-val param_key : string -> string list -> Constr.t list -> string
-
-(** Lookups count hits/misses; all access is mutex-protected and safe from
-    any domain (cached values are immutable and shared). *)
-val find_exact : string -> projection option
-
-val store_exact : string -> projection -> unit
-
-val find_param : string -> template option
-
-val store_param : string -> template -> unit
-
-val enabled : unit -> bool
-
-val set_enabled : bool -> unit
-
-(** Run [f] with the cache toggled, restoring the previous state after —
-    the bit-identity tests compare cached against uncached projections. *)
-val with_enabled : bool -> (unit -> 'a) -> 'a
-
 val stats : unit -> stats
-
-(** Overall fraction of projections served from either level. *)
-val hit_rate : stats -> float
-
-(** Drop both tables and zero the counters. *)
-val reset : unit -> unit

@@ -359,9 +359,10 @@ let check_degrade f =
    no schedule the backend could emit finishes a group in fewer cycles
    than its distinct serial steps, or than its busiest memory bank can
    move the group's data through two ports.  A model latency below either
-   bound is optimistic fiction (POM406).  The dependence-chain bound
-   additionally assumes the model doesn't re-associate reductions, so a
-   violation there is only a precision signal. *)
+   bound is optimistic fiction (POM406), and so is a model that raises on
+   a program it is given.  The dependence-chain bound additionally
+   assumes the model doesn't re-associate reductions, so a violation there
+   is only a precision signal. *)
 let check_qor f =
   let loc = [ "refute"; "qor" ] in
   let device = Pom_hls.Device.xc7z020 in
@@ -377,6 +378,11 @@ let check_qor f =
       Skip (Printf.sprintf "lowering rejected: %s" msg)
   | exception Invalid_argument msg ->
       Skip (Printf.sprintf "invalid case: %s" msg)
+  | exception ((Failure _ | Not_found | Division_by_zero) as e) ->
+      fail ~code:"POM406" ~loc
+        (Printf.sprintf "building or synthesizing the program raised %s"
+           (Printexc.to_string e))
+        ~note:"the QoR model must be a total function of the program"
   | `Built (prog, report, report') ->
       if report <> report' then
         fail ~code:"POM406" ~loc

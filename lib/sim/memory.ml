@@ -80,6 +80,14 @@ let names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t []
   |> List.sort String.compare
 
+(* Equal values (the same infinity, or NaN on both sides) do not differ;
+   NaN on one side only differs infinitely. *)
+let diff v w =
+  if Float.equal v w then 0.0
+  else
+    let d = Float.abs (v -. w) in
+    if Float.is_nan d then Float.infinity else d
+
 let max_diff a b =
   if names a <> names b then invalid_arg "Memory.max_diff: different arrays";
   List.fold_left
@@ -88,9 +96,7 @@ let max_diff a b =
       if sa.shape <> sb.shape then
         invalid_arg "Memory.max_diff: shape mismatch";
       let m = ref acc in
-      Array.iteri
-        (fun i v -> m := Float.max !m (Float.abs (v -. sb.data.(i))))
-        sa.data;
+      Array.iteri (fun i v -> m := Float.max !m (diff v sb.data.(i))) sa.data;
       !m)
     0.0 (names a)
 

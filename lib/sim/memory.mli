@@ -22,7 +22,9 @@ val copy : t -> t
 val names : t -> string list
 
 (** Max absolute elementwise difference across all arrays; the two stores
-    must have the same arrays and shapes. *)
+    must have the same arrays and shapes.  Elements that are [Float.equal]
+    (the same infinity, or NaN on both sides) differ by 0; NaN on one side
+    only differs by infinity, so the result is never NaN. *)
 val max_diff : t -> t -> float
 
 (** [equal ~eps a b] holds when {!max_diff} is at most [eps]. *)

@@ -1,7 +1,6 @@
 (* The parallel-execution subsystem: the fixed-size domain pool (result
-   ordering, exception propagation, nested-use rejection), the domain-safe
-   report memo under concurrent requests, and the projection cache under
-   the DSE engine. *)
+   ordering, exception propagation, nested-use rejection) and the
+   domain-safe report memo under concurrent requests. *)
 
 module Par = Pom.Par
 module Pool = Pom.Par.Pool
@@ -101,43 +100,6 @@ let test_memo_single_miss_under_concurrency () =
         (List.for_all (fun (_, r) -> r == r0) rest)
   | [] -> Alcotest.fail "no results"
 
-(* -------- the projection cache under the DSE engine -------- *)
-
-let directive_strings (r : Pom.Dse.Stage2.result) =
-  List.map
-    (Format.asprintf "%a" Pom.Dsl.Schedule.pp)
-    r.Pom.Dse.Stage2.directives
-
-(* The projection cache is an optimization, not an approximation: with it
-   disabled the engine must pick the bit-identical design.  It must also
-   pay: a cold gemm-512 search hits its own entries. *)
-let test_projcache_bit_identity () =
-  Pom.Poly.Projcache.reset ();
-  ignore
-    (Pom.Dse.Engine.run ~cache:(Memo.create ()) ~jobs:1 (Polybench.gemm 512));
-  let p = Pom.Poly.Projcache.stats () in
-  Alcotest.(check bool)
-    "a cold gemm-512 search hits the projection cache" true
-    (p.Pom.Poly.Projcache.exact_hits + p.Pom.Poly.Projcache.param_hits > 0);
-  let func = Polybench.bicg 512 in
-  let fast =
-    (Pom.Dse.Engine.run ~cache:(Memo.create ()) ~jobs:1 func).Pom.Dse.Engine
-      .result
-  in
-  let slow =
-    Pom.Poly.Projcache.with_enabled false (fun () ->
-        (Pom.Dse.Engine.run ~cache:(Memo.create ()) ~jobs:1 func).Pom.Dse
-          .Engine.result)
-  in
-  Alcotest.(check (list string))
-    "identical directives" (directive_strings slow) (directive_strings fast);
-  Alcotest.(check bool)
-    "identical tile vectors" true
-    (slow.Pom.Dse.Stage2.tile_vectors = fast.Pom.Dse.Stage2.tile_vectors);
-  Alcotest.(check bool)
-    "identical report" true
-    (slow.Pom.Dse.Stage2.report = fast.Pom.Dse.Stage2.report)
-
 let () =
   Alcotest.run "par"
     [
@@ -160,10 +122,5 @@ let () =
         [
           Alcotest.test_case "single miss under concurrency" `Quick
             test_memo_single_miss_under_concurrency;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "projection cache is bit-identical" `Slow
-            test_projcache_bit_identity;
         ] );
     ]

@@ -34,6 +34,20 @@ let scheduled_gemm size =
   Pom.Dsl.Func.schedule f (Pom.Dsl.Schedule.pipeline "s" "k" 1);
   f
 
+(* Poll the server's counters until [ready] holds: a fixed sleep races the
+   connection threads, which wait for the runtime lock while a compile runs. *)
+let await_stats t ~what ready =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    if not (ready (Server.stats t)) then
+      if Unix.gettimeofday () > deadline then Alcotest.failf "never saw %s" what
+      else begin
+        Unix.sleepf 0.01;
+        go ()
+      end
+  in
+  go ()
+
 let ok_result (r : Protocol.response) =
   match r.Protocol.outcome with
   | Ok v -> v
@@ -140,13 +154,13 @@ let test_concurrent_clients () =
 
 let test_disconnect_cancels () =
   with_server @@ fun ~socket t ->
-  (* a client that sends a non-trivial compile and hangs up immediately:
-     the budget's cancel poll must abort the work, the server must keep
+  (* a client that sends a compile outliving the 0.1 s window and hangs
+     up: the budget's cancel poll must abort the work, the server must keep
      serving *)
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
   let oc = Unix.out_channel_of_descr fd in
-  let f = Pom.Workloads.Polybench.seidel 128 in
+  let f = Pom.Workloads.Dnn.resnet18 () in
   Protocol.write_client_msg oc
     (Protocol.Compile (Client.request ~id:7 ~framework:`Pom_auto f));
   Unix.sleepf 0.1;
@@ -251,7 +265,7 @@ let test_malformed_requests () =
 (* -------- admission control -------- *)
 
 let test_admission_overload () =
-  with_server ~max_queue:1 @@ fun ~socket _t ->
+  with_server ~max_queue:1 @@ fun ~socket t ->
   (* occupy the executor with a compile that outlives the test window,
      then fill the queue; the next request must bounce with POM310 *)
   let slow_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -261,6 +275,7 @@ let test_admission_overload () =
     (Protocol.Compile
        (Client.request ~id:100 ~framework:`Pom_auto
           (Pom.Workloads.Dnn.resnet18 ())));
+  await_stats t ~what:"the slow request" (fun s -> s.Protocol.requests = 1);
   Unix.sleepf 0.15;
   (* executor busy: this one parks in the queue *)
   let queued_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -268,7 +283,7 @@ let test_admission_overload () =
   Protocol.write_client_msg
     (Unix.out_channel_of_descr queued_fd)
     (Protocol.Compile (Client.request ~id:101 (scheduled_gemm 16)));
-  Unix.sleepf 0.1;
+  await_stats t ~what:"a full queue" (fun s -> s.Protocol.queue_depth = 1);
   (* queue full: rejected immediately with the typed overload error *)
   let r = Client.compile ~socket (Client.request ~id:102 (scheduled_gemm 24)) in
   (match r.Protocol.outcome with

@@ -23,6 +23,23 @@ let test_memory_copy_diff () =
   Memory.set m' "A" [ 0 ] (Memory.get m "A" [ 0 ] +. 2.5);
   Alcotest.(check (float 1e-9)) "diff detected" 2.5 (Memory.max_diff m m')
 
+(* A program that overflows does so in the reference run too: equal
+   infinities and NaN on both sides agree, NaN against a number does not. *)
+let test_memory_diff_non_finite () =
+  let a = Placeholder.make "A" [ 1 ] f32 in
+  let diff v w =
+    Memory.max_diff (Memory.create_filled v [ a ]) (Memory.create_filled w [ a ])
+  in
+  List.iter
+    (fun (name, v, w, expected) ->
+      Alcotest.(check (float 0.0)) name expected (diff v w))
+    [
+      ("(inf, inf)", Float.infinity, Float.infinity, 0.0);
+      ("(nan, nan)", Float.nan, Float.nan, 0.0);
+      ("(inf, 1.0)", Float.infinity, 1.0, Float.infinity);
+      ("(nan, 1.0)", Float.nan, 1.0, Float.infinity);
+    ]
+
 let test_memory_deterministic () =
   let a = Placeholder.make "A" [ 8 ] f32 in
   let m1 = Memory.create [ a ] and m2 = Memory.create [ a ] in
@@ -127,6 +144,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_memory_basics;
           Alcotest.test_case "copy and diff" `Quick test_memory_copy_diff;
           Alcotest.test_case "deterministic init" `Quick test_memory_deterministic;
+          Alcotest.test_case "non-finite differences" `Quick
+            test_memory_diff_non_finite;
         ] );
       ( "interp",
         [
