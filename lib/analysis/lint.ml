@@ -240,11 +240,11 @@ let effective_parallelism prog =
 
 type hw_signature = (string * (string * int * int * bool * int) list) list
 
-let hw_signature prog : hw_signature =
+let signature_of named_loops : hw_signature =
   List.sort compare
     (List.map
-       (fun (p : Summary.t) ->
-         ( Stmt_poly.name p.Summary.stmt,
+       (fun (name, loops) ->
+         ( name,
            List.map
              (fun (l : Summary.loop) ->
                ( l.Summary.dim,
@@ -252,7 +252,19 @@ let hw_signature prog : hw_signature =
                  l.Summary.unroll,
                  l.Summary.pipelined,
                  l.Summary.target_ii ))
-             p.Summary.loops ))
-       (Summary.profile_all prog))
+             loops ))
+       named_loops)
+
+let hw_signature (prog : Prog.t) =
+  signature_of
+    (List.map
+       (fun s -> (Stmt_poly.name s, Summary.loops_of s))
+       prog.Prog.stmts)
+
+let profiles_signature profiles =
+  signature_of
+    (List.map
+       (fun (p : Summary.t) -> (Stmt_poly.name p.Summary.stmt, p.Summary.loops))
+       profiles)
 
 let gains_parallelism ~before prog = hw_signature prog <> before

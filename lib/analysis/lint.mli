@@ -40,7 +40,14 @@ val effective_parallelism : Pom_polyir.Prog.t -> (string * int) list
     same design point to the QoR model. *)
 type hw_signature = (string * (string * int * int * bool * int) list) list
 
+(** Computed from the loop structure alone ({!Pom_hls.Summary.loops_of}):
+    no dependence analysis. *)
 val hw_signature : Pom_polyir.Prog.t -> hw_signature
+
+(** The signature of the statements [profiles] describe — equal to
+    {!hw_signature} of their program, read from profiles a search already
+    holds. *)
+val profiles_signature : Pom_hls.Summary.t list -> hw_signature
 
 (** The DSE pre-pruning oracle: does [prog] change any statement's
     hardware signature relative to [before]?  Factor clamping (per-level

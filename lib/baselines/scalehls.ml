@@ -62,62 +62,13 @@ let interchange_pass () =
 (* Denser factor ladder than POM's doubling: more trials, longer DSE. *)
 let ladder = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48; 64 ]
 
-type unit_state = {
-  id : int;
-  members : (string * string list * int list) list;
-  mutable par : int;
-  mutable realization : Stage2.realization list;
-}
-
-let member_info (s : Stmt_poly.t) =
-  let order = Stmt_poly.loop_order s in
-  let extents =
-    List.map
-      (fun dim ->
-        match Pom_poly.Basic_set.const_range dim s.Stmt_poly.domain with
-        | Some lb, Some ub -> ub - lb + 1
-        | _ -> invalid_arg "Scalehls: unbounded loop")
-      order
-  in
-  (Stmt_poly.name s, order, extents)
-
-let realize_unit u =
-  u.realization <-
-    List.map
-      (fun (c, order, extents) -> Stage2.realize c order extents u.par)
-      u.members
-
-let hw_directives units =
-  List.concat_map
-    (fun u -> List.concat_map (fun r -> r.Stage2.hw_directives) u.realization)
-    units
-
-(* The plan (hardware application + partition derivation) is shared with
-   {!Stage2.realization_plan} — same memo, same key — so a ladder rung the
-   POM search already planned costs a lookup here. *)
-let evaluate ~cache ~device ~composition ~latency_mode func base units =
-  let plan = Stage2.realization_plan ~cache func base (hw_directives units) in
-  let prog, report =
-    Memo.synthesize cache ~composition ~latency_mode ~device
-      ~directives:plan.Memo.plan_directives func (fun () ->
-        List.fold_left Prog.apply plan.Memo.plan_prog_hw plan.Memo.plan_parts)
-  in
-  (prog, plan.Memo.plan_directives, report)
-
 (* Per-unit operator usage — the quantity ScaleHLS's per-loop budget check
-   sees (global banking overhead is not in it).  Each check re-profiles the
-   unit's statements (profiles are per statement, so the other units'
-   would be discarded unread), and counts as a QoR evaluation. *)
-let unit_usage ?count (prog : Prog.t) u =
+   sees (global banking overhead is not in it), priced from the unit's own
+   profiles under [prog]'s partitioning.  Each check counts as a QoR
+   evaluation. *)
+let unit_usage ?count (prog : Prog.t) (u : Stage2.unit_state) =
   (match count with Some c -> incr c | None -> ());
-  let mine =
-    List.filter_map
-      (fun (s : Stmt_poly.t) ->
-        if Pom_poly.Sched.const_at s.Stmt_poly.sched 0 = u.id then
-          Some (Summary.of_stmt prog s)
-        else None)
-      prog.Prog.stmts
-  in
+  let mine = List.map snd u.Stage2.realized in
   let partitions = Report.partition_fn prog in
   let eval = Latency.eval_group ~partitions mine in
   Resource.group_usage mine eval
@@ -149,7 +100,8 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
       let composition = st.State.composition
       and latency_mode = st.State.latency_mode in
       let base = st.State.directives in
-      let prog_base = Memo.schedule cache func base in
+      let fkey = Memo.func_key func in
+      let prog_base = Memo.schedule ~fkey cache func base in
       let huge =
         List.exists
           (fun (c : Compute.t) ->
@@ -158,49 +110,24 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
               c.Compute.iters)
           (Func.computes func)
       in
-      let units =
-        let ids =
-          List.sort_uniq Int.compare
-            (List.map
-               (fun (s : Stmt_poly.t) ->
-                 Pom_poly.Sched.const_at s.Stmt_poly.sched 0)
-               prog_base.Prog.stmts)
-        in
-        List.map
-          (fun id ->
-            let members =
-              List.filter_map
-                (fun (s : Stmt_poly.t) ->
-                  if Pom_poly.Sched.const_at s.Stmt_poly.sched 0 = id then
-                    Some (member_info s)
-                  else None)
-                prog_base.Prog.stmts
-            in
-            let u = { id; members; par = 1; realization = [] } in
-            realize_unit u;
-            u)
-          ids
-      in
+      let units = Stage2.units_of prog_base in
       let evaluations = ref 0 in
       let pruned = ref 0 in
       let eval () =
         incr evaluations;
         (* the per-evaluation fault site shared with Stage2 *)
         Pom_resilience.Fault.point "dse:evaluate";
-        evaluate ~cache ~device ~composition ~latency_mode func base units
+        Stage2.evaluate ~cache ~fkey ~device ~composition ~latency_mode func
+          base units
       in
       let stopped = ref false in
-      let candidate_prog () =
-        (Stage2.realization_plan ~cache func base (hw_directives units))
-          .Memo.plan_prog_hw
-      in
       let current = ref (eval ()) in
-      (* the incumbent's hardware signature, recomputed only when a rung
-         is accepted (as in {!Stage2.run}) *)
-      let signature_of (prog, _, _) =
-        lazy (Pom_analysis.Lint.hw_signature prog)
+      (* the incumbent's loop signature, replaced by each accepted rung's
+         (as in {!Stage2.run}) *)
+      let signature () =
+        Pom_analysis.Lint.profiles_signature (snd (Stage2.splice prog_base units))
       in
-      let incumbent_signature = ref (signature_of !current) in
+      let incumbent_signature = ref (signature ()) in
       let budget =
         ref
           {
@@ -212,37 +139,60 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
       in
       if not huge then
         List.iter
-          (fun u ->
+          (fun (u : Stage2.unit_state) ->
             if not !stopped then begin
             (* greedy: push this unit as far as the remaining budget allows *)
             let continue_ = ref true in
             List.iter
               (fun par ->
                 if !continue_ then begin
-                  let saved_par = u.par and saved_real = u.realization in
-                  u.par <- par;
-                  realize_unit u;
-                  if
-                    not
-                      (Pom_analysis.Lint.gains_parallelism
-                         ~before:(Lazy.force !incumbent_signature)
-                         (candidate_prog ()))
-                  then begin
-                    (* analyzer pre-pruning: factor clamping collapsed this
-                       rung onto the incumbent's realization — same outcome
-                       as factor saturation, minus the synthesis *)
-                    incr pruned;
-                    u.par <- saved_par;
-                    u.realization <- saved_real
-                  end
-                  else begin
-                  match eval () with
+                  (* realization, plan, pre-pruning check and evaluation
+                     fail together: any failure backs the rung out *)
+                  let decide () =
+                    (* planned here and again by the evaluation, as in
+                       {!Stage2.run} *)
+                    ignore
+                      (Stage2.realization_plan ~cache ~fkey func base units);
+                    let rung_signature = signature () in
+                    if rung_signature = !incumbent_signature then begin
+                      (* analyzer pre-pruning: factor clamping collapsed
+                         this rung onto the incumbent's realization — same
+                         outcome as factor saturation, minus the synthesis *)
+                      incr pruned;
+                      false
+                    end
+                    else begin
+                      let ((trial_prog, _, trial_report) as trial) = eval () in
+                      let usage = unit_usage ~count:evaluations trial_prog u in
+                      let _, _, cur_report = !current in
+                      if
+                        usage_fits !budget usage
+                        && trial_report.Report.latency
+                           < cur_report.Report.latency
+                      then begin
+                        current := trial;
+                        incumbent_signature := rung_signature;
+                        true
+                      end
+                      else begin
+                        (* a ladder step that changed nothing (factor
+                           saturation) is backed out but the climb goes
+                           on; one that does not fit or is slower ends it *)
+                        if
+                          not
+                            (usage_fits !budget usage
+                            && trial_report.Report.latency
+                               = cur_report.Report.latency)
+                        then continue_ := false;
+                        false
+                      end
+                    end
+                  in
+                  match Stage2.try_move u par decide with
                   | exception (Pom_resilience.Fault.Killed _ as e) ->
                       (* simulated process death: never absorbed *)
                       raise e
                   | exception (Pom_resilience.Budget.Budget_exceeded _ as e) ->
-                      u.par <- saved_par;
-                      u.realization <- saved_real;
                       if Pom_resilience.Policy.degrading () then begin
                         (* out of time mid-walk: stop the whole greedy
                            sweep at the incumbent *)
@@ -251,35 +201,10 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
                       end
                       else raise e
                   | exception _ when Pom_resilience.Policy.degrading () ->
-                      (* failed rung evaluation: backed out like factor
-                         saturation, the climb continues (POM304) *)
-                      u.par <- saved_par;
-                      u.realization <- saved_real
-                  | (trial_prog, _, trial_report) as trial ->
-                  let usage = unit_usage ~count:evaluations trial_prog u in
-                  let _, _, cur_report = !current in
-                  if
-                    usage_fits !budget usage
-                    && trial_report.Report.latency < cur_report.Report.latency
-                  then begin
-                    current := trial;
-                    incumbent_signature := signature_of trial
-                  end
-                  else if
-                    usage_fits !budget usage
-                    && trial_report.Report.latency = cur_report.Report.latency
-                  then begin
-                    (* ladder step changed nothing (factor saturation): back
-                       it out but keep climbing *)
-                    u.par <- saved_par;
-                    u.realization <- saved_real
-                  end
-                  else begin
-                    u.par <- saved_par;
-                    u.realization <- saved_real;
-                    continue_ := false
-                  end
-                  end
+                      (* failed rung: backed out like factor saturation,
+                         the climb continues (POM304) *)
+                      ()
+                  | (_ : bool) -> ()
                 end)
               ladder;
             let prog, _, _ = !current in
@@ -293,7 +218,7 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
             List.map2
               (fun (c, _, _) (r : Stage2.realization) ->
                 (c, r.Stage2.tile_vector))
-              u.members u.realization)
+              u.Stage2.members u.Stage2.realization)
           units
       in
       let dse_time_s = Unix.gettimeofday () -. wall0 in

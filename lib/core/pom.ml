@@ -79,7 +79,20 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
   Par.with_jobs (Option.value jobs ~default:(Par.jobs ())) @@ fun () ->
   Pom_resilience.Policy.with_policy on_error @@ fun () ->
   Pom_resilience.Budget.with_budget ?deadline_s ?max_ticks @@ fun () ->
-  let baseline_latency = Pom_hls.Report.baseline_latency func in
+  (* The speedup baseline profiles the input program, so it can fail or run
+     out of budget like a pass; it is required, so any failure aborts with
+     the typed error a required pass raises (exit 3), never a bare
+     exception. *)
+  let baseline_latency =
+    match Pom_hls.Report.baseline_latency func with
+    | latency -> latency
+    | exception (Pom_resilience.Fault.Killed _ as e) -> raise e
+    | exception e ->
+        raise
+          (Pom_resilience.Error.Error
+             (Pom_resilience.Error.of_exn ~code:"POM300"
+                ~pass:"baseline-latency" e))
+  in
   let composition, latency_mode =
     match framework with
     | `Scalehls ->

@@ -148,66 +148,84 @@ type unit_state = {
   id : int;  (* leading schedule constant *)
   members : (string * string list * int list) list;
       (* compute, loop order, extents after stage 1 *)
+  stmts : Stmt_poly.t list;  (* the members' stage-1 statements *)
   mutable par : int;
-  max_par : int;
   mutable active : bool;
   mutable realization : realization list;  (* one per member *)
+  mutable realized : (Stmt_poly.t * Summary.t) list;
+      (* one per member: its statement under [realization], profiled *)
 }
 
 let member_info (s : Stmt_poly.t) =
-  let order = Stmt_poly.loop_order s in
-  let extents =
-    List.map
-      (fun dim ->
-        match Pom_poly.Basic_set.const_range dim s.Stmt_poly.domain with
-        | Some lb, Some ub -> ub - lb + 1
-        | _ -> invalid_arg "Stage2: unbounded loop")
-      order
-  in
-  (Stmt_poly.name s, order, extents)
+  let loops = Summary.loops_of s in
+  ( Stmt_poly.name s,
+    List.map (fun (l : Summary.loop) -> l.Summary.dim) loops,
+    List.map (fun (l : Summary.loop) -> l.Summary.extent) loops )
 
-let units_of (prog : Prog.t) ~par_cap =
-  let ids =
-    List.sort_uniq Int.compare
-      (List.map
-         (fun (s : Stmt_poly.t) -> Pom_poly.Sched.const_at s.Stmt_poly.sched 0)
-         prog.Prog.stmts)
-  in
-  List.map
-    (fun id ->
-      let members =
-        List.filter_map
-          (fun (s : Stmt_poly.t) ->
-            if Pom_poly.Sched.const_at s.Stmt_poly.sched 0 = id then
-              Some (member_info s)
-            else None)
-          prog.Prog.stmts
-      in
-      let max_par =
-        List.fold_left
-          (fun acc (_, order, extents) ->
-            let d = List.length order in
-            let e_last = List.nth extents (d - 1) in
-            let e_prev = if d >= 2 then List.nth extents (d - 2) else 1 in
-            min acc (min par_cap (e_last * e_prev)))
-          par_cap members
-      in
-      {
-        id;
-        members;
-        par = 1;
-        max_par;
-        active = true;
-        realization =
-          List.map
-            (fun (c, order, extents) -> realize c order extents 1)
-            members;
-      })
-    ids
-
+(* Realize [u] at its current parallelism: fold only its own hardware
+   directives over only its own statements, and profile only those.  This
+   is exact: {!realize} emits split, tile, pipeline and unroll directives
+   that each name their own member, so no other statement can change. *)
 let realize_unit u =
   u.realization <-
-    List.map (fun (c, order, extents) -> realize c order extents u.par) u.members
+    List.map (fun (c, order, extents) -> realize c order extents u.par) u.members;
+  let stmts =
+    List.fold_left Transform.apply_directive u.stmts
+      (List.concat_map (fun r -> r.hw_directives) u.realization)
+  in
+  u.realized <- List.combine stmts (Summary.profile stmts)
+
+let units_of (prog : Prog.t) =
+  let group (s : Stmt_poly.t) = Pom_poly.Sched.const_at s.Stmt_poly.sched 0 in
+  let ids = List.sort_uniq Int.compare (List.map group prog.Prog.stmts) in
+  List.map
+    (fun id ->
+      let stmts = List.filter (fun s -> group s = id) prog.Prog.stmts in
+      let u =
+        {
+          id;
+          members = List.map member_info stmts;
+          stmts;
+          par = 1;
+          active = true;
+          realization = [];
+          realized = [];
+        }
+      in
+      realize_unit u;
+      u)
+    ids
+
+let max_par ~par_cap u =
+  List.fold_left
+    (fun acc (_, order, extents) ->
+      let d = List.length order in
+      let e_last = List.nth extents (d - 1) in
+      let e_prev = if d >= 2 then List.nth extents (d - 2) else 1 in
+      min acc (min par_cap (e_last * e_prev)))
+    par_cap u.members
+
+(* Every way a candidate is backed out — pruned, rejected, failed, out of
+   budget — goes through the one restore here. *)
+let try_move u par decide =
+  let par0 = u.par and realization0 = u.realization and realized0 = u.realized in
+  let restore () =
+    u.par <- par0;
+    u.realization <- realization0;
+    u.realized <- realized0
+  in
+  match
+    u.par <- par;
+    realize_unit u;
+    decide ()
+  with
+  | true -> true
+  | false ->
+      restore ();
+      false
+  | exception e ->
+      restore ();
+      raise e
 
 (* ---- full-program evaluation ---- *)
 
@@ -216,19 +234,32 @@ let hw_directives units =
     (fun u -> List.concat_map (fun r -> r.hw_directives) u.realization)
     units
 
+let splice (prog : Prog.t) units =
+  let realized = List.concat_map (fun u -> u.realized) units in
+  let pairs =
+    List.map
+      (fun s ->
+        List.find
+          (fun (r, _) -> Stmt_poly.name r = Stmt_poly.name s)
+          realized)
+      prog.Prog.stmts
+  in
+  ({ prog with Prog.stmts = List.map fst pairs }, List.map snd pairs)
+
 (* The shared work of a candidate is memoized at two levels: the
    base-directive prefix application (the schedule memo, one entry for the
-   whole search) and the candidate's realization plan — hardware-directive
-   application plus the derived partition plan (the plan memo, one entry
-   per design point).  The search asks for each candidate's plan twice:
-   the analyzer's pre-pruning check reads its scheduled program, then the
-   evaluation reads its directive list — the second request is a lookup. *)
-let realization_plan ?bank_cap ~cache func base hw =
+   whole search) and the candidate's realization plan — the splice of the
+   units' realized statements into that prefix plus the derived partition
+   plan (the plan memo, one entry per design point).  The search asks for
+   each candidate's plan twice: at the analyzer's pre-pruning check, then
+   at the evaluation, which reads its directive list — the second request
+   is a lookup. *)
+let realization_plan ?bank_cap ~cache ~fkey func base units =
+  let hw = hw_directives units in
   Memo.plan cache
-    ~key:(Memo.plan_key ~base ~hw ~bank_cap func)
+    ~key:(Memo.plan_key ~fkey ~base ~hw ~bank_cap)
     (fun () ->
-      let prog0 = Memo.schedule cache func base in
-      let prog_hw = List.fold_left Prog.apply prog0 hw in
+      let prog_hw, _ = splice (Memo.schedule ~fkey cache func base) units in
       let parts = partition_plan ?bank_cap prog_hw in
       {
         Memo.plan_directives = base @ hw @ parts;
@@ -236,14 +267,14 @@ let realization_plan ?bank_cap ~cache func base hw =
         plan_prog_hw = prog_hw;
       })
 
-let evaluate ?bank_cap ~cache ~device ~composition func base_directives units =
-  let plan =
-    realization_plan ?bank_cap ~cache func base_directives (hw_directives units)
-  in
+let evaluate ?bank_cap ?latency_mode ~cache ~fkey ~device ~composition func
+    base units =
+  let plan = realization_plan ?bank_cap ~cache ~fkey func base units in
   let prog, report =
-    Memo.synthesize cache ~composition ~device
-      ~directives:plan.Memo.plan_directives func (fun () ->
-        List.fold_left Prog.apply plan.Memo.plan_prog_hw plan.Memo.plan_parts)
+    Memo.synthesize_profiled cache ~fkey ~composition ?latency_mode ~device
+      ~directives:plan.Memo.plan_directives (fun () ->
+        ( List.fold_left Prog.apply plan.Memo.plan_prog_hw plan.Memo.plan_parts,
+          snd (splice plan.Memo.plan_prog_hw units) ))
   in
   (prog, plan.Memo.plan_directives, report)
 
@@ -310,9 +341,10 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
      from warm cache entries. *)
   Memo.with_journal cache checkpoint @@ fun journal_notes ->
   let memo0 = Memo.snapshot cache in
+  let fkey = Memo.func_key func in
   let base = stage1.Stage1.directives in
-  let prog_base = Memo.schedule cache func base in
-  let units = units_of prog_base ~par_cap in
+  let prog_base = Memo.schedule ~fkey cache func base in
+  let units = units_of prog_base in
   let unit_paths = unit_paths ~paths:stage1.Stage1.paths units in
   let evaluations = ref 0 in
   let counted thunk =
@@ -324,13 +356,15 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
   in
   let evaluate_counted () =
     counted (fun () ->
-        evaluate ?bank_cap ~cache ~device ~composition func base units)
+        evaluate ?bank_cap ~cache ~fkey ~device ~composition func base units)
   in
   let current = ref (evaluate_counted ()) in
-  (* the incumbent's hardware signature, recomputed only when a candidate
-     is accepted — every pre-pruning check compares against it *)
-  let signature_of (prog, _, _) = lazy (Pom_analysis.Lint.hw_signature prog) in
-  let incumbent_signature = ref (signature_of !current) in
+  (* the incumbent's loop signature: the initial design's, then each
+     accepted candidate's — every pre-pruning check compares against it *)
+  let signature () =
+    Pom_analysis.Lint.profiles_signature (snd (splice prog_base units))
+  in
+  let incumbent_signature = ref (signature ()) in
   let trace = ref [] in
   let log fmt = Format.kasprintf (fun m -> trace := m :: !trace) fmt in
   List.iter (fun m -> log "%s" m) journal_notes;
@@ -338,17 +372,10 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
     (fun u ->
       log "unit g%d {%s}: max parallelism %d" u.id
         (String.concat ", " (List.map (fun (c, _, _) -> c) u.members))
-        u.max_par)
+        (max_par ~par_cap u))
     units;
   let iterations = ref 0 in
   let pruned = ref 0 in
-  (* the analyzer's pre-pruning oracle sees the candidate's scheduled
-     program (cheap: memoized base + directive application) but never its
-     synthesis *)
-  let candidate_prog () =
-    (realization_plan ?bank_cap ~cache func base (hw_directives units))
-      .Memo.plan_prog_hw
-  in
   let continue_ = ref true in
   while !continue_ && !iterations < 60 do
     incr iterations;
@@ -360,38 +387,62 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
            helps, retry once with a 1.5x step before giving up on the
            node (the exit mechanism) *)
         let try_par par =
-          if par <= u.par || par > u.max_par then false
+          if par <= u.par || par > max_par ~par_cap u then false
           else begin
-            let saved_par = u.par and saved_real = u.realization in
-            u.par <- par;
-            realize_unit u;
-            if
-              not
-                (Pom_analysis.Lint.gains_parallelism
-                   ~before:(Lazy.force !incumbent_signature)
-                   (candidate_prog ()))
-            then begin
-              (* factor clamping collapsed the request onto the incumbent's
-                 realization: identical hardware, identical QoR — skip the
-                 synthesis entirely *)
-              incr pruned;
-              log
-                "iter %d: bottleneck g%d par %d -> %d pruned by the analyzer \
-                 (hardware signature unchanged, synthesis skipped)"
-                !iterations u.id saved_par par;
-              u.par <- saved_par;
-              u.realization <- saved_real;
-              false
-            end
-            else begin
-            match evaluate_counted () with
+            let from = u.par in
+            (* the candidate's realization, its plan, the analyzer's
+               pre-pruning check and its evaluation fail together: any
+               failure backs the candidate out *)
+            let decide () =
+              (* the check plans the candidate and the evaluation plans it
+                 again: one plan-memo miss and one hit per evaluated
+                 candidate, as the memo trace and the daemon's memo deltas
+                 count them *)
+              ignore (realization_plan ?bank_cap ~cache ~fkey func base units);
+              let candidate_signature = signature () in
+              if candidate_signature = !incumbent_signature then begin
+                (* factor clamping collapsed the request onto the
+                   incumbent's realization: identical hardware, identical
+                   QoR — skip the synthesis entirely *)
+                incr pruned;
+                log
+                  "iter %d: bottleneck g%d par %d -> %d pruned by the \
+                   analyzer (hardware signature unchanged, synthesis \
+                   skipped)"
+                  !iterations u.id from par;
+                false
+              end
+              else begin
+                let ((_, _, trial_report) as trial) = evaluate_counted () in
+                let _, _, cur_report = !current in
+                if
+                  trial_report.Report.feasible
+                  && trial_report.Report.latency < cur_report.Report.latency
+                then begin
+                  log
+                    "iter %d: bottleneck g%d par %d -> %d accepted (%d -> %d \
+                     cycles)"
+                    !iterations u.id from par cur_report.Report.latency
+                    trial_report.Report.latency;
+                  current := trial;
+                  incumbent_signature := candidate_signature;
+                  true
+                end
+                else begin
+                  log "iter %d: bottleneck g%d par %d -> %d rejected (%s)"
+                    !iterations u.id from par
+                    (if not trial_report.Report.feasible then "exceeds budget"
+                     else "no latency gain");
+                  false
+                end
+              end
+            in
+            match try_move u par decide with
             | exception (Pom_resilience.Fault.Killed _ as e) ->
                 (* simulated process death: never absorbed *)
                 raise e
             | exception (Pom_resilience.Budget.Budget_exceeded { reason; _ }
                          as e) ->
-                u.par <- saved_par;
-                u.realization <- saved_real;
                 if Pom_resilience.Policy.degrading () then begin
                   (* Degradation policy: out of time mid-search means keep
                      the incumbent — a complete, legal design point — rather
@@ -407,37 +458,12 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
             | exception e when Pom_resilience.Policy.degrading () ->
                 (* Degradation policy: one broken candidate must not sink
                    the search — skip it and keep exploring (POM304). *)
-                u.par <- saved_par;
-                u.realization <- saved_real;
                 log
                   "iter %d: candidate g%d par %d -> %d evaluation failed \
                    (%s); candidate skipped (POM304)"
-                  !iterations u.id saved_par par (Printexc.to_string e);
+                  !iterations u.id from par (Printexc.to_string e);
                 false
-            | trial ->
-            let _, _, trial_report = trial in
-            let _, _, cur_report = !current in
-            if
-              trial_report.Report.feasible
-              && trial_report.Report.latency < cur_report.Report.latency
-            then begin
-              log "iter %d: bottleneck g%d par %d -> %d accepted (%d -> %d cycles)"
-                !iterations u.id saved_par par cur_report.Report.latency
-                trial_report.Report.latency;
-              current := trial;
-              incumbent_signature := signature_of trial;
-              true
-            end
-            else begin
-              log "iter %d: bottleneck g%d par %d -> %d rejected (%s)"
-                !iterations u.id saved_par par
-                (if not trial_report.Report.feasible then "exceeds budget"
-                 else "no latency gain");
-              u.par <- saved_par;
-              u.realization <- saved_real;
-              false
-            end
-            end
+            | accepted -> accepted
           end
         in
         if not (List.exists try_par (steps u.par)) then begin
@@ -450,11 +476,12 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
   (* Re-request the winning design point through the memo: the search just
      evaluated it, so this final QoR query is served from cache — the same
      mechanism that makes any later re-synthesis of this point (the compile
-     pipeline's hls-synthesize pass, a --trace re-run) free. *)
+     pipeline's hls-synthesize pass, a --trace re-run) free.  The units hold
+     the incumbent's realization, so their profiles are its profiles. *)
   let prog, report =
     counted (fun () ->
-        Memo.synthesize cache ~composition ~device ~directives
-          func (fun () -> prog0))
+        Memo.synthesize_profiled cache ~fkey ~composition ~device ~directives
+          (fun () -> (prog0, snd (splice prog_base units))))
   in
   let memo1 = Memo.snapshot cache in
   let report_cache_hits = memo1.Memo.report_hits - memo0.Memo.report_hits in

@@ -28,19 +28,79 @@ val realize : string -> string list -> int list -> int -> realization
     factors are shed by halving, trading a slightly larger II). *)
 val partition_plan : ?bank_cap:int -> Pom_polyir.Prog.t -> Schedule.t list
 
-(** [realization_plan ~cache func base hw] is the memoized work between a
-    candidate's hardware directives and its report synthesis: apply the
-    (schedule-memoized) base prefix, apply [hw], derive the partition plan
-    ({!partition_plan} under [bank_cap]).  One plan-memo entry per design
-    point, shared verbatim by the search, the analyzer's pre-pruning
-    oracle, and the ScaleHLS baseline. *)
+(** {1 Optimization units}
+
+    A unit is one fusion group (the statements sharing a leading schedule
+    constant), which both DSE searches parallelize as one.  It carries
+    its realization: the hardware directives of its current parallelism,
+    and its members' statements under them with their {!Pom_hls.Summary}
+    profiles.  A candidate changes one unit, so it re-realizes and
+    re-profiles only that unit's statements.  Only this module moves a
+    unit, through {!try_move}. *)
+
+type unit_state = private {
+  id : int;  (** leading schedule constant *)
+  members : (string * string list * int list) list;
+      (** compute, loop order, extents after stage 1 *)
+  stmts : Pom_polyir.Stmt_poly.t list;
+      (** the members' stage-1 statements, program order *)
+  mutable par : int;
+  mutable active : bool;  (** still on Stage 2's optimization list *)
+  mutable realization : realization list;  (** one per member *)
+  mutable realized : (Pom_polyir.Stmt_poly.t * Pom_hls.Summary.t) list;
+      (** one per member: its statement under [realization], profiled *)
+}
+
+(** The units of a stage-1 program in schedule order, each realized at
+    parallelism 1. *)
+val units_of : Pom_polyir.Prog.t -> unit_state list
+
+(** [try_move u par decide] moves [u] to parallelism [par], realizes it,
+    and runs [decide].  The move sticks only when [decide] returns [true];
+    on [false], or on any exception from the realization or from [decide]
+    (re-raised), [u]'s parallelism, realization and realized statements
+    are restored. *)
+val try_move : unit_state -> int -> (unit -> bool) -> bool
+
+(** [splice prog units] is [prog] (the stage-1 program) with each
+    statement replaced by its unit's realized statement, in program order,
+    paired with those statements' profiles in the same order: the
+    candidate the units describe, before partitioning. *)
+val splice :
+  Pom_polyir.Prog.t ->
+  unit_state list ->
+  Pom_polyir.Prog.t * Pom_hls.Summary.t list
+
+(** [realization_plan ~cache ~fkey func base units] is the memoized work
+    between the units' realization and report synthesis: splice the
+    units into the (schedule-memoized) base prefix and derive the
+    partition plan ({!partition_plan} under [bank_cap]).  [fkey] is
+    [Pom_pipeline.Memo.func_key func].  One plan-memo entry per design
+    point, shared by both searches. *)
 val realization_plan :
   ?bank_cap:int ->
   cache:Pom_pipeline.Memo.t ->
+  fkey:string ->
   Func.t ->
   Schedule.t list ->
-  Schedule.t list ->
+  unit_state list ->
   Pom_pipeline.Memo.plan
+
+(** [evaluate ~cache ~fkey ~device ~composition func base units] prices
+    the design point the units describe: its program, full directive list
+    (base, hardware, partitions) and report, synthesized through the
+    report memo from the units' profiles. *)
+val evaluate :
+  ?bank_cap:int ->
+  ?latency_mode:Pom_hls.Report.latency_mode ->
+  cache:Pom_pipeline.Memo.t ->
+  fkey:string ->
+  device:Pom_hls.Device.t ->
+  composition:Pom_hls.Resource.composition ->
+  Func.t ->
+  Schedule.t list ->
+  unit_state list ->
+  Pom_polyir.Prog.t * Schedule.t list * Pom_hls.Report.t
 
 type result = {
   directives : Schedule.t list;

@@ -25,10 +25,9 @@ let synth_counter = Atomic.make 0
 
 let synth_count () = Atomic.get synth_counter
 
-let synthesize ?(composition = Resource.Reuse) ?(latency_mode = `Sequential)
-    ~device prog =
+let of_profiles ?(composition = Resource.Reuse) ?(latency_mode = `Sequential)
+    ~device prog profiles =
   Atomic.incr synth_counter;
-  let profiles = Summary.profile_all prog in
   let partitions = partition_fn prog in
   let evals, latency = Latency.eval_program ~partitions profiles in
   let latency =
@@ -85,6 +84,9 @@ let synthesize ?(composition = Resource.Reuse) ?(latency_mode = `Sequential)
     parallelism;
     unroll_products;
   }
+
+let synthesize ?composition ?latency_mode ~device prog =
+  of_profiles ?composition ?latency_mode ~device prog (Summary.profile_all prog)
 
 let baseline_latency func =
   let prog = Prog.of_func_unscheduled func in

@@ -24,6 +24,21 @@ type latency_mode = [ `Sequential | `Dataflow ]
 (** Per-dimension partition factors of an array in a scheduled program. *)
 val partition_fn : Pom_polyir.Prog.t -> string -> int list
 
+(** [of_profiles ~device prog profiles] prices a scheduled program whose
+    statements [profiles] describes, in program order ([prog] supplies the
+    array partitioning).  The one pricing function: a DSE search hands it
+    the profiles it already holds instead of re-profiling every
+    statement. *)
+val of_profiles :
+  ?composition:Resource.composition ->
+  ?latency_mode:latency_mode ->
+  device:Device.t ->
+  Pom_polyir.Prog.t ->
+  Summary.t list ->
+  t
+
+(** [synthesize ~device prog] is {!of_profiles} on
+    [Summary.profile_all prog]. *)
 val synthesize :
   ?composition:Resource.composition ->
   ?latency_mode:latency_mode ->
@@ -31,7 +46,7 @@ val synthesize :
   Pom_polyir.Prog.t ->
   t
 
-(** Process-wide number of {!synthesize} calls so far: a memo layered on
+(** Process-wide number of {!of_profiles} calls so far: a memo layered on
     top of synthesis can assert a cache hit left this unchanged. *)
 val synth_count : unit -> int
 

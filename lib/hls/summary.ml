@@ -95,33 +95,35 @@ let analyze_deps (s : Stmt_poly.t) =
       Mutex.unlock dep_cache_lock;
       deps
 
-let of_stmt _prog (s : Stmt_poly.t) =
-  let order = Sched.dims s.Stmt_poly.sched in
-  let loops =
-    List.map
-      (fun dim ->
-        let lb, ub = Basic_set.const_range dim s.Stmt_poly.domain in
-        let extent =
-          match (lb, ub) with
-          | Some l, Some u -> u - l + 1
-          | _ ->
-              invalid_arg
-                (Printf.sprintf "Summary: unbounded dimension %s in %s" dim
-                   (Stmt_poly.name s))
-        in
-        let unroll =
-          match List.assoc_opt dim s.Stmt_poly.hw.Stmt_poly.unrolls with
-          | Some f -> min f extent
-          | None -> 1
-        in
-        let pipelined, target_ii =
-          match s.Stmt_poly.hw.Stmt_poly.pipeline with
-          | Some (d, ii) when d = dim -> (true, ii)
-          | _ -> (false, 1)
-        in
-        { dim; extent; unroll; pipelined; target_ii })
-      order
-  in
+(* The loop structure alone: extents and hardware attributes per level, in
+   schedule order, without the dependence analysis {!of_stmt} adds. *)
+let loops_of (s : Stmt_poly.t) =
+  List.map
+    (fun dim ->
+      let lb, ub = Basic_set.const_range dim s.Stmt_poly.domain in
+      let extent =
+        match (lb, ub) with
+        | Some l, Some u -> u - l + 1
+        | _ ->
+            invalid_arg
+              (Printf.sprintf "Summary: unbounded dimension %s in %s" dim
+                 (Stmt_poly.name s))
+      in
+      let unroll =
+        match List.assoc_opt dim s.Stmt_poly.hw.Stmt_poly.unrolls with
+        | Some f -> min f extent
+        | None -> 1
+      in
+      let pipelined, target_ii =
+        match s.Stmt_poly.hw.Stmt_poly.pipeline with
+        | Some (d, ii) when d = dim -> (true, ii)
+        | _ -> (false, 1)
+      in
+      { dim; extent; unroll; pipelined; target_ii })
+    (Sched.dims s.Stmt_poly.sched)
+
+let of_stmt (s : Stmt_poly.t) =
+  let loops = loops_of s in
   let write, reads = transformed_accesses s in
   let access_dims =
     List.map
@@ -144,8 +146,9 @@ let of_stmt _prog (s : Stmt_poly.t) =
     rectangular;
   }
 
-let profile_all prog =
-  List.map (of_stmt prog) prog.Prog.stmts
+let profile stmts = List.map of_stmt stmts
+
+let profile_all prog = profile prog.Prog.stmts
 
 let pipeline_level t =
   let rec go k = function

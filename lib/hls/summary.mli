@@ -36,8 +36,17 @@ type t = {
       (** the domain is a full box (loop nest perfectly flattenable) *)
 }
 
-val of_stmt : Prog.t -> Stmt_poly.t -> t
+(** The loop structure of a statement — {!t.loops} — without the
+    dependence analysis: what the DSE's pre-pruning signature compares. *)
+val loops_of : Stmt_poly.t -> loop list
 
+val of_stmt : Stmt_poly.t -> t
+
+(** [profile stmts] profiles each statement in order: a DSE candidate
+    re-profiles only the statements it changed. *)
+val profile : Stmt_poly.t list -> t list
+
+(** Every statement of a program, in program order. *)
 val profile_all : Prog.t -> t list
 
 (** 1-based pipeline level, if any. *)

@@ -13,8 +13,8 @@ type counters = {
 (* One candidate's realization plan: everything between the shared schedule
    skeleton and report synthesis.  The search asks for each plan twice —
    once for the analyzer's pre-pruning check, once to evaluate the
-   candidate — so caching it saves re-applying the hardware directives and
-   re-deriving the partition plan on the second request. *)
+   candidate — so caching it saves re-splicing the candidate's statements
+   and re-deriving the partition plan on the second request. *)
 type plan = {
   plan_directives : Pom_dsl.Schedule.t list;  (* base @ hw @ parts *)
   plan_parts : Pom_dsl.Schedule.t list;
@@ -203,9 +203,10 @@ let memoize t table key ~hit ~miss compute =
   Mutex.lock t.lock;
   settle ()
 
-let schedule t func directives =
+let schedule ?fkey t func directives =
   Pom_resilience.Budget.check "memo:schedule";
-  let key = func_key func ^ "##" ^ directives_key directives in
+  let fkey = match fkey with Some k -> k | None -> func_key func in
+  let key = fkey ^ "##" ^ directives_key directives in
   memoize t t.schedules key
     ~hit:(fun c -> c.schedule_hits <- c.schedule_hits + 1)
     ~miss:(fun c -> c.schedule_misses <- c.schedule_misses + 1)
@@ -218,10 +219,10 @@ let schedule t func directives =
    function, the base-directive prefix, the hardware directives, and the
    bank cap the partition planner runs under.  Device/composition are
    absent on purpose — the plan is pre-synthesis. *)
-let plan_key ~base ~hw ~bank_cap func =
+let plan_key ~fkey ~base ~hw ~bank_cap =
   String.concat "##"
     [
-      func_key func;
+      fkey;
       directives_key base;
       directives_key hw;
       (match bank_cap with None -> "-" | Some n -> string_of_int n);
@@ -234,10 +235,10 @@ let plan t ~key compute =
     ~miss:(fun c -> c.plan_misses <- c.plan_misses + 1)
     compute
 
-let report_key ~composition ~latency_mode ~device ~directives func =
+let report_key ~fkey ~composition ~latency_mode ~device ~directives =
   String.concat "##"
     [
-      func_key func;
+      fkey;
       directives_key directives;
       device_key device;
       (match composition with
@@ -248,22 +249,31 @@ let report_key ~composition ~latency_mode ~device ~directives func =
       | `Dataflow -> "dataflow");
     ]
 
-let synthesize t ?(composition = Resource.Reuse) ?(latency_mode = `Sequential)
-    ~device ~directives func make_prog =
+let synthesize_profiled t ~fkey ?(composition = Resource.Reuse)
+    ?(latency_mode = `Sequential) ~device ~directives make =
   Pom_resilience.Budget.check "memo:synthesize";
-  let key = report_key ~composition ~latency_mode ~device ~directives func in
+  let key = report_key ~fkey ~composition ~latency_mode ~device ~directives in
   memoize t t.reports key
     ~hit:(fun c -> c.report_hits <- c.report_hits + 1)
     ~miss:(fun c -> c.report_misses <- c.report_misses + 1)
     (fun () ->
-      let prog = make_prog () in
-      let report = Report.synthesize ~composition ~latency_mode ~device prog in
+      let prog, profiles = make () in
+      let report =
+        Report.of_profiles ~composition ~latency_mode ~device prog profiles
+      in
       (* genuine evaluations only: replayed (restored) design points never
          re-fire the observer, so a resumed journal does not re-journal *)
       (match t.report_observer with
       | Some obs -> obs ~key (prog, report)
       | None -> ());
       (prog, report))
+
+let synthesize t ?composition ?latency_mode ~device ~directives func
+    make_prog =
+  synthesize_profiled t ~fkey:(func_key func) ?composition ?latency_mode
+    ~device ~directives (fun () ->
+      let prog = make_prog () in
+      (prog, Summary.profile_all prog))
 
 (* Checkpoint replay: seed a settled report without touching the counters or
    the observer — a restored point must behave exactly like a warm cache

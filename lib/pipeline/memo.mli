@@ -58,13 +58,29 @@ val snapshot : t -> counters
 
 (** [schedule cache func directives] is
     [List.fold_left Prog.apply (Prog.of_func_unscheduled func) directives],
-    cached. *)
-val schedule : t -> Func.t -> Schedule.t list -> Pom_polyir.Prog.t
+    cached.  [fkey], when given, must be [func_key func]: a DSE search
+    fingerprints its function once and passes the key to every lookup. *)
+val schedule :
+  ?fkey:string -> t -> Func.t -> Schedule.t list -> Pom_polyir.Prog.t
 
-(** [synthesize cache ~device ~directives func make_prog] returns the
-    scheduled program and its synthesis report for one design point,
-    building both with [make_prog] and {!Pom_hls.Report.synthesize} only on
-    a cache miss. *)
+(** [synthesize_profiled cache ~fkey ~device ~directives make] returns the
+    scheduled program and its synthesis report for one design point of the
+    function fingerprinted [fkey]: only on a cache miss does it call [make]
+    for the program and its statement profiles (program order) and price
+    them with {!Pom_hls.Report.of_profiles}. *)
+val synthesize_profiled :
+  t ->
+  fkey:string ->
+  ?composition:Pom_hls.Resource.composition ->
+  ?latency_mode:Pom_hls.Report.latency_mode ->
+  device:Pom_hls.Device.t ->
+  directives:Schedule.t list ->
+  (unit -> Pom_polyir.Prog.t * Pom_hls.Summary.t list) ->
+  Pom_polyir.Prog.t * Pom_hls.Report.t
+
+(** [synthesize cache ~device ~directives func make_prog] is
+    {!synthesize_profiled} for a caller holding no profiles: on a miss the
+    program [make_prog] builds is profiled whole. *)
 val synthesize :
   t ->
   ?composition:Pom_hls.Resource.composition ->
@@ -90,13 +106,14 @@ val func_key : Func.t -> string
 val directives_key : Schedule.t list -> string
 val device_key : Pom_hls.Device.t -> string
 
-(** The plan-memo key for one candidate: function, base prefix, hardware
-    directives, and the partition planner's bank cap. *)
+(** The plan-memo key for one candidate: function fingerprint
+    ({!func_key}), base prefix, hardware directives, and the partition
+    planner's bank cap. *)
 val plan_key :
+  fkey:string ->
   base:Schedule.t list ->
   hw:Schedule.t list ->
   bank_cap:int option ->
-  Func.t ->
   string
 
 (** [plan cache ~key compute] memoizes one realization plan with the same
@@ -108,11 +125,11 @@ val plan : t -> key:string -> (unit -> plan) -> plan
     journal records, stable across processes (a structural fingerprint, no
     addresses or hashes of mutable state). *)
 val report_key :
+  fkey:string ->
   composition:Pom_hls.Resource.composition ->
   latency_mode:Pom_hls.Report.latency_mode ->
   device:Pom_hls.Device.t ->
   directives:Schedule.t list ->
-  Func.t ->
   string
 
 (** Observe every genuinely computed report ([None] unhooks): fires on

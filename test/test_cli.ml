@@ -1,5 +1,6 @@
 (* Exit-code contract of the pom_compile driver: 0 success, 1 usage errors
-   (command-line parse errors included), 2 analyzer/legality failures.  The
+   (command-line parse errors included), 2 analyzer/legality failures, 3
+   typed resilience failures.  The
    driver binary is a declared dune dependency, so the tests run against
    the freshly built executable. *)
 
@@ -54,6 +55,29 @@ let test_analysis_failures () =
   Alcotest.(check int) "illegal schedule (reversed dependences)" 2
     (run "-w seidel -s 16 -f pom-manual --schedule \"interchange s t j\"")
 
+(* A failure anywhere in a compile — the speedup baseline, which profiles
+   the input before any pass runs, included — exits 3 with the typed
+   error under either policy, never as an uncaught exception. *)
+let test_resilience_failures () =
+  List.iter
+    (fun framework ->
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun k ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s, --on-error %s, projection %d fails"
+                   framework policy k)
+                3
+                (run
+                   (Printf.sprintf
+                      "-w bicg -s 256 -f %s -j 1 --on-error %s --inject \
+                       poly:fm-projection=fail@%d"
+                      framework policy k)))
+            [ 1; 3 ])
+        [ "abort"; "degrade" ])
+    [ "baseline"; "pluto"; "polsca"; "scalehls"; "pom-manual"; "pom" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -64,5 +88,7 @@ let () =
           Alcotest.test_case "bad numeric options" `Quick
             test_bad_numeric_options;
           Alcotest.test_case "analysis failures" `Quick test_analysis_failures;
+          Alcotest.test_case "resilience failures" `Quick
+            test_resilience_failures;
         ] );
     ]

@@ -185,6 +185,121 @@ let test_realize_cases () =
   let r32 = Stage2.realize "s" [ "i"; "j"; "k" ] [ 64; 64; 64 ] 32 in
   Alcotest.(check (list int)) "deep balanced" [ 1; 2; 16 ] r32.Stage2.tile_vector
 
+(* ---- the per-unit splice against whole-program re-realization ---- *)
+
+(* Every parallelism level either search can move a unit to: Stage 2's
+   default steps (double, then 1.5x) closed from 1 up to the default cap —
+   a superset of the ScaleHLS ladder. *)
+let realizable_levels =
+  let rec close seen = function
+    | [] -> List.sort compare seen
+    | p :: rest ->
+        let next =
+          List.filter
+            (fun q -> q > p && q <= 64 && not (List.mem q seen))
+            [ p * 2; p * 3 / 2 ]
+        in
+        close (next @ seen) (next @ rest)
+  in
+  close [ 1 ] [ 1 ]
+
+let hw_directives units =
+  List.concat_map
+    (fun (u : Stage2.unit_state) ->
+      List.concat_map (fun r -> r.Stage2.hw_directives) u.Stage2.realization)
+    units
+
+(* Printed, never compared with polymorphic equality: statements carry
+   [Linexpr] values. *)
+let render (prog, profiles) hw =
+  String.concat "\n"
+    (Format.asprintf "%a" Pom_polyir.Prog.pp prog
+    :: List.map (Format.asprintf "%a" Pom_hls.Summary.pp) profiles
+    @ List.map (Format.asprintf "%a" Schedule.pp) hw)
+
+(* The signature as the search used to compute it: the loops of every
+   statement's full (dependence-including) profile. *)
+let whole_program_signature profiles =
+  List.sort compare
+    (List.map
+       (fun (p : Pom_hls.Summary.t) ->
+         ( Pom_polyir.Stmt_poly.name p.Pom_hls.Summary.stmt,
+           List.map
+             (fun (l : Pom_hls.Summary.loop) ->
+               Pom_hls.Summary.(l.dim, l.extent, l.unroll, l.pipelined, l.target_ii))
+             p.Pom_hls.Summary.loops ))
+       profiles)
+
+let test_splice_matches_whole_program () =
+  List.iter
+    (fun (name, func) ->
+      let cache = Pom_pipeline.Memo.create () in
+      let base = (Stage1.run func).Stage1.directives in
+      let prog_base = Pom_pipeline.Memo.schedule cache func base in
+      let units = Stage2.units_of prog_base in
+      let state () =
+        render (Stage2.splice prog_base units) (hw_directives units)
+      in
+      let initial = state () in
+      List.iter
+        (fun (u : Stage2.unit_state) ->
+          (* levels the factor caps clamp onto one realization are moved to
+             once *)
+          let seen = Hashtbl.create 16 in
+          List.iter
+            (fun par ->
+              let own =
+                List.concat_map
+                  (fun (c, order, extents) ->
+                    (Stage2.realize c order extents par).Stage2.hw_directives)
+                  u.Stage2.members
+              in
+              let key = Pom_pipeline.Memo.directives_key own in
+              if not (Hashtbl.mem seen key) then begin
+                Hashtbl.add seen key ();
+                let where =
+                  Printf.sprintf "%s g%d par %d" name u.Stage2.id par
+                in
+                let kept =
+                  Stage2.try_move u par (fun () ->
+                      let ((_, profiles) as spliced) =
+                        Stage2.splice prog_base units
+                      in
+                      let hw = hw_directives units in
+                      let whole =
+                        List.fold_left Pom_polyir.Prog.apply prog_base hw
+                      in
+                      let whole_profiles = Pom_hls.Summary.profile_all whole in
+                      Alcotest.(check string)
+                        (where ^ ": spliced program and profiles")
+                        (render (whole, whole_profiles) hw)
+                        (render spliced hw);
+                      let expected = whole_program_signature whole_profiles in
+                      Alcotest.(check bool)
+                        (where ^ ": loops-only signature")
+                        true
+                        (Pom_analysis.Lint.profiles_signature profiles
+                         = expected
+                        && Pom_analysis.Lint.hw_signature (fst spliced)
+                           = expected);
+                      false)
+                in
+                Alcotest.(check bool) (where ^ ": backed out") false kept
+              end)
+            realizable_levels;
+          Alcotest.(check string)
+            (Printf.sprintf "%s g%d: moves backed out" name u.Stage2.id)
+            initial (state ()))
+        units)
+    [
+      ("gemm", Polybench.gemm 64);
+      ("bicg", Polybench.bicg 64);
+      ("3mm", Polybench.mm3 64);
+      ("seidel", Polybench.seidel ~tsteps:4 32);
+      ("vgg16", Dnn.vgg16 ());
+      ("resnet18", Dnn.resnet18 ());
+    ]
+
 let () =
   Alcotest.run "dse"
     [
@@ -206,6 +321,8 @@ let () =
             test_stage2_respects_scaled_device;
           Alcotest.test_case "tile vectors" `Quick test_stage2_tile_vectors;
           Alcotest.test_case "realize cases" `Quick test_realize_cases;
+          Alcotest.test_case "unit splice equals whole-program realization"
+            `Slow test_splice_matches_whole_program;
           Alcotest.test_case "custom strategy group" `Quick
             test_custom_strategy_group;
           Alcotest.test_case "decision trace" `Quick test_trace_records_decisions;

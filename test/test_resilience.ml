@@ -281,6 +281,85 @@ let test_fault_kill_is_never_absorbed () =
       | exception R.Fault.Killed _ -> ()
       | _ -> Alcotest.fail "a kill must unwind even under degrade")
 
+(* -------- faults during the DSE searches -------- *)
+
+(* Under --on-error degrade, a fault that strikes once a search has its
+   first evaluation must never abort the compile: a failing candidate is
+   skipped (POM304) and a timeout stops the search at the incumbent.
+   Whether the k-th projection comes that late is measured with a kill:
+   with "dse:evaluate=kill@1" armed next to the fault, the compile dies at
+   the first evaluation only if fault k has not fired yet.  The same
+   compile with a kill at the pass after the search then has to reach
+   that pass.  The memo is cleared before each compile so both see the
+   same projections up to the first evaluation (the dependence memo only
+   grows, which can only move a fault later). *)
+let compile_outcome framework func spec =
+  Memo.clear Memo.global;
+  with_faults spec (fun () ->
+      match
+        Pom.compile ~framework ~jobs:1 ~on_error:R.Policy.Degrade func
+      with
+      | c -> `Compiled c
+      | exception R.Fault.Killed site -> `Killed site
+      | exception R.Error.Error e -> `Aborted e)
+
+let contains ~sub line =
+  let n = String.length sub in
+  let rec from i =
+    i + n <= String.length line && (String.sub line i n = sub || from (i + 1))
+  in
+  from 0
+
+let test_search_faults_degrade () =
+  let func = Polybench.bicg 64 in
+  List.iter
+    (fun (framework, name) ->
+      let late = ref 0 and traced = ref false in
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun k ->
+              let fault = Printf.sprintf "poly:fm-projection=%s@%d" kind k in
+              match
+                compile_outcome framework func
+                  (fault ^ ",dse:evaluate=kill@1")
+              with
+              | `Killed "dse:evaluate" -> (
+                  incr late;
+                  (match
+                     compile_outcome framework func
+                       (fault ^ ",pass:legality-check=kill@1")
+                   with
+                  | `Killed _ -> ()
+                  | `Aborted e ->
+                      Alcotest.failf
+                        "%s: %s after the first evaluation aborted the \
+                         compile: %s"
+                        name fault (R.Error.to_string e)
+                  | `Compiled _ ->
+                      Alcotest.failf
+                        "%s: %s: the pass after the search never ran" name
+                        fault);
+                  (* Stage 2 traces what it absorbed (the ladder keeps no
+                     trace) *)
+                  if framework = `Pom_auto && kind = "fail" && not !traced
+                  then
+                    match compile_outcome framework func fault with
+                    | `Compiled c ->
+                        traced := List.exists (contains ~sub:"POM304") c.Pom.trace
+                    | `Killed _ | `Aborted _ -> ())
+              | `Killed _ | `Aborted _ | `Compiled _ ->
+                  (* fired while the search was set up: may abort *)
+                  ())
+            (List.init 40 (fun i -> 5 * (i + 1))))
+        [ "fail"; "timeout" ];
+      Alcotest.(check bool) (name ^ ": some faults strike the search") true
+        (!late > 0);
+      if framework = `Pom_auto then
+        Alcotest.(check bool) "a failed candidate is traced as POM304" true
+          !traced)
+    [ (`Pom_auto, "pom"); (`Scalehls, "scalehls") ]
+
 (* -------- deadline acceptance -------- *)
 
 let test_deadline_aborts_cleanly () =
@@ -473,6 +552,8 @@ let () =
             test_fault_matrix_abort_policy;
           Alcotest.test_case "timeout becomes POM301" `Quick
             test_fault_timeout_degrades_to_pom301;
+          Alcotest.test_case "search faults never abort" `Quick
+            test_search_faults_degrade;
           Alcotest.test_case "kill is never absorbed" `Quick
             test_fault_kill_is_never_absorbed;
         ] );

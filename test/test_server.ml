@@ -154,8 +154,8 @@ let test_concurrent_clients () =
 
 let test_disconnect_cancels () =
   with_server @@ fun ~socket t ->
-  (* a client that sends a compile outliving the 0.1 s window and hangs
-     up: the budget's cancel poll must abort the work, the server must keep
+  (* a client that sends a compile and hangs up while it runs: the
+     budget's cancel poll must abort the work, the server must keep
      serving *)
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
@@ -163,8 +163,10 @@ let test_disconnect_cancels () =
   let f = Pom.Workloads.Dnn.resnet18 () in
   Protocol.write_client_msg oc
     (Protocol.Compile (Client.request ~id:7 ~framework:`Pom_auto f));
-  Unix.sleepf 0.1;
-  (* the request is decoded and queued/running *)
+  (* the executor looks each request up in the response cache before
+     compiling it: hang up as soon as it has taken this one *)
+  await_stats t ~what:"the executor taking the request" (fun s ->
+      s.Protocol.cache_misses = 1);
   Unix.close fd;
   (* the server answers other clients while (and after) the abandoned
      compile is cancelled *)
@@ -266,8 +268,8 @@ let test_malformed_requests () =
 
 let test_admission_overload () =
   with_server ~max_queue:1 @@ fun ~socket t ->
-  (* occupy the executor with a compile that outlives the test window,
-     then fill the queue; the next request must bounce with POM310 *)
+  (* occupy the executor with a compile, then fill the queue; the next
+     request must bounce with POM310 *)
   let slow_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect slow_fd (Unix.ADDR_UNIX socket);
   Protocol.write_client_msg
@@ -276,7 +278,10 @@ let test_admission_overload () =
        (Client.request ~id:100 ~framework:`Pom_auto
           (Pom.Workloads.Dnn.resnet18 ())));
   await_stats t ~what:"the slow request" (fun s -> s.Protocol.requests = 1);
-  Unix.sleepf 0.15;
+  (* the executor looks each request up in the response cache before
+     compiling it: once it has, the slow compile is running *)
+  await_stats t ~what:"the executor taking the slow request" (fun s ->
+      s.Protocol.cache_misses = 1);
   (* executor busy: this one parks in the queue *)
   let queued_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect queued_fd (Unix.ADDR_UNIX socket);
