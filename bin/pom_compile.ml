@@ -78,6 +78,18 @@ let require_positive_float name v =
     exit 1
   end
 
+(* A legality proof that timed out under [degrade] rejects the schedule
+   with the violation count 1 as a sentinel; say so instead of counting. *)
+let report_illegal ~trace violations =
+  if List.mem Pom.Pipeline.Passes.legality_timeout_trace trace then
+    Format.eprintf
+      "legality:    the proof timed out — the schedule is conservatively \
+       rejected@."
+  else
+    Format.eprintf
+      "legality:    %d reversed dependences — the schedule is illegal@."
+      violations
+
 let pp_served ppf (r : Pom_server.Protocol.response) =
   match r.Pom_server.Protocol.served with
   | Pom_server.Protocol.Cached ->
@@ -124,8 +136,7 @@ let print_remote_result ~workload ~size ~framework ~served ~trace ~emit_c
     print_string r.Pom_server.Protocol.hls_c
   end;
   if r.Pom_server.Protocol.legality_violations > 0 then begin
-    Format.eprintf
-      "legality:    %d reversed dependences — the schedule is illegal@."
+    report_illegal ~trace:r.Pom_server.Protocol.trace
       r.Pom_server.Protocol.legality_violations;
     2
   end
@@ -276,7 +287,11 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
   require_positive_int "--retries" retries;
   require_positive_float "--retry-backoff" retry_backoff;
   Option.iter (require_positive_float "--deadline") deadline;
-  require_positive_float "--resource-fraction" resource_frac;
+  if not (resource_frac > 0.0 && resource_frac <= 1.0) then begin
+    Printf.eprintf "error: --resource-fraction must be in (0, 1] (got %g)\n"
+      resource_frac;
+    exit 1
+  end;
   Pom.Par.set_jobs jobs;
   let on_error =
     match Pom.Resilience.Policy.of_string on_error with
@@ -469,10 +484,7 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
                 (Pom.Analysis.Diagnostic.summary diags)
             end;
             if c.Pom.legality_violations > 0 then begin
-              Format.eprintf
-                "legality:    %d reversed dependences — the schedule is \
-                 illegal@."
-                c.Pom.legality_violations;
+              report_illegal ~trace:c.Pom.trace c.Pom.legality_violations;
               2
             end
             else if has_errors then 2
@@ -607,7 +619,9 @@ let frac_arg =
   Arg.(
     value & opt float 1.0
     & info [ "resource-fraction" ]
-        ~doc:"Scale the device resource budget (Fig. 11 sweeps).")
+        ~doc:
+          "Scale the device resource budget by a fraction in (0, 1] (Fig. 11 \
+           sweeps).")
 
 (* perfbench/serve.ml starts its daemon with -j 1 *)
 let jobs_arg =

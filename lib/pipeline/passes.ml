@@ -63,6 +63,8 @@ let schedule_apply () =
           Some (Memo.schedule Memo.global st.State.func st.State.directives);
       })
 
+let legality_timeout_trace = "legality: timed out -> conservatively rejected"
+
 let legality_check () =
   Pass.v ~name:"legality-check"
     ~descr:"prove the schedule preserves every dependence of the spec"
@@ -113,9 +115,7 @@ let legality_check () =
                   st with
                   State.legality_violations = 1;
                   diags = st.State.diags @ [ d ];
-                  trace =
-                    st.State.trace
-                    @ [ "legality: timed out -> conservatively rejected" ];
+                  trace = st.State.trace @ [ legality_timeout_trace ];
                 }))
 
 let lint_pragmas () =

@@ -34,6 +34,12 @@ val schedule_apply : unit -> State.t Pass.t
     the violation count stored in [legality_violations]. *)
 val legality_check : unit -> State.t Pass.t
 
+(** The trace line {!legality_check} appends when, under the [degrade]
+    policy, the proof ran out of budget: the schedule is then
+    conservatively rejected, with [legality_violations = 1] as a sentinel
+    rather than a count of reversed dependences. *)
+val legality_timeout_trace : string
+
 (** Run {!Pom_analysis.Lint} on the scheduled program: recurrence-II vs
     requested [pipeline_ii], serializing unrolls, bank conflicts, dead and
     malformed directives.  Diagnostics accumulate in [diags]. *)

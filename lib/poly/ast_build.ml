@@ -29,8 +29,8 @@ let compare_bound (c1, e1) (c2, e2) =
 
 let sort_bounds bs = List.sort compare_bound bs
 
-(* Equal bounds can hold differently shaped expression maps, so compare
-   them with [Linexpr.compare], never with polymorphic [=]. *)
+(* [Linexpr.t] is abstract, so compare bounds with [Linexpr.compare], never
+   with polymorphic [=]. *)
 let equal_bounds (l1, u1) (l2, u2) =
   let same = List.equal (fun a b -> compare_bound a b = 0) in
   same l1 l2 && same u1 u2

@@ -4,7 +4,10 @@
    be cleared, only left [false] by constructors that may break the form. *)
 type t = { dims : string list; constrs : Constr.t list; mutable simplified : bool }
 
-let check_dims dims =
+(* The tuple sorted by name, after checking it has no duplicate.  A
+   constraint's dimensions come in name order too, so one merge walk against
+   it finds the first unknown one ([first_unknown]). *)
+let sorted_dims dims =
   let sorted = List.sort String.compare dims in
   let rec dup = function
     | a :: (b :: _ as rest) -> if a = b then Some a else dup rest
@@ -12,24 +15,34 @@ let check_dims dims =
   in
   match dup sorted with
   | Some d -> invalid_arg ("Basic_set: duplicate dimension " ^ d)
-  | None -> ()
+  | None -> sorted
 
-let check_constr dims c =
-  List.iter
-    (fun d ->
-      if not (List.mem d dims) then
-        invalid_arg
-          (Printf.sprintf "Basic_set: constraint %s mentions unknown dim %s"
-             (Constr.to_string c) d))
-    (Constr.dims c)
+let rec first_unknown known = function
+  | [] -> None
+  | d :: rest as ds -> (
+      match known with
+      | [] -> Some d
+      | k :: known' ->
+          let o = String.compare k d in
+          if o < 0 then first_unknown known' ds
+          else if o = 0 then first_unknown known' rest
+          else Some d)
+
+let check_constr sorted c =
+  match first_unknown sorted (Constr.dims c) with
+  | None -> ()
+  | Some d ->
+      invalid_arg
+        (Printf.sprintf "Basic_set: constraint %s mentions unknown dim %s"
+           (Constr.to_string c) d)
 
 let make dims constrs =
-  check_dims dims;
-  List.iter (check_constr dims) constrs;
+  let sorted = sorted_dims dims in
+  List.iter (check_constr sorted) constrs;
   { dims; constrs; simplified = false }
 
 let universe dims =
-  check_dims dims;
+  ignore (sorted_dims dims);
   { dims; constrs = []; simplified = true }
 
 let dims s = s.dims
@@ -39,7 +52,7 @@ let n_dims s = List.length s.dims
 let constraints s = s.constrs
 
 let add_constraint c s =
-  check_constr s.dims c;
+  check_constr (List.sort String.compare s.dims) c;
   { s with constrs = c :: s.constrs; simplified = false }
 
 let add_constraints cs s = List.fold_left (fun s c -> add_constraint c s) s cs
@@ -64,27 +77,25 @@ let rename_dim old_name new_name s =
   end
 
 let change_space ~new_dims ~bindings ?(extra = []) s =
-  check_dims new_dims;
+  let sorted = sorted_dims new_dims in
   let constrs = List.map (Constr.subst_all bindings) s.constrs in
   let result = { dims = new_dims; constrs = constrs @ extra; simplified = false } in
-  List.iter (check_constr new_dims) result.constrs;
+  List.iter (check_constr sorted) result.constrs;
   result
-
-(* The expression minus its constant part: two constraints with the same
-   gradient bound the same hyperplane direction. *)
-let gradient e = Linexpr.sub e (Linexpr.const (Linexpr.const_of e))
 
 (* Compact form: normalize every constraint (dropping tautologies, turning
    violated constant constraints into the canonical contradiction [-1 >= 0]),
    sort and deduplicate, then prune pairwise-redundant inequalities.
    [Constr.compare] sorts all equalities first, then inequalities by
-   (gradient, constant) — so a run of inequalities sharing a gradient starts
-   with the smallest constant, which is the tightest bound ([g + k >= 0] is
+   (gradient, constant) — the gradient is the expression minus its constant
+   part — so a run of inequalities sharing a gradient starts with the
+   smallest constant, which is the tightest bound ([g + k >= 0] is
    [g >= -k]); the rest of the run is implied and dropped.  An inequality
    whose gradient (or its negation) is fixed by an equality is decided by
    it: implied or contradictory.  This is what keeps Fourier–Motzkin
    projection bounded — the lower×upper combination step mass-produces
-   exactly such duplicates and dominated bounds. *)
+   exactly such duplicates and dominated bounds.  Gradients are compared in
+   place ([Linexpr.compare_gradient], [opposite_gradient]), never built. *)
 let compact constrs =
   let constrs =
     List.filter_map
@@ -97,31 +108,31 @@ let compact constrs =
   in
   let constrs = List.sort_uniq Constr.compare constrs in
   let eqs = List.filter Constr.is_eq constrs in
-  (* the constant value an equality assigns to gradient [g], if any *)
-  let eq_value g =
+  (* the constant value an equality assigns to the gradient of [e], if any *)
+  let eq_value e =
     List.find_map
       (fun c ->
-        let e = Constr.expr c in
-        let ge = gradient e in
-        if Linexpr.equal ge g then Some (-Linexpr.const_of e)
-        else if Linexpr.equal ge (Linexpr.neg g) then Some (Linexpr.const_of e)
+        let q = Constr.expr c in
+        if Linexpr.compare_gradient q e = 0 then Some (-Linexpr.const_of q)
+        else if Linexpr.opposite_gradient q e then Some (Linexpr.const_of q)
         else None)
       eqs
   in
-  let rec prune prev_grad acc = function
+  (* [prev] is the last inequality kept or decided: its gradient heads the
+     current run *)
+  let rec prune prev acc = function
     | [] -> List.rev acc
-    | (Constr.Eq _ as c) :: rest -> prune prev_grad (c :: acc) rest
+    | (Constr.Eq _ as c) :: rest -> prune prev (c :: acc) rest
     | (Constr.Ge e as c) :: rest -> (
-        let g = gradient e in
-        match prev_grad with
-        | Some pg when Linexpr.equal pg g -> prune prev_grad acc rest
+        match prev with
+        | Some p when Linexpr.compare_gradient p e = 0 -> prune prev acc rest
         | _ -> (
-            match eq_value g with
+            match eq_value e with
             | Some v ->
-                if v + Linexpr.const_of e >= 0 then prune (Some g) acc rest
+                if v + Linexpr.const_of e >= 0 then prune (Some e) acc rest
                 else
-                  prune (Some g) (Constr.Ge (Linexpr.const (-1)) :: acc) rest
-            | None -> prune (Some g) (c :: acc) rest))
+                  prune (Some e) (Constr.Ge (Linexpr.const (-1)) :: acc) rest
+            | None -> prune (Some e) (c :: acc) rest))
   in
   prune None [] constrs
 
@@ -272,27 +283,47 @@ let fdiv a b =
   let q = a / b and r = a mod b in
   if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q
 
+(* One pass over the single-variable constraints [cd*d + k (op) 0] boxes
+   every dimension into a constant window: [lb.(i)]/[ub.(i)] hold the
+   tightest bounds on the [i]th dimension, rounded inward, and
+   [min_int]/[max_int] stand for no bound, which never closes a window. *)
+let box_empty s =
+  let index d =
+    let rec go i = function
+      | [] -> -1
+      | x :: rest -> if String.equal x d then i else go (i + 1) rest
+    in
+    go 0 s.dims
+  in
+  let n = List.length s.dims in
+  let lb = Array.make n min_int and ub = Array.make n max_int in
+  let lower i v = if v > lb.(i) then lb.(i) <- v in
+  let upper i v = if v < ub.(i) then ub.(i) <- v in
+  List.iter
+    (fun c ->
+      let e = Constr.expr c in
+      match Linexpr.single_dim e with
+      | None -> ()
+      | Some (d, cd) -> (
+          let i = index d and k = Linexpr.const_of e in
+          if i >= 0 then
+            (* [cd*d + k >= 0] bounds [d] below by [-k/cd] when [cd > 0] and
+               above by [k/-cd] when [cd < 0]; an equality does both *)
+            match c with
+            | Constr.Ge _ ->
+                if cd > 0 then lower i (cdiv (-k) cd)
+                else upper i (fdiv k (-cd))
+            | Constr.Eq _ ->
+                let c', k' = if cd > 0 then (cd, -k) else (-cd, k) in
+                lower i (cdiv k' c');
+                upper i (fdiv k' c')))
+    s.constrs;
+  let rec window i = i < n && (lb.(i) > ub.(i) || window (i + 1)) in
+  window 0
+
 let is_obviously_empty s =
   let s = simplify s in
-  List.exists Constr.is_contradiction s.constrs
-  || (* a single variable boxed into a constant [lb > ub] window, read off
-        the single-variable constraints without any elimination *)
-  List.exists
-    (fun d ->
-      let lowers, uppers, _ = bounds_of d s in
-      let const_bound fold div bounds =
-        List.fold_left
-          (fun acc (c, e) ->
-            if Linexpr.is_const e then
-              let v = div (Linexpr.const_of e) c in
-              match acc with None -> Some v | Some a -> Some (fold a v)
-            else acc)
-          None bounds
-      in
-      match (const_bound max cdiv lowers, const_bound min fdiv uppers) with
-      | Some lb, Some ub -> lb > ub
-      | _ -> false)
-    s.dims
+  List.exists Constr.is_contradiction s.constrs || box_empty s
 
 let const_range d s =
   let projected = project_onto [ d ] s in

@@ -4,19 +4,28 @@ let default_limit = 100_000
 let fix_dim = Basic_set.fix_dim
 
 (* FM elimination of [d] is integer-exact when every lower/upper bound pair
-   has a unit coefficient on at least one side. *)
+   has a unit coefficient on at least one side, which holds exactly when
+   every lower bound or every upper bound is unit; a unit equality on [d]
+   is eliminated by substitution, exactly.  An inequality [c*d + ... >= 0]
+   is a lower bound when [c > 0] and an upper bound when [c < 0]; a
+   non-unit equality is a non-unit bound on both sides. *)
 let elimination_exact d s =
-  match
-    List.find_opt
-      (fun c -> Constr.is_eq c && abs (Linexpr.coeff (Constr.expr c) d) = 1)
-      (Basic_set.constraints s)
-  with
-  | Some _ -> true
-  | None ->
-      let lowers, uppers, _ = Basic_set.bounds_of d s in
-      List.for_all
-        (fun (cl, _) -> List.for_all (fun (cu, _) -> cl = 1 || cu = 1) uppers)
-        lowers
+  let rec go lower_nonunit upper_nonunit = function
+    | [] -> not (lower_nonunit && upper_nonunit)
+    | c :: rest -> (
+        let cd = Linexpr.coeff (Constr.expr c) d in
+        if cd = 0 || cd = 1 || cd = -1 then
+          match c with
+          | Constr.Eq _ when cd <> 0 -> true
+          | _ -> go lower_nonunit upper_nonunit rest
+        else
+          match c with
+          | Constr.Eq _ -> go true true rest
+          | Constr.Ge _ ->
+              if cd > 0 then go true upper_nonunit rest
+              else go lower_nonunit true rest)
+  in
+  go false false (Basic_set.constraints s)
 
 (* [`Empty] needs only an infeasible shadow and [`Nonempty] an all-exact
    chain, so both verdicts hold in any elimination order; the order only

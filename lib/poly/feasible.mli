@@ -9,6 +9,12 @@
     bounding box.  Loop-nest iteration domains and their dependence
     polyhedra, tiled ones included, usually fall in the exact fragment. *)
 
+(** [elimination_exact d s] holds when Fourier–Motzkin elimination of [d]
+    from [s] is exact over the integers: some equality has coefficient
+    [±1] on [d], or every lower-bound/upper-bound pair on [d] has a unit
+    coefficient on at least one side. *)
+val elimination_exact : string -> Basic_set.t -> bool
+
 (** [is_empty s] holds iff [s] contains no integer point. *)
 val is_empty : Basic_set.t -> bool
 

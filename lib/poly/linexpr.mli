@@ -5,8 +5,8 @@
     the atom from which constraints, sets, maps, and schedules are built,
     mirroring the role of [isl_aff] in the Integer Set Library.
 
-    Two equal expressions may be represented differently, so compare them
-    with {!equal}/{!compare}, never with polymorphic [=], [compare] or
+    The representation is private: compare expressions with
+    {!equal}/{!compare}, never with polymorphic [=], [compare] or
     [Hashtbl.hash]. *)
 
 type t
@@ -65,7 +65,20 @@ val div_exact : int -> t -> t
 
 val equal : t -> t -> bool
 
+(** Lexicographic over the (dimension, coefficient) pairs in name order, a
+    shorter prefix first, then the constant. *)
 val compare : t -> t -> int
+
+(** [compare_gradient a b] is {!compare} ignoring both constants. *)
+val compare_gradient : t -> t -> int
+
+(** [opposite_gradient a b] holds when every coefficient of [a] is the
+    negation of the same coefficient of [b] (constants ignored). *)
+val opposite_gradient : t -> t -> bool
+
+(** [single_dim e] is [Some (d, c)] when [c * d] is the only non-constant
+    term of [e]. *)
+val single_dim : t -> (string * int) option
 
 val pp : Format.formatter -> t -> unit
 

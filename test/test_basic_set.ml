@@ -320,6 +320,145 @@ let test_fm_projection_cap () =
   let p = Basic_set.with_projection_cap 10_000 (fun () -> Basic_set.project_out "b" s) in
   Alcotest.(check bool) "dim gone" false (List.mem "b" (Basic_set.dims p))
 
+(* Oracles: [compact] and [is_obviously_empty] as they were written before
+   gradients were compared in place and the box was read in one pass.  The
+   kernel must keep their results exactly, constraint order included. *)
+module Oracle = struct
+  let gradient e = Linexpr.sub e (Linexpr.const (Linexpr.const_of e))
+
+  let compact constrs =
+    let constrs =
+      List.filter_map
+        (fun c ->
+          match Constr.normalize c with
+          | None -> Some (Constr.Ge (Linexpr.const (-1)))
+          | Some c when Constr.is_tautology c -> None
+          | Some c -> Some c)
+        constrs
+    in
+    let constrs = List.sort_uniq Constr.compare constrs in
+    let eqs = List.filter Constr.is_eq constrs in
+    let eq_value g =
+      List.find_map
+        (fun c ->
+          let e = Constr.expr c in
+          let ge = gradient e in
+          if Linexpr.equal ge g then Some (-Linexpr.const_of e)
+          else if Linexpr.equal ge (Linexpr.neg g) then
+            Some (Linexpr.const_of e)
+          else None)
+        eqs
+    in
+    let rec prune prev_grad acc = function
+      | [] -> List.rev acc
+      | (Constr.Eq _ as c) :: rest -> prune prev_grad (c :: acc) rest
+      | (Constr.Ge e as c) :: rest -> (
+          let g = gradient e in
+          match prev_grad with
+          | Some pg when Linexpr.equal pg g -> prune prev_grad acc rest
+          | _ -> (
+              match eq_value g with
+              | Some v ->
+                  if v + Linexpr.const_of e >= 0 then prune (Some g) acc rest
+                  else
+                    prune (Some g) (Constr.Ge (Linexpr.const (-1)) :: acc) rest
+              | None -> prune (Some g) (c :: acc) rest))
+    in
+    prune None [] constrs
+
+  let cdiv a b =
+    let q = a / b and r = a mod b in
+    if r <> 0 && (r < 0) = (b < 0) then q + 1 else q
+
+  let fdiv a b =
+    let q = a / b and r = a mod b in
+    if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q
+
+  let is_obviously_empty s =
+    let s = Basic_set.simplify s in
+    List.exists Constr.is_contradiction (Basic_set.constraints s)
+    || List.exists
+         (fun d ->
+           let lowers, uppers, _ = Basic_set.bounds_of d s in
+           let const_bound fold div bounds =
+             List.fold_left
+               (fun acc (c, e) ->
+                 if Linexpr.is_const e then
+                   let v = div (Linexpr.const_of e) c in
+                   match acc with None -> Some v | Some a -> Some (fold a v)
+                 else acc)
+               None bounds
+           in
+           match (const_bound max cdiv lowers, const_bound min fdiv uppers) with
+           | Some lb, Some ub -> lb > ub
+           | _ -> false)
+         (Basic_set.dims s)
+end
+
+(* Systems built from a small pool of gradients, each used with either
+   sign, as an equality or an inequality, at non-unit scales: equal and
+   opposite gradients, equality-decided inequalities and single-variable
+   windows all occur often. *)
+let system_dims = [ "i"; "j"; "k" ]
+
+let system_gen =
+  let open QCheck.Gen in
+  let gradient =
+    list_size (int_range 1 3) (pair (oneofl system_dims) (int_range (-3) 3))
+  in
+  let constr pool =
+    map
+      (fun (((g, sign), scale), (is_eq, k)) ->
+        let e =
+          List.fold_left
+            (fun e (d, c) -> Linexpr.add e (Linexpr.term (sign * scale * c) d))
+            (Linexpr.const k) g
+        in
+        if is_eq then Constr.Eq e else Constr.Ge e)
+      (pair
+         (pair (pair (oneofl pool) (oneofl [ 1; -1 ])) (int_range 1 3))
+         (pair (frequency [ (1, return true); (3, return false) ])
+            (int_range (-8) 8)))
+  in
+  list_size (int_range 1 3) gradient >>= fun pool ->
+  list_size (int_range 0 10) (constr pool)
+
+let arb_system =
+  QCheck.make
+    ~print:(fun cs -> String.concat "; " (List.map Constr.to_string cs))
+    system_gen
+
+let same_constrs a b =
+  List.equal Constr.equal a b
+  && List.map Constr.to_string a = List.map Constr.to_string b
+
+let prop_compact_matches_oracle =
+  QCheck.Test.make ~name:"compact agrees with the oracle" ~count:2000
+    arb_system (fun cs ->
+      let s = Basic_set.make system_dims cs in
+      let got = Basic_set.constraints (Basic_set.simplify s) in
+      let want = Oracle.compact cs in
+      if not (same_constrs got want) then
+        QCheck.Test.fail_reportf "got [%s], oracle [%s]"
+          (String.concat "; " (List.map Constr.to_string got))
+          (String.concat "; " (List.map Constr.to_string want));
+      true)
+
+let prop_obviously_empty_matches_oracle =
+  QCheck.Test.make ~name:"is_obviously_empty agrees with the oracle"
+    ~count:2000 arb_system (fun cs ->
+      let s = Basic_set.make system_dims cs in
+      (* projected sets too: FM combinations carry larger coefficients *)
+      List.for_all
+        (fun s ->
+          Basic_set.is_obviously_empty s = Oracle.is_obviously_empty s)
+        (s
+        :: List.filter_map
+             (fun d ->
+               try Some (Basic_set.project_out d s)
+               with Pom_resilience.Budget.Budget_exceeded _ -> None)
+             system_dims))
+
 let () =
   Alcotest.run "basic_set"
     [
@@ -347,5 +486,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_projection_is_shadow; prop_elimination_order_invariant ] );
+          [
+            prop_projection_is_shadow;
+            prop_elimination_order_invariant;
+            prop_compact_matches_oracle;
+            prop_obviously_empty_matches_oracle;
+          ] );
     ]

@@ -78,6 +78,49 @@ let test_resilience_failures () =
         [ "abort"; "degrade" ])
     [ "baseline"; "pluto"; "polsca"; "scalehls"; "pom-manual"; "pom" ]
 
+(* [run] that also returns what pom_compile printed on stderr *)
+let run_stderr args =
+  let err = Filename.temp_file "pom_cli" ".err" in
+  let code =
+    Sys.command (exe ^ " " ^ args ^ " > /dev/null 2> " ^ Filename.quote err)
+  in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (code, text)
+
+let contains text sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
+(* A fraction scales the device budget down; above 1 it would ask for more
+   resources than the device has, which is a usage error like any other
+   out-of-range number, not an uncaught exception. *)
+let test_resource_fraction_range () =
+  Alcotest.(check int) "--resource-fraction 2" 1
+    (run "-w gemm -s 64 --resource-fraction 2");
+  Alcotest.(check int) "--resource-fraction 1.5" 1
+    (run "-w gemm -s 64 --resource-fraction=1.5");
+  Alcotest.(check int) "--resource-fraction 1 (whole device)" 0
+    (run "-w gemm -s 32 -f pom-manual --resource-fraction 1")
+
+(* Under --on-error degrade a legality proof that runs out of budget
+   rejects the schedule (POM302, exit 2).  The violation count is then a
+   sentinel, so the verdict line names the timeout instead of reporting
+   reversed dependences. *)
+let test_legality_timeout_named () =
+  let code, err =
+    run_stderr
+      "-w gemm -s 256 -f pom -j 1 --inject legality:pair=timeout@1 \
+       --on-error degrade"
+  in
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check bool) "names the timeout" true (contains err "timed out");
+  Alcotest.(check bool) "no reversed-dependence count" false
+    (contains err "reversed dependences")
+
 let () =
   Alcotest.run "cli"
     [
@@ -90,5 +133,9 @@ let () =
           Alcotest.test_case "analysis failures" `Quick test_analysis_failures;
           Alcotest.test_case "resilience failures" `Quick
             test_resilience_failures;
+          Alcotest.test_case "resource fraction range" `Quick
+            test_resource_fraction_range;
+          Alcotest.test_case "legality timeout named" `Quick
+            test_legality_timeout_named;
         ] );
     ]

@@ -138,6 +138,41 @@ let prop_min_is_attained =
              unit-coefficient objective *)
           values <> [] && List.for_all (fun x -> m <= x) values)
 
+(* Oracle: [elimination_exact] as it was written before it read the
+   coefficients directly, pairing every lower bound with every upper bound
+   from [bounds_of]. *)
+let oracle_elimination_exact d s =
+  match
+    List.find_opt
+      (fun c -> Constr.is_eq c && abs (Linexpr.coeff (Constr.expr c) d) = 1)
+      (Basic_set.constraints s)
+  with
+  | Some _ -> true
+  | None ->
+      let lowers, uppers, _ = Basic_set.bounds_of d s in
+      List.for_all
+        (fun (cl, _) -> List.for_all (fun (cu, _) -> cl = 1 || cu = 1) uppers)
+        lowers
+
+let prop_elimination_exact_matches_oracle =
+  QCheck.Test.make ~name:"elimination_exact agrees with the oracle" ~count:1000
+    (Pom_refute.Gen.arb_poly ~coeff:4 ~extra:6 ())
+    (fun pc ->
+      let s = Rcase.set_of_poly pc in
+      (* the raw set, its compact form, and each one-step projection, whose
+         FM combinations carry non-unit coefficients *)
+      let sets =
+        s :: Basic_set.simplify s
+        :: List.map (fun d -> Basic_set.project_out d s) pc.Rcase.dims
+      in
+      List.for_all
+        (fun s ->
+          List.for_all
+            (fun d ->
+              Feasible.elimination_exact d s = oracle_elimination_exact d s)
+            (Basic_set.dims s))
+        sets)
+
 let () =
   Alcotest.run "feasible"
     [
@@ -157,5 +192,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_emptiness_exact; prop_min_is_attained ] );
+          [
+            prop_emptiness_exact;
+            prop_min_is_attained;
+            prop_elimination_exact_matches_oracle;
+          ] );
     ]

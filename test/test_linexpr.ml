@@ -82,6 +82,195 @@ let prop_eval_linear =
       let env = function "i" -> 7 | _ -> raise Not_found in
       Linexpr.eval env (Linexpr.scale k e) = k * Linexpr.eval env e)
 
+(* Reference model: the [Map.Make (String)] representation [Linexpr] had
+   before it became a sorted list, with its operations as they were.  The
+   list must agree with it on every observable result, orders included:
+   FM tightening makes designs depend on constraint order. *)
+module Model = struct
+  module Smap = Map.Make (String)
+
+  type t = { coeffs : int Smap.t; const : int }
+
+  let normalize e = { e with coeffs = Smap.filter (fun _ c -> c <> 0) e.coeffs }
+
+  let zero = { coeffs = Smap.empty; const = 0 }
+
+  let const k = { coeffs = Smap.empty; const = k }
+
+  let term c d = normalize { coeffs = Smap.singleton d c; const = 0 }
+
+  let add a b =
+    normalize
+      {
+        coeffs = Smap.union (fun _ x y -> Some (x + y)) a.coeffs b.coeffs;
+        const = a.const + b.const;
+      }
+
+  let neg a = { coeffs = Smap.map (fun c -> -c) a.coeffs; const = -a.const }
+
+  let sub a b = add a (neg b)
+
+  let scale k a =
+    if k = 0 then zero
+    else { coeffs = Smap.map (fun c -> k * c) a.coeffs; const = k * a.const }
+
+  let coeff e d = Option.value ~default:0 (Smap.find_opt d e.coeffs)
+
+  let dims e = List.map fst (Smap.bindings e.coeffs)
+
+  let subst d e' e =
+    let c = coeff e d in
+    if c = 0 then e
+    else add { e with coeffs = Smap.remove d e.coeffs } (scale c e')
+
+  let subst_all bindings e =
+    let bound, rest =
+      List.fold_left
+        (fun (bound, rest) (d, repl) ->
+          let c = coeff e d in
+          if c = 0 then (bound, rest)
+          else (add bound (scale c repl), d :: rest))
+        (zero, []) bindings
+    in
+    let remaining = List.fold_left (fun m d -> Smap.remove d m) e.coeffs rest in
+    add { e with coeffs = remaining } bound
+
+  let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
+  let content e = Smap.fold (fun _ c acc -> gcd c acc) e.coeffs 0
+
+  let div_exact k e =
+    let div x =
+      if x mod k <> 0 then invalid_arg "Linexpr.div_exact: not divisible"
+      else x / k
+    in
+    { coeffs = Smap.map div e.coeffs; const = div e.const }
+
+  (* the expression minus its constant part *)
+  let gradient e = sub e (const e.const)
+
+  let compare a b =
+    let c = Smap.compare Int.compare a.coeffs b.coeffs in
+    if c <> 0 then c else Int.compare a.const b.const
+
+  let pp ppf e =
+    let terms = Smap.bindings e.coeffs in
+    if terms = [] then Format.fprintf ppf "%d" e.const
+    else begin
+      List.iteri
+        (fun i (d, c) ->
+          if i = 0 then
+            if c = 1 then Format.fprintf ppf "%s" d
+            else if c = -1 then Format.fprintf ppf "-%s" d
+            else Format.fprintf ppf "%d%s" c d
+          else if c = 1 then Format.fprintf ppf " + %s" d
+          else if c = -1 then Format.fprintf ppf " - %s" d
+          else if c > 0 then Format.fprintf ppf " + %d%s" c d
+          else Format.fprintf ppf " - %d%s" (-c) d)
+        terms;
+      if e.const > 0 then Format.fprintf ppf " + %d" e.const
+      else if e.const < 0 then Format.fprintf ppf " - %d" (-e.const)
+    end
+
+  let to_string e = Format.asprintf "%a" pp e
+end
+
+(* an expression is built from raw terms, so repeated dimensions and
+   cancelling coefficients both occur *)
+let model_dims = [ "a"; "b"; "i"; "i0"; "j" ]
+
+let expr_gen =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 0 6)
+         (pair (oneofl model_dims) (int_range (-3) 3)))
+      (int_range (-6) 6))
+
+let build (terms, k) =
+  ( List.fold_left
+      (fun e (d, c) -> Linexpr.add e (Linexpr.term c d))
+      (Linexpr.const k) terms,
+    List.fold_left
+      (fun m (d, c) -> Model.add m (Model.term c d))
+      (Model.const k) terms )
+
+let print_terms (terms, k) =
+  String.concat " "
+    (List.map (fun (d, c) -> Printf.sprintf "%+d%s" c d) terms)
+  ^ Printf.sprintf " %+d" k
+
+let agrees what e m =
+  let ok =
+    Linexpr.to_string e = Model.to_string m
+    && Linexpr.dims e = Model.dims m
+    && List.for_all (fun d -> Linexpr.coeff e d = Model.coeff m d) model_dims
+    && Linexpr.content e = Model.content m
+  in
+  if not ok then
+    QCheck.Test.fail_reportf "%s: %s, model %s" what (Linexpr.to_string e)
+      (Model.to_string m);
+  ok
+
+let prop_matches_map_model =
+  QCheck.Test.make ~name:"agrees with the Map-based model" ~count:2000
+    QCheck.(
+      make
+        ~print:(fun (((a, b), _), _) -> print_terms a ^ " | " ^ print_terms b)
+        Gen.(
+          pair
+            (pair (pair expr_gen expr_gen) (int_range (-3) 3))
+            (pair (oneofl model_dims)
+               (list_size (int_range 0 3) (oneofl model_dims)))))
+    (fun (((ta, tb), k), (d, bound)) ->
+      let a, ma = build ta and b, mb = build tb in
+      let bindings = List.map (fun x -> (x, b)) bound in
+      let mbindings = List.map (fun x -> (x, mb)) bound in
+      let g = Linexpr.content a in
+      agrees "a" a ma && agrees "b" b mb
+      && Linexpr.compare a b = Model.compare ma mb
+      && Linexpr.compare b a = Model.compare mb ma
+      && Linexpr.equal a b = (Model.compare ma mb = 0)
+      && agrees "add" (Linexpr.add a b) (Model.add ma mb)
+      && agrees "sub" (Linexpr.sub a b) (Model.sub ma mb)
+      && agrees "neg" (Linexpr.neg a) (Model.neg ma)
+      && agrees "scale" (Linexpr.scale k a) (Model.scale k ma)
+      && agrees "subst" (Linexpr.subst d b a) (Model.subst d mb ma)
+      && agrees "subst_all"
+           (Linexpr.subst_all bindings a)
+           (Model.subst_all mbindings ma)
+      && (g = 0
+         ||
+         let exact = Linexpr.sub a (Linexpr.const (Linexpr.const_of a)) in
+         let mexact = Model.sub ma (Model.const (Linexpr.const_of a)) in
+         agrees "div_exact" (Linexpr.div_exact g exact)
+           (Model.div_exact g mexact))
+      && Linexpr.compare_gradient a b
+         = Model.compare (Model.gradient ma) (Model.gradient mb)
+      && Linexpr.opposite_gradient a b
+         = (Model.compare (Model.gradient ma) (Model.neg (Model.gradient mb))
+           = 0)
+      (* equal and opposite gradients are rare between two random
+         expressions, so pair [a] with a shifted copy and its negation *)
+      && (let shifted = Linexpr.add a (Linexpr.const k) in
+          Linexpr.compare_gradient a shifted = 0
+          && Linexpr.opposite_gradient a (Linexpr.neg shifted)
+          && Linexpr.opposite_gradient a shifted = Linexpr.is_const a)
+      && Linexpr.single_dim a
+         = (match Model.Smap.bindings ma.Model.coeffs with
+           | [ t ] -> Some t
+           | _ -> None)
+      &&
+      let outcome f =
+        match f () with v -> Ok v | exception Invalid_argument m -> Error m
+      in
+      match
+        ( outcome (fun () -> Linexpr.div_exact 2 a),
+          outcome (fun () -> Model.div_exact 2 ma) )
+      with
+      | Ok e, Ok m -> agrees "div_exact 2" e m
+      | Error x, Error y -> x = y
+      | _ -> false)
+
 let () =
   Alcotest.run "linexpr"
     [
@@ -98,5 +287,6 @@ let () =
           Alcotest.test_case "comparison" `Quick test_compare;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_add_commutes; prop_eval_linear ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_add_commutes; prop_eval_linear; prop_matches_map_model ] );
     ]

@@ -48,6 +48,30 @@ let await_stats t ~what ready =
   in
   go ()
 
+(* A compile that cannot finish inside any test's window, for the tests
+   that need the executor busy: a chain of 4,000 convolution layers, where
+   ResNet-18 has 20.  The compile time grows linearly with the chain, so
+   this one runs for tens of seconds; the tests hang up on it and the
+   disconnect cancels it. *)
+let endless_compile () =
+  let open Pom.Dsl in
+  let f = Func.create "conv_chain" in
+  let img = Placeholder.make "img" [ 16; 18; 18 ] Dtype.p_float32 in
+  let rec chain i input =
+    if i < 4000 then
+      chain (i + 1)
+        (Pom.Workloads.Dnn.conv_layer f ~input
+           {
+             Pom.Workloads.Dnn.label = Printf.sprintf "conv%d" i;
+             in_channels = 16;
+             out_channels = 16;
+             spatial = 16;
+             kernel = 3;
+           })
+  in
+  chain 0 img;
+  f
+
 let ok_result (r : Protocol.response) =
   match r.Protocol.outcome with
   | Ok v -> v
@@ -160,7 +184,7 @@ let test_disconnect_cancels () =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
   let oc = Unix.out_channel_of_descr fd in
-  let f = Pom.Workloads.Dnn.resnet18 () in
+  let f = endless_compile () in
   Protocol.write_client_msg oc
     (Protocol.Compile (Client.request ~id:7 ~framework:`Pom_auto f));
   (* the executor looks each request up in the response cache before
@@ -275,8 +299,7 @@ let test_admission_overload () =
   Protocol.write_client_msg
     (Unix.out_channel_of_descr slow_fd)
     (Protocol.Compile
-       (Client.request ~id:100 ~framework:`Pom_auto
-          (Pom.Workloads.Dnn.resnet18 ())));
+       (Client.request ~id:100 ~framework:`Pom_auto (endless_compile ())));
   await_stats t ~what:"the slow request" (fun s -> s.Protocol.requests = 1);
   (* the executor looks each request up in the response cache before
      compiling it: once it has, the slow compile is running *)
