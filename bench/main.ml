@@ -64,7 +64,8 @@ let carried_distances_conv () =
       List.iter
         (fun read ->
           ignore
-            (Pom.Poly.Dep.carried_distances ~domain ~source:write ~sink:read))
+            (Pom.Poly.Dep.carried_distances ~domain ~source:write ~sink:read
+               ()))
         reads)
 
 (* one bechamel Test per table/figure, timing the dominant toolchain path

@@ -276,6 +276,30 @@ let framework_of_string = function
   | "pom" | "pom-auto" -> Ok `Pom_auto
   | s -> Error (`Msg ("unknown framework " ^ s))
 
+(* A size too small for a workload is a usage error (exit 1), caught
+   before any compile on the local and the --connect paths alike: the
+   constructor rejects an empty iterator range, and a compute whose
+   guards leave no iteration (trmm's [k > i] at size 1) is proven empty
+   here. *)
+let build_checked ~workload ~size build =
+  let too_small () =
+    Printf.eprintf
+      "error: size %d is too small for workload %s (a loop has no \
+       iterations; try a larger -s)\n"
+      size workload;
+    exit 1
+  in
+  match build size with
+  | exception Invalid_argument _ -> too_small ()
+  | func ->
+      if
+        List.exists
+          (fun (s : Pom.Polyir.Stmt_poly.t) ->
+            Pom.Poly.Feasible.is_empty s.Pom.Polyir.Stmt_poly.domain)
+          (Pom.Polyir.Prog.of_func_unscheduled func).Pom.Polyir.Prog.stmts
+      then too_small ()
+      else func
+
 let run workload from_c size framework schedules lint werror emit_c emit_mlir
     emit_testbench validate check_legality timeline trace timing dump_after
     verify_each resource_frac jobs deadline on_error checkpoint inject
@@ -300,13 +324,16 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
         prerr_endline m;
         exit 1
   in
-  (match inject with
-  | Some spec -> (
-      try Pom.Resilience.Fault.configure spec
-      with Invalid_argument m ->
-        prerr_endline m;
-        exit 1)
-  | None -> Pom.Resilience.Fault.configure_from_env ());
+  let arm_faults () =
+    match inject with
+    | Some spec -> (
+        try Pom.Resilience.Fault.configure spec
+        with Invalid_argument m ->
+          prerr_endline m;
+          exit 1)
+    | None -> Pom.Resilience.Fault.configure_from_env ()
+  in
+  arm_faults ();
   if list_workloads then begin
     List.iter (fun (n, _) -> print_endline n) (workloads ());
     0
@@ -373,7 +400,11 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
               Pom.Hls.Device.scale resource_frac Pom.Hls.Device.xc7z020
             in
             let dnn = List.mem_assoc workload Pom.Workloads.Dnn.by_name in
-            let func = build size in
+            (* the size check is not part of the compile: its projections
+               must not count toward --inject's visit numbers *)
+            Pom.Resilience.Fault.reset ();
+            let func = build_checked ~workload ~size build in
+            arm_faults ();
             (match
                List.iter
                  (fun s -> Pom.Dsl.Func.schedule func (directive_of_string s))

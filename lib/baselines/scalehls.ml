@@ -101,7 +101,8 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
       and latency_mode = st.State.latency_mode in
       let base = st.State.directives in
       let fkey = Memo.func_key func in
-      let prog_base = Memo.schedule ~fkey cache func base in
+      let base_key = Memo.directives_key base in
+      let prog_base = Memo.schedule ~fkey ~dkey:base_key cache func base in
       let huge =
         List.exists
           (fun (c : Compute.t) ->
@@ -117,8 +118,8 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
         incr evaluations;
         (* the per-evaluation fault site shared with Stage2 *)
         Pom_resilience.Fault.point "dse:evaluate";
-        Stage2.evaluate ~cache ~fkey ~device ~composition ~latency_mode func
-          base units
+        Stage2.evaluate ~cache ~fkey ~base_key ~device ~composition
+          ~latency_mode func base units
       in
       let stopped = ref false in
       let current = ref (eval ()) in
@@ -152,7 +153,8 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
                     (* planned here and again by the evaluation, as in
                        {!Stage2.run} *)
                     ignore
-                      (Stage2.realization_plan ~cache ~fkey func base units);
+                      (Stage2.realization_plan ~cache ~fkey ~base_key func base
+                         units);
                     let rung_signature = signature () in
                     if rung_signature = !incumbent_signature then begin
                       (* analyzer pre-pruning: factor clamping collapsed

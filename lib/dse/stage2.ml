@@ -148,7 +148,7 @@ type unit_state = {
   id : int;  (* leading schedule constant *)
   members : (string * string list * int list) list;
       (* compute, loop order, extents after stage 1 *)
-  stmts : Stmt_poly.t list;  (* the members' stage-1 statements *)
+  stage1 : Summary.t list;  (* the members' stage-1 statements, profiled *)
   mutable par : int;
   mutable active : bool;
   mutable realization : realization list;  (* one per member *)
@@ -156,36 +156,55 @@ type unit_state = {
       (* one per member: its statement under [realization], profiled *)
 }
 
-let member_info (s : Stmt_poly.t) =
-  let loops = Summary.loops_of s in
-  ( Stmt_poly.name s,
-    List.map (fun (l : Summary.loop) -> l.Summary.dim) loops,
-    List.map (fun (l : Summary.loop) -> l.Summary.extent) loops )
+let member_info (p : Summary.t) =
+  ( Stmt_poly.name p.Summary.stmt,
+    List.map (fun (l : Summary.loop) -> l.Summary.dim) p.Summary.loops,
+    List.map (fun (l : Summary.loop) -> l.Summary.extent) p.Summary.loops )
 
-(* Realize [u] at its current parallelism: fold only its own hardware
-   directives over only its own statements, and profile only those.  This
-   is exact: {!realize} emits split, tile, pipeline and unroll directives
-   that each name their own member, so no other statement can change. *)
+(* How [dirs] (one member's {!realize} output) re-tile its stage-1
+   statement [s]: at most one split or tile, the rest hardware. *)
+let retiling (s : Stmt_poly.t) dirs =
+  let level d = Option.get (Pom_poly.Sched.level_of s.Stmt_poly.sched d) in
+  List.fold_left
+    (fun r -> function
+      | Schedule.Split { dim; _ } -> Summary.Split (level dim)
+      | Schedule.Tile { d1; _ } -> Summary.Tile (level d1)
+      | _ -> r)
+    Summary.Same dirs
+
+(* Realize [u] at its current parallelism: fold each member's own hardware
+   directives over its own statement, and profile it from its stage-1
+   profile.  This is exact: {!realize} emits split, tile, pipeline and
+   unroll directives that each name their own member, so no other
+   statement can change. *)
 let realize_unit u =
   u.realization <-
     List.map (fun (c, order, extents) -> realize c order extents u.par) u.members;
-  let stmts =
-    List.fold_left Transform.apply_directive u.stmts
-      (List.concat_map (fun r -> r.hw_directives) u.realization)
-  in
-  u.realized <- List.combine stmts (Summary.profile stmts)
+  u.realized <-
+    List.map2
+      (fun (p : Summary.t) r ->
+        let s =
+          List.hd
+            (List.fold_left Transform.apply_directive [ p.Summary.stmt ]
+               r.hw_directives)
+        in
+        let parent = (p, retiling p.Summary.stmt r.hw_directives) in
+        (s, Summary.of_stmt ~parent s))
+      u.stage1 u.realization
 
 let units_of (prog : Prog.t) =
   let group (s : Stmt_poly.t) = Pom_poly.Sched.const_at s.Stmt_poly.sched 0 in
   let ids = List.sort_uniq Int.compare (List.map group prog.Prog.stmts) in
   List.map
     (fun id ->
-      let stmts = List.filter (fun s -> group s = id) prog.Prog.stmts in
+      let stage1 =
+        Summary.profile (List.filter (fun s -> group s = id) prog.Prog.stmts)
+      in
       let u =
         {
           id;
-          members = List.map member_info stmts;
-          stmts;
+          members = List.map member_info stage1;
+          stage1;
           par = 1;
           active = true;
           realization = [];
@@ -254,25 +273,32 @@ let splice (prog : Prog.t) units =
    each candidate's plan twice: at the analyzer's pre-pruning check, then
    at the evaluation, which reads its directive list — the second request
    is a lookup. *)
-let realization_plan ?bank_cap ~cache ~fkey func base units =
+let realization_plan ?bank_cap ~cache ~fkey ~base_key func base units =
   let hw = hw_directives units in
+  let hw_key = Memo.directives_key hw in
   Memo.plan cache
-    ~key:(Memo.plan_key ~fkey ~base ~hw ~bank_cap)
+    ~key:(Memo.plan_key ~fkey ~base_key ~hw_key ~bank_cap)
     (fun () ->
-      let prog_hw, _ = splice (Memo.schedule ~fkey cache func base) units in
+      let prog_hw, _ =
+        splice (Memo.schedule ~fkey ~dkey:base_key cache func base) units
+      in
       let parts = partition_plan ?bank_cap prog_hw in
       {
         Memo.plan_directives = base @ hw @ parts;
+        plan_dkey =
+          Memo.join_keys [ base_key; hw_key; Memo.directives_key parts ];
         plan_parts = parts;
         plan_prog_hw = prog_hw;
       })
 
-let evaluate ?bank_cap ?latency_mode ~cache ~fkey ~device ~composition func
-    base units =
-  let plan = realization_plan ?bank_cap ~cache ~fkey func base units in
+let evaluate ?bank_cap ?latency_mode ~cache ~fkey ~base_key ~device
+    ~composition func base units =
+  let plan =
+    realization_plan ?bank_cap ~cache ~fkey ~base_key func base units
+  in
   let prog, report =
     Memo.synthesize_profiled cache ~fkey ~composition ?latency_mode ~device
-      ~directives:plan.Memo.plan_directives (fun () ->
+      ~dkey:plan.Memo.plan_dkey (fun () ->
         ( List.fold_left Prog.apply plan.Memo.plan_prog_hw plan.Memo.plan_parts,
           snd (splice plan.Memo.plan_prog_hw units) ))
   in
@@ -343,7 +369,8 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
   let memo0 = Memo.snapshot cache in
   let fkey = Memo.func_key func in
   let base = stage1.Stage1.directives in
-  let prog_base = Memo.schedule ~fkey cache func base in
+  let base_key = Memo.directives_key base in
+  let prog_base = Memo.schedule ~fkey ~dkey:base_key cache func base in
   let units = units_of prog_base in
   let unit_paths = unit_paths ~paths:stage1.Stage1.paths units in
   let evaluations = ref 0 in
@@ -356,7 +383,8 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
   in
   let evaluate_counted () =
     counted (fun () ->
-        evaluate ?bank_cap ~cache ~fkey ~device ~composition func base units)
+        evaluate ?bank_cap ~cache ~fkey ~base_key ~device ~composition func
+          base units)
   in
   let current = ref (evaluate_counted ()) in
   (* the incumbent's loop signature: the initial design's, then each
@@ -398,7 +426,9 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
                  again: one plan-memo miss and one hit per evaluated
                  candidate, as the memo trace and the daemon's memo deltas
                  count them *)
-              ignore (realization_plan ?bank_cap ~cache ~fkey func base units);
+              ignore
+                (realization_plan ?bank_cap ~cache ~fkey ~base_key func base
+                   units);
               let candidate_signature = signature () in
               if candidate_signature = !incumbent_signature then begin
                 (* factor clamping collapsed the request onto the
@@ -480,8 +510,9 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
      the incumbent's realization, so their profiles are its profiles. *)
   let prog, report =
     counted (fun () ->
-        Memo.synthesize_profiled cache ~fkey ~composition ~device ~directives
-          (fun () -> (prog0, snd (splice prog_base units))))
+        Memo.synthesize_profiled cache ~fkey ~composition ~device
+          ~dkey:(Memo.directives_key directives) (fun () ->
+            (prog0, snd (splice prog_base units))))
   in
   let memo1 = Memo.snapshot cache in
   let report_cache_hits = memo1.Memo.report_hits - memo0.Memo.report_hits in

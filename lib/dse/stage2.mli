@@ -42,8 +42,9 @@ type unit_state = private {
   id : int;  (** leading schedule constant *)
   members : (string * string list * int list) list;
       (** compute, loop order, extents after stage 1 *)
-  stmts : Pom_polyir.Stmt_poly.t list;
-      (** the members' stage-1 statements, program order *)
+  stage1 : Pom_hls.Summary.t list;
+      (** the members' stage-1 statements, program order, profiled: each
+          realized statement derives its dependences from these *)
   mutable par : int;
   mutable active : bool;  (** still on Stage 2's optimization list *)
   mutable realization : realization list;  (** one per member *)
@@ -71,30 +72,34 @@ val splice :
   unit_state list ->
   Pom_polyir.Prog.t * Pom_hls.Summary.t list
 
-(** [realization_plan ~cache ~fkey func base units] is the memoized work
-    between the units' realization and report synthesis: splice the
-    units into the (schedule-memoized) base prefix and derive the
-    partition plan ({!partition_plan} under [bank_cap]).  [fkey] is
-    [Pom_pipeline.Memo.func_key func].  One plan-memo entry per design
-    point, shared by both searches. *)
+(** [realization_plan ~cache ~fkey ~base_key func base units] is the
+    memoized work between the units' realization and report synthesis:
+    splice the units into the (schedule-memoized) base prefix and derive
+    the partition plan ({!partition_plan} under [bank_cap]).  [fkey] is
+    [Pom_pipeline.Memo.func_key func] and [base_key] is
+    [Pom_pipeline.Memo.directives_key base], both computed once per
+    search.  One plan-memo entry per design point, shared by both
+    searches. *)
 val realization_plan :
   ?bank_cap:int ->
   cache:Pom_pipeline.Memo.t ->
   fkey:string ->
+  base_key:string ->
   Func.t ->
   Schedule.t list ->
   unit_state list ->
   Pom_pipeline.Memo.plan
 
-(** [evaluate ~cache ~fkey ~device ~composition func base units] prices
-    the design point the units describe: its program, full directive list
-    (base, hardware, partitions) and report, synthesized through the
-    report memo from the units' profiles. *)
+(** [evaluate ~cache ~fkey ~base_key ~device ~composition func base units]
+    prices the design point the units describe: its program, full
+    directive list (base, hardware, partitions) and report, synthesized
+    through the report memo from the units' profiles. *)
 val evaluate :
   ?bank_cap:int ->
   ?latency_mode:Pom_hls.Report.latency_mode ->
   cache:Pom_pipeline.Memo.t ->
   fkey:string ->
+  base_key:string ->
   device:Pom_hls.Device.t ->
   composition:Pom_hls.Resource.composition ->
   Func.t ->

@@ -76,34 +76,36 @@ let is_hardware = function
   | Auto_dse ->
       false
 
-let pp_kind ppf = function
-  | Cyclic -> Format.pp_print_string ppf "cyclic"
-  | Block -> Format.pp_print_string ppf "block"
-  | Complete -> Format.pp_print_string ppf "complete"
+let kind_name = function
+  | Cyclic -> "cyclic"
+  | Block -> "block"
+  | Complete -> "complete"
 
-let pp ppf = function
+let to_string = function
   | Interchange { compute; d1; d2 } ->
-      Format.fprintf ppf "%s.interchange(%s, %s)" compute d1 d2
+      Printf.sprintf "%s.interchange(%s, %s)" compute d1 d2
   | Split { compute; dim; factor; outer; inner } ->
-      Format.fprintf ppf "%s.split(%s, %d, %s, %s)" compute dim factor outer
-        inner
+      Printf.sprintf "%s.split(%s, %d, %s, %s)" compute dim factor outer inner
   | Tile { compute; d1; d2; f1; f2; o1; o2; i1; i2 } ->
-      Format.fprintf ppf "%s.tile(%s, %s, %d, %d, %s, %s, %s, %s)" compute d1
-        d2 f1 f2 o1 o2 i1 i2
+      Printf.sprintf "%s.tile(%s, %s, %d, %d, %s, %s, %s, %s)" compute d1 d2 f1
+        f2 o1 o2 i1 i2
   | Skew { compute; d1; d2; f1; f2; n1; n2 } ->
-      Format.fprintf ppf "%s.skew(%s, %s, %d, %d, %s, %s)" compute d1 d2 f1 f2
-        n1 n2
+      Printf.sprintf "%s.skew(%s, %s, %d, %d, %s, %s)" compute d1 d2 f1 f2 n1
+        n2
   | After { compute; anchor; level } ->
-      Format.fprintf ppf "%s.after(%s, %d)" compute anchor level
+      Printf.sprintf "%s.after(%s, %d)" compute anchor level
   | Reverse { compute; dim; new_dim } ->
-      Format.fprintf ppf "%s.reverse(%s, %s)" compute dim new_dim
-  | Fuse { c1; c2; level } -> Format.fprintf ppf "fuse(%s, %s, %d)" c1 c2 level
+      Printf.sprintf "%s.reverse(%s, %s)" compute dim new_dim
+  | Fuse { c1; c2; level } -> Printf.sprintf "fuse(%s, %s, %d)" c1 c2 level
   | Pipeline { compute; dim; ii } ->
-      Format.fprintf ppf "%s.pipeline(%s, %d)" compute dim ii
+      Printf.sprintf "%s.pipeline(%s, %d)" compute dim ii
   | Unroll { compute; dim; factor } ->
-      Format.fprintf ppf "%s.unroll(%s, %d)" compute dim factor
+      Printf.sprintf "%s.unroll(%s, %d)" compute dim factor
   | Partition { array; factors; kind } ->
-      Format.fprintf ppf "%s.partition({%s}, %a)" array
+      Printf.sprintf "%s.partition({%s}, %s)" array
         (String.concat ", " (List.map string_of_int factors))
-        pp_kind kind
-  | Auto_dse -> Format.pp_print_string ppf "f.auto_DSE()"
+        (kind_name kind)
+  | Auto_dse -> "f.auto_DSE()"
+
+(* no break hints: the printout is [to_string]'s bytes in any box *)
+let pp ppf d = Format.pp_print_string ppf (to_string d)

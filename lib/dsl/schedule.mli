@@ -76,4 +76,9 @@ val auto_dse : t
 (** Is this a hardware-optimization directive (vs a loop transformation)? *)
 val is_hardware : t -> bool
 
+(** The directive in the paper's primitive syntax, e.g.
+    [s.split(k, 8, ko, ki)]: the one printer, which {!pp} prints and the
+    memo keys join. *)
+val to_string : t -> string
+
 val pp : Format.formatter -> t -> unit

@@ -18,6 +18,7 @@ type t = {
   total_points : int;
   body : Opchar.body;
   deps : dep list;
+  carried : (int * int option) list list;
   group : int;
   access_dims : (string * string list list) list;
   rectangular : bool;
@@ -45,8 +46,10 @@ let ordered_domain (s : Stmt_poly.t) =
    search itself is sequential; the mutex keeps this process-global cache
    safe for callers on other domains or threads.  The analysis runs outside
    the lock (two racing callers may compute the same entry twice — the
-   results are equal, last write wins). *)
-let dep_cache : (string, dep list) Hashtbl.t = Hashtbl.create 256
+   results are equal, last write wins).  An entry is the statement's
+   per-read result ({!t.carried}); [deps] is read off it. *)
+let dep_cache : (string, (int * int option) list list) Hashtbl.t =
+  Hashtbl.create 256
 
 let dep_cache_lock = Mutex.create ()
 
@@ -62,23 +65,21 @@ let dep_cache_stats () =
   Mutex.unlock dep_cache_lock;
   s
 
-let analyze_deps_uncached (s : Stmt_poly.t) =
-  let domain = ordered_domain s in
-  let write, reads = transformed_accesses s in
-  List.concat_map
-    (fun read ->
-      match Dep.carried_distances ~domain ~source:write ~sink:read with
-      | [] -> []
-      | levels ->
-          [
-            List.filter_map
-              (fun (level, dmin) -> Option.map (fun d -> (level, d)) dmin)
-              levels;
-          ])
-    reads
-
-let analyze_deps (s : Stmt_poly.t) =
-  let key = Format.asprintf "%a" Stmt_poly.pp { s with Stmt_poly.hw = Stmt_poly.no_hw } in
+(* The key is the statement's printout plus its accesses: two workloads'
+   statements may share a name, domain, schedule and index map but read
+   different elements (jacobi-1d's and heat-1d's [s0] at one size). *)
+let memo_carried (s : Stmt_poly.t) compute =
+  let access (a : Dep.access) =
+    Printf.sprintf "%s[%s]" a.Dep.array
+      (String.concat ", " (List.map Linexpr.to_string a.Dep.indices))
+  in
+  let c = s.Stmt_poly.compute in
+  let key =
+    String.concat "\n"
+      (Format.asprintf "%a" Stmt_poly.pp
+         { s with Stmt_poly.hw = Stmt_poly.no_hw }
+      :: List.map access (Compute.write_access c :: Compute.read_accesses c))
+  in
   Mutex.lock dep_cache_lock;
   let cached = Hashtbl.find_opt dep_cache key in
   (match cached with
@@ -86,14 +87,72 @@ let analyze_deps (s : Stmt_poly.t) =
   | None -> incr dep_cache_misses);
   Mutex.unlock dep_cache_lock;
   match cached with
-  | Some deps -> deps
+  | Some carried -> carried
   | None ->
-      let deps = analyze_deps_uncached s in
+      let carried = compute () in
       Mutex.lock dep_cache_lock;
       if Hashtbl.length dep_cache > 20_000 then Hashtbl.reset dep_cache;
-      Hashtbl.replace dep_cache key deps;
+      Hashtbl.replace dep_cache key carried;
       Mutex.unlock dep_cache_lock;
-      deps
+      carried
+
+type retiling = Same | Split of int | Tile of int
+
+(* The level rule (DESIGN.md, "Dependences of a re-tiled statement"): the
+   parent's first band level, how many levels the band adds, and the
+   child's band levels.  Strip-mining is a bijection on the instances, and
+   [(x / f, x mod f)] is equal for two instances exactly when [x] is, so a
+   level outside the band keeps its parent's conflict set, renumbered past
+   the band's new levels.  Each band level is listed with the parent level
+   its conflict is a subset of: it is tested only when that level
+   carries.  A tile's second outer
+   level ([None]) is always tested — with the first dimension's outer tiles
+   equal, the tile may order two instances against their parent order, so
+   no parent level bounds its conflict. *)
+let band_of = function
+  | Same -> (0, 0, [])
+  | Split l -> (l, 1, [ (l, Some l); (l + 1, Some l) ])
+  | Tile l ->
+      ( l,
+        2,
+        [ (l, Some l); (l + 1, None); (l + 2, Some l); (l + 3, Some (l + 1)) ]
+      )
+
+(* The write against each read: analyzed over every level, or derived
+   from [parent]'s per-read results by the level rule. *)
+let analyze_carried ?parent (s : Stmt_poly.t) =
+  let domain = ordered_domain s in
+  let write, reads = transformed_accesses s in
+  let carried_distances ?levels read =
+    Dep.carried_distances ?levels ~domain ~source:write ~sink:read ()
+  in
+  match parent with
+  | None -> List.map carried_distances reads
+  | Some (parent, retiling) ->
+      let first, width, band = band_of retiling in
+      List.map2
+        (fun levels read ->
+          let copied =
+            List.filter_map
+              (fun (k, d) ->
+                if k < first then Some (k, d)
+                else if k >= first + width then Some (k + width, d)
+                else None)
+              levels
+          in
+          let tested =
+            List.filter_map
+              (fun (level, refines) ->
+                match refines with
+                | Some k when not (List.mem_assoc k levels) -> None
+                | _ -> Some level)
+              band
+          in
+          List.merge
+            (fun (a, _) (b, _) -> Int.compare a b)
+            copied
+            (carried_distances ~levels:tested read))
+        parent.carried reads
 
 (* The loop structure alone: extents and hardware attributes per level, in
    schedule order, without the dependence analysis {!of_stmt} adds. *)
@@ -122,7 +181,14 @@ let loops_of (s : Stmt_poly.t) =
       { dim; extent; unroll; pipelined; target_ii })
     (Sched.dims s.Stmt_poly.sched)
 
-let of_stmt (s : Stmt_poly.t) =
+(* Only a re-tiling reaches the memo: a [Same] statement's key is its
+   parent's, whose entry the parent's own profile settled. *)
+let of_stmt ?parent (s : Stmt_poly.t) =
+  let carried =
+    match parent with
+    | Some (parent, Same) -> parent.carried
+    | _ -> memo_carried s (fun () -> analyze_carried ?parent s)
+  in
   let loops = loops_of s in
   let write, reads = transformed_accesses s in
   let access_dims =
@@ -140,7 +206,17 @@ let of_stmt (s : Stmt_poly.t) =
     loops;
     total_points;
     body = Opchar.analyze_body s.Stmt_poly.compute;
-    deps = analyze_deps s;
+    deps =
+      List.filter_map
+        (function
+          | [] -> None
+          | levels ->
+              Some
+                (List.filter_map
+                   (fun (level, dmin) -> Option.map (fun d -> (level, d)) dmin)
+                   levels))
+        carried;
+    carried;
     group = Sched.const_at s.Stmt_poly.sched 0;
     access_dims;
     rectangular;

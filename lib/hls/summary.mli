@@ -1,8 +1,9 @@
 (** Per-statement synthesis profile extracted from the polyhedral IR: loop
     structure in schedule order, unroll/pipeline attributes, body
-    characterization, and loop-carried dependences re-analyzed in the
-    transformed iteration space (so the model sees exactly what the
-    generated loop nest exposes). *)
+    characterization, and loop-carried dependences in the transformed
+    iteration space (so the model sees exactly what the generated loop
+    nest exposes) — analyzed, or derived exactly from the statement a
+    re-tiling started from. *)
 
 open Pom_polyir
 
@@ -24,6 +25,11 @@ type t = {
   total_points : int;  (** exact |domain| (transform-invariant) *)
   body : Opchar.body;
   deps : dep list;
+  carried : (int * int option) list list;
+      (** per read access, in order: {!Pom_poly.Dep.carried_distances} of
+          the write against it ([[]] when it carries nothing).  {!deps} is
+          this with the empty reads and unbounded distances dropped; a
+          statement re-tiled from this one derives its own from it. *)
   group : int;  (** leading scalar schedule constant (fusion group) *)
   access_dims : (string * string list list) list;
       (** one entry per memory access instance (loads and the store):
@@ -40,7 +46,22 @@ type t = {
     dependence analysis: what the DSE's pre-pruning signature compares. *)
 val loops_of : Stmt_poly.t -> loop list
 
-val of_stmt : Stmt_poly.t -> t
+(** How a statement was re-tiled from its parent: Stage 2's realizations
+    only strip-mine the innermost levels of a stage-1 statement.  Levels
+    are 1-based, in schedule order. *)
+type retiling =
+  | Same  (** hardware attributes only: the parent's dependences *)
+  | Split of int  (** level [l] split into levels [l] and [l + 1] *)
+  | Tile of int
+      (** levels [l] and [l + 1] tiled into [l .. l + 3]
+          (outer, outer, inner, inner) *)
+
+(** [of_stmt s] profiles [s].  With [~parent:(p, r)], [s] is [p.stmt]
+    re-tiled by [r]: its dependences are derived from [p]'s by the level
+    rule, and only the levels the rule cannot derive are analyzed.  The
+    result is the one a full analysis gives; it goes through the same
+    dependence memo, under [s]'s own key. *)
+val of_stmt : ?parent:t * retiling -> Stmt_poly.t -> t
 
 (** [profile stmts] profiles each statement in order: a DSE candidate
     re-profiles only the statements it changed. *)

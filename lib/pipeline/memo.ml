@@ -17,6 +17,7 @@ type counters = {
    and re-deriving the partition plan on the second request. *)
 type plan = {
   plan_directives : Pom_dsl.Schedule.t list;  (* base @ hw @ parts *)
+  plan_dkey : string;  (* directives_key plan_directives *)
   plan_parts : Pom_dsl.Schedule.t list;
   plan_prog_hw : Pom_polyir.Prog.t;  (* scheduled, pre-partition *)
 }
@@ -126,7 +127,9 @@ let func_key func =
   Buffer.contents b
 
 let directives_key directives =
-  String.concat ";" (List.map (Format.asprintf "%a" Schedule.pp) directives)
+  String.concat ";" (List.map Schedule.to_string directives)
+
+let join_keys keys = String.concat ";" (List.filter (( <> ) "") keys)
 
 let device_key (d : Device.t) =
   Printf.sprintf "%s:%d:%d:%d:%d:%g" d.Device.name d.Device.dsp d.Device.lut
@@ -203,10 +206,11 @@ let memoize t table key ~hit ~miss compute =
   Mutex.lock t.lock;
   settle ()
 
-let schedule ?fkey t func directives =
+let schedule ?fkey ?dkey t func directives =
   Pom_resilience.Budget.check "memo:schedule";
   let fkey = match fkey with Some k -> k | None -> func_key func in
-  let key = fkey ^ "##" ^ directives_key directives in
+  let dkey = match dkey with Some k -> k | None -> directives_key directives in
+  let key = fkey ^ "##" ^ dkey in
   memoize t t.schedules key
     ~hit:(fun c -> c.schedule_hits <- c.schedule_hits + 1)
     ~miss:(fun c -> c.schedule_misses <- c.schedule_misses + 1)
@@ -219,12 +223,12 @@ let schedule ?fkey t func directives =
    function, the base-directive prefix, the hardware directives, and the
    bank cap the partition planner runs under.  Device/composition are
    absent on purpose — the plan is pre-synthesis. *)
-let plan_key ~fkey ~base ~hw ~bank_cap =
+let plan_key ~fkey ~base_key ~hw_key ~bank_cap =
   String.concat "##"
     [
       fkey;
-      directives_key base;
-      directives_key hw;
+      base_key;
+      hw_key;
       (match bank_cap with None -> "-" | Some n -> string_of_int n);
     ]
 
@@ -235,11 +239,11 @@ let plan t ~key compute =
     ~miss:(fun c -> c.plan_misses <- c.plan_misses + 1)
     compute
 
-let report_key ~fkey ~composition ~latency_mode ~device ~directives =
+let report_key ~fkey ~composition ~latency_mode ~device ~dkey =
   String.concat "##"
     [
       fkey;
-      directives_key directives;
+      dkey;
       device_key device;
       (match composition with
       | Resource.Reuse -> "reuse"
@@ -250,9 +254,9 @@ let report_key ~fkey ~composition ~latency_mode ~device ~directives =
     ]
 
 let synthesize_profiled t ~fkey ?(composition = Resource.Reuse)
-    ?(latency_mode = `Sequential) ~device ~directives make =
+    ?(latency_mode = `Sequential) ~device ~dkey make =
   Pom_resilience.Budget.check "memo:synthesize";
-  let key = report_key ~fkey ~composition ~latency_mode ~device ~directives in
+  let key = report_key ~fkey ~composition ~latency_mode ~device ~dkey in
   memoize t t.reports key
     ~hit:(fun c -> c.report_hits <- c.report_hits + 1)
     ~miss:(fun c -> c.report_misses <- c.report_misses + 1)
@@ -271,7 +275,7 @@ let synthesize_profiled t ~fkey ?(composition = Resource.Reuse)
 let synthesize t ?composition ?latency_mode ~device ~directives func
     make_prog =
   synthesize_profiled t ~fkey:(func_key func) ?composition ?latency_mode
-    ~device ~directives (fun () ->
+    ~device ~dkey:(directives_key directives) (fun () ->
       let prog = make_prog () in
       (prog, Summary.profile_all prog))
 

@@ -29,6 +29,7 @@ type counters = {
     then evaluation); the second request is a lookup. *)
 type plan = {
   plan_directives : Schedule.t list;  (** base @ hw @ parts *)
+  plan_dkey : string;  (** [directives_key plan_directives] *)
   plan_parts : Schedule.t list;
   plan_prog_hw : Pom_polyir.Prog.t;  (** scheduled, pre-partition *)
 }
@@ -58,23 +59,30 @@ val snapshot : t -> counters
 
 (** [schedule cache func directives] is
     [List.fold_left Prog.apply (Prog.of_func_unscheduled func) directives],
-    cached.  [fkey], when given, must be [func_key func]: a DSE search
-    fingerprints its function once and passes the key to every lookup. *)
+    cached.  [fkey] and [dkey], when given, must be [func_key func] and
+    [directives_key directives]: a DSE search keys its function and its
+    base prefix once and passes the keys to every lookup. *)
 val schedule :
-  ?fkey:string -> t -> Func.t -> Schedule.t list -> Pom_polyir.Prog.t
+  ?fkey:string ->
+  ?dkey:string ->
+  t ->
+  Func.t ->
+  Schedule.t list ->
+  Pom_polyir.Prog.t
 
-(** [synthesize_profiled cache ~fkey ~device ~directives make] returns the
+(** [synthesize_profiled cache ~fkey ~device ~dkey make] returns the
     scheduled program and its synthesis report for one design point of the
-    function fingerprinted [fkey]: only on a cache miss does it call [make]
-    for the program and its statement profiles (program order) and price
-    them with {!Pom_hls.Report.of_profiles}. *)
+    function fingerprinted [fkey], under the directive list keyed [dkey]
+    ({!directives_key}): only on a cache miss does it call [make] for the
+    program and its statement profiles (program order) and price them with
+    {!Pom_hls.Report.of_profiles}. *)
 val synthesize_profiled :
   t ->
   fkey:string ->
   ?composition:Pom_hls.Resource.composition ->
   ?latency_mode:Pom_hls.Report.latency_mode ->
   device:Pom_hls.Device.t ->
-  directives:Schedule.t list ->
+  dkey:string ->
   (unit -> Pom_polyir.Prog.t * Pom_hls.Summary.t list) ->
   Pom_polyir.Prog.t * Pom_hls.Report.t
 
@@ -103,16 +111,25 @@ val clear : t -> unit
     [Func.directives] themselves. *)
 
 val func_key : Func.t -> string
+
+(** The directives printed ({!Pom_dsl.Schedule.to_string}) and joined with
+    [';']. *)
 val directives_key : Schedule.t list -> string
+
+(** [join_keys] joins directive keys with [';'], skipping empty ones:
+    [join_keys [directives_key a; directives_key b]] is
+    [directives_key (a @ b)]. *)
+val join_keys : string list -> string
+
 val device_key : Pom_hls.Device.t -> string
 
 (** The plan-memo key for one candidate: function fingerprint
-    ({!func_key}), base prefix, hardware directives, and the partition
-    planner's bank cap. *)
+    ({!func_key}), the keys ({!directives_key}) of the base prefix and of
+    the hardware directives, and the partition planner's bank cap. *)
 val plan_key :
   fkey:string ->
-  base:Schedule.t list ->
-  hw:Schedule.t list ->
+  base_key:string ->
+  hw_key:string ->
   bank_cap:int option ->
   string
 
@@ -129,7 +146,7 @@ val report_key :
   composition:Pom_hls.Resource.composition ->
   latency_mode:Pom_hls.Report.latency_mode ->
   device:Pom_hls.Device.t ->
-  directives:Schedule.t list ->
+  dkey:string ->
   string
 
 (** Observe every genuinely computed report ([None] unhooks): fires on

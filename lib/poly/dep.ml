@@ -54,10 +54,11 @@ let conflict_at_level ~domain ~source ~sink level =
 (* [sink_d - source_d]: the distance along dimension [d]. *)
 let diff d = Linexpr.sub (Linexpr.var (snk_dim d)) (Linexpr.var (src_dim d))
 
-(* The levels whose conflict polyhedron is non-empty, in order, each mapped
-   by [found level conflict].  The polyhedron is proven non-empty once, here;
-   [found] reads distances off it without re-testing. *)
-let carried_levels ~domain ~source ~sink ~found ~unknown =
+(* The levels among [levels] (ascending) whose conflict polyhedron is
+   non-empty, in order, each mapped by [found level conflict].  The
+   polyhedron is proven non-empty once, here; [found] reads distances off it
+   without re-testing. *)
+let carried_levels ~levels ~domain ~source ~sink ~found ~unknown =
   if source.array <> sink.array then []
   else if List.length source.indices <> List.length sink.indices then
     invalid_arg "Dep: access rank mismatch"
@@ -79,11 +80,14 @@ let carried_levels ~domain ~source ~sink ~found ~unknown =
              as unsafe, which loses performance but never correctness. *)
           if Pom_resilience.Policy.degrading () then Some (unknown level)
           else raise e)
-      (List.init (Basic_set.n_dims domain) (fun k -> k + 1))
+      levels
 
-let carried_distances ~domain ~source ~sink =
+let all_levels domain = List.init (Basic_set.n_dims domain) (fun k -> k + 1)
+
+let carried_distances ?levels ~domain ~source ~sink () =
   let ds = Basic_set.dims domain in
-  carried_levels ~domain ~source ~sink
+  let levels = match levels with Some ls -> ls | None -> all_levels domain in
+  carried_levels ~levels ~domain ~source ~sink
     ~found:(fun level conflict ->
       let d = List.nth ds (level - 1) in
       (level, fst (Feasible.range_nonempty (diff d) conflict)))
@@ -92,7 +96,7 @@ let carried_distances ~domain ~source ~sink =
 let analyze ~domain ~source ~sink =
   let ds = Basic_set.dims domain in
   let carried =
-    carried_levels ~domain ~source ~sink
+    carried_levels ~levels:(all_levels domain) ~domain ~source ~sink
       ~found:(fun level conflict ->
         {
           level;

@@ -37,16 +37,27 @@ type t = {
     never conflict. *)
 val analyze : domain:Basic_set.t -> source:access -> sink:access -> t option
 
-(** [carried_distances ~domain ~source ~sink] is the part of {!analyze}
+(** [carried_distances ~domain ~source ~sink ()] is the part of {!analyze}
     that the QoR model reads: for each carrying level, outermost first, the
     level and its minimal distance at that same level ([None] when
     unbounded, or when the level's test ran out of budget under the
     degradation policy).  [[]] exactly when {!analyze} is [None]; otherwise
     it equals [(ld.level, (List.nth ld.distance (ld.level - 1)).dmin)] over
     [analyze]'s carried levels, without building the other distance
-    entries. *)
+    entries.
+
+    [levels] (ascending, 1-based; default every level) restricts the test
+    to those levels: the result is then the full result's entries at
+    [levels].  A caller that already knows the other levels' entries, such
+    as the dependences of a re-tiled statement derived from its parent's,
+    tests only the levels it cannot derive. *)
 val carried_distances :
-  domain:Basic_set.t -> source:access -> sink:access -> (int * int option) list
+  ?levels:int list ->
+  domain:Basic_set.t ->
+  source:access ->
+  sink:access ->
+  unit ->
+  (int * int option) list
 
 (** First (outermost) level that carries the dependence. *)
 val innermost_level : t -> int

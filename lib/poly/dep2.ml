@@ -54,8 +54,9 @@ let all_dims ~source ~sink =
 
 (* Branch sets of the lexicographic order first ≺ second between the two
    aligned time vectors: one basic-set constraint list per viable branch
-   position.  [first]/[second] select which side is required earlier. *)
-let order_branches first_vec second_vec =
+   position from [start] on, each with the equalities of every position
+   before it.  [first]/[second] select which side is required earlier. *)
+let order_branches ?(start = 0) first_vec second_vec =
   let rec go prefix_eq pos = function
     | [], [] -> []
     | a :: rest_a, b :: rest_b ->
@@ -68,8 +69,8 @@ let order_branches first_vec second_vec =
         in
         let this_branch =
           match strict_here with
-          | Some cs -> [ prefix_eq @ cs ]
-          | None -> []
+          | Some cs when pos >= start -> [ prefix_eq @ cs ]
+          | _ -> []
         in
         let eq_here =
           match (a, b) with

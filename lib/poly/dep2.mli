@@ -45,5 +45,8 @@ val align : time_item list -> time_item list -> time_item list * time_item list
 
 (** [order_branches a b] returns one constraint conjunction per viable
     branch of the lexicographic comparison [a < b]; their disjunction is
-    the order relation.  Vectors must be aligned. *)
-val order_branches : time_item list -> time_item list -> Constr.t list list
+    the order relation.  Vectors must be aligned.  With [~start:m] only the
+    branches at positions [>= m] are returned, each still with its prefix
+    equalities: the order relation restricted to pairs equal before [m]. *)
+val order_branches :
+  ?start:int -> time_item list -> time_item list -> Constr.t list list

@@ -67,7 +67,30 @@ let inst_of tag (orig : Stmt_poly.t) (s : Stmt_poly.t) =
         (Compute.read_accesses compute);
   }
 
-(* flip set: same element, originally a-first, transformed b-first *)
+let same_item x y =
+  match (x, y) with
+  | Dep2.C c, Dep2.C d -> c = d
+  | Dep2.V e, Dep2.V f -> Linexpr.equal e f
+  | _ -> false
+
+(* The length of the prefix on which both statements' original and
+   transformed time items coincide. *)
+let unchanged_prefix ~oa ~ob ~na ~nb =
+  let rec go m = function
+    | x :: oa, y :: ob, x' :: na, y' :: nb
+      when same_item x x' && same_item y y' ->
+        go (m + 1) (oa, ob, na, nb)
+    | _ -> m
+  in
+  go 0 (oa, ob, na, nb)
+
+(* flip set: same element, originally a-first, transformed b-first.  Only
+   the order branches at positions at or past the unchanged time prefix [m]
+   are crossed.  An original-order branch at [p < m] puts a before b at
+   [p] with equal items before it; those items are the transformed ones
+   too, so a precedes b in the new order and no new-order branch holds.  A
+   new-order branch at [q < m] is the symmetric case.  Every dropped
+   crossing is empty, so the verdict is the full p x q crossing's. *)
 let flip_exists a b (acc_a : Dep.access) (acc_b : Dep.access) =
   acc_a.Dep.array = acc_b.Dep.array
   && List.length acc_a.Dep.indices = List.length acc_b.Dep.indices
@@ -79,8 +102,9 @@ let flip_exists a b (acc_a : Dep.access) (acc_b : Dep.access) =
   let base = a.constrs @ b.constrs @ same_element in
   let oa, ob = Dep2.align a.orig_time b.orig_time in
   let na, nb = Dep2.align a.new_time b.new_time in
-  let orig_branches = Dep2.order_branches oa ob in
-  let new_branches = Dep2.order_branches nb na in
+  let start = unchanged_prefix ~oa ~ob ~na ~nb in
+  let orig_branches = Dep2.order_branches ~start oa ob in
+  let new_branches = Dep2.order_branches ~start nb na in
   List.exists
     (fun ob_cs ->
       List.exists

@@ -121,6 +121,37 @@ let test_legality_timeout_named () =
   Alcotest.(check bool) "no reversed-dependence count" false
     (contains err "reversed dependences")
 
+(* A size too small for a workload leaves a loop with no iterations.  That
+   is a usage error naming the workload and the size, on the local and the
+   --connect paths, never an uncaught exception or a failed compile; the
+   smallest sizes that do have iterations still compile. *)
+let test_size_too_small () =
+  let stencils =
+    [
+      "jacobi-1d"; "jacobi-2d"; "heat-1d"; "seidel"; "edge-detect"; "gaussian";
+      "blur";
+    ]
+  in
+  List.iter
+    (fun (w, size, framework) ->
+      let code, err =
+        run_stderr (Printf.sprintf "-w %s -s %d -f %s -j 1" w size framework)
+      in
+      let where = Printf.sprintf "%s -s %d -f %s" w size framework in
+      Alcotest.(check int) (where ^ ": exit code") 1 code;
+      Alcotest.(check bool) (where ^ ": names the workload and size") true
+        (contains err
+           (Printf.sprintf "size %d is too small for workload %s" size w)))
+    (List.concat_map (fun w -> [ (w, 1, "pom"); (w, 2, "pom") ]) stencils
+    @ [ ("trmm", 1, "pom"); ("trmm", 1, "scalehls"); ("trmm", 1, "baseline") ]);
+  Alcotest.(check int) "--connect: checked before connecting" 1
+    (run "-w jacobi-1d -s 2 -j 1 --connect /nonexistent/pom.sock");
+  List.iter
+    (fun (w, size) ->
+      Alcotest.(check int) (Printf.sprintf "%s -s %d compiles" w size) 0
+        (run (Printf.sprintf "-w %s -s %d -j 1" w size)))
+    (("trmm", 2) :: List.map (fun w -> (w, 3)) stencils)
+
 let () =
   Alcotest.run "cli"
     [
@@ -137,5 +168,6 @@ let () =
             test_resource_fraction_range;
           Alcotest.test_case "legality timeout named" `Quick
             test_legality_timeout_named;
+          Alcotest.test_case "size too small" `Quick test_size_too_small;
         ] );
     ]

@@ -213,7 +213,7 @@ let check_stmt label (s : Stmt_poly.t) =
         (List.map
            (fun (level, box) -> (level, fst (List.nth box (level - 1))))
            boxes)
-        (Dep.carried_distances ~domain ~source:write ~sink:read);
+        (Dep.carried_distances ~domain ~source:write ~sink:read ());
       Alcotest.(check (list (pair int (list (pair (option int) (option int))))))
         (label ^ ": distance boxes")
         (reference_boxes ~domain ~source:write ~sink:read)

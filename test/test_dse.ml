@@ -300,6 +300,93 @@ let test_splice_matches_whole_program () =
       ("resnet18", Dnn.resnet18 ());
     ]
 
+(* The dependence analysis of a statement over every level, run here
+   without the dependence memo: what a realized statement's derived
+   dependences must equal. *)
+let full_analysis (s : Pom_polyir.Stmt_poly.t) =
+  let domain = Pom_hls.Summary.ordered_domain s in
+  let write, reads = Pom_hls.Summary.transformed_accesses s in
+  List.map
+    (fun read ->
+      Pom_poly.Dep.carried_distances ~domain ~source:write ~sink:read ())
+    reads
+
+let deps_of carried =
+  List.filter_map
+    (function
+      | [] -> None
+      | levels ->
+          Some
+            (List.filter_map
+               (fun (level, dmin) -> Option.map (fun d -> (level, d)) dmin)
+               levels))
+    carried
+
+(* The directives the ScaleHLS ladder searches from: its interchange and
+   structural passes. *)
+let scalehls_base func =
+  let head =
+    List.filteri (fun i _ -> i < 2) (Pom_baselines.Scalehls.passes ())
+  in
+  let st, _ =
+    Pom_pipeline.Pass.run head
+      (Pom_pipeline.State.init ~device:Pom_hls.Device.xc7z020 func)
+  in
+  st.Pom_pipeline.State.directives
+
+let test_derived_deps_match_full_analysis () =
+  let workloads =
+    List.map (fun (name, build) -> (name, build 32)) Polybench.by_name
+    @ List.map (fun (name, build) -> (name, build 32)) Image.by_name
+    @ [ ("vgg16", Dnn.vgg16 ()); ("resnet18", Dnn.resnet18 ()) ]
+  in
+  let retiled = ref 0 in
+  List.iter
+    (fun (name, func) ->
+      List.iter
+        (fun (search, base) ->
+          let prog_base =
+            Pom_polyir.Prog.apply_all
+              (Pom_polyir.Prog.of_func_unscheduled func)
+              base
+          in
+          List.iter
+            (fun (u : Stage2.unit_state) ->
+              List.iter
+                (fun par ->
+                  let check () =
+                    List.iter2
+                      (fun (stage1 : Pom_hls.Summary.t)
+                           (s, (p : Pom_hls.Summary.t)) ->
+                        let where =
+                          Printf.sprintf "%s %s g%d par %d %s" name search
+                            u.Stage2.id par
+                            (Pom_polyir.Stmt_poly.name s)
+                        in
+                        if
+                          List.length p.Pom_hls.Summary.loops
+                          > List.length stage1.Pom_hls.Summary.loops
+                        then incr retiled;
+                        let full = full_analysis s in
+                        Alcotest.(check (list (list (pair int (option int)))))
+                          (where ^ ": per-read carried distances")
+                          full p.Pom_hls.Summary.carried;
+                        Alcotest.(check (list (list (pair int int))))
+                          (where ^ ": deps") (deps_of full)
+                          p.Pom_hls.Summary.deps)
+                      u.Stage2.stage1 u.Stage2.realized;
+                    false
+                  in
+                  ignore (Stage2.try_move u par check))
+                realizable_levels)
+            (Stage2.units_of prog_base))
+        [
+          ("pom", (Stage1.run func).Stage1.directives);
+          ("scalehls", scalehls_base func);
+        ])
+    workloads;
+  Alcotest.(check bool) "some statements were re-tiled" true (!retiled > 0)
+
 let () =
   Alcotest.run "dse"
     [
@@ -323,6 +410,8 @@ let () =
           Alcotest.test_case "realize cases" `Quick test_realize_cases;
           Alcotest.test_case "unit splice equals whole-program realization"
             `Slow test_splice_matches_whole_program;
+          Alcotest.test_case "derived dependences equal a full analysis"
+            `Slow test_derived_deps_match_full_analysis;
           Alcotest.test_case "custom strategy group" `Quick
             test_custom_strategy_group;
           Alcotest.test_case "decision trace" `Quick test_trace_records_decisions;
