@@ -65,7 +65,7 @@ let report_parse_error path ~line ~col ~token message =
 
 (* Usage-error contract: a nonsensical numeric option is rejected up
    front with exit code 1, not silently clamped or passed through to
-   hang a worker pool or divide by zero deep in a pass. *)
+   divide by zero deep in a pass. *)
 let require_positive_int name v =
   if v <= 0 then begin
     Printf.eprintf "error: %s must be a positive integer (got %d)\n" name v;
@@ -150,7 +150,7 @@ let print_remote_result ~workload ~size ~framework ~served ~trace ~emit_c
    server would have produced (same compile entry point, same result
    projection), annotated in the trace as a fallback. *)
 let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
-    ~workload ~size ~framework ~retries ~retry_backoff ~jobs func =
+    ~workload ~size ~framework ~retries ~retry_backoff func =
   let req =
     Pom_server.Client.request ~device ~framework:fw ~dnn ?deadline_s:deadline
       ~use_cache ~client:"pom_compile" func
@@ -176,7 +176,7 @@ let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
        %!"
       socket !attempts (Printexc.to_string e);
     match
-      Pom.compile ~device ~framework:fw ~dnn ~jobs ?deadline_s:deadline func
+      Pom.compile ~device ~framework:fw ~dnn ?deadline_s:deadline func
     with
     | c ->
         let r = Pom_server.Protocol.result_of_compiled c in
@@ -305,7 +305,12 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
     verify_each resource_frac jobs deadline on_error checkpoint inject
     list_workloads serve connect queue no_request_cache stop_socket
     stats_socket retries retry_backoff health_socket cache_journal =
-  require_positive_int "--jobs" jobs;
+  if jobs <> 1 then begin
+    Printf.eprintf
+      "error: --jobs must be 1 (got %d): the compiler runs on one thread\n"
+      jobs;
+    exit 1
+  end;
   require_positive_int "--size" size;
   require_positive_int "--queue" queue;
   require_positive_int "--retries" retries;
@@ -316,7 +321,6 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
       resource_frac;
     exit 1
   end;
-  Pom.Par.set_jobs jobs;
   let on_error =
     match Pom.Resilience.Policy.of_string on_error with
     | Ok p -> p
@@ -341,7 +345,7 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
   else
     match (serve, stop_socket, stats_socket, health_socket) with
     | Some socket, _, _, _ ->
-        Pom_server.Server.run ~max_queue:queue ~jobs ?cache_journal ~socket ()
+        Pom_server.Server.run ~max_queue:queue ?cache_journal ~socket ()
     | None, Some socket, _, _ -> (
         match Pom_server.Client.shutdown ~socket with
         | s ->
@@ -418,11 +422,11 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
             | Some socket ->
                 run_remote ~socket ~device ~fw ~dnn ~deadline
                   ~use_cache:(not no_request_cache) ~trace ~emit_c ~workload
-                  ~size ~framework ~retries ~retry_backoff ~jobs func
+                  ~size ~framework ~retries ~retry_backoff func
             | None ->
             let c =
               Pom.compile ~device ~framework:fw ~dnn ~dump_after ~verify_each
-                ~jobs ?deadline_s:deadline ~on_error ?checkpoint func
+                ?deadline_s:deadline ~on_error ?checkpoint func
             in
             List.iter
               (fun name ->
@@ -658,14 +662,11 @@ let frac_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int Pom.Par.default_jobs
+    & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker-domain budget for the polyhedral analyses (dependence, \
-           dependence graph, legality, bounds verification) (default: the \
-           machine's recommended domain count).  The DSE search is \
-           sequential, so the compiled design is identical for every N; \
-           N=1 runs fully sequentially.")
+          "Accepted for compatibility; only N=1 is valid, since the compiler \
+           runs on one thread.  Any other value is a usage error.")
 
 let deadline_arg =
   Arg.(

@@ -176,45 +176,34 @@ let bounds_of_access ~loc ~domain (p : Placeholder.t) (a : Dep.access) =
 let verify_bounds (prog : Pom_polyir.Prog.t) =
   let placeholders = Func.placeholders prog.Pom_polyir.Prog.func in
   let fname = Func.name prog.Pom_polyir.Prog.func in
-  (* every (statement, access) pair is an independent emptiness proof —
-     flatten them into one task list and fan out across domains; the final
-     Diagnostic.sort keeps the report order independent of scheduling *)
-  let tasks =
-    List.concat_map
-      (fun (s : Pom_polyir.Stmt_poly.t) ->
-        let name = Pom_polyir.Stmt_poly.name s in
-        let loc = [ fname; name ] in
-        let domain = s.Pom_polyir.Stmt_poly.domain in
-        let write, reads = Pom_hls.Summary.transformed_accesses s in
-        List.map (fun a -> (loc, domain, a)) (write :: reads))
-      prog.Pom_polyir.Prog.stmts
+  let check ~loc ~domain (a : Dep.access) =
+    match
+      List.find_opt
+        (fun (p : Placeholder.t) -> p.name = a.Dep.array)
+        placeholders
+    with
+    | None -> []
+    | Some p when List.length a.Dep.indices <> Placeholder.rank p ->
+        (* rank errors are POM103's job on the affine level; the box check
+           is meaningless here *)
+        []
+    | Some p -> (
+        try bounds_of_access ~loc ~domain p a
+        with Invalid_argument m ->
+          [
+            Diagnostic.error ~code:"POM111" ~loc
+              (Printf.sprintf "bounds analysis failed on an access to %s: %s"
+                 a.Dep.array m);
+          ])
   in
-  let diags =
-    List.concat
-      (Pom_par.Par.map
-         (fun (loc, domain, (a : Dep.access)) ->
-           match
-             List.find_opt
-               (fun (p : Placeholder.t) -> p.name = a.Dep.array)
-               placeholders
-           with
-           | None -> []
-           | Some p when List.length a.Dep.indices <> Placeholder.rank p ->
-               (* rank errors are POM103's job on the affine level; the
-                  box check is meaningless here *)
-               []
-           | Some p -> (
-               try bounds_of_access ~loc ~domain p a
-               with Invalid_argument m ->
-                 [
-                   Diagnostic.error ~code:"POM111" ~loc
-                     (Printf.sprintf
-                        "bounds analysis failed on an access to %s: %s"
-                        a.Dep.array m);
-                 ]))
-         tasks)
-  in
-  Diagnostic.sort diags
+  Diagnostic.sort
+    (List.concat_map
+       (fun (s : Pom_polyir.Stmt_poly.t) ->
+         let loc = [ fname; Pom_polyir.Stmt_poly.name s ] in
+         let domain = s.Pom_polyir.Stmt_poly.domain in
+         let write, reads = Pom_hls.Summary.transformed_accesses s in
+         List.concat_map (check ~loc ~domain) (write :: reads))
+       prog.Pom_polyir.Prog.stmts)
 
 let verify ?affine prog =
   let affine =

@@ -19,10 +19,32 @@
 
 (** Re-exported subsystem entry points. *)
 
-(** The parallel-execution budget: {!Par.set_jobs}/{!Par.with_jobs} set the
-    process-wide worker-domain count the polyhedral analyses fan out over
-    ([1] = fully sequential).  The DSE searches are sequential. *)
-module Par = Pom_par.Par
+(** Names the benchmark harness compiles against.  The compiler runs on
+    one thread; none of these configure or report anything. *)
+module Par : sig
+  (** Read by perfbench/cold.ml; a no-op. *)
+  val set_jobs : int -> unit
+
+  (** Read by perfbench/cold.ml; both constructors select the same search. *)
+  type mode = Domains | Procs
+
+  (** Read by perfbench/cold.ml; a no-op. *)
+  val set_mode : mode -> unit
+
+  (** Read by perfbench/cold.ml. *)
+  module Chunks : sig
+    (** Read by perfbench/cold.ml; the counters of {!Dse.Stage2.result},
+        always zero. *)
+    type stats = Pom_dse.Stage2.sched = {
+      chunks : int;
+      steals : int;
+      splits : int;
+    }
+
+    (** Read by perfbench/cold.ml; always 1.0. *)
+    val occupancy : stats -> float
+  end
+end
 
 module Poly = Pom_poly
 module Dsl = Pom_dsl
@@ -90,11 +112,8 @@ type compiled = {
     [simulate] additionally runs the functional simulator (small problem
     sizes only).
 
-    [jobs] (default {!Par.jobs}; read by perfbench/cold.ml) is the
-    {!Par.map} budget for the call: the dependence, dependence-graph,
-    legality and bounds-verification analyses fan out over that many
-    domains.  The DSE searches are sequential, so the compiled design is
-    the same at every [jobs].
+    [jobs] is ignored: perfbench/cold.ml still passes it, and the compiler
+    runs on one thread.
 
     Resilience controls: [deadline_s]/[max_ticks] install a cooperative
     {!Resilience.Budget} for the whole compile — the polyhedral kernels,

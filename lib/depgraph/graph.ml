@@ -10,12 +10,8 @@ type t = { nodes : node list; edges : edge list }
 
 let build func =
   let computes = Func.computes func in
-  (* per-statement fine-grained dependence analysis is independent across
-     statements — fan it out (order-preserving; sequential at --jobs 1) *)
   let nodes =
-    Pom_par.Par.map
-      (fun c -> { compute = c; fine = Finegrain.analyze c })
-      computes
+    List.map (fun c -> { compute = c; fine = Finegrain.analyze c }) computes
   in
   let rec pairs = function
     | [] -> []

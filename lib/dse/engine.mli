@@ -35,11 +35,10 @@ val passes :
   unit ->
   Pom_pipeline.State.t Pom_pipeline.Pass.t list
 
-(** [jobs] (default {!Pom_par.Par.jobs}; read by perfbench/cold.ml) is the
-    {!Pom_par.Par.map} budget for the call; the search itself is
-    sequential.  [checkpoint] is forwarded to {!Stage2.run}: the chosen
-    design is identical across a kill-and-resume of a checkpointed
-    search. *)
+(** [jobs] is ignored: perfbench/cold.ml still passes it, and the
+    compiler runs on one thread.  [checkpoint] is forwarded to
+    {!Stage2.run}: the chosen design is identical across a kill-and-resume
+    of a checkpointed search. *)
 val run :
   ?device:Pom_hls.Device.t ->
   ?composition:Pom_hls.Resource.composition ->

@@ -3,6 +3,9 @@ open Pom_polyir
 open Pom_hls
 module Memo = Pom_pipeline.Memo
 
+(* read by perfbench/cold.ml *)
+type sched = { chunks : int; steals : int; splits : int }
+
 type result = {
   directives : Schedule.t list;
   prog : Prog.t;
@@ -14,7 +17,7 @@ type result = {
   report_cache_hits : int;
   cold_syntheses : int;
   pruned : int;
-  sched : Pom_par.Par.Chunks.stats;  (* read by perfbench/cold.ml *)
+  sched : sched;  (* read by perfbench/cold.ml *)
 }
 
 (* ---- parallelism realization for one compute ---- *)
@@ -543,5 +546,5 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
     report_cache_hits;
     cold_syntheses;
     pruned = !pruned;
-    sched = { Pom_par.Par.Chunks.chunks = 0; steals = 0; splits = 0 };
+    sched = { chunks = 0; steals = 0; splits = 0 };
   }

@@ -107,6 +107,10 @@ val evaluate :
   unit_state list ->
   Pom_polyir.Prog.t * Schedule.t list * Pom_hls.Report.t
 
+(** Read by perfbench/cold.ml (as [Pom.Par.Chunks.stats]); always zero,
+    the counters of a search that schedules no work elsewhere. *)
+type sched = { chunks : int; steals : int; splits : int }
+
 type result = {
   directives : Schedule.t list;
       (** the full plan: stage-1 directives + hardware directives *)
@@ -130,8 +134,7 @@ type result = {
           synthesis: every copy the candidate adds would serialize on a
           loop-carried dependence, so under the QoR model it cannot beat
           the incumbent *)
-  sched : Pom_par.Par.Chunks.stats;
-      (** read by perfbench/cold.ml; always zero (the search is sequential) *)
+  sched : sched;  (** read by perfbench/cold.ml *)
 }
 
 (** [run func stage1] performs the bottleneck-oriented search.
@@ -151,8 +154,7 @@ type result = {
     produces identical directives, tile vectors, and report.
 
     The search is sequential: the paper's bottleneck-oriented search
-    decides each step from the previous step's report.  Only the
-    polyhedral analyses underneath fan out, over {!Pom_par.Par.map}. *)
+    decides each step from the previous step's report. *)
 val run :
   ?device:Pom_hls.Device.t ->
   ?composition:Pom_hls.Resource.composition ->

@@ -78,7 +78,9 @@ let is_reduction t =
        (Expr.loads t.body)
 
 let trip_count t =
-  let box = List.fold_left (fun acc v -> acc * Var.extent v) 1 t.iters in
+  let box =
+    List.fold_left (fun acc v -> Count.mul acc (Var.extent v)) 1 t.iters
+  in
   if t.where = [] then box
   else if box <= 100_000 then Feasible.count (domain t)
   else

@@ -53,7 +53,8 @@ val is_reduction : t -> bool
 (** Number of iteration-domain points.  Exact for rectangular domains and
     for restricted domains small enough to count; estimated (box divided by
     2 per condition) for large non-rectangular domains — the QoR model only
-    needs the magnitude, and the simulator is always exact. *)
+    needs the magnitude, and the simulator is always exact.  Raises
+    [Failure] when the box's point count overflows ({!Count.mul}). *)
 val trip_count : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -73,12 +73,14 @@ let step_ports ~partitions (p : Summary.t) =
 
 let sequential_stmt_latency ~partitions (p : Summary.t) =
   let u = max 1 (effective_unroll p) in
-  cdiv p.Summary.total_points u
-  * max (seq_iter_cost p) (step_ports ~partitions p)
+  Pom_dsl.Count.mul
+    (cdiv p.Summary.total_points u)
+    (max (seq_iter_cost p) (step_ports ~partitions p))
 
 let sequential_latency ~partitions profiles =
   List.fold_left
-    (fun acc p -> acc + sequential_stmt_latency ~partitions p)
+    (fun acc p ->
+      Pom_dsl.Count.add acc (sequential_stmt_latency ~partitions p))
     0 profiles
 
 (* Per-statement quantities relative to the group's pipeline level [p]. *)

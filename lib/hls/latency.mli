@@ -40,7 +40,8 @@ val access_ports :
   int * int
 
 (** Latency without pipelining; of the untransformed, unannotated program,
-    the paper's "original C code without any optimization" baseline. *)
+    the paper's "original C code without any optimization" baseline.
+    Raises [Failure] when the cycle count overflows ({!Pom_dsl.Count}). *)
 val sequential_latency :
   partitions:(string -> int list) -> Summary.t list -> int
 

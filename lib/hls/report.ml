@@ -20,7 +20,8 @@ type latency_mode = [ `Sequential | `Dataflow ]
 
 (* Process-wide count of full (cold) syntheses, so callers layering a memo
    on top of [synthesize] can check that a cache hit really skipped the
-   model evaluation. *)
+   model evaluation.  An [Atomic] because the compile daemon's executor
+   thread and another compiling thread of the process may both count. *)
 let synth_counter = Atomic.make 0
 
 let synth_count () = Atomic.get synth_counter

@@ -44,7 +44,8 @@ let ordered_domain (s : Stmt_poly.t) =
    domain, schedule, and index map — not the hardware attributes the DSE
    mutates between trials — so it memoizes well across a search.  The
    search itself is sequential; the mutex keeps this process-global cache
-   safe for callers on other domains or threads.  The analysis runs outside
+   safe when the compile daemon's executor thread and another thread of the
+   process compile at once.  The analysis runs outside
    the lock (two racing callers may compute the same entry twice — the
    results are equal, last write wins).  An entry is the statement's
    per-read result ({!t.carried}); [deps] is read off it. *)
@@ -58,7 +59,7 @@ let dep_cache_hits = ref 0
 let dep_cache_misses = ref 0
 
 (* (hits, misses) since process start; reads under the lock so the pair is
-   consistent even while worker domains are analyzing *)
+   consistent even while another thread (the daemon's executor) analyzes *)
 let dep_cache_stats () =
   Mutex.lock dep_cache_lock;
   let s = (!dep_cache_hits, !dep_cache_misses) in

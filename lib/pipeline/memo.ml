@@ -22,40 +22,23 @@ type plan = {
   plan_prog_hw : Pom_polyir.Prog.t;  (* scheduled, pre-partition *)
 }
 
-(* A table entry is either a settled value or a claim by the domain that is
-   computing it, stamped with the claim time.  Claims are what keep the
-   counters deterministic under concurrent requests (pool tasks, daemon
-   threads): when several race on one key, exactly one counts a miss and
-   computes; the rest poll until the slot settles and count hits, so
-   concurrent requests cost one miss per distinct key regardless of
-   scheduling.
-
-   The timestamp is the liveness escape hatch: a claim whose owner died
-   without withdrawing it (a worker domain torn down mid-compute) would
-   otherwise park every future requester forever.  A waiter that has watched
-   a claim sit unchanged for [reclaim_after] seconds presumes the owner dead,
-   takes the claim over, and recomputes — one extra miss, no hang. *)
-type 'v slot = Done of 'v | Inflight of float (* claimed at *)
-
 type t = {
-  schedules : (string, Pom_polyir.Prog.t slot) Hashtbl.t;
-  reports : (string, (Pom_polyir.Prog.t * Report.t) slot) Hashtbl.t;
-  plans : (string, plan slot) Hashtbl.t;
+  schedules : (string, Pom_polyir.Prog.t) Hashtbl.t;
+  reports : (string, Pom_polyir.Prog.t * Report.t) Hashtbl.t;
+  plans : (string, plan) Hashtbl.t;
   max_entries : int;
-  reclaim_after : float;
   lock : Mutex.t;
   mutable report_observer :
     (key:string -> Pom_polyir.Prog.t * Report.t -> unit) option;
   c : counters;
 }
 
-let create ?(max_entries = 4096) ?(reclaim_after = 30.0) () =
+let create ?(max_entries = 4096) () =
   {
     schedules = Hashtbl.create 256;
     reports = Hashtbl.create 256;
     plans = Hashtbl.create 256;
     max_entries;
-    reclaim_after;
     lock = Mutex.create ();
     report_observer = None;
     c =
@@ -136,75 +119,30 @@ let device_key (d : Device.t) =
     d.Device.ff d.Device.bram_bits d.Device.clock_mhz
 
 (* Past [max_entries] a table is dropped wholesale: long benchmark sweeps
-   would otherwise retain every design point ever evaluated.  Only settled
-   entries count — in-flight claims are transient and must not trigger (or
-   survive in a meaningful way) a reset; a claim dropped by a reset is
-   re-established when its computation lands. *)
+   would otherwise retain every design point ever evaluated. *)
 let guard_capacity t table =
-  let settled =
-    Hashtbl.fold
-      (fun _ s n -> match s with Done _ -> n + 1 | Inflight _ -> n)
-      table 0
-  in
-  if settled > t.max_entries then Hashtbl.reset table
+  if Hashtbl.length table > t.max_entries then Hashtbl.reset table
 
-(* [memoize t table key ~hit ~miss compute]: hit on a settled slot (waiting
-   out another domain's claim counts as a hit — the value is shared, not
-   recomputed); otherwise claim, count a miss, and compute with the lock
-   released.  An abandoned claim (compute raised) is withdrawn so waiters
-   retry instead of hanging; a claim whose owner died before withdrawing is
-   reclaimed by the first waiter to watch it exceed [reclaim_after].
-   Waiters poll (there is no timed [Condition.wait]): the 1 ms cadence is
-   invisible next to a synthesis, and each round re-checks the ambient
-   budget so a deadline cannot be spent parked on someone else's claim. *)
+(* [memoize t table key ~hit ~miss compute]: a hit returns the stored value;
+   a miss is counted, computed with the lock released (a compute may itself
+   ask the memo for a schedule or a plan), and stored.  A compute that
+   raises stores nothing, so the next request for the key computes again. *)
 let memoize t table key ~hit ~miss compute =
-  let claim () = Hashtbl.replace table key (Inflight (Unix.gettimeofday ())) in
-  let rec settle () =
-    match Hashtbl.find_opt table key with
-    | Some (Done v) ->
-        hit t.c;
-        Mutex.unlock t.lock;
-        v
-    | Some (Inflight claimed_at)
-      when Unix.gettimeofday () -. claimed_at > t.reclaim_after ->
-        (* owner presumed dead: take the claim over and recompute *)
-        miss t.c;
-        claim ();
-        compute_and_settle ()
-    | Some (Inflight _) ->
-        Mutex.unlock t.lock;
-        Pom_resilience.Budget.check "memo:wait";
-        Unix.sleepf 0.001;
-        Mutex.lock t.lock;
-        settle ()
-    | None ->
-        miss t.c;
-        claim ();
-        compute_and_settle ()
-  and compute_and_settle () =
-    Mutex.unlock t.lock;
-    match compute () with
-    | v ->
-        Mutex.lock t.lock;
-        guard_capacity t table;
-        Hashtbl.replace table key (Done v);
-        Mutex.unlock t.lock;
-        v
-    | exception e ->
-        (* withdraw the claim so waiters retry instead of waiting out the
-           reclaim window; the fault site simulates the claimant dying
-           before it could ([poll] never raises) *)
-        if not (Pom_resilience.Fault.poll "memo:withdraw-skip") then begin
-          Mutex.lock t.lock;
-          (match Hashtbl.find_opt table key with
-          | Some (Inflight _) -> Hashtbl.remove table key
-          | _ -> ());
-          Mutex.unlock t.lock
-        end;
-        raise e
-  in
   Mutex.lock t.lock;
-  settle ()
+  match Hashtbl.find_opt table key with
+  | Some v ->
+      hit t.c;
+      Mutex.unlock t.lock;
+      v
+  | None ->
+      miss t.c;
+      Mutex.unlock t.lock;
+      let v = compute () in
+      Mutex.lock t.lock;
+      guard_capacity t table;
+      Hashtbl.replace table key v;
+      Mutex.unlock t.lock;
+      v
 
 let schedule ?fkey ?dkey t func directives =
   Pom_resilience.Budget.check "memo:schedule";
@@ -285,9 +223,7 @@ let synthesize t ?composition ?latency_mode ~device ~directives func
    uninterrupted search's decisions. *)
 let restore_report t ~key value =
   Mutex.lock t.lock;
-  (match Hashtbl.find_opt t.reports key with
-  | Some (Done _) -> ()
-  | _ -> Hashtbl.replace t.reports key (Done value));
+  if not (Hashtbl.mem t.reports key) then Hashtbl.replace t.reports key value;
   Mutex.unlock t.lock
 
 (* The journal's record payload: the wire-encoded design point.  The codec

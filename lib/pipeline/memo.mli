@@ -40,11 +40,12 @@ type t
     drops that table wholesale, so long benchmark sweeps do not retain
     every design point ever evaluated.
 
-    [reclaim_after] (default 30 s) is how long a waiter watches another
-    domain's in-flight claim before presuming its owner dead and taking the
-    claim over (recomputing, one extra miss).  The default is far above any
-    single evaluation; tests shrink it to exercise the reclaim path. *)
-val create : ?max_entries:int -> ?reclaim_after:float -> unit -> t
+    Every table computes a missing entry once and stores it; a computation
+    that raises stores nothing, so the next request for that key computes
+    again (one more miss).  The tables and counters sit under one mutex,
+    which a compile daemon's executor thread and an in-process client
+    compiling on another thread may contend for. *)
+val create : ?max_entries:int -> unit -> t
 
 (** The process-wide cache used by default: sharing it across the DSE
     engine, the baselines, and the pipeline's synthesis pass is what lets a
@@ -133,9 +134,8 @@ val plan_key :
   bank_cap:int option ->
   string
 
-(** [plan cache ~key compute] memoizes one realization plan with the same
-    claim/settle discipline as the other tables (concurrent requesters of
-    one key cost a single miss). *)
+(** [plan cache ~key compute] memoizes one realization plan like the other
+    tables. *)
 val plan : t -> key:string -> (unit -> plan) -> plan
 
 (** The report-memo key for one design point — the key the checkpoint
@@ -150,7 +150,7 @@ val report_key :
   string
 
 (** Observe every genuinely computed report ([None] unhooks): fires on
-    misses only, with the lock released, after the value settles.  The DSE
+    misses only, with the lock released, before the value is stored.  The DSE
     checkpoint appends each observed design point to its journal; replayed
     points enter through {!restore_report} and never re-fire it. *)
 val set_report_observer :

@@ -1,6 +1,6 @@
 (* Pass metadata is registered from module initializers and from
-   pipelines built on any thread or domain (pass construction is lazy), so
-   the table is mutex-guarded. *)
+   pipelines built on any thread (pass construction is lazy), so the table
+   is mutex-guarded. *)
 let table : (string, string) Hashtbl.t = Hashtbl.create 32
 
 let lock = Mutex.create ()

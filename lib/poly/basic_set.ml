@@ -140,8 +140,8 @@ let compact constrs =
    constraints than this before compaction.  The default sits far above
    anything a well-formed kernel produces; lowering it turns pathological
    projections into a typed [Budget_exceeded] instead of a quadratic spin.
-   An [Atomic] so the analyses' [Par.map] domains see a test/CLI
-   override. *)
+   An [Atomic] so a compile on the daemon's executor thread sees an
+   override set on another thread. *)
 let default_projection_cap = 20_000
 
 let cap = Atomic.make default_projection_cap

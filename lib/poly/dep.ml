@@ -63,10 +63,7 @@ let carried_levels ~levels ~domain ~source ~sink ~found ~unknown =
   else if List.length source.indices <> List.length sink.indices then
     invalid_arg "Dep: access rank mismatch"
   else
-    (* each level's conflict polyhedron is independent of the others, so the
-       emptiness tests and distance extractions fan out across domains
-       (sequential under --jobs 1 or when already inside a pool task) *)
-    Pom_par.Par.filter_map
+    List.filter_map
       (fun level ->
         let conflict = conflict_at_level ~domain ~source ~sink level in
         try

@@ -124,37 +124,32 @@ let violations ~original ~transformed =
       prog_t.Prog.stmts
   in
   let as_a = insts "a$" transformed and as_b = insts "b$" transformed in
-  (* each statement pair is an independent family of emptiness proofs: fan
-     the pairs out across domains (order is irrelevant — the result is
-     sorted and deduplicated either way) *)
-  let pairs = List.concat_map (fun a -> List.map (fun b -> (a, b)) as_b) as_a in
+  let pair_violations a b =
+    (* cooperative deadline check between pairs: a legality run on a big
+       statement set stops at a pair boundary, and the guard layer maps the
+       timeout to "reject the transform" (POM302) *)
+    Pom_resilience.Budget.check "legality:pair";
+    Pom_resilience.Fault.point "legality:pair";
+    let accesses =
+      List.map (fun r -> (a.write, r, `Raw)) b.reads
+      @ List.map (fun r -> (r, b.write, `War)) a.reads
+      @ [ (a.write, b.write, `Waw) ]
+    in
+    List.filter_map
+      (fun (acc_a, acc_b, kind) ->
+        if flip_exists a b acc_a acc_b then
+          Some
+            {
+              src_stmt = a.name;
+              dst_stmt = b.name;
+              array = acc_a.Dep.array;
+              kind;
+            }
+        else None)
+      accesses
+  in
   List.sort_uniq compare_violation
-  @@ List.concat
-  @@ Pom_par.Par.map
-       (fun (a, b) ->
-         (* cooperative deadline check between pairs: a legality run on a
-            big statement set stops at a pair boundary, and the guard layer
-            maps the timeout to "reject the transform" (POM302) *)
-         Pom_resilience.Budget.check "legality:pair";
-         Pom_resilience.Fault.point "legality:pair";
-         let accesses =
-           List.map (fun r -> (a.write, r, `Raw)) b.reads
-           @ List.map (fun r -> (r, b.write, `War)) a.reads
-           @ [ (a.write, b.write, `Waw) ]
-         in
-         List.filter_map
-           (fun (acc_a, acc_b, kind) ->
-             if flip_exists a b acc_a acc_b then
-               Some
-                 {
-                   src_stmt = a.name;
-                   dst_stmt = b.name;
-                   array = acc_a.Dep.array;
-                   kind;
-                 }
-             else None)
-           accesses)
-       pairs
+    (List.concat_map (fun a -> List.concat_map (pair_violations a) as_b) as_a)
 
 let is_legal ~original ~transformed =
   violations ~original ~transformed = []

@@ -11,10 +11,10 @@ type t = {
          does *)
 }
 
-(* The ambient budget.  An [Atomic] rather than DLS: pool worker domains
-   must observe the budget the submitting domain installed, so a deadline
-   covers parallel dependence and legality checking without threading a
-   token through every call. *)
+(* The ambient budget, process-wide so a deadline covers every check
+   without threading a token through every call.  An [Atomic] because the
+   compile daemon's executor thread installs it while other threads of the
+   same process (an in-process client, a test) may install or read one. *)
 let current : t option Atomic.t = Atomic.make None
 
 let install ?deadline_s ?max_ticks ?cancel () =

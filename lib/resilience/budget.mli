@@ -9,10 +9,9 @@
     ({!Pom_pipeline.Pass.guarded}, the DSE searches) turns into a
     diagnostic or a clean abort.
 
-    The token lives in an [Atomic], so pool worker domains observe the
-    budget installed by the submitting domain without any plumbing: a
-    deadline set before a parallel legality check bounds every worker's
-    share of the work too. *)
+    The token lives in an [Atomic]: the compile daemon's executor thread
+    installs one per request, and another thread of the same process may
+    install or read one concurrently. *)
 
 exception
   Budget_exceeded of {

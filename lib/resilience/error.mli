@@ -13,7 +13,8 @@
     - [POM302] legality proof timed out — schedule conservatively rejected
     - [POM303] dependence proof timed out — dependence assumed
     - [POM304] DSE candidate evaluation failed — candidate skipped
-    - [POM305] pool worker died — task failed with this typed error
+    - [POM305] injected kill — the [pom_compile] driver's report of a
+      [kill] fault (simulated process death)
     - [POM306] checkpoint journal unreadable — search restarted fresh
     - [POM307] front-end parse error
     - [POM308] corrupt wire data — artifact dropped (cache miss), never trusted

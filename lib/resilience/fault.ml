@@ -86,5 +86,3 @@ let point site =
       raise
         (Budget.Budget_exceeded { site; reason = "injected timeout" })
   | Some Kill -> raise (Killed site)
-
-let poll site = visit site <> None

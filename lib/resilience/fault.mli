@@ -1,11 +1,11 @@
 (** Deterministic fault injection at named sites.
 
     Production code marks its failure-interesting points with
-    [Fault.point "site"] (passes, memo fills, pool tasks, DSE
-    evaluations); tests and the [--inject]/[POM_FAULTS] knobs arm a spec,
-    and the Nth visit to an armed site fires the configured fault.  With
-    nothing armed every point is a single atomic load, so the hooks stay
-    in release builds.
+    [Fault.point "site"] (passes, DSE evaluations, legality pairs,
+    Fourier–Motzkin projections, the compile daemon's executor); tests and
+    the [--inject]/[POM_FAULTS] knobs arm a spec, and the Nth visit to an
+    armed site fires the configured fault.  With nothing armed every point
+    is a single atomic load, so the hooks stay in release builds.
 
     Spec syntax: comma-separated [site=kind@n] terms, [@n] defaulting to 1
     (the first visit).  Kinds:
@@ -38,7 +38,3 @@ val enabled : unit -> bool
 
 (** Visit [site]; fires the armed fault when this is the configured visit. *)
 val point : string -> unit
-
-(** Like {!point} but never raises: returns [true] when the fault fires.
-    For sites where unwinding is wrong (e.g. simulating a skipped cleanup). *)
-val poll : string -> bool

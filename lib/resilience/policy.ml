@@ -1,7 +1,8 @@
 type t = Abort | Degrade
 
-(* Atomic for the same reason as {!Budget.current}: pool worker domains
-   must apply the policy the submitting domain selected. *)
+(* Atomic for the same reason as {!Budget.current}: the daemon's executor
+   thread and another compiling thread of the process may set and read it
+   concurrently. *)
 let current : t Atomic.t = Atomic.make Abort
 
 let get () = Atomic.get current

@@ -38,7 +38,6 @@ type t = {
   listen_fd : Unix.file_descr;
   max_queue : int;
   max_payload : int;
-  jobs : int;
   stop : bool Atomic.t;
   (* admission queue *)
   qm : Mutex.t;
@@ -190,7 +189,7 @@ let execute t (job : job) =
             (fun () ->
               Pom.compile ~device:req.Protocol.device
                 ~framework:req.Protocol.framework ~dnn:req.Protocol.dnn
-                ~jobs:t.jobs req.Protocol.func)
+                req.Protocol.func)
         with
         | c ->
             let result = Protocol.result_of_compiled c in
@@ -500,8 +499,8 @@ let remove_stale_socket socket =
   | _ -> (* a regular file or directory is the user's, not ours *) ()
 
 let start ?(max_queue = default_max_queue)
-    ?(max_payload = Protocol.default_max_request_payload) ?(jobs = 1)
-    ?cache_journal ~socket () =
+    ?(max_payload = Protocol.default_max_request_payload) ?cache_journal
+    ~socket () =
   (* a client closing mid-write must surface as EPIPE, not kill us *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   remove_stale_socket socket;
@@ -563,7 +562,6 @@ let start ?(max_queue = default_max_queue)
       listen_fd;
       max_queue;
       max_payload;
-      jobs;
       stop = Atomic.make false;
       qm = Mutex.create ();
       qc = Condition.create ();
@@ -608,8 +606,8 @@ let join t =
      crash; an unclean death still keeps every flushed record *)
   Option.iter Checkpoint.close t.journal
 
-let run ?max_queue ?max_payload ?jobs ?cache_journal ~socket () =
-  match start ?max_queue ?max_payload ?jobs ?cache_journal ~socket () with
+let run ?max_queue ?max_payload ?cache_journal ~socket () =
+  match start ?max_queue ?max_payload ?cache_journal ~socket () with
   | exception Unix.Unix_error (e, _, _) ->
       Printf.eprintf "pom_compile --serve: cannot bind %s: %s\n" socket
         (Unix.error_message e);

@@ -14,8 +14,7 @@
     token, so two concurrent compiles with different deadlines would
     clash; one executor gives every request its own budget (the
     request's [deadline_s] plus a cancel poll wired to the client's
-    connection) while the {!Pom.compile] call itself still fans out
-    across worker domains via [jobs].
+    connection).
 
     Admission control: a bounded FIFO queue (default {!default_max_queue}).
     A request arriving with the queue full is answered immediately with a
@@ -49,9 +48,7 @@ val default_max_queue : int
 (** [start ~socket ()] binds the Unix-domain socket, spawns the accept
     loop and the executor thread, and returns a handle.  [max_queue]
     bounds the admission queue; [max_payload] caps a request record
-    ({!Protocol.default_max_request_payload}); [jobs] is the
-    worker-domain budget each compile fans out to (default [1]:
-    deterministic and friendly to test hosts); [cache_journal] names
+    ({!Protocol.default_max_request_payload}); [cache_journal] names
     the durable response-cache journal file (created if absent,
     replayed if present — see the module doc).
 
@@ -67,7 +64,6 @@ val default_max_queue : int
 val start :
   ?max_queue:int ->
   ?max_payload:int ->
-  ?jobs:int ->
   ?cache_journal:string ->
   socket:string ->
   unit ->
@@ -94,7 +90,6 @@ val health : t -> Protocol.health
 val run :
   ?max_queue:int ->
   ?max_payload:int ->
-  ?jobs:int ->
   ?cache_journal:string ->
   socket:string ->
   unit ->

@@ -31,11 +31,14 @@ let test_usage_errors () =
   Alcotest.(check int) "--chunk" 1 (run "-w gemm --chunk 8")
 
 (* Numeric options must be rejected up front with a clear usage error,
-   never clamped or allowed to wedge a worker pool. *)
+   never clamped or passed through.  The compiler runs on one thread, so
+   --jobs accepts only 1. *)
 let test_bad_numeric_options () =
   Alcotest.(check int) "--jobs 0" 1 (run "-w gemm -j 0");
   Alcotest.(check int) "--jobs negative" 1 (run "-w gemm --jobs=-2");
   Alcotest.(check int) "--jobs not a number" 1 (run "-w gemm -j abc");
+  Alcotest.(check int) "--jobs 2" 1 (run "-w gemm -j 2");
+  Alcotest.(check int) "--jobs above the domain limit" 1 (run "-w gemm -j 129");
   Alcotest.(check int) "--size negative" 1 (run "-w gemm --size=-5");
   Alcotest.(check int) "--deadline 0" 1 (run "-w gemm --deadline=0");
   Alcotest.(check int) "--deadline negative" 1 (run "-w gemm --deadline=-1.5");
@@ -78,15 +81,20 @@ let test_resilience_failures () =
         [ "abort"; "degrade" ])
     [ "baseline"; "pluto"; "polsca"; "scalehls"; "pom-manual"; "pom" ]
 
-(* [run] that also returns what pom_compile printed on stderr *)
-let run_stderr args =
-  let err = Filename.temp_file "pom_cli" ".err" in
-  let code =
-    Sys.command (exe ^ " " ^ args ^ " > /dev/null 2> " ^ Filename.quote err)
+(* [run] that also returns what pom_compile printed on [stream] *)
+let run_capture stream args =
+  let file = Filename.temp_file "pom_cli" ".out" in
+  let redirect =
+    match stream with
+    | `Stdout -> " > " ^ Filename.quote file ^ " 2> /dev/null"
+    | `Stderr -> " > /dev/null 2> " ^ Filename.quote file
   in
-  let text = In_channel.with_open_bin err In_channel.input_all in
-  Sys.remove err;
+  let code = Sys.command (exe ^ " " ^ args ^ redirect) in
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
   (code, text)
+
+let run_stderr = run_capture `Stderr
 
 let contains text sub =
   let n = String.length sub in
@@ -152,6 +160,29 @@ let test_size_too_small () =
         (run (Printf.sprintf "-w %s -s %d -j 1" w size)))
     (("trmm", 2) :: List.map (fun w -> (w, 3)) stencils)
 
+(* The cycle model counts in native ints.  A problem size whose cycle
+   count does not fit is a typed failure of the speedup baseline (POM300,
+   exit 3) on the local and the --connect paths, never a wrapped-around
+   negative latency; a size that fits still compiles to the pinned
+   design. *)
+let test_cycle_count_overflow () =
+  let code, out = run_capture `Stdout "-w gemm -s 100000 -f pom" in
+  Alcotest.(check int) "gemm -s 100000 exit code" 0 code;
+  Alcotest.(check bool) "gemm -s 100000 speedup" true
+    (contains out "speedup:     512.0x");
+  List.iter
+    (fun size ->
+      let code, err = run_stderr (Printf.sprintf "-w gemm -s %d -f pom" size) in
+      let where = Printf.sprintf "gemm -s %d" size in
+      Alcotest.(check int) (where ^ ": exit code") 3 code;
+      Alcotest.(check bool) (where ^ ": POM300 at baseline-latency") true
+        (contains err "POM300" && contains err "baseline-latency"))
+    [ 1_000_000; 2_000_000 ];
+  Alcotest.(check int) "--connect: the local fallback fails the same way" 3
+    (run
+       "-w gemm -s 1000000 -f pom --connect /nonexistent/pom.sock \
+        --retries 1 --retry-backoff 0.01")
+
 let () =
   Alcotest.run "cli"
     [
@@ -169,5 +200,7 @@ let () =
           Alcotest.test_case "legality timeout named" `Quick
             test_legality_timeout_named;
           Alcotest.test_case "size too small" `Quick test_size_too_small;
+          Alcotest.test_case "cycle count overflow" `Quick
+            test_cycle_count_overflow;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* The resilience layer: cooperative budgets, typed failures and per-pass
-   degradation, crash-safe DSE checkpointing, the hardened worker pool, and
+   degradation, crash-safe DSE checkpointing, the memo's failure path, and
    the deterministic fault-injection knob that exercises all of it. *)
 
 module R = Pom_resilience
@@ -155,44 +155,27 @@ let test_checkpoint_fsync_each () =
   Alcotest.(check (list string)) "no degradation notes" [] notes2;
   Sys.remove path
 
-(* -------- memo in-flight claim reclaim -------- *)
+(* -------- memo: a failed compute stores nothing -------- *)
 
-let test_memo_claim_reclaim () =
-  let cache = Memo.create ~reclaim_after:0.05 () in
+let test_memo_failed_compute () =
+  let cache = Memo.create () in
   let func = Polybench.gemm 16 in
   let device = Pom_hls.Device.xc7z020 in
-  (* leak an in-flight claim: the compute fails AND the owner "dies" before
-     withdrawing (the fault skips the withdrawal, as a killed domain would) *)
-  with_faults "memo:withdraw-skip=fail@1" (fun () ->
-      match
-        Memo.synthesize cache ~device ~directives:[] func (fun () ->
-            failwith "boom")
-      with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "expected the compute to fail");
-  (* after reclaim_after the stale claim is presumed dead and taken over *)
-  Unix.sleepf 0.06;
+  (match
+     Memo.synthesize cache ~device ~directives:[] func (fun () ->
+         failwith "boom")
+   with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected the compute to fail");
   let _, report =
     Memo.synthesize cache ~device ~directives:[] func (fun () ->
         Pom_polyir.Prog.of_func_unscheduled func)
   in
-  Alcotest.(check bool) "stale claim reclaimed, value computed" true
-    (report.Pom_hls.Report.latency > 0)
-
-(* -------- hardened worker pool -------- *)
-
-let test_pool_worker_killed () =
-  with_faults "pool:task=kill@1" (fun () ->
-      Pom_par.Par.with_jobs 2 (fun () ->
-          (match Pom_par.Par.map (fun x -> x + 1) [ 1; 2; 3 ] with
-          | exception R.Error.Error e ->
-              Alcotest.(check string) "typed worker death" "POM305"
-                e.R.Error.code
-          | _ -> Alcotest.fail "expected a POM305 error");
-          (* the pool survives the death: the next map still runs *)
-          Alcotest.(check (list int))
-            "pool alive afterwards" [ 2; 3; 4 ]
-            (Pom_par.Par.map (fun x -> x + 1) [ 1; 2; 3 ])))
+  Alcotest.(check bool) "the next request computes" true
+    (report.Pom_hls.Report.latency > 0);
+  let c = Memo.counters cache in
+  Alcotest.(check int) "two misses" 2 c.Memo.report_misses;
+  Alcotest.(check int) "no hit" 0 c.Memo.report_hits
 
 (* -------- per-pass degradation matrix -------- *)
 
@@ -297,7 +280,7 @@ let compile_outcome framework func spec =
   Memo.clear Memo.global;
   with_faults spec (fun () ->
       match
-        Pom.compile ~framework ~jobs:1 ~on_error:R.Policy.Degrade func
+        Pom.compile ~framework ~on_error:R.Policy.Degrade func
       with
       | c -> `Compiled c
       | exception R.Fault.Killed site -> `Killed site
@@ -366,7 +349,7 @@ let test_deadline_aborts_cleanly () =
   (* an effectively-zero deadline on a large kernel: the compile must exit
      with the typed budget diagnostic, not hang or crash *)
   match
-    Pom.compile ~framework:`Pom_auto ~jobs:1 ~deadline_s:1e-4
+    Pom.compile ~framework:`Pom_auto ~deadline_s:1e-4
       (Polybench.gemm 256)
   with
   | exception R.Error.Error e ->
@@ -380,7 +363,7 @@ let test_checkpoint_kill_and_resume () =
   let module Engine = Pom_dse.Engine in
   let func = Polybench.gemm 32 in
   (* ground truth: one uninterrupted search on a cold private cache *)
-  let full = (Engine.run ~cache:(Memo.create ()) ~jobs:1 func).Engine.result in
+  let full = (Engine.run ~cache:(Memo.create ()) func).Engine.result in
   Alcotest.(check bool) "search long enough to kill mid-way" true
     (full.Pom_dse.Stage2.evaluations > 4);
   let path = Filename.temp_file "pom_dse" ".jrnl" in
@@ -388,7 +371,7 @@ let test_checkpoint_kill_and_resume () =
   (* the same search, checkpointed, killed on its 4th sequential
      evaluation — simulating the process dying mid-DSE *)
   R.Fault.configure "dse:evaluate=kill@4";
-  (match Engine.run ~cache:(Memo.create ()) ~jobs:1 ~checkpoint:path func with
+  (match Engine.run ~cache:(Memo.create ()) ~checkpoint:path func with
   | exception R.Fault.Killed site ->
       Alcotest.(check string) "died at the evaluation site" "dse:evaluate"
         site
@@ -399,7 +382,7 @@ let test_checkpoint_kill_and_resume () =
   (* resume on a fresh cold cache: the journal replays the evaluated
      points, and the search re-derives the identical final design *)
   let resumed =
-    (Engine.run ~cache:(Memo.create ()) ~jobs:1 ~checkpoint:path func)
+    (Engine.run ~cache:(Memo.create ()) ~checkpoint:path func)
       .Engine.result
   in
   Alcotest.(check bool) "identical directives" true
@@ -541,9 +524,10 @@ let () =
             test_checkpoint_fsync_each;
         ] );
       ( "memo",
-        [ Alcotest.test_case "stale claim reclaim" `Quick test_memo_claim_reclaim ] );
-      ( "pool",
-        [ Alcotest.test_case "worker death is typed" `Quick test_pool_worker_killed ] );
+        [
+          Alcotest.test_case "failed compute stores nothing" `Quick
+            test_memo_failed_compute;
+        ] );
       ( "degradation",
         [
           Alcotest.test_case "fault matrix (degrade)" `Quick

@@ -520,7 +520,7 @@ let test_daemon_kill_local_fallback_bit_identical () =
          the server's own result projection — must be the golden design *)
       let c =
         Pom.compile ~device:Pom.Hls.Device.xc7z020 ~framework:`Pom_manual
-          ~dnn:false ~jobs:1 (scheduled_gemm 32)
+          ~dnn:false (scheduled_gemm 32)
       in
       Alcotest.(check string) "local fallback is bit-identical" golden
         (design_bytes (Protocol.result_of_compiled c)))
