@@ -11,7 +11,7 @@ let seed = 7
 (* per-family case counts sized so the whole experiment stays in seconds:
    poly cases are microseconds, degrade cases each run five compiles *)
 let families =
-  [ (`Poly, 5_000); (`Semantic, 500); (`Degrade, 50) ]
+  [ (`Poly, 5_000); (`Semantic, 500); (`Degrade, 50); (`Qor, 2_000) ]
 
 let corpus_dir = "test/refute-corpus"
 

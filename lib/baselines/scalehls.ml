@@ -64,14 +64,12 @@ let ladder = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48; 64 ]
 
 (* Per-unit operator usage — the quantity ScaleHLS's per-loop budget check
    sees (global banking overhead is not in it), priced from the unit's own
-   profiles under [prog]'s partitioning.  Each check counts as a QoR
+   profiles under [prog]'s partitioning: the price the rung's evaluation
+   just put in the search's table.  Each check counts as a QoR
    evaluation. *)
-let unit_usage ?count (prog : Prog.t) (u : Stage2.unit_state) =
-  (match count with Some c -> incr c | None -> ());
-  let mine = List.map snd u.Stage2.realized in
-  let partitions = Report.partition_fn prog in
-  let eval = Latency.eval_group ~partitions mine in
-  Resource.group_usage mine eval
+let unit_usage ~count ~prices ~device (prog : Prog.t) (u : Stage2.unit_state) =
+  incr count;
+  Report.group_usage prices ~device prog (List.map snd u.Stage2.realized)
 
 let usage_fits (budget : Resource.usage) (u : Resource.usage) =
   u.Resource.dsp <= budget.Resource.dsp
@@ -92,9 +90,10 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
     ~descr:"greedy program-order factor-ladder DSE under a dataflow budget"
     (fun (st : State.t) ->
       (* same journal protocol as {!Pom_dse.Stage2.run}: replay intact
-         records into the report memo, journal every synthesized rung, and
-         let the greedy walk replay a resumed run into hits *)
-      Memo.with_journal cache checkpoint @@ fun _journal_notes ->
+         records into the report memo, journal every synthesized rung, let
+         the greedy walk replay a resumed run into hits, and trace the
+         journal's notes *)
+      Memo.with_journal cache checkpoint @@ fun journal_notes ->
       let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
       let func = st.State.func and device = st.State.device in
       let composition = st.State.composition
@@ -112,13 +111,14 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
           (Func.computes func)
       in
       let units = Stage2.units_of prog_base in
+      let prices = Report.prices () in
       let evaluations = ref 0 in
       let pruned = ref 0 in
       let eval () =
         incr evaluations;
         (* the per-evaluation fault site shared with Stage2 *)
         Pom_resilience.Fault.point "dse:evaluate";
-        Stage2.evaluate ~cache ~fkey ~base_key ~device ~composition
+        Stage2.evaluate ~prices ~cache ~fkey ~base_key ~device ~composition
           ~latency_mode func base units
       in
       let stopped = ref false in
@@ -165,7 +165,10 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
                     end
                     else begin
                       let ((trial_prog, _, trial_report) as trial) = eval () in
-                      let usage = unit_usage ~count:evaluations trial_prog u in
+                      let usage =
+                        unit_usage ~count:evaluations ~prices ~device trial_prog
+                          u
+                      in
                       let _, _, cur_report = !current in
                       if
                         usage_fits !budget usage
@@ -210,7 +213,9 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
                 end)
               ladder;
             let prog, _, _ = !current in
-            budget := usage_sub !budget (unit_usage ~count:evaluations prog u)
+            budget :=
+              usage_sub !budget
+                (unit_usage ~count:evaluations ~prices ~device prog u)
             end)
           units;
       let prog, directives, report = !current in
@@ -240,6 +245,7 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
         report = Some report;
         directives;
         tile_vectors;
+        trace = st.State.trace @ journal_notes;
         dse_time_s = st.State.dse_time_s +. dse_time_s;
         dse_cpu_s = st.State.dse_cpu_s +. (Sys.time () -. cpu0);
       })

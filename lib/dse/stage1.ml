@@ -151,8 +151,7 @@ let fuse_group func graph plans g =
         else ([], true)
     | [] -> ([], false)
 
-let run ?(max_iterations = 8) func =
-  ignore max_iterations;
+let run func =
   let graph = Graph.build func in
   let planned = List.map plan_node (Graph.nodes graph) in
   let plans = List.map snd planned in

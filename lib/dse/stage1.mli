@@ -1,8 +1,10 @@
 (** Stage 1 of the DSE engine (Section VI-A): dependence-aware code
-    transformation.  The dependence graph is traversed, loop-carried
-    dependences are checked per node, and loop interchange / splitting
-    (distribution) / skewing / re-fusion are applied iteratively until no
-    node keeps a tight innermost dependence or the iteration bound is hit.
+    transformation, one pass over the dependence graph.  Each node's
+    loop-carried dependences suggest keeping its loop order,
+    interchanging, or skewing then interchanging (a node no
+    transformation frees stays tight); each user fusion group is kept as
+    specified, or, when its members share no data edge, distributed,
+    transformed and re-fused (Fig. 10).
 
     The output is a transformation plan: a list of DSL scheduling
     directives that, applied to the unscheduled program, realize the
@@ -32,4 +34,4 @@ type t = {
     defines the initial fusion groups; conflicting per-node requirements
     split the group (Fig. 10) and compatible transformed nodes are
     conservatively re-fused. *)
-val run : ?max_iterations:int -> Func.t -> t
+val run : Func.t -> t

@@ -88,36 +88,35 @@ let realize cname order extents par =
 
 (* ---- array partitioning matched to the unrolled dimensions ---- *)
 
-let partition_plan ?(bank_cap = 64) (prog : Prog.t) =
+(* A profile's [access_dims] are its accesses' index dimensions, so the
+   plan reads them instead of re-deriving the accesses. *)
+let partition_plan ?(bank_cap = 64) func profiles =
   let demand : (string, int array) Hashtbl.t = Hashtbl.create 8 in
-  let placeholders = Func.placeholders prog.Prog.func in
+  let placeholders = Func.placeholders func in
   List.iter
     (fun (p : Placeholder.t) ->
       Hashtbl.replace demand p.Placeholder.name
         (Array.make (Placeholder.rank p) 1))
     placeholders;
   List.iter
-    (fun (s : Stmt_poly.t) ->
-      let unrolls = s.Stmt_poly.hw.Stmt_poly.unrolls in
-      if unrolls <> [] then begin
-        let write, reads = Summary.transformed_accesses s in
+    (fun (p : Summary.t) ->
+      let unrolls = p.Summary.stmt.Stmt_poly.hw.Stmt_poly.unrolls in
+      if unrolls <> [] then
         List.iter
-          (fun (a : Pom_poly.Dep.access) ->
-            match Hashtbl.find_opt demand a.Pom_poly.Dep.array with
+          (fun (array, per_dim) ->
+            match Hashtbl.find_opt demand array with
             | None -> ()
             | Some factors ->
                 List.iteri
-                  (fun k idx ->
-                    let dims = Pom_poly.Linexpr.dims idx in
+                  (fun k dims ->
                     List.iter
                       (fun (dim, f) ->
                         if List.mem dim dims && f > factors.(k) then
                           factors.(k) <- f)
                       unrolls)
-                  a.Pom_poly.Dep.indices)
-          (write :: reads)
-      end)
-    prog.Prog.stmts;
+                  per_dim)
+          p.Summary.access_dims)
+    profiles;
   (* Bank budget: beyond ~64 banks per array the crossbar cost outweighs
      the port gain; shed factors by halving the widest dimension, trading a
      slightly larger II for feasible muxing (the paper's BICG lands at II=2
@@ -155,6 +154,7 @@ type unit_state = {
   mutable par : int;
   mutable active : bool;
   mutable realization : realization list;  (* one per member *)
+  mutable hw_key : string;  (* Memo.directives_key of its hw directives *)
   mutable realized : (Stmt_poly.t * Summary.t) list;
       (* one per member: its statement under [realization], profiled *)
 }
@@ -183,6 +183,9 @@ let retiling (s : Stmt_poly.t) dirs =
 let realize_unit u =
   u.realization <-
     List.map (fun (c, order, extents) -> realize c order extents u.par) u.members;
+  u.hw_key <-
+    Memo.directives_key
+      (List.concat_map (fun r -> r.hw_directives) u.realization);
   u.realized <-
     List.map2
       (fun (p : Summary.t) r ->
@@ -211,6 +214,7 @@ let units_of (prog : Prog.t) =
           par = 1;
           active = true;
           realization = [];
+          hw_key = "";
           realized = [];
         }
       in
@@ -231,9 +235,11 @@ let max_par ~par_cap u =
    budget — goes through the one restore here. *)
 let try_move u par decide =
   let par0 = u.par and realization0 = u.realization and realized0 = u.realized in
+  let hw_key0 = u.hw_key in
   let restore () =
     u.par <- par0;
     u.realization <- realization0;
+    u.hw_key <- hw_key0;
     u.realized <- realized0
   in
   match
@@ -275,32 +281,33 @@ let splice (prog : Prog.t) units =
    plan (the plan memo, one entry per design point).  The search asks for
    each candidate's plan twice: at the analyzer's pre-pruning check, then
    at the evaluation, which reads its directive list — the second request
-   is a lookup. *)
+   is a lookup.  The hardware key joins the units' own keys, the bytes of
+   [Memo.directives_key (hw_directives units)]. *)
 let realization_plan ?bank_cap ~cache ~fkey ~base_key func base units =
-  let hw = hw_directives units in
-  let hw_key = Memo.directives_key hw in
+  let hw_key = Memo.join_keys (List.map (fun u -> u.hw_key) units) in
   Memo.plan cache
     ~key:(Memo.plan_key ~fkey ~base_key ~hw_key ~bank_cap)
     (fun () ->
-      let prog_hw, _ =
+      let prog_hw, profiles =
         splice (Memo.schedule ~fkey ~dkey:base_key cache func base) units
       in
-      let parts = partition_plan ?bank_cap prog_hw in
+      let parts = partition_plan ?bank_cap prog_hw.Prog.func profiles in
       {
-        Memo.plan_directives = base @ hw @ parts;
+        Memo.plan_directives = base @ hw_directives units @ parts;
         plan_dkey =
           Memo.join_keys [ base_key; hw_key; Memo.directives_key parts ];
         plan_parts = parts;
         plan_prog_hw = prog_hw;
       })
 
-let evaluate ?bank_cap ?latency_mode ~cache ~fkey ~base_key ~device
+let evaluate ?bank_cap ?latency_mode ~prices ~cache ~fkey ~base_key ~device
     ~composition func base units =
   let plan =
     realization_plan ?bank_cap ~cache ~fkey ~base_key func base units
   in
   let prog, report =
-    Memo.synthesize_profiled cache ~fkey ~composition ?latency_mode ~device
+    Memo.synthesize_profiled cache ~fkey ~prices ~composition ?latency_mode
+      ~device
       ~dkey:plan.Memo.plan_dkey (fun () ->
         ( List.fold_left Prog.apply plan.Memo.plan_prog_hw plan.Memo.plan_parts,
           snd (splice plan.Memo.plan_prog_hw units) ))
@@ -312,54 +319,65 @@ let evaluate ?bank_cap ?latency_mode ~cache ~fkey ~base_key ~device
 let unit_latency (report : Report.t) u =
   Option.value ~default:0 (List.assoc_opt u.id report.Report.group_latencies)
 
-(* Each data path as the units it crosses, in path order without repeats.
-   Units never change membership during a search, so this is computed once
-   per search, not once per iteration. *)
-let unit_paths ~paths units =
-  let unit_of_compute name =
-    List.find_opt
-      (fun u -> List.exists (fun (c, _, _) -> c = name) u.members)
-      units
-  in
-  List.map
-    (fun path ->
-      let us = List.filter_map unit_of_compute path in
-      let seen = Hashtbl.create 4 in
-      List.filter
-        (fun u ->
-          if Hashtbl.mem seen u.id then false
-          else begin
-            Hashtbl.add seen u.id ();
-            true
-          end)
-        us)
-    paths
+(* Each data path as the indices of the units it crosses, in path order
+   without repeats.  Units never change membership during a search, so
+   this is computed once per search, not once per iteration. *)
+let unit_paths paths units =
+  let unit_of = Hashtbl.create 64 in
+  Array.iteri
+    (fun i u ->
+      List.iter
+        (fun (c, _, _) ->
+          if not (Hashtbl.mem unit_of c) then Hashtbl.add unit_of c i)
+        u.members)
+    units;
+  Array.of_list
+    (List.map
+       (fun path ->
+         let crossed =
+           List.fold_left
+             (fun acc c ->
+               match Hashtbl.find_opt unit_of c with
+               | Some i when not (List.mem i acc) -> i :: acc
+               | _ -> acc)
+             [] path
+         in
+         Array.of_list (List.rev crossed))
+       paths)
 
-let critical_bottleneck ~report unit_paths =
-  (* each path's weight once per report, not once per comparison; the sort
-     is stable, so ties keep path order *)
-  let weighted =
-    List.map
-      (fun us ->
-        (List.fold_left (fun acc u -> acc + unit_latency report u) 0 us, us))
-      unit_paths
-  in
-  let sorted =
-    List.stable_sort (fun (wa, _) (wb, _) -> Int.compare wb wa) weighted
-  in
-  List.find_map
-    (fun (_, us) ->
-      let actives = List.filter (fun u -> u.active) us in
-      match
-        List.sort
-          (fun a b -> Int.compare (unit_latency report b) (unit_latency report a))
-          actives
-      with
-      | u :: _ -> Some u
-      | [] -> None)
-    sorted
+(* Paths ordered by latency, heaviest first and ties in path order: the
+   critical path is the first that still holds an active unit, so it is
+   the heaviest such path, the earliest of equal weight.  Its bottleneck
+   is its first active unit of maximum latency. *)
+let bottleneck ~report ~active units paths =
+  let latency = Array.map (unit_latency report) units in
+  let critical = ref None in
+  Array.iter
+    (fun path ->
+      let pick =
+        Array.fold_left
+          (fun pick i ->
+            match pick with
+            | _ when not (active i) -> pick
+            | Some b when latency.(i) <= latency.(b) -> pick
+            | _ -> Some i)
+          None path
+      in
+      match pick with
+      | None -> ()
+      | Some i -> (
+          let weight = Array.fold_left (fun acc i -> acc + latency.(i)) 0 path in
+          match !critical with
+          | Some (w, _) when weight <= w -> ()
+          | _ -> critical := Some (weight, i)))
+    paths;
+  Option.map snd !critical
 
 let default_steps par = [ par * 2; par * 3 / 2 ]
+
+(* The search's iteration cap.  Of the bundled workloads only ResNet-18
+   reaches it; its pinned design depends on it. *)
+let max_iterations = 60
 
 let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
     ?(par_cap = 64) ?bank_cap ?(steps = default_steps) ?(cache = Memo.global)
@@ -375,7 +393,10 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
   let base_key = Memo.directives_key base in
   let prog_base = Memo.schedule ~fkey ~dkey:base_key cache func base in
   let units = units_of prog_base in
-  let unit_paths = unit_paths ~paths:stage1.Stage1.paths units in
+  let unit_array = Array.of_list units in
+  let paths = unit_paths stage1.Stage1.paths unit_array in
+  (* the search's group prices: a candidate re-prices only its own unit *)
+  let prices = Report.prices () in
   let evaluations = ref 0 in
   let counted thunk =
     incr evaluations;
@@ -386,8 +407,8 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
   in
   let evaluate_counted () =
     counted (fun () ->
-        evaluate ?bank_cap ~cache ~fkey ~base_key ~device ~composition func
-          base units)
+        evaluate ?bank_cap ~prices ~cache ~fkey ~base_key ~device ~composition
+          func base units)
   in
   let current = ref (evaluate_counted ()) in
   (* the incumbent's loop signature: the initial design's, then each
@@ -408,10 +429,15 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
   let iterations = ref 0 in
   let pruned = ref 0 in
   let continue_ = ref true in
-  while !continue_ && !iterations < 60 do
-    incr iterations;
+  let critical () =
     let _, _, report = !current in
-    match critical_bottleneck ~report unit_paths with
+    Option.map (Array.get unit_array)
+      (bottleneck ~report ~active:(fun i -> unit_array.(i).active) unit_array
+         paths)
+  in
+  while !continue_ && !iterations < max_iterations do
+    incr iterations;
+    match critical () with
     | None -> continue_ := false
     | Some u ->
         (* escalate by doubling; when the doubled design no longer fits or
@@ -505,6 +531,12 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
           u.active <- false
         end
   done;
+  if !continue_ && Option.is_some (critical ()) then
+    log
+      "iter %d: iteration cap reached; search stopped with %d units still on \
+       the optimization list"
+      !iterations
+      (List.length (List.filter (fun u -> u.active) units));
   let prog0, directives, _ = !current in
   (* Re-request the winning design point through the memo: the search just
      evaluated it, so this final QoR query is served from cache — the same
@@ -513,7 +545,7 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
      the incumbent's realization, so their profiles are its profiles. *)
   let prog, report =
     counted (fun () ->
-        Memo.synthesize_profiled cache ~fkey ~composition ~device
+        Memo.synthesize_profiled cache ~fkey ~prices ~composition ~device
           ~dkey:(Memo.directives_key directives) (fun () ->
             (prog0, snd (splice prog_base units))))
   in

@@ -22,11 +22,15 @@ type realization = {
     same move space with a different search policy). *)
 val realize : string -> string list -> int list -> int -> realization
 
-(** Array-partition directives matched to the unroll factors present in a
-    scheduled program, with the per-array bank-count cap ([bank_cap],
-    default 64: beyond it the crossbar cost outweighs the port gain and
-    factors are shed by halving, trading a slightly larger II). *)
-val partition_plan : ?bank_cap:int -> Pom_polyir.Prog.t -> Schedule.t list
+(** [partition_plan func profiles]: array-partition directives for
+    [func]'s arrays matched to the unroll factors of the statements
+    [profiles] describes (each profile's {!Pom_hls.Summary.t.access_dims}
+    and its statement's unrolls), with the per-array bank-count cap
+    ([bank_cap], default 64: beyond it the crossbar cost outweighs the
+    port gain and factors are shed by halving, trading a slightly larger
+    II). *)
+val partition_plan :
+  ?bank_cap:int -> Func.t -> Pom_hls.Summary.t list -> Schedule.t list
 
 (** {1 Optimization units}
 
@@ -48,6 +52,9 @@ type unit_state = private {
   mutable par : int;
   mutable active : bool;  (** still on Stage 2's optimization list *)
   mutable realization : realization list;  (** one per member *)
+  mutable hw_key : string;
+      (** {!Pom_pipeline.Memo.directives_key} of [realization]'s hardware
+          directives *)
   mutable realized : (Pom_polyir.Stmt_poly.t * Pom_hls.Summary.t) list;
       (** one per member: its statement under [realization], profiled *)
 }
@@ -90,13 +97,16 @@ val realization_plan :
   unit_state list ->
   Pom_pipeline.Memo.plan
 
-(** [evaluate ~cache ~fkey ~base_key ~device ~composition func base units]
-    prices the design point the units describe: its program, full
+(** [evaluate ~prices ~cache ~fkey ~base_key ~device ~composition func base
+    units] prices the design point the units describe: its program, full
     directive list (base, hardware, partitions) and report, synthesized
-    through the report memo from the units' profiles. *)
+    through the report memo from the units' profiles.  [prices] is the
+    search's own group-price table ({!Pom_hls.Report.prices}): a candidate
+    re-prices only the groups it changed. *)
 val evaluate :
   ?bank_cap:int ->
   ?latency_mode:Pom_hls.Report.latency_mode ->
+  prices:Pom_hls.Report.prices ->
   cache:Pom_pipeline.Memo.t ->
   fkey:string ->
   base_key:string ->
@@ -106,6 +116,25 @@ val evaluate :
   Schedule.t list ->
   unit_state list ->
   Pom_polyir.Prog.t * Schedule.t list * Pom_hls.Report.t
+
+(** {1 The bottleneck} *)
+
+(** [unit_paths paths units]: each data path ({!Stage1.t.paths}, compute
+    names) as the indices into [units] of the units it crosses, in path
+    order without repeats. *)
+val unit_paths : string list list -> unit_state array -> int array array
+
+(** [bottleneck ~report ~active units paths] is the index of the unit
+    Stage 2 escalates next, given [report]'s group latencies: order the
+    paths by latency, heaviest first (ties keep path order); on the first
+    path holding a unit for which [active] holds, take its first active
+    unit of maximum latency.  [None] when no path holds an active unit. *)
+val bottleneck :
+  report:Pom_hls.Report.t ->
+  active:(int -> bool) ->
+  unit_state array ->
+  int array array ->
+  int option
 
 (** Read by perfbench/cold.ml (as [Pom.Par.Chunks.stats]); always zero,
     the counters of a search that schedules no work elsewhere. *)
@@ -154,7 +183,9 @@ type result = {
     produces identical directives, tile vectors, and report.
 
     The search is sequential: the paper's bottleneck-oriented search
-    decides each step from the previous step's report. *)
+    decides each step from the previous step's report.  It stops after 60
+    iterations; when that cap, not the exit mechanism, ends it, the trace
+    says how many units were still on the optimization list. *)
 val run :
   ?device:Pom_hls.Device.t ->
   ?composition:Pom_hls.Resource.composition ->

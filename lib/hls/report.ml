@@ -26,11 +26,70 @@ let synth_counter = Atomic.make 0
 
 let synth_count () = Atomic.get synth_counter
 
-let of_profiles ?(composition = Resource.Reuse) ?(latency_mode = `Sequential)
-    ~device prog profiles =
+(* One fusion group's price: what the group contributes to a report,
+   valid while the group has the same profiles and every array it touches
+   the same partition factors. *)
+type price = {
+  profiles : Summary.t list;  (* the group's, program order *)
+  arrays : (string * int) list;  (* Resource.arrays_of profiles *)
+  factors : int list list;  (* each array's partition factors, priced at *)
+  eval : Latency.group_eval;
+  area : Resource.usage;  (* operators and on-chip buffers *)
+}
+
+(* group id -> its two newest prices, newest first *)
+type prices = (int, price list) Hashtbl.t
+
+let prices () : prices = Hashtbl.create 32
+
+(* Two entries per group hold a search's incumbent and its candidate.
+   Profiles are immutable and a unit keeps its profiles across a
+   backed-out move, so physical equality identifies the same statements;
+   the partition check catches a neighbour's unroll re-partitioning a
+   shared array. *)
+let group_price prices ~device ~partitions group profiles =
+  let entries = Option.value ~default:[] (Hashtbl.find_opt prices group) in
+  let valid e =
+    List.compare_lengths e.profiles profiles = 0
+    && List.for_all2 ( == ) e.profiles profiles
+    && List.for_all2 (fun (a, _) f -> partitions a = f) e.arrays e.factors
+  in
+  match List.find_opt valid entries with
+  | Some e -> e
+  | None ->
+      let arrays = Resource.arrays_of profiles in
+      let eval = Latency.eval_group ~partitions profiles in
+      let e =
+        {
+          profiles;
+          arrays;
+          factors = List.map (fun (a, _) -> partitions a) arrays;
+          eval;
+          area =
+            {
+              (Resource.group_usage profiles eval) with
+              Resource.bram = Resource.group_bram ~device ~partitions arrays;
+            };
+        }
+      in
+      Hashtbl.replace prices group
+        (match entries with [] -> [ e ] | x :: _ -> [ e; x ]);
+      e
+
+let of_profiles ?(prices = prices ()) ?(composition = Resource.Reuse)
+    ?(latency_mode = `Sequential) ~device prog profiles =
   Atomic.incr synth_counter;
   let partitions = partition_fn prog in
-  let evals, latency = Latency.eval_program ~partitions profiles in
+  let priced =
+    List.map
+      (fun g ->
+        group_price prices ~device ~partitions g
+          (List.filter (fun p -> p.Summary.group = g) profiles))
+      (List.sort_uniq Int.compare
+         (List.map (fun p -> p.Summary.group) profiles))
+  in
+  let evals = List.map (fun g -> g.eval) priced in
+  let latency = List.fold_left (fun acc e -> acc + e.Latency.latency) 0 evals in
   let latency =
     match latency_mode with
     | `Sequential -> latency
@@ -40,7 +99,11 @@ let of_profiles ?(composition = Resource.Reuse) ?(latency_mode = `Sequential)
            producer/consumer paces add stalls (Section VII-E) *)
         latency * 5 / 4
   in
-  let usage = Resource.of_program ~device ~composition ~partitions profiles evals in
+  let usage =
+    Resource.combine ~composition ~partitions
+      (List.map (fun g -> g.area) priced)
+      (List.concat_map (fun g -> List.map fst g.arrays) priced)
+  in
   let iis =
     List.filter_map
       (fun (e : Latency.group_eval) ->
@@ -85,6 +148,13 @@ let of_profiles ?(composition = Resource.Reuse) ?(latency_mode = `Sequential)
     parallelism;
     unroll_products;
   }
+
+let group_usage prices ~device prog profiles =
+  let g =
+    group_price prices ~device ~partitions:(partition_fn prog)
+      (List.hd profiles).Summary.group profiles
+  in
+  { g.area with Resource.bram = 0 }
 
 let synthesize ?composition ?latency_mode ~device prog =
   of_profiles ?composition ?latency_mode ~device prog (Summary.profile_all prog)

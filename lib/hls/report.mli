@@ -24,18 +24,38 @@ type latency_mode = [ `Sequential | `Dataflow ]
 (** Per-dimension partition factors of an array in a scheduled program. *)
 val partition_fn : Pom_polyir.Prog.t -> string -> int list
 
+(** Group prices one search reuses across the design points it prices.
+    A program is priced group by group: each fusion group's latency
+    evaluation and area (operators plus on-chip buffers), then the
+    program-wide sums over the groups.  A group's price is reused while
+    the group holds the same profiles (physically equal, element-wise)
+    and every array it touches keeps its partition factors.  Each group
+    keeps its two newest prices: a search's incumbent and its candidate.
+    A table serves one device. *)
+type prices
+
+val prices : unit -> prices
+
 (** [of_profiles ~device prog profiles] prices a scheduled program whose
     statements [profiles] describes, in program order ([prog] supplies the
     array partitioning).  The one pricing function: a DSE search hands it
-    the profiles it already holds instead of re-profiling every
-    statement. *)
+    the profiles it already holds instead of re-profiling every statement,
+    and its own [prices] table (default: a fresh one) so that only the
+    groups a candidate changed are priced again. *)
 val of_profiles :
+  ?prices:prices ->
   ?composition:Resource.composition ->
   ?latency_mode:latency_mode ->
   device:Device.t ->
   Pom_polyir.Prog.t ->
   Summary.t list ->
   t
+
+(** [group_usage prices ~device prog profiles] is the operator area
+    ({!Resource.group_usage}, no BRAM) of the fusion group [profiles]
+    under [prog]'s partitioning, read from [prices] or priced into it. *)
+val group_usage :
+  prices -> device:Device.t -> Pom_polyir.Prog.t -> Summary.t list -> Resource.usage
 
 (** [synthesize ~device prog] is {!of_profiles} on
     [Summary.profile_all prog]. *)

@@ -73,7 +73,7 @@ let bram_of_array (device : Device.t) banks bits =
     let per_bank = (bits / banks / bram18_bits) + 1 in
     banks * per_bank
 
-(* arrays touched by a set of profiles, with bit sizes, deduplicated *)
+(* arrays touched by a set of profiles, each once, with bit sizes *)
 let arrays_of profiles =
   let arrays = Hashtbl.create 8 in
   List.iter
@@ -85,41 +85,36 @@ let arrays_of profiles =
             (Pom_dsl.Placeholder.bits ph))
         (Pom_dsl.Compute.placeholders compute))
     profiles;
-  arrays
+  Hashtbl.fold (fun a bits acc -> (a, bits) :: acc) arrays []
 
-let of_program ~device ~composition ~partitions profiles evals =
+let banks ~partitions a = max 1 (List.fold_left ( * ) 1 (partitions a))
+
+let group_bram ~device ~partitions arrays =
+  List.fold_left
+    (fun acc (a, bits) -> acc + bram_of_array device (banks ~partitions a) bits)
+    0 arrays
+
+let combine ~composition ~partitions groups arrays =
   (* on-chip buffers follow the composition: under reuse only the active
      group's working set is resident (others stream from external memory),
      under dataflow every stage's buffers coexist *)
-  let group_bram profs =
-    Hashtbl.fold
-      (fun a bits acc ->
-        let banks = max 1 (List.fold_left ( * ) 1 (partitions a)) in
-        acc + bram_of_array device banks bits)
-      (arrays_of profs) 0
-  in
-  let per_group =
-    List.map
-      (fun (e : Latency.group_eval) ->
-        let profs =
-          List.filter (fun p -> p.Summary.group = e.Latency.group) profiles
-        in
-        let u = group_usage profs e in
-        { u with bram = group_bram profs })
-      evals
-  in
   let operators =
     match composition with
-    | Reuse -> List.fold_left max_usage zero per_group
-    | Dataflow -> List.fold_left add zero per_group
+    | Reuse -> List.fold_left max_usage zero groups
+    | Dataflow -> List.fold_left add zero groups
   in
   (* partition steering logic exists once per physical array *)
+  let seen = Hashtbl.create 16 in
   let banking =
-    Hashtbl.fold
-      (fun a _bits acc ->
-        let banks = max 1 (List.fold_left ( * ) 1 (partitions a)) in
-        add acc { dsp = 0; lut = banks * bank_lut; ff = banks * bank_ff; bram = 0 })
-      (arrays_of profiles) zero
+    List.fold_left
+      (fun acc a ->
+        if Hashtbl.mem seen a then acc
+        else begin
+          Hashtbl.add seen a ();
+          let n = banks ~partitions a in
+          add acc { dsp = 0; lut = n * bank_lut; ff = n * bank_ff; bram = 0 }
+        end)
+      zero arrays
   in
   add operators (add banking { dsp = 0; lut = base_lut; ff = base_ff; bram = 0 })
 

@@ -19,18 +19,28 @@ type composition = Reuse | Dataflow
     what a per-loop resource estimate sees. *)
 val group_usage : Summary.t list -> Latency.group_eval -> usage
 
-(** [of_program ~device ~composition ~partitions profiles evals] combines
-    per-group operator area with the program-wide banking and control
-    overhead.  Arrays small enough for on-chip storage are mapped to BRAM18
-    blocks (at least one per partition bank); larger arrays live in
-    external memory and consume no BRAM, as the evaluation's 4096x4096
-    matrices must. *)
-val of_program :
-  device:Device.t ->
+(** The arrays a set of profiles touches, each once, with its size in
+    bits. *)
+val arrays_of : Summary.t list -> (string * int) list
+
+(** [group_bram ~device ~partitions arrays]: BRAM18 blocks buffering one
+    group's [arrays] ({!arrays_of} of its profiles).  An array small enough
+    for on-chip storage takes at least one block per partition bank;
+    larger arrays live in external memory and consume no BRAM, as the
+    evaluation's 4096x4096 matrices must. *)
+val group_bram :
+  device:Device.t -> partitions:(string -> int list) -> (string * int) list -> int
+
+(** [combine ~composition ~partitions groups arrays] is a program's usage:
+    its per-group usages [groups] (operators plus {!group_bram}) composed
+    by [composition], plus the banking logic of each distinct name in
+    [arrays] (the arrays of every group; repeats count once) and the base
+    control overhead. *)
+val combine :
   composition:composition ->
   partitions:(string -> int list) ->
-  Summary.t list ->
-  Latency.group_eval list ->
+  usage list ->
+  string list ->
   usage
 
 (** BRAM18 blocks available on a device. *)

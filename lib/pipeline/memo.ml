@@ -191,7 +191,7 @@ let report_key ~fkey ~composition ~latency_mode ~device ~dkey =
       | `Dataflow -> "dataflow");
     ]
 
-let synthesize_profiled t ~fkey ?(composition = Resource.Reuse)
+let synthesize_profiled t ~fkey ?prices ?(composition = Resource.Reuse)
     ?(latency_mode = `Sequential) ~device ~dkey make =
   Pom_resilience.Budget.check "memo:synthesize";
   let key = report_key ~fkey ~composition ~latency_mode ~device ~dkey in
@@ -201,7 +201,8 @@ let synthesize_profiled t ~fkey ?(composition = Resource.Reuse)
     (fun () ->
       let prog, profiles = make () in
       let report =
-        Report.of_profiles ~composition ~latency_mode ~device prog profiles
+        Report.of_profiles ?prices ~composition ~latency_mode ~device prog
+          profiles
       in
       (* genuine evaluations only: replayed (restored) design points never
          re-fire the observer, so a resumed journal does not re-journal *)

@@ -76,10 +76,12 @@ val schedule :
     function fingerprinted [fkey], under the directive list keyed [dkey]
     ({!directives_key}): only on a cache miss does it call [make] for the
     program and its statement profiles (program order) and price them with
-    {!Pom_hls.Report.of_profiles}. *)
+    {!Pom_hls.Report.of_profiles}, through the search's group-price table
+    [prices] when given. *)
 val synthesize_profiled :
   t ->
   fkey:string ->
+  ?prices:Pom_hls.Report.prices ->
   ?composition:Pom_hls.Resource.composition ->
   ?latency_mode:Pom_hls.Report.latency_mode ->
   device:Pom_hls.Device.t ->

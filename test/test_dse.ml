@@ -154,22 +154,36 @@ let test_custom_strategy_group () =
     (dense.Stage2.report.Pom_hls.Report.latency
     <= r.Stage2.report.Pom_hls.Report.latency)
 
+let contains line sub =
+  let n = String.length sub in
+  let rec has i =
+    i + n <= String.length line && (String.sub line i n = sub || has (i + 1))
+  in
+  has 0
+
 let test_trace_records_decisions () =
   let func = Polybench.gemm 256 in
   let r = Stage2.run func (Stage1.run func) in
   Alcotest.(check bool) "trace non-empty" true (r.Stage2.trace <> []);
   Alcotest.(check bool) "records acceptance" true
-    (List.exists
-       (fun line ->
-         String.length line > 8
-         &&
-         let re = "accepted" in
-         let rec has i =
-           i + String.length re <= String.length line
-           && (String.sub line i (String.length re) = re || has (i + 1))
-         in
-         has 0)
-       r.Stage2.trace)
+    (List.exists (fun line -> contains line "accepted") r.Stage2.trace);
+  (* of the bundled workloads only ResNet-18 runs into the iteration cap;
+     VGG-16 converges at iteration 55 *)
+  let cap_lines (r : Stage2.result) =
+    List.filter (fun line -> contains line "iteration cap") r.Stage2.trace
+  in
+  let search func = Stage2.run func (Stage1.run func) in
+  Alcotest.(check (list string)) "gemm: no cap line" [] (cap_lines r);
+  Alcotest.(check (list string))
+    "vgg16: no cap line" []
+    (cap_lines (search (Dnn.vgg16 ())));
+  Alcotest.(check (list string))
+    "resnet18: the cap line"
+    [
+      "iter 60: iteration cap reached; search stopped with 9 units still on \
+       the optimization list";
+    ]
+    (cap_lines (search (Dnn.resnet18 ())))
 
 let test_realize_cases () =
   (* pipeline only *)
@@ -387,6 +401,236 @@ let test_derived_deps_match_full_analysis () =
     workloads;
   Alcotest.(check bool) "some statements were re-tiled" true (!retiled > 0)
 
+(* ---- one search step against the whole-program computations ---- *)
+
+(* The bottleneck pick as a list walk: every path re-summed through
+   [List.assoc_opt], sorted stably by weight, and on the first path with
+   an active unit the first active unit of maximum latency. *)
+let list_bottleneck ~(report : Pom_hls.Report.t) ~active units paths =
+  let latency (u : Stage2.unit_state) =
+    Option.value ~default:0
+      (List.assoc_opt u.Stage2.id report.Pom_hls.Report.group_latencies)
+  in
+  let unit_of_compute name =
+    List.find_opt
+      (fun (u : Stage2.unit_state) ->
+        List.exists (fun (c, _, _) -> c = name) u.Stage2.members)
+      units
+  in
+  let unit_paths =
+    List.map
+      (fun path ->
+        let seen = Hashtbl.create 4 in
+        List.filter
+          (fun (u : Stage2.unit_state) ->
+            if Hashtbl.mem seen u.Stage2.id then false
+            else begin
+              Hashtbl.add seen u.Stage2.id ();
+              true
+            end)
+          (List.filter_map unit_of_compute path))
+      paths
+  in
+  let weighted =
+    List.map
+      (fun us -> (List.fold_left (fun acc u -> acc + latency u) 0 us, us))
+      unit_paths
+  in
+  List.find_map
+    (fun (_, us) ->
+      match
+        List.stable_sort
+          (fun a b -> Int.compare (latency b) (latency a))
+          (List.filter active us)
+      with
+      | u :: _ -> Some u
+      | [] -> None)
+    (List.stable_sort (fun (wa, _) (wb, _) -> Int.compare wb wa) weighted)
+
+let test_bottleneck_matches_list_walk () =
+  let rng = Random.State.make [| 20 |] in
+  List.iter
+    (fun (name, func) ->
+      let stage1 = Stage1.run func in
+      let prog_base =
+        Pom_polyir.Prog.apply_all
+          (Pom_polyir.Prog.of_func_unscheduled func)
+          stage1.Stage1.directives
+      in
+      let units = Stage2.units_of prog_base in
+      let unit_array = Array.of_list units in
+      let paths = Stage2.unit_paths stage1.Stage1.paths unit_array in
+      let index = Hashtbl.create 64 in
+      Array.iteri (fun i u -> Hashtbl.add index u.Stage2.id i) unit_array;
+      for trial = 1 to 400 do
+        (* narrow latency ranges force ties between units and between
+           paths; a group missing from the report has latency 0 *)
+        let range = [| 2; 5; 1_000; 1_000_000_000 |].(trial mod 4) in
+        let group_latencies =
+          List.filter_map
+            (fun (u : Stage2.unit_state) ->
+              if Random.State.int rng 10 = 0 then None
+              else Some (u.Stage2.id, Random.State.int rng range))
+            units
+        in
+        let share = [| 0; 1; 5; 9; 10 |].(trial mod 5) in
+        let flags =
+          Array.map (fun _ -> Random.State.int rng 10 < share) unit_array
+        in
+        let report =
+          {
+            Pom_hls.Report.latency = 0;
+            group_latencies;
+            iis = [];
+            usage = Pom_hls.Resource.zero;
+            power = 0.;
+            feasible = true;
+            parallelism = 0.;
+            unroll_products = [];
+          }
+        in
+        let expected =
+          Option.map
+            (fun (u : Stage2.unit_state) -> u.Stage2.id)
+            (list_bottleneck ~report
+               ~active:(fun (u : Stage2.unit_state) ->
+                 flags.(Hashtbl.find index u.Stage2.id))
+               units stage1.Stage1.paths)
+        in
+        let picked =
+          Option.map
+            (fun i -> unit_array.(i).Stage2.id)
+            (Stage2.bottleneck ~report ~active:(Array.get flags) unit_array
+               paths)
+        in
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s trial %d" name trial)
+          expected picked
+      done)
+    [
+      ("resnet18", Dnn.resnet18 ());
+      ("vgg16", Dnn.vgg16 ());
+      ("3mm", Polybench.mm3 64);
+    ]
+
+(* The partition plan as the searches derived it before it read the
+   profiles: every unrolled statement's accesses re-derived from its
+   index map. *)
+let statement_partition_plan ?(bank_cap = 64) (prog : Pom_polyir.Prog.t) =
+  let open Pom_polyir in
+  let demand : (string, int array) Hashtbl.t = Hashtbl.create 8 in
+  let placeholders = Func.placeholders prog.Prog.func in
+  List.iter
+    (fun (p : Placeholder.t) ->
+      Hashtbl.replace demand p.Placeholder.name
+        (Array.make (Placeholder.rank p) 1))
+    placeholders;
+  List.iter
+    (fun (s : Stmt_poly.t) ->
+      let unrolls = s.Stmt_poly.hw.Stmt_poly.unrolls in
+      if unrolls <> [] then begin
+        let write, reads = Pom_hls.Summary.transformed_accesses s in
+        List.iter
+          (fun (a : Pom_poly.Dep.access) ->
+            match Hashtbl.find_opt demand a.Pom_poly.Dep.array with
+            | None -> ()
+            | Some factors ->
+                List.iteri
+                  (fun k idx ->
+                    let dims = Pom_poly.Linexpr.dims idx in
+                    List.iter
+                      (fun (dim, f) ->
+                        if List.mem dim dims && f > factors.(k) then
+                          factors.(k) <- f)
+                      unrolls)
+                  a.Pom_poly.Dep.indices)
+          (write :: reads)
+      end)
+    prog.Prog.stmts;
+  let cap_banks factors =
+    let fs = Array.of_list factors in
+    let product () = Array.fold_left ( * ) 1 fs in
+    while product () > bank_cap do
+      let widest = ref 0 in
+      Array.iteri (fun k f -> if f > fs.(!widest) then widest := k) fs;
+      fs.(!widest) <- max 1 (fs.(!widest) / 2)
+    done;
+    Array.to_list fs
+  in
+  List.filter_map
+    (fun (p : Placeholder.t) ->
+      let factors = Array.to_list (Hashtbl.find demand p.Placeholder.name) in
+      let factors =
+        List.map2
+          (fun f extent -> min f (min extent 64))
+          factors p.Placeholder.shape
+      in
+      let factors = cap_banks factors in
+      if List.exists (fun f -> f > 1) factors then
+        Some (Schedule.partition p.Placeholder.name factors Schedule.Cyclic)
+      else None)
+    placeholders
+
+let test_search_reports_and_plans () =
+  let device = Pom_hls.Device.xc7z020 in
+  let workloads =
+    List.map (fun (name, build) -> (name, build 32, false)) Polybench.by_name
+    @ List.map (fun (name, build) -> (name, build 32, false)) Image.by_name
+    @ [ ("vgg16", Dnn.vgg16 (), true); ("resnet18", Dnn.resnet18 (), true) ]
+  in
+  let priced = ref 0 in
+  List.iter
+    (fun (name, func, dnn) ->
+      List.iter
+        (fun (search, composition, latency_mode) ->
+          let cache = Pom_pipeline.Memo.create () in
+          let reports = ref [] in
+          Pom_pipeline.Memo.set_report_observer cache
+            (Some (fun ~key:_ point -> reports := point :: !reports));
+          (match search with
+          | "pom" -> ignore (Stage2.run ~cache func (Stage1.run func))
+          | _ ->
+              ignore
+                (Pom_pipeline.Pass.run
+                   (Pom_baselines.Scalehls.passes ~cache ())
+                   (Pom_pipeline.State.init ~composition ~latency_mode ~device
+                      func)));
+          List.iteri
+            (fun k ((prog : Pom_polyir.Prog.t), report) ->
+              incr priced;
+              let where = Printf.sprintf "%s %s point %d" name search k in
+              Alcotest.(check bool)
+                (where ^ ": report equals a whole-program synthesis")
+                true
+                (report
+                = Pom_hls.Report.synthesize ~composition ~latency_mode ~device
+                    prog);
+              let plan = statement_partition_plan prog in
+              let printed = List.map Schedule.to_string in
+              Alcotest.(check (list string))
+                (where ^ ": partition plan")
+                (printed plan)
+                (printed
+                   (Stage2.partition_plan prog.Pom_polyir.Prog.func
+                      (Pom_hls.Summary.profile_all prog)));
+              Alcotest.(check bool)
+                (where ^ ": the searched point is partitioned by the plan")
+                true
+                ((List.fold_left Pom_polyir.Prog.apply
+                    { prog with Pom_polyir.Prog.partitions = [] }
+                    plan)
+                   .Pom_polyir.Prog.partitions
+                = prog.Pom_polyir.Prog.partitions))
+            (List.rev !reports))
+        [
+          ("pom", Pom_hls.Resource.Reuse, `Sequential);
+          ( "scalehls",
+            Pom_hls.Resource.Dataflow,
+            if dnn then `Dataflow else `Sequential );
+        ])
+    workloads;
+  Alcotest.(check bool) "searches priced design points" true (!priced > 100)
+
 let () =
   Alcotest.run "dse"
     [
@@ -415,6 +659,10 @@ let () =
           Alcotest.test_case "custom strategy group" `Quick
             test_custom_strategy_group;
           Alcotest.test_case "decision trace" `Quick test_trace_records_decisions;
+          Alcotest.test_case "bottleneck pick equals the list walk" `Quick
+            test_bottleneck_matches_list_walk;
+          Alcotest.test_case "search reports and partition plans" `Slow
+            test_search_reports_and_plans;
         ] );
       ( "engine",
         [

@@ -401,6 +401,35 @@ let test_checkpoint_kill_and_resume () =
     < full.Pom_dse.Stage2.cold_syntheses);
   Sys.remove path
 
+(* The ScaleHLS ladder keeps the same journal protocol, and a resumed
+   compile traces the replay as Stage 2's does. *)
+let test_scalehls_kill_and_resume () =
+  let func = Polybench.mm2 32 in
+  Memo.clear Memo.global;
+  let full = Pom.compile ~framework:`Scalehls func in
+  let path = Filename.temp_file "pom_scalehls" ".jrnl" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Memo.clear Memo.global;
+      (match
+         with_faults "dse:evaluate=kill@4" (fun () ->
+             Pom.compile ~framework:`Scalehls ~checkpoint:path func)
+       with
+      | exception R.Fault.Killed site ->
+          Alcotest.(check string) "died at the evaluation site"
+            "dse:evaluate" site
+      | _ -> Alcotest.fail "expected the injected kill to unwind");
+      Memo.clear Memo.global;
+      let resumed = Pom.compile ~framework:`Scalehls ~checkpoint:path func in
+      Alcotest.(check bool) "resume traced the replay" true
+        (List.exists (contains ~sub:"checkpoint: replayed") resumed.Pom.trace);
+      Alcotest.(check bool) "identical report" true
+        (full.Pom.report = resumed.Pom.report);
+      Alcotest.(check string) "identical HLS C" full.Pom.hls_c
+        resumed.Pom.hls_c)
+
 (* -------- client retry/backoff -------- *)
 
 module Retry = Pom.Resilience.Retry
@@ -560,5 +589,7 @@ let () =
             test_deadline_aborts_cleanly;
           Alcotest.test_case "checkpoint kill-and-resume" `Slow
             test_checkpoint_kill_and_resume;
+          Alcotest.test_case "scalehls kill-and-resume" `Slow
+            test_scalehls_kill_and_resume;
         ] );
     ]
