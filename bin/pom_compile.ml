@@ -99,15 +99,13 @@ let pp_served ppf (r : Pom_server.Protocol.response) =
       let m = r.Pom_server.Protocol.memo in
       Format.fprintf ppf
         "computed (server wall %.3f s; memo hits: schedule %d/%d, report \
-         %d/%d, plan %d/%d)"
+         %d/%d)"
         r.Pom_server.Protocol.wall_s m.Pom_server.Protocol.schedule_hits
         (m.Pom_server.Protocol.schedule_hits
         + m.Pom_server.Protocol.schedule_misses)
         m.Pom_server.Protocol.report_hits
         (m.Pom_server.Protocol.report_hits
         + m.Pom_server.Protocol.report_misses)
-        m.Pom_server.Protocol.plan_hits
-        (m.Pom_server.Protocol.plan_hits + m.Pom_server.Protocol.plan_misses)
 
 (* The one printer both the remote response and the local fallback flow
    through, so a design compiled either way prints character-identical
@@ -724,7 +722,7 @@ let serve_arg =
         ~doc:
           "Run as a persistent compile server on the named Unix-domain \
            socket.  The process stays warm across requests — the \
-           schedule/report/plan memo tables and a cross-request response \
+           schedule/report memo tables and a cross-request response \
            cache persist — so repeated compiles of one design point cost \
            a lookup.  Compiles are serialized (each request gets its own \
            --deadline-style budget); admission is bounded by --queue.  \

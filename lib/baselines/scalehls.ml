@@ -67,9 +67,10 @@ let ladder = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48; 64 ]
    profiles under [prog]'s partitioning: the price the rung's evaluation
    just put in the search's table.  Each check counts as a QoR
    evaluation. *)
-let unit_usage ~count ~prices ~device (prog : Prog.t) (u : Stage2.unit_state) =
+let unit_usage ~count ~device s (prog : Prog.t) (u : Stage2.unit_state) =
   incr count;
-  Report.group_usage prices ~device prog (List.map snd u.Stage2.realized)
+  Report.group_usage (Stage2.prices s) ~device prog
+    (List.map snd u.Stage2.realized)
 
 let usage_fits (budget : Resource.usage) (u : Resource.usage) =
   u.Resource.dsp <= budget.Resource.dsp
@@ -89,19 +90,12 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
   Pass.v ~name:"scalehls-greedy-dse"
     ~descr:"greedy program-order factor-ladder DSE under a dataflow budget"
     (fun (st : State.t) ->
-      (* same journal protocol as {!Pom_dse.Stage2.run}: replay intact
-         records into the report memo, journal every synthesized rung, let
-         the greedy walk replay a resumed run into hits, and trace the
-         journal's notes *)
-      Memo.with_journal cache checkpoint @@ fun journal_notes ->
       let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
       let func = st.State.func and device = st.State.device in
-      let composition = st.State.composition
-      and latency_mode = st.State.latency_mode in
-      let base = st.State.directives in
-      let fkey = Memo.func_key func in
-      let base_key = Memo.directives_key base in
-      let prog_base = Memo.schedule ~fkey ~dkey:base_key cache func base in
+      Stage2.start ?checkpoint ~cache ~device
+        ~composition:st.State.composition ~latency_mode:st.State.latency_mode
+        func st.State.directives
+      @@ fun s ->
       let huge =
         List.exists
           (fun (c : Compute.t) ->
@@ -110,25 +104,14 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
               c.Compute.iters)
           (Func.computes func)
       in
-      let units = Stage2.units_of prog_base in
-      let prices = Report.prices () in
-      let evaluations = ref 0 in
-      let pruned = ref 0 in
-      let eval () =
-        incr evaluations;
-        (* the per-evaluation fault site shared with Stage2 *)
-        Pom_resilience.Fault.point "dse:evaluate";
-        Stage2.evaluate ~prices ~cache ~fkey ~base_key ~device ~composition
-          ~latency_mode func base units
+      let usage_checks = ref 0 in
+      let latency () =
+        let _, _, report = Stage2.incumbent s in
+        report.Report.latency
       in
+      let trace = ref [] in
+      let log fmt = Format.kasprintf (fun m -> trace := m :: !trace) fmt in
       let stopped = ref false in
-      let current = ref (eval ()) in
-      (* the incumbent's loop signature, replaced by each accepted rung's
-         (as in {!Stage2.run}) *)
-      let signature () =
-        Pom_analysis.Lint.profiles_signature (snd (Stage2.splice prog_base units))
-      in
-      let incumbent_signature = ref (signature ()) in
       let budget =
         ref
           {
@@ -142,92 +125,71 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
         List.iter
           (fun (u : Stage2.unit_state) ->
             if not !stopped then begin
-            (* greedy: push this unit as far as the remaining budget allows *)
-            let continue_ = ref true in
-            List.iter
-              (fun par ->
-                if !continue_ then begin
-                  (* realization, plan, pre-pruning check and evaluation
-                     fail together: any failure backs the rung out *)
-                  let decide () =
-                    (* planned here and again by the evaluation, as in
-                       {!Stage2.run} *)
-                    ignore
-                      (Stage2.realization_plan ~cache ~fkey ~base_key func base
-                         units);
-                    let rung_signature = signature () in
-                    if rung_signature = !incumbent_signature then begin
-                      (* analyzer pre-pruning: factor clamping collapsed
-                         this rung onto the incumbent's realization — same
-                         outcome as factor saturation, minus the synthesis *)
-                      incr pruned;
-                      false
-                    end
-                    else begin
-                      let ((trial_prog, _, trial_report) as trial) = eval () in
-                      let usage =
-                        unit_usage ~count:evaluations ~prices ~device trial_prog
-                          u
-                      in
-                      let _, _, cur_report = !current in
-                      if
-                        usage_fits !budget usage
-                        && trial_report.Report.latency
-                           < cur_report.Report.latency
-                      then begin
-                        current := trial;
-                        incumbent_signature := rung_signature;
-                        true
-                      end
-                      else begin
-                        (* a ladder step that changed nothing (factor
-                           saturation) is backed out but the climb goes
-                           on; one that does not fit or is slower ends it *)
-                        if
-                          not
-                            (usage_fits !budget usage
-                            && trial_report.Report.latency
-                               = cur_report.Report.latency)
-                        then continue_ := false;
-                        false
-                      end
-                    end
-                  in
-                  match Stage2.try_move u par decide with
-                  | exception (Pom_resilience.Fault.Killed _ as e) ->
-                      (* simulated process death: never absorbed *)
-                      raise e
-                  | exception (Pom_resilience.Budget.Budget_exceeded _ as e) ->
-                      if Pom_resilience.Policy.degrading () then begin
-                        (* out of time mid-walk: stop the whole greedy
-                           sweep at the incumbent *)
+              (* greedy: push this unit as far as the remaining budget
+                 allows *)
+              let climbing = ref true in
+              List.iter
+                (fun par ->
+                  if !climbing then begin
+                    let from = u.Stage2.par and before = latency () in
+                    let fits = ref false in
+                    let accept prog (trial : Report.t) =
+                      fits :=
+                        usage_fits !budget
+                          (unit_usage ~count:usage_checks ~device s prog u);
+                      !fits && trial.Report.latency < before
+                    in
+                    let rung fmt =
+                      log ("rung g%d par %d -> %d " ^^ fmt) u.Stage2.id from par
+                    in
+                    match Stage2.step s u par ~accept with
+                    | Stage2.Accepted ->
+                        rung "accepted (%d -> %d cycles)" before (latency ())
+                    | Stage2.Rejected trial ->
+                        (* a rung that changed nothing (factor saturation) is
+                           backed out but the climb goes on; one that does
+                           not fit or is slower ends it *)
+                        let saturated =
+                          !fits && trial.Report.latency = before
+                        in
+                        if not saturated then climbing := false;
+                        rung "rejected (%s); climb %s"
+                          (if saturated then "saturated"
+                           else if not !fits then "over the remaining budget"
+                           else "no latency gain")
+                          (if saturated then "goes on" else "stopped")
+                    | Stage2.Pruned ->
+                        (* same outcome as factor saturation, minus the
+                           synthesis *)
+                        rung
+                          "pruned by the analyzer (hardware signature \
+                           unchanged, synthesis skipped)"
+                    | Stage2.Failed e ->
+                        (* backed out like factor saturation: the climb
+                           goes on *)
+                        rung "evaluation failed (%s); rung skipped (POM304)"
+                          (Printexc.to_string e)
+                    | Stage2.Out_of_budget reason ->
+                        (* out of time mid-walk: stop the whole greedy sweep
+                           at the incumbent *)
                         stopped := true;
-                        continue_ := false
-                      end
-                      else raise e
-                  | exception _ when Pom_resilience.Policy.degrading () ->
-                      (* failed rung: backed out like factor saturation,
-                         the climb continues (POM304) *)
-                      ()
-                  | (_ : bool) -> ()
-                end)
-              ladder;
-            let prog, _, _ = !current in
-            budget :=
-              usage_sub !budget
-                (unit_usage ~count:evaluations ~prices ~device prog u)
+                        climbing := false;
+                        rung "budget exhausted (%s); sweep stopped at the \
+                              incumbent"
+                          reason
+                  end)
+                ladder;
+              let prog, _, _ = Stage2.incumbent s in
+              budget :=
+                usage_sub !budget
+                  (unit_usage ~count:usage_checks ~device s prog u)
             end)
-          units;
-      let prog, directives, report = !current in
-      let tile_vectors =
-        List.concat_map
-          (fun u ->
-            List.map2
-              (fun (c, _, _) (r : Stage2.realization) ->
-                (c, r.Stage2.tile_vector))
-              u.Stage2.members u.Stage2.realization)
-          units
-      in
+          (Stage2.units s);
+      if Stage2.pruned s > 0 then
+        log "analyzer: %d design points pruned before synthesis"
+          (Stage2.pruned s);
+      let prog, directives, report = Stage2.incumbent s in
+      let tile_vectors = Stage2.tile_vectors s in
       let dse_time_s = Unix.gettimeofday () -. wall0 in
       on_result
         {
@@ -236,8 +198,8 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
           report;
           dse_time_s;
           tile_vectors;
-          evaluations = !evaluations;
-          pruned = !pruned;
+          evaluations = Stage2.evaluations s + !usage_checks;
+          pruned = Stage2.pruned s;
         };
       {
         st with
@@ -245,7 +207,7 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
         report = Some report;
         directives;
         tile_vectors;
-        trace = st.State.trace @ journal_notes;
+        trace = st.State.trace @ Stage2.journal_notes s @ List.rev !trace;
         dse_time_s = st.State.dse_time_s +. dse_time_s;
         dse_cpu_s = st.State.dse_cpu_s +. (Sys.time () -. cpu0);
       })

@@ -35,7 +35,8 @@ type result = {
     greedy pass fills the state's program/report slots itself and reports
     the full search [result] through [on_result]), for embedding in a
     larger pipeline.  Initialize the state with the dataflow composition
-    and the intended latency mode.
+    and the intended latency mode.  The greedy pass tries each rung with
+    {!Pom_dse.Stage2.step} and traces one line per rung.
 
     [checkpoint] names a crash-safe journal: every synthesized ladder rung
     is appended as it is evaluated, and a killed run resumed against the

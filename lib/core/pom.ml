@@ -92,10 +92,10 @@ let guard_pipeline ps =
 
 let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
     ?(dnn = false) ?(dump_after = []) ?(verify_each = false)
-    ?(simulate = false) ?jobs:(_ : int option) ?deadline_s ?max_ticks
-    ?(on_error = Pom_resilience.Policy.Abort) ?checkpoint func =
+    ?jobs:(_ : int option) ?deadline_s ?(on_error = Pom_resilience.Policy.Abort)
+    ?checkpoint func =
   Pom_resilience.Policy.with_policy on_error @@ fun () ->
-  Pom_resilience.Budget.with_budget ?deadline_s ?max_ticks @@ fun () ->
+  Pom_resilience.Budget.with_budget ?deadline_s @@ fun () ->
   (* The speedup baseline profiles the input program, so it can fail or run
      out of budget like a pass; it is required, so any failure aborts with
      the typed error a required pass raises (exit 3), never a bare
@@ -123,7 +123,7 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
       @ [ Passes.legality_check (); Passes.lint_pragmas () ]
       @ Passes.tail ())
   in
-  let instruments = State.instruments ~dump_after ~verify_each ~simulate () in
+  let instruments = State.instruments ~dump_after ~verify_each () in
   let st, records =
     Pass.run ~instruments pipeline
       (State.init ~composition ~latency_mode ~device func)

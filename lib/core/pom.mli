@@ -108,14 +108,12 @@ type compiled = {
 
     [dump_after] names passes whose post-pass IR should be captured in the
     matching {!Pipeline.Pass.record} ([["all"]] captures every pass);
-    [verify_each] re-checks polyhedral legality after every pass, and
-    [simulate] additionally runs the functional simulator (small problem
-    sizes only).
+    [verify_each] re-checks polyhedral legality after every pass.
 
     [jobs] is ignored: perfbench/cold.ml still passes it, and the compiler
     runs on one thread.
 
-    Resilience controls: [deadline_s]/[max_ticks] install a cooperative
+    Resilience controls: [deadline_s] installs a cooperative
     {!Resilience.Budget} for the whole compile — the polyhedral kernels,
     legality proof, and both DSE searches check it and raise
     [Budget_exceeded] when it runs out.  [on_error] selects what a failed
@@ -132,10 +130,8 @@ val compile :
   ?dnn:bool ->
   ?dump_after:string list ->
   ?verify_each:bool ->
-  ?simulate:bool ->
   ?jobs:int ->
   ?deadline_s:float ->
-  ?max_ticks:int ->
   ?on_error:Pom_resilience.Policy.t ->
   ?checkpoint:string ->
   Pom_dsl.Func.t ->

@@ -255,7 +255,7 @@ let try_move u par decide =
       restore ();
       raise e
 
-(* ---- full-program evaluation ---- *)
+(* ---- the candidate step both searches take ---- *)
 
 let hw_directives units =
   List.concat_map
@@ -274,45 +274,130 @@ let splice (prog : Prog.t) units =
   in
   ({ prog with Prog.stmts = List.map fst pairs }, List.map snd pairs)
 
-(* The shared work of a candidate is memoized at two levels: the
-   base-directive prefix application (the schedule memo, one entry for the
-   whole search) and the candidate's realization plan — the splice of the
-   units' realized statements into that prefix plus the derived partition
-   plan (the plan memo, one entry per design point).  The search asks for
-   each candidate's plan twice: at the analyzer's pre-pruning check, then
-   at the evaluation, which reads its directive list — the second request
-   is a lookup.  The hardware key joins the units' own keys, the bytes of
-   [Memo.directives_key (hw_directives units)]. *)
-let realization_plan ?bank_cap ~cache ~fkey ~base_key func base units =
-  let hw_key = Memo.join_keys (List.map (fun u -> u.hw_key) units) in
-  Memo.plan cache
-    ~key:(Memo.plan_key ~fkey ~base_key ~hw_key ~bank_cap)
-    (fun () ->
-      let prog_hw, profiles =
-        splice (Memo.schedule ~fkey ~dkey:base_key cache func base) units
-      in
-      let parts = partition_plan ?bank_cap prog_hw.Prog.func profiles in
-      {
-        Memo.plan_directives = base @ hw_directives units @ parts;
-        plan_dkey =
-          Memo.join_keys [ base_key; hw_key; Memo.directives_key parts ];
-        plan_parts = parts;
-        plan_prog_hw = prog_hw;
-      })
+type search = {
+  prog_base : Prog.t;  (* the base directives applied, looked up once *)
+  units : unit_state list;
+  prices : Report.prices;  (* the search's own: dies with it *)
+  price : Prog.t * Summary.t list -> Prog.t * Schedule.t list * Report.t;
+      (* one counted evaluation of a splice of [units] *)
+  evaluations : int ref;
+  mutable pruned : int;
+  mutable incumbent : Prog.t * Schedule.t list * Report.t;
+  mutable signature : Pom_analysis.Lint.hw_signature;  (* the incumbent's *)
+  notes : string list;  (* the checkpoint journal's *)
+}
 
-let evaluate ?bank_cap ?latency_mode ~prices ~cache ~fkey ~base_key ~device
-    ~composition func base units =
-  let plan =
-    realization_plan ?bank_cap ~cache ~fkey ~base_key func base units
+type outcome =
+  | Accepted
+  | Rejected of Report.t
+  | Pruned
+  | Failed of exn
+  | Out_of_budget of string
+
+let start ?bank_cap ?latency_mode ?checkpoint ~cache ~device ~composition
+    func base f =
+  (* Journal every genuinely synthesized design point; on resume the intact
+     records are replayed into the report memo first, so the search
+     re-derives the exact decision sequence of the uninterrupted search from
+     warm cache entries. *)
+  Memo.with_journal cache checkpoint @@ fun notes ->
+  let fkey = Memo.func_key func in
+  let base_key = Memo.directives_key base in
+  let prog_base = Memo.schedule ~fkey ~dkey:base_key cache func base in
+  let units = units_of prog_base in
+  let prices = Report.prices () in
+  let evaluations = ref 0 in
+  (* Price the design point a splice of the units describes: its partition
+     plan comes from the spliced profiles, and the report memo prices the
+     partitioned program from them.  The report key joins the base,
+     hardware and partition keys, the bytes of [Memo.directives_key (base @
+     hw_directives units @ parts)] that the checkpoint journal records; the
+     hardware key joins the units' own keys. *)
+  let price ((prog_hw : Prog.t), profiles) =
+    incr evaluations;
+    (* the per-evaluation fault site: [kill] here simulates the process
+       dying on the Nth evaluation (the kill-and-resume test) *)
+    Pom_resilience.Fault.point "dse:evaluate";
+    let parts = partition_plan ?bank_cap prog_hw.Prog.func profiles in
+    let hw_key = Memo.join_keys (List.map (fun u -> u.hw_key) units) in
+    let prog, report =
+      Memo.synthesize_profiled cache ~fkey ~prices ~composition ?latency_mode
+        ~device
+        ~dkey:(Memo.join_keys [ base_key; hw_key; Memo.directives_key parts ])
+        (fun () -> (List.fold_left Prog.apply prog_hw parts, profiles))
+    in
+    (prog, base @ hw_directives units @ parts, report)
   in
-  let prog, report =
-    Memo.synthesize_profiled cache ~fkey ~prices ~composition ?latency_mode
-      ~device
-      ~dkey:plan.Memo.plan_dkey (fun () ->
-        ( List.fold_left Prog.apply plan.Memo.plan_prog_hw plan.Memo.plan_parts,
-          snd (splice plan.Memo.plan_prog_hw units) ))
+  let spliced = splice prog_base units in
+  let incumbent = price spliced in
+  let signature = Pom_analysis.Lint.profiles_signature (snd spliced) in
+  f
+    {
+      prog_base;
+      units;
+      prices;
+      price;
+      evaluations;
+      pruned = 0;
+      incumbent;
+      signature;
+      notes;
+    }
+
+(* The candidate's realization, its pruning check, its evaluation and the
+   caller's rule fail together: [try_move] backs any failure out. *)
+let step s u par ~accept =
+  let outcome = ref Pruned in
+  let decide () =
+    let ((_, profiles) as spliced) = splice s.prog_base s.units in
+    let signature = Pom_analysis.Lint.profiles_signature profiles in
+    if signature = s.signature then begin
+      (* factor clamping collapsed the request onto the incumbent's
+         realization: identical hardware, identical QoR — skip the
+         synthesis entirely *)
+      s.pruned <- s.pruned + 1;
+      false
+    end
+    else begin
+      let ((prog, _, report) as trial) = s.price spliced in
+      if accept prog report then begin
+        s.incumbent <- trial;
+        s.signature <- signature;
+        outcome := Accepted;
+        true
+      end
+      else begin
+        outcome := Rejected report;
+        false
+      end
+    end
   in
-  (prog, plan.Memo.plan_directives, report)
+  match try_move u par decide with
+  | (_ : bool) -> !outcome
+  | exception (Pom_resilience.Fault.Killed _ as e) ->
+      (* simulated process death: never absorbed *)
+      raise e
+  | exception Pom_resilience.Budget.Budget_exceeded { reason; _ }
+    when Pom_resilience.Policy.degrading () ->
+      (* out of time mid-search: the incumbent is a complete, legal design
+         point, so the caller may stop there rather than lose the compile *)
+      Out_of_budget reason
+  | exception e when Pom_resilience.Policy.degrading () ->
+      (* one broken candidate must not sink the search (POM304) *)
+      Failed e
+
+let units s = s.units
+let prices s = s.prices
+let incumbent s = s.incumbent
+let evaluations s = !(s.evaluations)
+let pruned s = s.pruned
+let journal_notes s = s.notes
+
+let tile_vectors s =
+  List.concat_map
+    (fun u ->
+      List.map2 (fun (c, _, _) r -> (c, r.tile_vector)) u.members u.realization)
+    s.units
 
 (* ---- the bottleneck-oriented search ---- *)
 
@@ -382,44 +467,20 @@ let max_iterations = 60
 let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
     ?(par_cap = 64) ?bank_cap ?(steps = default_steps) ?(cache = Memo.global)
     ?checkpoint func (stage1 : Stage1.t) =
-  (* Journal every genuinely synthesized design point; on resume the intact
-     records are replayed into the report memo first, so the search below
-     re-derives the exact decision sequence of the uninterrupted search
-     from warm cache entries. *)
-  Memo.with_journal cache checkpoint @@ fun journal_notes ->
   let memo0 = Memo.snapshot cache in
-  let fkey = Memo.func_key func in
-  let base = stage1.Stage1.directives in
-  let base_key = Memo.directives_key base in
-  let prog_base = Memo.schedule ~fkey ~dkey:base_key cache func base in
-  let units = units_of prog_base in
+  start ?bank_cap ?checkpoint ~cache ~device ~composition func
+    stage1.Stage1.directives
+  @@ fun s ->
+  let units = s.units in
   let unit_array = Array.of_list units in
   let paths = unit_paths stage1.Stage1.paths unit_array in
-  (* the search's group prices: a candidate re-prices only its own unit *)
-  let prices = Report.prices () in
-  let evaluations = ref 0 in
-  let counted thunk =
-    incr evaluations;
-    (* the per-evaluation fault site: [kill] here simulates the process
-       dying on the Nth evaluation (the kill-and-resume test) *)
-    Pom_resilience.Fault.point "dse:evaluate";
-    thunk ()
+  let latency () =
+    let _, _, report = s.incumbent in
+    report.Report.latency
   in
-  let evaluate_counted () =
-    counted (fun () ->
-        evaluate ?bank_cap ~prices ~cache ~fkey ~base_key ~device ~composition
-          func base units)
-  in
-  let current = ref (evaluate_counted ()) in
-  (* the incumbent's loop signature: the initial design's, then each
-     accepted candidate's — every pre-pruning check compares against it *)
-  let signature () =
-    Pom_analysis.Lint.profiles_signature (snd (splice prog_base units))
-  in
-  let incumbent_signature = ref (signature ()) in
   let trace = ref [] in
   let log fmt = Format.kasprintf (fun m -> trace := m :: !trace) fmt in
-  List.iter (fun m -> log "%s" m) journal_notes;
+  List.iter (fun m -> log "%s" m) s.notes;
   List.iter
     (fun u ->
       log "unit g%d {%s}: max parallelism %d" u.id
@@ -427,10 +488,9 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
         (max_par ~par_cap u))
     units;
   let iterations = ref 0 in
-  let pruned = ref 0 in
   let continue_ = ref true in
   let critical () =
-    let _, _, report = !current in
+    let _, _, report = s.incumbent in
     Option.map (Array.get unit_array)
       (bottleneck ~report ~active:(fun i -> unit_array.(i).active) unit_array
          paths)
@@ -446,83 +506,43 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
         let try_par par =
           if par <= u.par || par > max_par ~par_cap u then false
           else begin
-            let from = u.par in
-            (* the candidate's realization, its plan, the analyzer's
-               pre-pruning check and its evaluation fail together: any
-               failure backs the candidate out *)
-            let decide () =
-              (* the check plans the candidate and the evaluation plans it
-                 again: one plan-memo miss and one hit per evaluated
-                 candidate, as the memo trace and the daemon's memo deltas
-                 count them *)
-              ignore
-                (realization_plan ?bank_cap ~cache ~fkey ~base_key func base
-                   units);
-              let candidate_signature = signature () in
-              if candidate_signature = !incumbent_signature then begin
-                (* factor clamping collapsed the request onto the
-                   incumbent's realization: identical hardware, identical
-                   QoR — skip the synthesis entirely *)
-                incr pruned;
+            let from = u.par and before = latency () in
+            let accept _ (trial : Report.t) =
+              trial.Report.feasible && trial.Report.latency < before
+            in
+            match step s u par ~accept with
+            | Accepted ->
+                log
+                  "iter %d: bottleneck g%d par %d -> %d accepted (%d -> %d \
+                   cycles)"
+                  !iterations u.id from par before (latency ());
+                true
+            | Rejected trial ->
+                log "iter %d: bottleneck g%d par %d -> %d rejected (%s)"
+                  !iterations u.id from par
+                  (if not trial.Report.feasible then "exceeds budget"
+                   else "no latency gain");
+                false
+            | Pruned ->
                 log
                   "iter %d: bottleneck g%d par %d -> %d pruned by the \
                    analyzer (hardware signature unchanged, synthesis \
                    skipped)"
                   !iterations u.id from par;
                 false
-              end
-              else begin
-                let ((_, _, trial_report) as trial) = evaluate_counted () in
-                let _, _, cur_report = !current in
-                if
-                  trial_report.Report.feasible
-                  && trial_report.Report.latency < cur_report.Report.latency
-                then begin
-                  log
-                    "iter %d: bottleneck g%d par %d -> %d accepted (%d -> %d \
-                     cycles)"
-                    !iterations u.id from par cur_report.Report.latency
-                    trial_report.Report.latency;
-                  current := trial;
-                  incumbent_signature := candidate_signature;
-                  true
-                end
-                else begin
-                  log "iter %d: bottleneck g%d par %d -> %d rejected (%s)"
-                    !iterations u.id from par
-                    (if not trial_report.Report.feasible then "exceeds budget"
-                     else "no latency gain");
-                  false
-                end
-              end
-            in
-            match try_move u par decide with
-            | exception (Pom_resilience.Fault.Killed _ as e) ->
-                (* simulated process death: never absorbed *)
-                raise e
-            | exception (Pom_resilience.Budget.Budget_exceeded { reason; _ }
-                         as e) ->
-                if Pom_resilience.Policy.degrading () then begin
-                  (* Degradation policy: out of time mid-search means keep
-                     the incumbent — a complete, legal design point — rather
-                     than losing the whole compile. *)
-                  log
-                    "iter %d: budget exhausted (%s); search stopped at the \
-                     incumbent"
-                    !iterations reason;
-                  continue_ := false;
-                  false
-                end
-                else raise e
-            | exception e when Pom_resilience.Policy.degrading () ->
-                (* Degradation policy: one broken candidate must not sink
-                   the search — skip it and keep exploring (POM304). *)
+            | Out_of_budget reason ->
+                log
+                  "iter %d: budget exhausted (%s); search stopped at the \
+                   incumbent"
+                  !iterations reason;
+                continue_ := false;
+                false
+            | Failed e ->
                 log
                   "iter %d: candidate g%d par %d -> %d evaluation failed \
                    (%s); candidate skipped (POM304)"
                   !iterations u.id from par (Printexc.to_string e);
                 false
-            | accepted -> accepted
           end
         in
         if not (List.exists try_par (steps u.par)) then begin
@@ -537,46 +557,28 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
        the optimization list"
       !iterations
       (List.length (List.filter (fun u -> u.active) units));
-  let prog0, directives, _ = !current in
-  (* Re-request the winning design point through the memo: the search just
-     evaluated it, so this final QoR query is served from cache — the same
-     mechanism that makes any later re-synthesis of this point (the compile
-     pipeline's hls-synthesize pass, a --trace re-run) free.  The units hold
-     the incumbent's realization, so their profiles are its profiles. *)
-  let prog, report =
-    counted (fun () ->
-        Memo.synthesize_profiled cache ~fkey ~prices ~composition ~device
-          ~dkey:(Memo.directives_key directives) (fun () ->
-            (prog0, snd (splice prog_base units))))
-  in
+  (* Re-request the winning design point: the units hold the incumbent's
+     realization, so this counted evaluation is served from the report memo
+     — the same mechanism that makes any later re-synthesis of this point
+     (the compile pipeline's hls-synthesize pass, a --trace re-run) free. *)
+  let prog, directives, report = s.price (splice s.prog_base units) in
   let memo1 = Memo.snapshot cache in
   let report_cache_hits = memo1.Memo.report_hits - memo0.Memo.report_hits in
   let cold_syntheses = memo1.Memo.report_misses - memo0.Memo.report_misses in
-  log
-    "memo: %d of %d QoR evaluations served from cache (%d cold syntheses, %d \
-     schedule-prefix hits)"
-    report_cache_hits !evaluations cold_syntheses
-    (memo1.Memo.schedule_hits - memo0.Memo.schedule_hits);
-  if !pruned > 0 then
-    log "analyzer: %d design points pruned before synthesis" !pruned;
-  let tile_vectors =
-    List.concat_map
-      (fun u ->
-        List.map2
-          (fun (c, _, _) r -> (c, r.tile_vector))
-          u.members u.realization)
-      units
-  in
+  log "memo: %d of %d QoR evaluations served from cache (%d cold syntheses)"
+    report_cache_hits (evaluations s) cold_syntheses;
+  if s.pruned > 0 then
+    log "analyzer: %d design points pruned before synthesis" s.pruned;
   {
     directives;
     prog;
     report;
     iterations = !iterations;
-    tile_vectors;
+    tile_vectors = tile_vectors s;
     trace = List.rev !trace;
-    evaluations = !evaluations;
+    evaluations = evaluations s;
     report_cache_hits;
     cold_syntheses;
-    pruned = !pruned;
+    pruned = s.pruned;
     sched = { chunks = 0; steals = 0; splits = 0 };
   }

@@ -79,43 +79,92 @@ val splice :
   unit_state list ->
   Pom_polyir.Prog.t * Pom_hls.Summary.t list
 
-(** [realization_plan ~cache ~fkey ~base_key func base units] is the
-    memoized work between the units' realization and report synthesis:
-    splice the units into the (schedule-memoized) base prefix and derive
-    the partition plan ({!partition_plan} under [bank_cap]).  [fkey] is
-    [Pom_pipeline.Memo.func_key func] and [base_key] is
-    [Pom_pipeline.Memo.directives_key base], both computed once per
-    search.  One plan-memo entry per design point, shared by both
-    searches. *)
-val realization_plan :
-  ?bank_cap:int ->
-  cache:Pom_pipeline.Memo.t ->
-  fkey:string ->
-  base_key:string ->
-  Func.t ->
-  Schedule.t list ->
-  unit_state list ->
-  Pom_pipeline.Memo.plan
+(** {1 The candidate step}
 
-(** [evaluate ~prices ~cache ~fkey ~base_key ~device ~composition func base
-    units] prices the design point the units describe: its program, full
-    directive list (base, hardware, partitions) and report, synthesized
-    through the report memo from the units' profiles.  [prices] is the
-    search's own group-price table ({!Pom_hls.Report.prices}): a candidate
-    re-prices only the groups it changed. *)
-val evaluate :
+    Stage 2 and the ScaleHLS greedy ladder try a candidate the same way and
+    differ only in search policy: which unit moves to which parallelism,
+    and which priced candidate wins.  A search is set up once ({!start});
+    each candidate is one {!step}. *)
+
+(** One search in progress: the base program, the units, the group-price
+    table ({!Pom_hls.Report.prices}, one per search), the incumbent design
+    point and its loop signature, and the evaluation and prune counts. *)
+type search
+
+(** [start ~cache ~device ~composition func base f] sets a search up and
+    runs [f] on it: open the checkpoint journal
+    ({!Pom_pipeline.Memo.with_journal}, closed however [f] exits),
+    fingerprint [func] and key [base] once, apply [base] through one
+    {!Pom_pipeline.Memo.schedule} call, build the units ({!units_of}) and
+    price the initial design point, which becomes the incumbent.
+
+    Every evaluation counts one in {!evaluations} and first visits the
+    [dse:evaluate] fault site.  It splices the units into the base
+    program, derives the partition plan from the spliced profiles
+    ({!partition_plan} under [bank_cap]), and prices the design point
+    through the report memo under [latency_mode]. *)
+val start :
   ?bank_cap:int ->
   ?latency_mode:Pom_hls.Report.latency_mode ->
-  prices:Pom_hls.Report.prices ->
+  ?checkpoint:string ->
   cache:Pom_pipeline.Memo.t ->
-  fkey:string ->
-  base_key:string ->
   device:Pom_hls.Device.t ->
   composition:Pom_hls.Resource.composition ->
   Func.t ->
   Schedule.t list ->
-  unit_state list ->
-  Pom_polyir.Prog.t * Schedule.t list * Pom_hls.Report.t
+  (search -> 'a) ->
+  'a
+
+(** What {!step} did with one candidate. *)
+type outcome =
+  | Accepted  (** priced and taken by the caller's rule: the new incumbent *)
+  | Rejected of Pom_hls.Report.t  (** priced and refused; its report *)
+  | Pruned
+      (** its loop signature is the incumbent's, so it is the incumbent
+          under another name (the analyzer's pre-pruning oracle): not
+          priced, counted in {!pruned} *)
+  | Failed of exn
+      (** under {!Pom_resilience.Policy.degrading}: it raised (POM304) *)
+  | Out_of_budget of string
+      (** under {!Pom_resilience.Policy.degrading}: the budget ran out;
+          the reason *)
+
+(** [step s u par ~accept] tries [u] at parallelism [par] through
+    {!try_move}: prune it when its loop signature equals the incumbent's,
+    otherwise price it and ask [accept prog report].  On [true] it becomes
+    the incumbent; on any other outcome [u] is backed out.
+    {!Pom_resilience.Fault.Killed} always propagates; other exceptions
+    become [Failed] or [Out_of_budget] under the degrading policy and are
+    re-raised otherwise. *)
+val step :
+  search ->
+  unit_state ->
+  int ->
+  accept:(Pom_polyir.Prog.t -> Pom_hls.Report.t -> bool) ->
+  outcome
+
+(** The search's units, in program order. *)
+val units : search -> unit_state list
+
+(** The search's group-price table. *)
+val prices : search -> Pom_hls.Report.prices
+
+(** The incumbent's program, full directive list (base, hardware,
+    partitions) and report. *)
+val incumbent :
+  search -> Pom_polyir.Prog.t * Schedule.t list * Pom_hls.Report.t
+
+(** QoR evaluations priced so far, the initial design point included. *)
+val evaluations : search -> int
+
+(** Candidates pruned so far. *)
+val pruned : search -> int
+
+(** The checkpoint journal's trace notes. *)
+val journal_notes : search -> string list
+
+(** Per compute, the units' tile/unroll factor per loop level. *)
+val tile_vectors : search -> (string * int list) list
 
 (** {1 The bottleneck} *)
 

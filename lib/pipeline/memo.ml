@@ -6,26 +6,13 @@ type counters = {
   mutable schedule_misses : int;
   mutable report_hits : int;
   mutable report_misses : int;
-  mutable plan_hits : int;
+  mutable plan_hits : int;  (* always 0: read by perfbench/cold.ml *)
   mutable plan_misses : int;
-}
-
-(* One candidate's realization plan: everything between the shared schedule
-   skeleton and report synthesis.  The search asks for each plan twice —
-   once for the analyzer's pre-pruning check, once to evaluate the
-   candidate — so caching it saves re-splicing the candidate's statements
-   and re-deriving the partition plan on the second request. *)
-type plan = {
-  plan_directives : Pom_dsl.Schedule.t list;  (* base @ hw @ parts *)
-  plan_dkey : string;  (* directives_key plan_directives *)
-  plan_parts : Pom_dsl.Schedule.t list;
-  plan_prog_hw : Pom_polyir.Prog.t;  (* scheduled, pre-partition *)
 }
 
 type t = {
   schedules : (string, Pom_polyir.Prog.t) Hashtbl.t;
   reports : (string, Pom_polyir.Prog.t * Report.t) Hashtbl.t;
-  plans : (string, plan) Hashtbl.t;
   max_entries : int;
   lock : Mutex.t;
   mutable report_observer :
@@ -37,7 +24,6 @@ let create ?(max_entries = 4096) () =
   {
     schedules = Hashtbl.create 256;
     reports = Hashtbl.create 256;
-    plans = Hashtbl.create 256;
     max_entries;
     lock = Mutex.create ();
     report_observer = None;
@@ -75,7 +61,6 @@ let clear t =
   Mutex.lock t.lock;
   Hashtbl.reset t.schedules;
   Hashtbl.reset t.reports;
-  Hashtbl.reset t.plans;
   Mutex.unlock t.lock
 
 let set_report_observer t obs =
@@ -125,7 +110,7 @@ let guard_capacity t table =
 
 (* [memoize t table key ~hit ~miss compute]: a hit returns the stored value;
    a miss is counted, computed with the lock released (a compute may itself
-   ask the memo for a schedule or a plan), and stored.  A compute that
+   ask the memo for a schedule), and stored.  A compute that
    raises stores nothing, so the next request for the key computes again. *)
 let memoize t table key ~hit ~miss compute =
   Mutex.lock t.lock;
@@ -156,26 +141,6 @@ let schedule ?fkey ?dkey t func directives =
       Pom_polyir.Prog.apply_all
         (Pom_polyir.Prog.of_func_unscheduled func)
         directives)
-
-(* The plan key covers exactly what the plan computation reads: the
-   function, the base-directive prefix, the hardware directives, and the
-   bank cap the partition planner runs under.  Device/composition are
-   absent on purpose — the plan is pre-synthesis. *)
-let plan_key ~fkey ~base_key ~hw_key ~bank_cap =
-  String.concat "##"
-    [
-      fkey;
-      base_key;
-      hw_key;
-      (match bank_cap with None -> "-" | Some n -> string_of_int n);
-    ]
-
-let plan t ~key compute =
-  Pom_resilience.Budget.check "memo:plan";
-  memoize t t.plans key
-    ~hit:(fun c -> c.plan_hits <- c.plan_hits + 1)
-    ~miss:(fun c -> c.plan_misses <- c.plan_misses + 1)
-    compute
 
 let report_key ~fkey ~composition ~latency_mode ~device ~dkey =
   String.concat "##"

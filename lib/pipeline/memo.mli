@@ -1,14 +1,13 @@
-(** Memoization of the two expensive polyhedral evaluations the DSE hot
-    path repeats: directive application (building a scheduled {!Pom_polyir.Prog.t}
+(** Memoization of the two expensive polyhedral evaluations a compile
+    repeats: directive application (building a scheduled {!Pom_polyir.Prog.t}
     from a function and a directive list) and virtual HLS report synthesis.
 
     Entries are keyed by a structural fingerprint of the function plus the
     printed directive list (and, for reports, the device and composition
     mode), so two requests with the same key are guaranteed to describe the
-    same design point.  Stage 2 of the DSE asks for the same base-directive
-    prefix on every candidate evaluation and re-asks for the final design
-    point after the search; both become cache hits, which the engine reports
-    in its trace. *)
+    same design point.  Stage 2 of the DSE re-asks for the final design
+    point after the search, and the compile tail synthesizes it again; both
+    become cache hits, which the engine reports in its trace. *)
 
 open Pom_dsl
 
@@ -19,19 +18,8 @@ type counters = {
   mutable report_hits : int;
   mutable report_misses : int;
   mutable plan_hits : int;
-  mutable plan_misses : int;
-}
-
-(** One candidate's realization plan — the work between the shared schedule
-    skeleton and report synthesis: the full directive list (base, hardware,
-    and the derived partition plan) plus the scheduled pre-partition
-    program.  The DSE asks for each candidate's plan twice (pre-pruning,
-    then evaluation); the second request is a lookup. *)
-type plan = {
-  plan_directives : Schedule.t list;  (** base @ hw @ parts *)
-  plan_dkey : string;  (** [directives_key plan_directives] *)
-  plan_parts : Schedule.t list;
-  plan_prog_hw : Pom_polyir.Prog.t;  (** scheduled, pre-partition *)
+      (** always 0: there is no plan table; perfbench/cold.ml reads it *)
+  mutable plan_misses : int;  (** always 0, like [plan_hits] *)
 }
 
 type t
@@ -125,20 +113,6 @@ val directives_key : Schedule.t list -> string
 val join_keys : string list -> string
 
 val device_key : Pom_hls.Device.t -> string
-
-(** The plan-memo key for one candidate: function fingerprint
-    ({!func_key}), the keys ({!directives_key}) of the base prefix and of
-    the hardware directives, and the partition planner's bank cap. *)
-val plan_key :
-  fkey:string ->
-  base_key:string ->
-  hw_key:string ->
-  bank_cap:int option ->
-  string
-
-(** [plan cache ~key compute] memoizes one realization plan like the other
-    tables. *)
-val plan : t -> key:string -> (unit -> plan) -> plan
 
 (** The report-memo key for one design point — the key the checkpoint
     journal records, stable across processes (a structural fingerprint, no

@@ -82,29 +82,22 @@ let reference t =
     (Pom_polyir.Prog.of_func_unscheduled t.func)
     (structural_directives t.func)
 
-let verify ?(simulate = false) t =
+let verify t =
   match t.prog with
   | None -> "no polyhedral IR yet"
-  | Some prog ->
-      let legality =
-        match
-          Pom_polyir.Legality.violations ~original:(reference t)
-            ~transformed:prog
-        with
-        | [] -> "legal"
-        | vs -> Printf.sprintf "%d reversed dependences" (List.length vs)
-      in
-      if simulate then
-        Printf.sprintf "%s, divergence %g" legality
-          (Pom_sim.Interp.divergence t.func prog)
-      else legality
+  | Some prog -> (
+      match
+        Pom_polyir.Legality.violations ~original:(reference t)
+          ~transformed:prog
+      with
+      | [] -> "legal"
+      | vs -> Printf.sprintf "%d reversed dependences" (List.length vs))
 
-let instruments ?(dump_after = []) ?(verify_each = false) ?(simulate = false)
-    () =
+let instruments ?(dump_after = []) ?(verify_each = false) () =
   {
     Pass.stats = Some stats;
     dump = Some dump;
     dump_after;
-    verify = Some (fun t -> verify ~simulate t);
+    verify = Some verify;
     verify_each;
   }

@@ -64,16 +64,12 @@ val structural_directives : Func.t -> Schedule.t list
 val reference : t -> Pom_polyir.Prog.t
 
 (** Post-pass verification verdict: polyhedral legality against
-    {!reference}, plus functional-simulator divergence when [simulate] is
-    set (expensive — only sensible on small problem sizes). *)
-val verify : ?simulate:bool -> t -> string
+    {!reference}. *)
+val verify : t -> string
 
-(** Pass-manager hooks observing this state: statistics and dumps are wired
-    to {!stats} and {!dump}; [dump_after] and [verify_each]/[simulate] come
-    from the caller (the CLI's [--dump-after] and [--verify-each]). *)
+(** Pass-manager hooks observing this state: statistics, dumps and
+    verification are wired to {!stats}, {!dump} and {!verify};
+    [dump_after] and [verify_each] come from the caller (the CLI's
+    [--dump-after] and [--verify-each]). *)
 val instruments :
-  ?dump_after:string list ->
-  ?verify_each:bool ->
-  ?simulate:bool ->
-  unit ->
-  t Pass.instruments
+  ?dump_after:string list -> ?verify_each:bool -> unit -> t Pass.instruments

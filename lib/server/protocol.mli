@@ -73,7 +73,9 @@ type memo_stats = {
   report_hits : int;
   report_misses : int;
   plan_hits : int;
-  plan_misses : int;
+      (** always 0: the memo has no plan table; kept in the wire schema,
+          which perfbench/serve.ml reads *)
+  plan_misses : int;  (** always 0, like [plan_hits] *)
 }
 
 type response = {

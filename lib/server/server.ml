@@ -107,8 +107,8 @@ let memo_delta (before : Memo.counters) (after : Memo.counters) =
     schedule_misses = after.Memo.schedule_misses - before.Memo.schedule_misses;
     report_hits = after.Memo.report_hits - before.Memo.report_hits;
     report_misses = after.Memo.report_misses - before.Memo.report_misses;
-    plan_hits = after.Memo.plan_hits - before.Memo.plan_hits;
-    plan_misses = after.Memo.plan_misses - before.Memo.plan_misses;
+    plan_hits = 0;
+    plan_misses = 0;
   }
 
 (* First write wins, mirrored to the journal when one is configured.  A

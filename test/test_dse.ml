@@ -161,12 +161,72 @@ let contains line sub =
   in
   has 0
 
+(* The ScaleHLS flow on [func] through a fresh memo: the greedy pass's
+   result and the flow's trace. *)
+let scalehls_search ?(dnn = false) ~cache func =
+  let result = ref None in
+  let st, _ =
+    Pom_pipeline.Pass.run
+      (Pom_baselines.Scalehls.passes ~cache
+         ~on_result:(fun r -> result := Some r)
+         ())
+      (Pom_pipeline.State.init ~composition:Pom_hls.Resource.Dataflow
+         ~latency_mode:(if dnn then `Dataflow else `Sequential)
+         ~device:Pom_hls.Device.xc7z020 func)
+  in
+  (Option.get !result, st.Pom_pipeline.State.trace)
+
+(* The target cycles of the last line reading "... accepted (a -> b
+   cycles)". *)
+let last_accepted_cycles trace =
+  List.fold_left
+    (fun last line ->
+      match String.index_opt line '(' with
+      | Some i when contains line " accepted (" -> (
+          let tail = String.sub line i (String.length line - i) in
+          try Scanf.sscanf tail "(%d -> %d cycles)" (fun _ b -> Some b)
+          with Scanf.Scan_failure _ | End_of_file -> last)
+      | _ -> last)
+    None trace
+
 let test_trace_records_decisions () =
   let func = Polybench.gemm 256 in
   let r = Stage2.run func (Stage1.run func) in
   Alcotest.(check bool) "trace non-empty" true (r.Stage2.trace <> []);
   Alcotest.(check bool) "records acceptance" true
     (List.exists (fun line -> contains line "accepted") r.Stage2.trace);
+  Alcotest.(check (option int))
+    "gemm: the last accepted step reaches the design's latency"
+    (Some r.Stage2.report.Pom_hls.Report.latency)
+    (last_accepted_cycles r.Stage2.trace);
+  (* the ScaleHLS ladder traces every rung *)
+  List.iter
+    (fun (name, func) ->
+      let r, trace =
+        scalehls_search ~cache:(Pom_pipeline.Memo.create ()) func
+      in
+      let rungs = List.filter (fun line -> contains line "rung g") trace in
+      Alcotest.(check bool)
+        (name ^ ": an accepted rung")
+        true
+        (List.exists (fun line -> contains line " accepted (") rungs);
+      Alcotest.(check int)
+        (name ^ ": one line per pruned rung")
+        r.Pom_baselines.Scalehls.pruned
+        (List.length
+           (List.filter
+              (fun line -> contains line "pruned by the analyzer")
+              rungs));
+      Alcotest.(check (option int))
+        (name ^ ": the last accepted rung reaches the design's latency")
+        (Some r.Pom_baselines.Scalehls.report.Pom_hls.Report.latency)
+        (last_accepted_cycles rungs))
+    [
+      ("2mm", Polybench.mm2 32);
+      ("3mm", Polybench.mm3 32);
+      (* two rungs pruned *)
+      ("edge-detect", Image.edge_detect 32);
+    ];
   (* of the bundled workloads only ResNet-18 runs into the iteration cap;
      VGG-16 converges at iteration 55 *)
   let cap_lines (r : Stage2.result) =
@@ -184,6 +244,36 @@ let test_trace_records_decisions () =
        the optimization list";
     ]
     (cap_lines (search (Dnn.resnet18 ())))
+
+(* Both searches look their base program up once and price every
+   candidate from it: one schedule-memo miss, no hit, and no plan table. *)
+let test_search_schedules_base_once () =
+  List.iter
+    (fun (name, func, dnn) ->
+      List.iter
+        (fun (search, run) ->
+          let cache = Pom_pipeline.Memo.create () in
+          run cache;
+          let c = Pom_pipeline.Memo.counters cache in
+          let where = Printf.sprintf "%s %s: " name search in
+          Alcotest.(check int) (where ^ "schedule misses") 1
+            c.Pom_pipeline.Memo.schedule_misses;
+          Alcotest.(check int) (where ^ "schedule hits") 0
+            c.Pom_pipeline.Memo.schedule_hits;
+          Alcotest.(check (pair int int))
+            (where ^ "plan hits and misses")
+            (0, 0)
+            (c.Pom_pipeline.Memo.plan_hits, c.Pom_pipeline.Memo.plan_misses))
+        [
+          ( "pom",
+            fun cache -> ignore (Stage2.run ~cache func (Stage1.run func)) );
+          ("scalehls", fun cache -> ignore (scalehls_search ~dnn ~cache func));
+        ])
+    [
+      ("gemm-64", Polybench.gemm 64, false);
+      ("3mm-32", Polybench.mm3 32, false);
+      ("resnet18", Dnn.resnet18 (), true);
+    ]
 
 let test_realize_cases () =
   (* pipeline only *)
@@ -589,12 +679,7 @@ let test_search_reports_and_plans () =
             (Some (fun ~key:_ point -> reports := point :: !reports));
           (match search with
           | "pom" -> ignore (Stage2.run ~cache func (Stage1.run func))
-          | _ ->
-              ignore
-                (Pom_pipeline.Pass.run
-                   (Pom_baselines.Scalehls.passes ~cache ())
-                   (Pom_pipeline.State.init ~composition ~latency_mode ~device
-                      func)));
+          | _ -> ignore (scalehls_search ~dnn ~cache func));
           List.iteri
             (fun k ((prog : Pom_polyir.Prog.t), report) ->
               incr priced;
@@ -659,6 +744,8 @@ let () =
           Alcotest.test_case "custom strategy group" `Quick
             test_custom_strategy_group;
           Alcotest.test_case "decision trace" `Quick test_trace_records_decisions;
+          Alcotest.test_case "a search schedules its base once" `Quick
+            test_search_schedules_base_once;
           Alcotest.test_case "bottleneck pick equals the list walk" `Quick
             test_bottleneck_matches_list_walk;
           Alcotest.test_case "search reports and partition plans" `Slow

@@ -323,10 +323,8 @@ let test_search_faults_degrade () =
                       Alcotest.failf
                         "%s: %s: the pass after the search never ran" name
                         fault);
-                  (* Stage 2 traces what it absorbed (the ladder keeps no
-                     trace) *)
-                  if framework = `Pom_auto && kind = "fail" && not !traced
-                  then
+                  (* both searches trace what they absorbed *)
+                  if kind = "fail" && not !traced then
                     match compile_outcome framework func fault with
                     | `Compiled c ->
                         traced := List.exists (contains ~sub:"POM304") c.Pom.trace
@@ -338,9 +336,9 @@ let test_search_faults_degrade () =
         [ "fail"; "timeout" ];
       Alcotest.(check bool) (name ^ ": some faults strike the search") true
         (!late > 0);
-      if framework = `Pom_auto then
-        Alcotest.(check bool) "a failed candidate is traced as POM304" true
-          !traced)
+      Alcotest.(check bool)
+        (name ^ ": a failed candidate is traced as POM304")
+        true !traced)
     [ (`Pom_auto, "pom"); (`Scalehls, "scalehls") ]
 
 (* -------- deadline acceptance -------- *)
