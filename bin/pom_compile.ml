@@ -90,6 +90,26 @@ let report_illegal ~trace violations =
       "legality:    %d reversed dependences — the schedule is illegal@."
       violations
 
+(* The end of every compile, local or --connect: print the diagnostics
+   (after --Werror promotion) under --lint or when one is an error, and the
+   verdict of an illegal schedule; either of those is exit 2. *)
+let analysis_exit ~lint ~werror ~trace ~legality_violations diags =
+  let diags =
+    if werror then Pom.Analysis.Diagnostic.promote_warnings diags else diags
+  in
+  let has_errors = Pom.Analysis.Diagnostic.has_errors diags in
+  if lint || has_errors then begin
+    if diags <> [] then
+      Format.eprintf "%a@." Pom.Analysis.Diagnostic.pp_list diags;
+    Format.eprintf "analysis:    %s@." (Pom.Analysis.Diagnostic.summary diags)
+  end;
+  if legality_violations > 0 then begin
+    report_illegal ~trace legality_violations;
+    2
+  end
+  else if has_errors then 2
+  else 0
+
 let pp_served ppf (r : Pom_server.Protocol.response) =
   match r.Pom_server.Protocol.served with
   | Pom_server.Protocol.Cached ->
@@ -112,7 +132,7 @@ let pp_served ppf (r : Pom_server.Protocol.response) =
    report/speedup/tiles/C lines — only the [served:] provenance (and the
    trace, which carries the fallback note) may differ. *)
 let print_remote_result ~workload ~size ~framework ~served ~trace ~emit_c
-    (r : Pom_server.Protocol.result) =
+    ~lint ~werror (r : Pom_server.Protocol.result) =
   Format.printf "workload:    %s (size %d)@." workload size;
   Format.printf "framework:   %s@." framework;
   Format.printf "served:      %s@." served;
@@ -133,12 +153,9 @@ let print_remote_result ~workload ~size ~framework ~served ~trace ~emit_c
     print_newline ();
     print_string r.Pom_server.Protocol.hls_c
   end;
-  if r.Pom_server.Protocol.legality_violations > 0 then begin
-    report_illegal ~trace:r.Pom_server.Protocol.trace
-      r.Pom_server.Protocol.legality_violations;
-    2
-  end
-  else 0
+  analysis_exit ~lint ~werror ~trace:r.Pom_server.Protocol.trace
+    ~legality_violations:r.Pom_server.Protocol.legality_violations
+    r.Pom_server.Protocol.diags
 
 (* --connect: ship the scheduled function to a --serve daemon and print
    the wire-returned artifact in the local report shape.  Transport
@@ -148,7 +165,7 @@ let print_remote_result ~workload ~size ~framework ~served ~trace ~emit_c
    server would have produced (same compile entry point, same result
    projection), annotated in the trace as a fallback. *)
 let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
-    ~workload ~size ~framework ~retries ~retry_backoff func =
+    ~lint ~werror ~workload ~size ~framework ~retries ~retry_backoff func =
   let req =
     Pom_server.Client.request ~device ~framework:fw ~dnn ?deadline_s:deadline
       ~use_cache ~client:"pom_compile" func
@@ -194,7 +211,7 @@ let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
             (Printf.sprintf "local fallback (server unreachable after %d \
                              attempt(s))"
                !attempts)
-          ~trace ~emit_c r
+          ~trace ~emit_c ~lint ~werror r
     | exception Pom.Resilience.Fault.Killed site ->
         Format.eprintf "error [POM305]: injected kill at %s@." site;
         3
@@ -236,7 +253,7 @@ let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
       | Ok r ->
           print_remote_result ~workload ~size ~framework
             ~served:(Format.asprintf "%a" pp_served resp)
-            ~trace ~emit_c r)
+            ~trace ~emit_c ~lint ~werror r)
 
 let print_server_stats (s : Pom_server.Protocol.server_stats) =
   Format.printf
@@ -419,8 +436,9 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
             match connect with
             | Some socket ->
                 run_remote ~socket ~device ~fw ~dnn ~deadline
-                  ~use_cache:(not no_request_cache) ~trace ~emit_c ~workload
-                  ~size ~framework ~retries ~retry_backoff func
+                  ~use_cache:(not no_request_cache) ~trace ~emit_c ~lint
+                  ~werror ~workload ~size ~framework ~retries ~retry_backoff
+                  func
             | None ->
             let c =
               Pom.compile ~device ~framework:fw ~dnn ~dump_after ~verify_each
@@ -504,24 +522,8 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
                    (Pom.Affine.Passes.simplify
                       (Pom.Affine.Lower.lower c.Pom.prog)))
             end;
-            let diags =
-              if werror then
-                Pom.Analysis.Diagnostic.promote_warnings c.Pom.diags
-              else c.Pom.diags
-            in
-            let has_errors = Pom.Analysis.Diagnostic.has_errors diags in
-            if lint || has_errors then begin
-              if diags <> [] then
-                Format.eprintf "%a@." Pom.Analysis.Diagnostic.pp_list diags;
-              Format.eprintf "analysis:    %s@."
-                (Pom.Analysis.Diagnostic.summary diags)
-            end;
-            if c.Pom.legality_violations > 0 then begin
-              report_illegal ~trace:c.Pom.trace c.Pom.legality_violations;
-              2
-            end
-            else if has_errors then 2
-            else 0
+            analysis_exit ~lint ~werror ~trace:c.Pom.trace
+              ~legality_violations:c.Pom.legality_violations c.Pom.diags
           with
           | Pom.Resilience.Fault.Killed site ->
               (* an injected kill simulates the process dying here: no
@@ -737,8 +739,10 @@ let connect_arg =
         ~doc:
           "Compile on the --serve daemon at $(docv) instead of in this \
            process: the scheduled workload is shipped over the framed \
-           wire protocol and the synthesis report, HLS C, and trace come \
-           back.  --deadline rides along as the server-side budget.")
+           wire protocol and the synthesis report, HLS C, trace and \
+           analyzer diagnostics come back: --lint, --Werror and the exit \
+           code act on them as on a local compile.  --deadline rides along \
+           as the server-side budget.")
 
 let queue_arg =
   Arg.(

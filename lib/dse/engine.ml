@@ -33,29 +33,14 @@ let passes ?par_cap ?bank_cap ?steps ?cache ?checkpoint
       ~descr:"bottleneck-oriented optimization (DSE stage 2, memoized QoR)"
       (fun (st : State.t) ->
         let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
-        let s1, st =
+        let s1 =
           match
             State.find_ext
               (function Stage1_output s1 -> Some s1 | _ -> None)
               st
           with
-          | Some s1 -> (s1, st)
-          | None ->
-              (* running stage 2 without stage 1 in the pipeline is legal
-                 (the searches compose over the unscheduled program), but
-                 recomputing must be observable, not silent *)
-              let s1 = Stage1.run st.State.func in
-              on_stage1 s1;
-              ( s1,
-                {
-                  st with
-                  State.trace =
-                    st.State.trace
-                    @ [
-                        "stage2: no stage-1 output in the pipeline state; \
-                         recomputed";
-                      ];
-                } )
+          | Some s1 -> s1
+          | None -> invalid_arg "stage2-search: no stage-1 output in the state"
         in
         let r =
           Stage2.run ~device:st.State.device

@@ -14,10 +14,9 @@ type outcome = {
 }
 
 (** Stage 1's output, threaded through {!Pom_pipeline.State.t}[.ext] from
-    the stage1-transform pass to the stage2-search pass.  When the stage 2
-    pass finds no such extension in the state (the caller assembled a
-    pipeline without stage 1), it recomputes — loudly, with a trace line and
-    an [on_stage1] notification. *)
+    the stage1-transform pass to the stage2-search pass, which runs only
+    after it: a state without it is a misassembled pipeline
+    ([Invalid_argument]). *)
 type Pom_pipeline.State.ext += Stage1_output of Stage1.t
 
 (** The engine's two passes over the shared compile state, for embedding in

@@ -320,11 +320,12 @@ let start ?bank_cap ?latency_mode ?checkpoint ~cache ~device ~composition
     Pom_resilience.Fault.point "dse:evaluate";
     let parts = partition_plan ?bank_cap prog_hw.Prog.func profiles in
     let hw_key = Memo.join_keys (List.map (fun u -> u.hw_key) units) in
-    let prog, report =
+    let prog = List.fold_left Prog.apply prog_hw parts in
+    let report =
       Memo.synthesize_profiled cache ~fkey ~prices ~composition ?latency_mode
         ~device
         ~dkey:(Memo.join_keys [ base_key; hw_key; Memo.directives_key parts ])
-        (fun () -> (List.fold_left Prog.apply prog_hw parts, profiles))
+        prog (fun () -> profiles)
     in
     (prog, base @ hw_directives units @ parts, report)
   in
@@ -502,7 +503,8 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
     | Some u ->
         (* escalate by doubling; when the doubled design no longer fits or
            helps, retry once with a 1.5x step before giving up on the
-           node (the exit mechanism) *)
+           node (the exit mechanism).  [try_par] is true when it settles
+           the iteration: the step was accepted or the budget ran out. *)
         let try_par par =
           if par <= u.par || par > max_par ~par_cap u then false
           else begin
@@ -536,7 +538,7 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
                    incumbent"
                   !iterations reason;
                 continue_ := false;
-                false
+                true
             | Failed e ->
                 log
                   "iter %d: candidate g%d par %d -> %d evaluation failed \

@@ -35,6 +35,4 @@ let p_uint64 = U64
 let p_float32 = F32
 let p_float64 = F64
 
-let pp ppf t = Format.pp_print_string ppf (c_name t)
-
 let equal (a : t) b = a = b

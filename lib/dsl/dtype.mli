@@ -23,6 +23,4 @@ val p_uint64 : t
 val p_float32 : t
 val p_float64 : t
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool

@@ -13,8 +13,3 @@ let rank p = List.length p.shape
 let size p = List.fold_left ( * ) 1 p.shape
 
 let bits p = size p * Dtype.bits p.dtype
-
-let pp ppf p =
-  Format.fprintf ppf "%s[%s] : %a" p.name
-    (String.concat "][" (List.map string_of_int p.shape))
-    Dtype.pp p.dtype

@@ -12,5 +12,3 @@ val size : t -> int
 
 (** On-chip storage footprint in bits. *)
 val bits : t -> int
-
-val pp : Format.formatter -> t -> unit

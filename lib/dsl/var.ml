@@ -16,5 +16,3 @@ let constraints v =
     Constr.ge (Linexpr.var v.name) (Linexpr.const v.lb);
     Constr.le (Linexpr.var v.name) (Linexpr.const (v.ub - 1));
   ]
-
-let pp ppf v = Format.fprintf ppf "%s in [%d, %d)" v.name v.lb v.ub

@@ -12,5 +12,3 @@ val extent : t -> int
 
 (** The two domain constraints [lb <= name < ub]. *)
 val constraints : t -> Pom_poly.Constr.t list
-
-val pp : Format.formatter -> t -> unit

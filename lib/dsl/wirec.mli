@@ -1,5 +1,5 @@
-(** Wire codecs for the DSL layer: data types, iterators, placeholders,
-    expressions, computes, schedule directives, and whole functions.
+(** Wire codecs for the DSL layer: schedule directives and whole
+    functions (a compile request's payload, a refutation case's input).
 
     The [func] codec rebuilds through the public builder API
     ({!Func.create}/{!Func.add_compute}/{!Func.schedule}), so a decoded
@@ -7,13 +7,5 @@
     hand — corrupt input that violates them surfaces as a typed
     {!Pom_wire.Wire.Corrupt}, not as a malformed value. *)
 
-val dtype : Dtype.t Pom_wire.Wire.t
-val var : Var.t Pom_wire.Wire.t
-val placeholder : Placeholder.t Pom_wire.Wire.t
-val index : Expr.index Pom_wire.Wire.t
-val cond : Expr.cond Pom_wire.Wire.t
-val expr : Expr.t Pom_wire.Wire.t
-val compute : Compute.t Pom_wire.Wire.t
-val partition_kind : Schedule.partition_kind Pom_wire.Wire.t
 val schedule : Schedule.t Pom_wire.Wire.t
 val func : Func.t Pom_wire.Wire.t

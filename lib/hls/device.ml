@@ -37,9 +37,3 @@ let scale frac d =
     ff = s d.ff;
     bram_bits = s d.bram_bits;
   }
-
-let pp ppf d =
-  Format.fprintf ppf "%s: %d DSP, %d LUT, %d FF, %.1f Mb BRAM @ %.0f MHz"
-    d.name d.dsp d.lut d.ff
-    (float_of_int d.bram_bits /. 1.0e6)
-    d.clock_mhz

@@ -20,5 +20,3 @@ val xczu9eg : t
 (** [scale frac d] shrinks every resource budget to [frac] of [d] (used by
     the Fig. 11 resource-constraint sweep). *)
 val scale : float -> t -> t
-
-val pp : Format.formatter -> t -> unit

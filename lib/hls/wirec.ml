@@ -1,54 +1,39 @@
 module W = Pom_wire.Wire
 
 let device =
-  W.with_pp Device.pp
-  @@ W.record6 "device"
-       (W.field "name" W.string (fun (d : Device.t) -> d.name))
-       (W.field "dsp" W.int (fun (d : Device.t) -> d.dsp))
-       (W.field "lut" W.int (fun (d : Device.t) -> d.lut))
-       (W.field "ff" W.int (fun (d : Device.t) -> d.ff))
-       (W.field "bram_bits" W.int (fun (d : Device.t) -> d.bram_bits))
-       (W.field "clock_mhz" W.float (fun (d : Device.t) -> d.clock_mhz))
-       (fun name dsp lut ff bram_bits clock_mhz ->
-         { Device.name; dsp; lut; ff; bram_bits; clock_mhz })
+  W.record6 "device"
+    (W.field W.string (fun (d : Device.t) -> d.name))
+    (W.field W.int (fun (d : Device.t) -> d.dsp))
+    (W.field W.int (fun (d : Device.t) -> d.lut))
+    (W.field W.int (fun (d : Device.t) -> d.ff))
+    (W.field W.int (fun (d : Device.t) -> d.bram_bits))
+    (W.field W.float (fun (d : Device.t) -> d.clock_mhz))
+    (fun name dsp lut ff bram_bits clock_mhz ->
+      { Device.name; dsp; lut; ff; bram_bits; clock_mhz })
 
 let usage =
-  W.with_pp Resource.pp
-  @@ W.record4 "usage"
-       (W.field "dsp" W.int (fun (u : Resource.usage) -> u.dsp))
-       (W.field "lut" W.int (fun (u : Resource.usage) -> u.lut))
-       (W.field "ff" W.int (fun (u : Resource.usage) -> u.ff))
-       (W.field "bram" W.int (fun (u : Resource.usage) -> u.bram))
-       (fun dsp lut ff bram -> { Resource.dsp; lut; ff; bram })
-
-let composition =
-  W.enum "composition"
-    [ ("Reuse", Resource.Reuse); ("Dataflow", Resource.Dataflow) ]
-
-let latency_mode =
-  W.enum "latency_mode"
-    [ ("Sequential", `Sequential); ("Dataflow", `Dataflow) ]
+  W.record4 "usage"
+    (W.field W.int (fun (u : Resource.usage) -> u.dsp))
+    (W.field W.int (fun (u : Resource.usage) -> u.lut))
+    (W.field W.int (fun (u : Resource.usage) -> u.ff))
+    (W.field W.int (fun (u : Resource.usage) -> u.bram))
+    (fun dsp lut ff bram -> { Resource.dsp; lut; ff; bram })
 
 let report =
-  W.with_pp Report.pp
-  @@ W.record8 "report"
-       (W.field "latency" W.int (fun (r : Report.t) -> r.latency))
-       (W.field "group_latencies"
-          (W.list (W.pair W.int W.int))
-          (fun (r : Report.t) -> r.group_latencies))
-       (W.field "iis"
-          (W.list (W.pair W.int W.int))
-          (fun (r : Report.t) -> r.iis))
-       (W.field "usage" usage (fun (r : Report.t) -> r.usage))
-       (W.field "power" W.float (fun (r : Report.t) -> r.power))
-       (W.field "feasible" W.bool (fun (r : Report.t) -> r.feasible))
-       (W.field "parallelism" W.float (fun (r : Report.t) -> r.parallelism))
-       (W.field "unroll_products"
-          (W.list (W.pair W.string W.int))
-          (fun (r : Report.t) -> r.unroll_products))
-       (fun latency group_latencies iis usage power feasible parallelism
-            unroll_products ->
-         {
-           Report.latency; group_latencies; iis; usage; power; feasible;
-           parallelism; unroll_products;
-         })
+  W.record8 "report"
+    (W.field W.int (fun (r : Report.t) -> r.latency))
+    (W.field (W.list (W.pair W.int W.int)) (fun (r : Report.t) ->
+         r.group_latencies))
+    (W.field (W.list (W.pair W.int W.int)) (fun (r : Report.t) -> r.iis))
+    (W.field usage (fun (r : Report.t) -> r.usage))
+    (W.field W.float (fun (r : Report.t) -> r.power))
+    (W.field W.bool (fun (r : Report.t) -> r.feasible))
+    (W.field W.float (fun (r : Report.t) -> r.parallelism))
+    (W.field (W.list (W.pair W.string W.int)) (fun (r : Report.t) ->
+         r.unroll_products))
+    (fun latency group_latencies iis usage power feasible parallelism
+         unroll_products ->
+      {
+        Report.latency; group_latencies; iis; usage; power; feasible;
+        parallelism; unroll_products;
+      })

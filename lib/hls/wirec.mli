@@ -1,8 +1,6 @@
-(** Wire codecs for the virtual-synthesizer layer: devices, resource
-    usage, composition/latency modes, and synthesis reports. *)
+(** Wire codecs for the virtual-synthesizer layer: devices (a compile
+    request's target) and synthesis reports (a compile result's QoR and
+    a DSE journal record's payload). *)
 
 val device : Device.t Pom_wire.Wire.t
-val usage : Resource.usage Pom_wire.Wire.t
-val composition : Resource.composition Pom_wire.Wire.t
-val latency_mode : Report.latency_mode Pom_wire.Wire.t
 val report : Report.t Pom_wire.Wire.t

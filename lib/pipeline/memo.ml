@@ -12,11 +12,11 @@ type counters = {
 
 type t = {
   schedules : (string, Pom_polyir.Prog.t) Hashtbl.t;
-  reports : (string, Pom_polyir.Prog.t * Report.t) Hashtbl.t;
+  reports : (string, Report.t) Hashtbl.t;
   max_entries : int;
   lock : Mutex.t;
   mutable report_observer :
-    (key:string -> Pom_polyir.Prog.t * Report.t -> unit) option;
+    (key:string -> Pom_polyir.Prog.t -> Report.t -> unit) option;
   c : counters;
 }
 
@@ -157,31 +157,28 @@ let report_key ~fkey ~composition ~latency_mode ~device ~dkey =
     ]
 
 let synthesize_profiled t ~fkey ?prices ?(composition = Resource.Reuse)
-    ?(latency_mode = `Sequential) ~device ~dkey make =
+    ?(latency_mode = `Sequential) ~device ~dkey prog profiles =
   Pom_resilience.Budget.check "memo:synthesize";
   let key = report_key ~fkey ~composition ~latency_mode ~device ~dkey in
   memoize t t.reports key
     ~hit:(fun c -> c.report_hits <- c.report_hits + 1)
     ~miss:(fun c -> c.report_misses <- c.report_misses + 1)
     (fun () ->
-      let prog, profiles = make () in
       let report =
         Report.of_profiles ?prices ~composition ~latency_mode ~device prog
-          profiles
+          (profiles ())
       in
       (* genuine evaluations only: replayed (restored) design points never
          re-fire the observer, so a resumed journal does not re-journal *)
       (match t.report_observer with
-      | Some obs -> obs ~key (prog, report)
+      | Some obs -> obs ~key prog report
       | None -> ());
-      (prog, report))
+      report)
 
-let synthesize t ?composition ?latency_mode ~device ~directives func
-    make_prog =
-  synthesize_profiled t ~fkey:(func_key func) ?composition ?latency_mode
-    ~device ~dkey:(directives_key directives) (fun () ->
-      let prog = make_prog () in
-      (prog, Summary.profile_all prog))
+let synthesize t ?composition ?latency_mode ~device ~directives prog =
+  synthesize_profiled t ~fkey:(func_key prog.Pom_polyir.Prog.func)
+    ?composition ?latency_mode ~device ~dkey:(directives_key directives) prog
+    (fun () -> Summary.profile_all prog)
 
 (* Checkpoint replay: seed a settled report without touching the counters or
    the observer — a restored point must behave exactly like a warm cache
@@ -192,9 +189,11 @@ let restore_report t ~key value =
   if not (Hashtbl.mem t.reports key) then Hashtbl.replace t.reports key value;
   Mutex.unlock t.lock
 
-(* The journal's record payload: the wire-encoded design point.  The codec
-   pair is the schema {!Pom_resilience.Checkpoint.version} covers. *)
-let journal_value = Pom_wire.Wire.pair Pom_polyir.Wirec.prog Pom_hls.Wirec.report
+(* The journal's record payload: the wire-encoded report, the schema
+   {!Pom_resilience.Checkpoint.version} covers.  The design point's
+   program is not recorded: its key names it, and a resumed search
+   rebuilds it from its own units. *)
+let journal_value = Pom_hls.Wirec.report
 
 (* The full journal protocol for one search: replay the intact records into
    the report memo, journal every genuinely computed point while [f] runs,
@@ -229,9 +228,9 @@ let with_journal t path f =
             records;
           set_report_observer t
             (Some
-               (fun ~key value ->
+               (fun ~key _prog report ->
                  Pom_resilience.Checkpoint.append j ~key
-                   ~data:(Pom_wire.Wire.to_string journal_value value)));
+                   ~data:(Pom_wire.Wire.to_string journal_value report)));
           let notes =
             load_notes
             @ (if !replayed > 0 then

@@ -59,13 +59,14 @@ val schedule :
   Schedule.t list ->
   Pom_polyir.Prog.t
 
-(** [synthesize_profiled cache ~fkey ~device ~dkey make] returns the
-    scheduled program and its synthesis report for one design point of the
-    function fingerprinted [fkey], under the directive list keyed [dkey]
-    ({!directives_key}): only on a cache miss does it call [make] for the
-    program and its statement profiles (program order) and price them with
+(** [synthesize_profiled cache ~fkey ~device ~dkey prog profiles] is the
+    synthesis report of [prog], one design point of the function
+    fingerprinted [fkey] under the directive list keyed [dkey]
+    ({!directives_key}): only on a cache miss does it call [profiles] for
+    [prog]'s statement profiles (program order) and price them with
     {!Pom_hls.Report.of_profiles}, through the search's group-price table
-    [prices] when given. *)
+    [prices] when given.  The memo stores the report alone: the caller
+    holds the program. *)
 val synthesize_profiled :
   t ->
   fkey:string ->
@@ -74,21 +75,21 @@ val synthesize_profiled :
   ?latency_mode:Pom_hls.Report.latency_mode ->
   device:Pom_hls.Device.t ->
   dkey:string ->
-  (unit -> Pom_polyir.Prog.t * Pom_hls.Summary.t list) ->
-  Pom_polyir.Prog.t * Pom_hls.Report.t
+  Pom_polyir.Prog.t ->
+  (unit -> Pom_hls.Summary.t list) ->
+  Pom_hls.Report.t
 
-(** [synthesize cache ~device ~directives func make_prog] is
-    {!synthesize_profiled} for a caller holding no profiles: on a miss the
-    program [make_prog] builds is profiled whole. *)
+(** [synthesize cache ~device ~directives prog] is {!synthesize_profiled}
+    for a caller holding no profiles: [prog] is the function's program
+    under [directives], profiled whole on a miss. *)
 val synthesize :
   t ->
   ?composition:Pom_hls.Resource.composition ->
   ?latency_mode:Pom_hls.Report.latency_mode ->
   device:Pom_hls.Device.t ->
   directives:Schedule.t list ->
-  Func.t ->
-  (unit -> Pom_polyir.Prog.t) ->
-  Pom_polyir.Prog.t * Pom_hls.Report.t
+  Pom_polyir.Prog.t ->
+  Pom_hls.Report.t
 
 val clear : t -> unit
 
@@ -125,24 +126,25 @@ val report_key :
   dkey:string ->
   string
 
-(** Observe every genuinely computed report ([None] unhooks): fires on
-    misses only, with the lock released, before the value is stored.  The DSE
-    checkpoint appends each observed design point to its journal; replayed
-    points enter through {!restore_report} and never re-fire it. *)
+(** Observe every genuinely computed report, with the program it prices
+    ([None] unhooks): fires on misses only, with the lock released, before
+    the report is stored.  The DSE checkpoint appends each observed report
+    to its journal; replayed points enter through {!restore_report} and
+    never re-fire it. *)
 val set_report_observer :
-  t -> (key:string -> Pom_polyir.Prog.t * Pom_hls.Report.t -> unit) option -> unit
+  t -> (key:string -> Pom_polyir.Prog.t -> Pom_hls.Report.t -> unit) option ->
+  unit
 
 (** Seed a settled report under [key] without counting a hit or a miss and
     without firing the observer — checkpoint replay, making a resumed
     search behave as if its cache were warm.  A key already settled is left
     alone. *)
-val restore_report :
-  t -> key:string -> Pom_polyir.Prog.t * Pom_hls.Report.t -> unit
+val restore_report : t -> key:string -> Pom_hls.Report.t -> unit
 
 (** [with_journal t (Some path) f]: open the checkpoint journal at [path],
-    replay its intact design points into the report memo, journal every
-    genuinely computed point while [f] runs, and unhook/close however [f]
-    exits.  [f] receives trace notes (how many points were replayed, or
+    replay its intact [(key, report)] records into the report memo, journal
+    every genuinely computed report while [f] runs, and unhook/close
+    however [f] exits.  [f] receives trace notes (how many points were replayed, or
     that the journal was unreadable and dropped — POM306).
     [with_journal t None f] is [f []]. *)
 val with_journal : t -> string option -> (string list -> 'a) -> 'a

@@ -146,15 +146,13 @@ let synthesize () =
   Pass.v ~name:"hls-synthesize"
     ~descr:"virtual HLS synthesis of the current design point (memoized)"
     (fun (st : State.t) ->
-      let prog, report =
+      let report =
         Memo.synthesize Memo.global ~composition:st.State.composition
           ~latency_mode:st.State.latency_mode ~device:st.State.device
-          ~directives:st.State.directives st.State.func (fun () ->
-            match st.State.prog with
-            | Some p -> p
-            | None -> Memo.schedule Memo.global st.State.func st.State.directives)
+          ~directives:st.State.directives
+          (prog_exn st "hls-synthesize")
       in
-      { st with State.prog = Some prog; report = Some report })
+      { st with State.report = Some report })
 
 let affine_lower () =
   Pass.v ~name:"affine-lower"

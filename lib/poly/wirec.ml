@@ -1,46 +1,23 @@
 module W = Pom_wire.Wire
 
 let linexpr =
-  W.with_pp Linexpr.pp
-  @@ W.conv "linexpr"
-       (fun e ->
-         (List.map (fun d -> (d, Linexpr.coeff e d)) (Linexpr.dims e),
-          Linexpr.const_of e))
-       (fun (terms, k) ->
-         List.fold_left
-           (fun acc (d, c) -> Linexpr.add acc (Linexpr.term c d))
-           (Linexpr.const k) terms)
-       (W.pair (W.list (W.pair W.string W.int)) W.int)
+  W.conv "linexpr"
+    (fun e ->
+      ( List.map (fun d -> (d, Linexpr.coeff e d)) (Linexpr.dims e),
+        Linexpr.const_of e ))
+    (fun (terms, k) ->
+      List.fold_left
+        (fun acc (d, c) -> Linexpr.add acc (Linexpr.term c d))
+        (Linexpr.const k) terms)
+    (W.pair (W.list (W.pair W.string W.int)) W.int)
 
 let constr =
-  W.with_pp Constr.pp
-  @@ W.union "constr"
-       [
-         W.case 0 "Eq" linexpr
-           (fun e -> Constr.Eq e)
-           (function Constr.Eq e -> Some e | Constr.Ge _ -> None);
-         W.case 1 "Ge" linexpr
-           (fun e -> Constr.Ge e)
-           (function Constr.Ge e -> Some e | Constr.Eq _ -> None);
-       ]
-
-let basic_set =
-  W.with_pp Basic_set.pp
-  @@ W.conv "basic_set"
-       (fun s -> (Basic_set.dims s, Basic_set.constraints s))
-       (fun (dims, cs) -> Basic_set.make dims cs)
-       (W.pair (W.list W.string) (W.list constr))
-
-let sched_item =
-  W.union "sched_item"
+  W.union "constr"
     [
-      W.case 0 "Const" W.int
-        (fun k -> Sched.Const k)
-        (function Sched.Const k -> Some k | Sched.Dim _ -> None);
-      W.case 1 "Dim" W.string
-        (fun d -> Sched.Dim d)
-        (function Sched.Dim d -> Some d | Sched.Const _ -> None);
+      W.case 0 linexpr
+        (fun e -> Constr.Eq e)
+        (function Constr.Eq e -> Some e | Constr.Ge _ -> None);
+      W.case 1 linexpr
+        (fun e -> Constr.Ge e)
+        (function Constr.Ge e -> Some e | Constr.Eq _ -> None);
     ]
-
-let sched =
-  W.with_pp Sched.pp @@ W.conv "sched" Sched.items Sched.of_items (W.list sched_item)

@@ -1,10 +1,4 @@
-(** Wire codecs ({!Pom_wire.Wire}) for the polyhedral layer's types.
+(** Wire codecs ({!Pom_wire.Wire}) for the polyhedral layer: the
+    constraints a refutation corpus case carries. *)
 
-    One declarative description per type.  These define the on-disk
-    format of memo journals: an incompatible edit here must come with a
-    {!Pom_resilience.Checkpoint.version} bump. *)
-
-val linexpr : Linexpr.t Pom_wire.Wire.t
 val constr : Constr.t Pom_wire.Wire.t
-val basic_set : Basic_set.t Pom_wire.Wire.t
-val sched : Sched.t Pom_wire.Wire.t

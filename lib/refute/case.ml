@@ -80,16 +80,16 @@ let poly_codec =
 let codec =
   W.union "refute-case"
     [
-      W.case 1 "poly" poly_codec
+      W.case 1 poly_codec
         (fun p -> Poly p)
         (function Poly p -> Some p | _ -> None);
-      W.case 2 "semantic" Pom_dsl.Wirec.func
+      W.case 2 Pom_dsl.Wirec.func
         (fun f -> Semantic f)
         (function Semantic f -> Some f | _ -> None);
-      W.case 3 "degrade" Pom_dsl.Wirec.func
+      W.case 3 Pom_dsl.Wirec.func
         (fun f -> Degrade f)
         (function Degrade f -> Some f | _ -> None);
-      W.case 4 "qor" Pom_dsl.Wirec.func
+      W.case 4 Pom_dsl.Wirec.func
         (fun f -> Qor f)
         (function Qor f -> Some f | _ -> None);
     ]

@@ -21,7 +21,7 @@ let fsync_channel oc =
 
 let default_kind = "pom-dse-journal"
 let kind = default_kind
-let version = 2
+let version = 3
 let record_tag = 1
 let record_codec = Wire.pair Wire.string Wire.string
 

@@ -1,7 +1,7 @@
 (** A crash-safe append-only journal of keyed records.
 
     The DSE searches journal every design point they evaluate ([key] = the
-    report-memo key, [data] = the wire-encoded evaluation); a process
+    report-memo key, [data] = the wire-encoded synthesis report); a process
     killed mid-search loses at most the record being written.  On reopen,
     the journal replays every intact record and truncates a torn tail (the
     partial record a crash can leave), so resuming appends from a
@@ -27,7 +27,8 @@ type t
 val kind : string
 
 (** The schema version of the record payload codecs.  Bump when the
-    journal payload encoding changes incompatibly. *)
+    journal payload encoding changes incompatibly.  Version 3 records carry
+    a report alone; version 2 also carried the design point's program. *)
 val version : int
 
 (** [load path] opens (creating if needed) the journal and returns it

@@ -3,7 +3,7 @@ module Frame = Pom_wire.Frame
 
 let request_kind = "pom-request"
 let response_kind = "pom-response"
-let version = 1
+let version = 2
 
 (* A request is a DSL function plus a few scalars — kilobytes.  Cap well
    below the framing default so a hostile length field on the listening
@@ -30,6 +30,7 @@ type result = {
   legality_violations : int;
   tile_vectors : (string * int list) list;
   trace : string list;
+  diags : Pom_analysis.Diagnostic.t list;
 }
 
 type error = { code : string; message : string; context : string list }
@@ -84,42 +85,47 @@ type server_msg =
 
 let framework_codec : Pom.framework Wire.t =
   Wire.enum "framework"
-    [
-      ("baseline", `Baseline);
-      ("pluto", `Pluto);
-      ("polsca", `Polsca);
-      ("scalehls", `Scalehls);
-      ("pom-manual", `Pom_manual);
-      ("pom-auto", `Pom_auto);
-    ]
+    [ `Baseline; `Pluto; `Polsca; `Scalehls; `Pom_manual; `Pom_auto ]
 
 let request_codec : request Wire.t =
   Wire.record8 "request"
-    (Wire.field "id" Wire.int (fun r -> r.id))
-    (Wire.field "func" Pom_dsl.Wirec.func (fun r -> r.func))
-    (Wire.field "device" Pom_hls.Wirec.device (fun r -> r.device))
-    (Wire.field "framework" framework_codec (fun r -> r.framework))
-    (Wire.field "dnn" Wire.bool (fun r -> r.dnn))
-    (Wire.field "deadline_s" (Wire.option Wire.float) (fun r -> r.deadline_s))
-    (Wire.field "use_cache" Wire.bool (fun r -> r.use_cache))
-    (Wire.field "client" Wire.string (fun r -> r.client))
+    (Wire.field Wire.int (fun r -> r.id))
+    (Wire.field Pom_dsl.Wirec.func (fun r -> r.func))
+    (Wire.field Pom_hls.Wirec.device (fun r -> r.device))
+    (Wire.field framework_codec (fun r -> r.framework))
+    (Wire.field Wire.bool (fun r -> r.dnn))
+    (Wire.field (Wire.option Wire.float) (fun r -> r.deadline_s))
+    (Wire.field Wire.bool (fun r -> r.use_cache))
+    (Wire.field Wire.string (fun r -> r.client))
     (fun id func device framework dnn deadline_s use_cache client ->
       { id; func; device; framework; dnn; deadline_s; use_cache; client })
 
+let diagnostic_codec : Pom_analysis.Diagnostic.t Wire.t =
+  let open Pom_analysis.Diagnostic in
+  Wire.record5 "diagnostic"
+    (Wire.field Wire.string (fun d -> d.code))
+    (Wire.field (Wire.enum "severity" [ Error; Warning; Hint ]) (fun d ->
+         d.severity))
+    (Wire.field (Wire.list Wire.string) (fun d -> d.loc))
+    (Wire.field Wire.string (fun d -> d.message))
+    (Wire.field (Wire.option Wire.string) (fun d -> d.note))
+    (fun code severity loc message note ->
+      { code; severity; loc; message; note })
+
 let result_codec : result Wire.t =
-  Wire.record8 "result"
-    (Wire.field "report" Pom_hls.Wirec.report (fun r -> r.report))
-    (Wire.field "hls_c" Wire.string (fun r -> r.hls_c))
-    (Wire.field "speedup" Wire.float (fun r -> r.speedup))
-    (Wire.field "dse_time_s" Wire.float (fun r -> r.dse_time_s))
-    (Wire.field "baseline_latency" Wire.int (fun r -> r.baseline_latency))
-    (Wire.field "legality_violations" Wire.int (fun r -> r.legality_violations))
-    (Wire.field "tile_vectors"
-       (Wire.list (Wire.pair Wire.string (Wire.list Wire.int)))
+  Wire.record9 "result"
+    (Wire.field Pom_hls.Wirec.report (fun r -> r.report))
+    (Wire.field Wire.string (fun r -> r.hls_c))
+    (Wire.field Wire.float (fun r -> r.speedup))
+    (Wire.field Wire.float (fun r -> r.dse_time_s))
+    (Wire.field Wire.int (fun r -> r.baseline_latency))
+    (Wire.field Wire.int (fun r -> r.legality_violations))
+    (Wire.field (Wire.list (Wire.pair Wire.string (Wire.list Wire.int)))
        (fun r -> r.tile_vectors))
-    (Wire.field "trace" (Wire.list Wire.string) (fun r -> r.trace))
+    (Wire.field (Wire.list Wire.string) (fun r -> r.trace))
+    (Wire.field (Wire.list diagnostic_codec) (fun r -> r.diags))
     (fun report hls_c speedup dse_time_s baseline_latency legality_violations
-         tile_vectors trace ->
+         tile_vectors trace diags ->
       {
         report;
         hls_c;
@@ -129,26 +135,26 @@ let result_codec : result Wire.t =
         legality_violations;
         tile_vectors;
         trace;
+        diags;
       })
 
 let error_codec : error Wire.t =
   Wire.record3 "error"
-    (Wire.field "code" Wire.string (fun e -> e.code))
-    (Wire.field "message" Wire.string (fun e -> e.message))
-    (Wire.field "context" (Wire.list Wire.string) (fun e -> e.context))
+    (Wire.field Wire.string (fun e -> e.code))
+    (Wire.field Wire.string (fun e -> e.message))
+    (Wire.field (Wire.list Wire.string) (fun e -> e.context))
     (fun code message context -> { code; message; context })
 
-let served_codec : served Wire.t =
-  Wire.enum "served" [ ("computed", Computed); ("cached", Cached) ]
+let served_codec : served Wire.t = Wire.enum "served" [ Computed; Cached ]
 
 let memo_stats_codec : memo_stats Wire.t =
   Wire.record6 "memo_stats"
-    (Wire.field "schedule_hits" Wire.int (fun m -> m.schedule_hits))
-    (Wire.field "schedule_misses" Wire.int (fun m -> m.schedule_misses))
-    (Wire.field "report_hits" Wire.int (fun m -> m.report_hits))
-    (Wire.field "report_misses" Wire.int (fun m -> m.report_misses))
-    (Wire.field "plan_hits" Wire.int (fun m -> m.plan_hits))
-    (Wire.field "plan_misses" Wire.int (fun m -> m.plan_misses))
+    (Wire.field Wire.int (fun m -> m.schedule_hits))
+    (Wire.field Wire.int (fun m -> m.schedule_misses))
+    (Wire.field Wire.int (fun m -> m.report_hits))
+    (Wire.field Wire.int (fun m -> m.report_misses))
+    (Wire.field Wire.int (fun m -> m.plan_hits))
+    (Wire.field Wire.int (fun m -> m.plan_misses))
     (fun schedule_hits schedule_misses report_hits report_misses plan_hits
          plan_misses ->
       {
@@ -163,35 +169,35 @@ let memo_stats_codec : memo_stats Wire.t =
 let outcome_codec : (result, error) Stdlib.result Wire.t =
   Wire.union "outcome"
     [
-      Wire.case 0 "ok" result_codec
+      Wire.case 0 result_codec
         (fun r -> Stdlib.Ok r)
         (function Stdlib.Ok r -> Some r | _ -> None);
-      Wire.case 1 "error" error_codec
+      Wire.case 1 error_codec
         (fun e -> Stdlib.Error e)
         (function Stdlib.Error e -> Some e | _ -> None);
     ]
 
 let response_codec : response Wire.t =
   Wire.record5 "response"
-    (Wire.field "id" Wire.int (fun r -> r.r_id))
-    (Wire.field "served" served_codec (fun r -> r.served))
-    (Wire.field "memo" memo_stats_codec (fun r -> r.memo))
-    (Wire.field "wall_s" Wire.float (fun r -> r.wall_s))
-    (Wire.field "outcome" outcome_codec (fun r -> r.outcome))
+    (Wire.field Wire.int (fun r -> r.r_id))
+    (Wire.field served_codec (fun r -> r.served))
+    (Wire.field memo_stats_codec (fun r -> r.memo))
+    (Wire.field Wire.float (fun r -> r.wall_s))
+    (Wire.field outcome_codec (fun r -> r.outcome))
     (fun r_id served memo wall_s outcome ->
       { r_id; served; memo; wall_s; outcome })
 
 let server_stats_codec : server_stats Wire.t =
   Wire.record9 "server_stats"
-    (Wire.field "requests" Wire.int (fun s -> s.requests))
-    (Wire.field "succeeded" Wire.int (fun s -> s.succeeded))
-    (Wire.field "failed" Wire.int (fun s -> s.failed))
-    (Wire.field "rejected" Wire.int (fun s -> s.rejected))
-    (Wire.field "cache_hits" Wire.int (fun s -> s.cache_hits))
-    (Wire.field "cache_misses" Wire.int (fun s -> s.cache_misses))
-    (Wire.field "cache_entries" Wire.int (fun s -> s.cache_entries))
-    (Wire.field "queue_depth" Wire.int (fun s -> s.queue_depth))
-    (Wire.field "uptime_s" Wire.float (fun s -> s.uptime_s))
+    (Wire.field Wire.int (fun s -> s.requests))
+    (Wire.field Wire.int (fun s -> s.succeeded))
+    (Wire.field Wire.int (fun s -> s.failed))
+    (Wire.field Wire.int (fun s -> s.rejected))
+    (Wire.field Wire.int (fun s -> s.cache_hits))
+    (Wire.field Wire.int (fun s -> s.cache_misses))
+    (Wire.field Wire.int (fun s -> s.cache_entries))
+    (Wire.field Wire.int (fun s -> s.queue_depth))
+    (Wire.field Wire.float (fun s -> s.uptime_s))
     (fun requests succeeded failed rejected cache_hits cache_misses
          cache_entries queue_depth uptime_s ->
       {
@@ -208,12 +214,12 @@ let server_stats_codec : server_stats Wire.t =
 
 let health_codec : health Wire.t =
   Wire.record6 "health"
-    (Wire.field "uptime_s" Wire.float (fun h -> h.h_uptime_s))
-    (Wire.field "queue_depth" Wire.int (fun h -> h.h_queue_depth))
-    (Wire.field "executor_live" Wire.bool (fun h -> h.h_executor_live))
-    (Wire.field "executor_respawns" Wire.int (fun h -> h.h_executor_respawns))
-    (Wire.field "cache_entries" Wire.int (fun h -> h.h_cache_entries))
-    (Wire.field "journal_lag" (Wire.option Wire.int) (fun h -> h.h_journal_lag))
+    (Wire.field Wire.float (fun h -> h.h_uptime_s))
+    (Wire.field Wire.int (fun h -> h.h_queue_depth))
+    (Wire.field Wire.bool (fun h -> h.h_executor_live))
+    (Wire.field Wire.int (fun h -> h.h_executor_respawns))
+    (Wire.field Wire.int (fun h -> h.h_cache_entries))
+    (Wire.field (Wire.option Wire.int) (fun h -> h.h_journal_lag))
     (fun h_uptime_s h_queue_depth h_executor_live h_executor_respawns
          h_cache_entries h_journal_lag ->
       {
@@ -343,6 +349,7 @@ let result_of_compiled (c : Pom.compiled) =
     legality_violations = c.Pom.legality_violations;
     tile_vectors = c.Pom.tile_vectors;
     trace = c.Pom.trace;
+    diags = c.Pom.diags;
   }
 
 let error_of_exn e =

@@ -56,6 +56,10 @@ type result = {
   legality_violations : int;
   tile_vectors : (string * int list) list;
   trace : string list;
+  diags : Pom_analysis.Diagnostic.t list;
+      (** the compile's analyzer diagnostics, unfiltered: the client
+          prints them under [--lint] or on errors, as a local compile
+          does *)
 }
 
 type error = { code : string; message : string; context : string list }

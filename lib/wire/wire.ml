@@ -21,13 +21,7 @@ let corrupt what fmt =
    bytes that actually arrived. *)
 type reader = { data : string; mutable pos : int; limit : int }
 
-let reader ?(pos = 0) ?limit data =
-  let limit = match limit with Some l -> l | None -> String.length data in
-  if pos < 0 || limit > String.length data || pos > limit then
-    invalid_arg "Wire.reader";
-  { data; pos; limit }
-
-let reader_pos r = r.pos
+let reader data = { data; pos = 0; limit = String.length data }
 
 let read_byte ~what r =
   if r.pos >= r.limit then corrupt what "truncated (wanted 1 byte at %d)" r.pos
@@ -71,12 +65,8 @@ type 'a t = {
   cid : string;
   enc : Buffer.t -> 'a -> unit;
   dec : reader -> 'a;
-  cpp : Format.formatter -> 'a -> unit;
 }
 
-let id c = c.cid
-let pp c = c.cpp
-let with_pp cpp c = { c with cpp }
 let encode c = c.enc
 
 let to_string c v =
@@ -107,7 +97,6 @@ let unit =
     cid = "unit";
     enc = (fun _ () -> ());
     dec = (fun _ -> ());
-    cpp = (fun ppf () -> Format.pp_print_string ppf "()");
   }
 
 let bool =
@@ -120,7 +109,6 @@ let bool =
         | 0 -> false
         | 1 -> true
         | n -> corrupt "bool" "byte %d is not a bool" n);
-    cpp = Format.pp_print_bool;
   }
 
 let int =
@@ -128,7 +116,6 @@ let int =
     cid = "int";
     enc = (fun b v -> write_uvarint b (zigzag v));
     dec = (fun r -> unzigzag (read_uvarint ~what:"int" r));
-    cpp = Format.pp_print_int;
   }
 
 let float =
@@ -140,7 +127,6 @@ let float =
       (fun r ->
         let s = read_bytes ~what:"float" r 8 in
         Int64.float_of_bits (String.get_int64_le s 0));
-    cpp = (fun ppf v -> Format.fprintf ppf "%h" v);
   }
 
 let string =
@@ -154,7 +140,6 @@ let string =
       (fun r ->
         let n = read_uvarint ~what:"string" r in
         read_bytes ~what:"string" r n);
-    cpp = (fun ppf v -> Format.fprintf ppf "%S" v);
   }
 
 (* --- combinators --- *)
@@ -174,10 +159,6 @@ let option c =
         | 0 -> None
         | 1 -> Some (c.dec r)
         | n -> corrupt (c.cid ^ " option") "byte %d is not an option tag" n);
-    cpp =
-      (fun ppf -> function
-        | None -> Format.pp_print_string ppf "None"
-        | Some v -> Format.fprintf ppf "Some %a" c.cpp v);
   }
 
 let list c =
@@ -197,13 +178,6 @@ let list c =
           corrupt what "length %d exceeds %d remaining bytes" n
             (r.limit - r.pos);
         List.init n (fun _ -> c.dec r));
-    cpp =
-      (fun ppf vs ->
-        Format.fprintf ppf "[@[<hv>%a@]]"
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-             c.cpp)
-          vs);
   }
 
 let pair ca cb =
@@ -218,8 +192,6 @@ let pair ca cb =
         let x = ca.dec r in
         let y = cb.dec r in
         (x, y));
-    cpp =
-      (fun ppf (x, y) -> Format.fprintf ppf "(%a, %a)" ca.cpp x cb.cpp y);
   }
 
 let triple ca cb cc =
@@ -236,9 +208,6 @@ let triple ca cb cc =
         let y = cb.dec r in
         let z = cc.dec r in
         (x, y, z));
-    cpp =
-      (fun ppf (x, y, z) ->
-        Format.fprintf ppf "(%a, %a, %a)" ca.cpp x cb.cpp y cc.cpp z);
   }
 
 let conv cid proj inj c =
@@ -246,44 +215,13 @@ let conv cid proj inj c =
     cid;
     enc = (fun b v -> c.enc b (proj v));
     dec = (fun r -> inj (c.dec r));
-    cpp = (fun ppf v -> c.cpp ppf (proj v));
   }
 
 (* --- records --- *)
 
-type ('r, 'a) field = {
-  fname : string;
-  fcodec : 'a t;
-  fget : 'r -> 'a;
-}
+type ('r, 'a) field = { fcodec : 'a t; fget : 'r -> 'a }
 
-let field fname fcodec fget = { fname; fcodec; fget }
-
-let pp_fields cid fields ppf v =
-  Format.fprintf ppf "%s {@[<hv>" cid;
-  List.iteri
-    (fun i f ->
-      if i > 0 then Format.fprintf ppf ";@ ";
-      f ppf v)
-    fields;
-  Format.fprintf ppf "@]}"
-
-let pp_field f ppf v = Format.fprintf ppf "%s = %a" f.fname f.fcodec.cpp (f.fget v)
-
-let record2 cid f1 f2 make =
-  {
-    cid;
-    enc =
-      (fun b v ->
-        f1.fcodec.enc b (f1.fget v);
-        f2.fcodec.enc b (f2.fget v));
-    dec =
-      (fun r ->
-        let a = f1.fcodec.dec r in
-        let b = f2.fcodec.dec r in
-        make a b);
-    cpp = pp_fields cid [ pp_field f1; pp_field f2 ];
-  }
+let field fcodec fget = { fcodec; fget }
 
 let record3 cid f1 f2 f3 make =
   {
@@ -299,7 +237,6 @@ let record3 cid f1 f2 f3 make =
         let b = f2.fcodec.dec r in
         let c = f3.fcodec.dec r in
         make a b c);
-    cpp = pp_fields cid [ pp_field f1; pp_field f2; pp_field f3 ];
   }
 
 let record4 cid f1 f2 f3 f4 make =
@@ -318,7 +255,6 @@ let record4 cid f1 f2 f3 f4 make =
         let c = f3.fcodec.dec r in
         let d = f4.fcodec.dec r in
         make a b c d);
-    cpp = pp_fields cid [ pp_field f1; pp_field f2; pp_field f3; pp_field f4 ];
   }
 
 let record5 cid f1 f2 f3 f4 f5 make =
@@ -339,9 +275,6 @@ let record5 cid f1 f2 f3 f4 f5 make =
         let d = f4.fcodec.dec r in
         let e = f5.fcodec.dec r in
         make a b c d e);
-    cpp =
-      pp_fields cid
-        [ pp_field f1; pp_field f2; pp_field f3; pp_field f4; pp_field f5 ];
   }
 
 let record6 cid f1 f2 f3 f4 f5 f6 make =
@@ -364,12 +297,6 @@ let record6 cid f1 f2 f3 f4 f5 f6 make =
         let e = f5.fcodec.dec r in
         let f = f6.fcodec.dec r in
         make a b c d e f);
-    cpp =
-      pp_fields cid
-        [
-          pp_field f1; pp_field f2; pp_field f3; pp_field f4; pp_field f5;
-          pp_field f6;
-        ];
   }
 
 let record8 cid f1 f2 f3 f4 f5 f6 f7 f8 make =
@@ -396,12 +323,6 @@ let record8 cid f1 f2 f3 f4 f5 f6 f7 f8 make =
         let g = f7.fcodec.dec r in
         let h = f8.fcodec.dec r in
         make a b c d e f g h);
-    cpp =
-      pp_fields cid
-        [
-          pp_field f1; pp_field f2; pp_field f3; pp_field f4; pp_field f5;
-          pp_field f6; pp_field f7; pp_field f8;
-        ];
   }
 
 let record9 cid f1 f2 f3 f4 f5 f6 f7 f8 f9 make =
@@ -430,12 +351,6 @@ let record9 cid f1 f2 f3 f4 f5 f6 f7 f8 f9 make =
         let h = f8.fcodec.dec r in
         let i = f9.fcodec.dec r in
         make a b c d e f g h i);
-    cpp =
-      pp_fields cid
-        [
-          pp_field f1; pp_field f2; pp_field f3; pp_field f4; pp_field f5;
-          pp_field f6; pp_field f7; pp_field f8; pp_field f9;
-        ];
   }
 
 (* --- variants --- *)
@@ -443,16 +358,15 @@ let record9 cid f1 f2 f3 f4 f5 f6 f7 f8 f9 make =
 type 'a case =
   | Case : {
       tag : int;
-      cname : string;
       codec : 'b t;
       inj : 'b -> 'a;
       proj : 'a -> 'b option;
     }
       -> 'a case
 
-let case tag cname codec inj proj =
+let case tag codec inj proj =
   if tag < 0 then invalid_arg "Wire.case: negative tag";
-  Case { tag; cname; codec; inj; proj }
+  Case { tag; codec; inj; proj }
 
 let union cid cases =
   let tags = List.map (fun (Case c) -> c.tag) cases in
@@ -485,28 +399,14 @@ let union cid cases =
         with
         | Some (Case c) -> c.inj (c.codec.dec r)
         | None -> corrupt cid "unknown constructor tag %d" tag);
-    cpp =
-      (fun ppf v ->
-        let rec go = function
-          | [] -> Format.pp_print_string ppf "<?>"
-          | Case c :: rest -> (
-              match c.proj v with
-              | Some payload ->
-                  if c.codec.cid = "unit" then
-                    Format.pp_print_string ppf c.cname
-                  else
-                    Format.fprintf ppf "%s %a" c.cname c.codec.cpp payload
-              | None -> go rest)
-        in
-        go cases);
   }
 
-let enum cid variants =
+let enum cid values =
   union cid
     (List.mapi
-       (fun i (vname, v) ->
-         case i vname unit (fun () -> v) (fun x -> if x = v then Some () else None))
-       variants)
+       (fun i v ->
+         case i unit (fun () -> v) (fun x -> if x = v then Some () else None))
+       values)
 
 let fix cid f =
   let rec self =
@@ -514,7 +414,6 @@ let fix cid f =
       cid;
       enc = (fun b v -> (Lazy.force body).enc b v);
       dec = (fun r -> (Lazy.force body).dec r);
-      cpp = (fun ppf v -> (Lazy.force body).cpp ppf v);
     }
   and body = lazy (f self) in
   self

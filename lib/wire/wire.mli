@@ -1,8 +1,8 @@
-(** Self-describing binary codecs built from combinators.
+(** Binary codecs built from combinators.
 
-    A ['a t] couples an encoder, a strict decoder, and a pretty-printer
-    for one OCaml type, derived from a single declarative description
-    (primitives composed with [list]/[option]/[record]/[union]/...).
+    A ['a t] couples an encoder and a strict decoder for one OCaml type,
+    derived from a single declarative description (primitives composed
+    with [list]/[option]/[record]/[union]/...).
     Every persistent artifact and every byte of client/daemon IPC in
     the pipeline goes through these codecs instead of [Marshal], so on-disk
     data survives compiler upgrades and corrupt input surfaces as a
@@ -35,15 +35,9 @@ exception Corrupt of { what : string; detail : string }
 exception
   Version_mismatch of { what : string; expected : int; got : int }
 
+(** A codec.  The name it is declared with appears only in decode
+    errors. *)
 type 'a t
-
-(** The short name the codec was declared with (used in error messages). *)
-val id : 'a t -> string
-
-(** Replace the derived printer with the domain type's own. *)
-val with_pp : (Format.formatter -> 'a -> unit) -> 'a t -> 'a t
-
-val pp : 'a t -> Format.formatter -> 'a -> unit
 
 (** {1 Encoding / decoding} *)
 
@@ -87,14 +81,12 @@ val conv : string -> ('b -> 'a) -> ('a -> 'b) -> 'a t -> 'b t
 (** {1 Records}
 
     [record<N> name f1 .. fN make] encodes the fields in order and
-    rebuilds with [make]; the field names only feed the printer. *)
+    rebuilds with [make]: a record is positional on the wire. *)
 
 type ('r, 'a) field
 
-val field : string -> 'a t -> ('r -> 'a) -> ('r, 'a) field
-
-val record2 :
-  string -> ('r, 'a) field -> ('r, 'b) field -> ('a -> 'b -> 'r) -> 'r t
+(** [field codec get]: one field, read from the record by [get]. *)
+val field : 'a t -> ('r -> 'a) -> ('r, 'a) field
 
 val record3 :
   string ->
@@ -165,11 +157,10 @@ val record9 :
 
 type 'a case
 
-(** [case tag name codec inj proj]: one constructor of a union.  [tag]
-    is the on-the-wire discriminant and must be unique within the
-    union; [proj] returns [Some payload] when the value matches this
-    case. *)
-val case : int -> string -> 'b t -> ('b -> 'a) -> ('a -> 'b option) -> 'a case
+(** [case tag codec inj proj]: one constructor of a union.  [tag] is the
+    on-the-wire discriminant and must be unique within the union; [proj]
+    returns [Some payload] when the value matches this case. *)
+val case : int -> 'b t -> ('b -> 'a) -> ('a -> 'b option) -> 'a case
 
 (** Tagged union.  Raises [Invalid_argument] at construction on
     duplicate tags; decoding an unknown tag is corrupt data at this
@@ -178,7 +169,7 @@ val case : int -> string -> 'b t -> ('b -> 'a) -> ('a -> 'b option) -> 'a case
 val union : string -> 'a case list -> 'a t
 
 (** Nullary-constructor union: tags are list positions. *)
-val enum : string -> (string * 'a) list -> 'a t
+val enum : string -> 'a list -> 'a t
 
 (** Recursive types: [fix (fun self -> ...)]. *)
 val fix : string -> ('a t -> 'a t) -> 'a t
@@ -186,9 +177,3 @@ val fix : string -> ('a t -> 'a t) -> 'a t
 (** {1 Low-level varints (shared with {!Frame})} *)
 
 val write_uvarint : Buffer.t -> int -> unit
-
-type reader
-
-val reader : ?pos:int -> ?limit:int -> string -> reader
-val read_uvarint : what:string -> reader -> int
-val reader_pos : reader -> int

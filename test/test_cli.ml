@@ -183,6 +183,39 @@ let test_cycle_count_overflow () =
        "-w gemm -s 1000000 -f pom --connect /nonexistent/pom.sock \
         --retries 1 --retry-backoff 0.01")
 
+(* Analyzer diagnostics survive --connect: a request the server cannot
+   reach falls back to a local compile, which prints the errors (and,
+   under --lint or --Werror, the warnings) and exits 2 exactly as a plain
+   local compile does. *)
+let test_connect_diagnostics () =
+  let fallback =
+    " -j 1 --connect /nonexistent/pom.sock --retries 1 --retry-backoff 0.01"
+  in
+  List.iter
+    (fun (what, args, code, sub) ->
+      List.iter
+        (fun (path, extra) ->
+          let got, err = run_stderr (args ^ extra) in
+          let where = Printf.sprintf "%s, %s" what path in
+          Alcotest.(check int) (where ^ ": exit code") code got;
+          Alcotest.(check bool) (where ^ ": prints " ^ sub) true
+            (contains err sub))
+        [ ("local", ""); ("fallback", fallback) ])
+    [
+      ( "analyzer error",
+        "-w gemm -s 64 -f pom-manual --schedule \"partition A cyclic 0 4\"",
+        2,
+        "POM106" );
+      ( "--Werror",
+        "-w gemm -s 32 -f pom-manual --schedule \"pipeline s k 1\" --Werror",
+        2,
+        "analysis:" );
+      ( "--lint",
+        "-w gemm -s 32 -f pom-manual --schedule \"pipeline s k 1\" --lint",
+        0,
+        "analysis:" );
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -202,5 +235,7 @@ let () =
           Alcotest.test_case "size too small" `Quick test_size_too_small;
           Alcotest.test_case "cycle count overflow" `Quick
             test_cycle_count_overflow;
+          Alcotest.test_case "--connect diagnostics" `Quick
+            test_connect_diagnostics;
         ] );
     ]

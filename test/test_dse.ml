@@ -676,7 +676,8 @@ let test_search_reports_and_plans () =
           let cache = Pom_pipeline.Memo.create () in
           let reports = ref [] in
           Pom_pipeline.Memo.set_report_observer cache
-            (Some (fun ~key:_ point -> reports := point :: !reports));
+            (Some
+               (fun ~key:_ prog report -> reports := (prog, report) :: !reports));
           (match search with
           | "pom" -> ignore (Stage2.run ~cache func (Stage1.run func))
           | _ -> ignore (scalehls_search ~dnn ~cache func));

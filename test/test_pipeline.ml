@@ -97,19 +97,18 @@ let test_report_memo_hit_is_free_and_identical () =
   let cache = Memo.create () in
   let func = Polybench.gemm 32 in
   let directives = [] in
-  let thunk () = Pom_polyir.Prog.of_func_unscheduled func in
-  let cold = Memo.synthesize cache ~device ~directives func thunk in
+  let prog () = Pom_polyir.Prog.of_func_unscheduled func in
+  let cold = Memo.synthesize cache ~device ~directives (prog ()) in
   let synths_after_cold = Pom_hls.Report.synth_count () in
-  let hit = Memo.synthesize cache ~device ~directives func thunk in
+  let hit = Memo.synthesize cache ~device ~directives (prog ()) in
   Alcotest.(check int)
     "cache hit runs no synthesis" synths_after_cold
     (Pom_hls.Report.synth_count ());
-  Alcotest.(check bool) "identical program" true (fst cold == fst hit);
-  Alcotest.(check bool) "identical report" true (snd cold == snd hit);
+  Alcotest.(check bool) "identical report" true (cold == hit);
   (* and the hit result equals an independent cold evaluation *)
-  let fresh = Memo.synthesize (Memo.create ()) ~device ~directives func thunk in
+  let fresh = Memo.synthesize (Memo.create ()) ~device ~directives (prog ()) in
   Alcotest.(check int) "same latency as a cold path"
-    (snd fresh).Pom_hls.Report.latency (snd hit).Pom_hls.Report.latency;
+    fresh.Pom_hls.Report.latency hit.Pom_hls.Report.latency;
   let c = Memo.counters cache in
   Alcotest.(check int) "one report miss" 1 c.Memo.report_misses;
   Alcotest.(check int) "one report hit" 1 c.Memo.report_hits
@@ -122,11 +121,10 @@ let test_memo_distinguishes_sizes_and_devices () =
     (p32 != p64);
   Alcotest.(check int) "both were misses" 2
     (Memo.counters cache).Memo.schedule_misses;
-  let func = Polybench.gemm 32 in
-  let thunk () = Pom_polyir.Prog.of_func_unscheduled func in
-  let _ = Memo.synthesize cache ~device ~directives:[] func thunk in
+  let prog = Pom_polyir.Prog.of_func_unscheduled (Polybench.gemm 32) in
+  let _ = Memo.synthesize cache ~device ~directives:[] prog in
   let small = Pom_hls.Device.scale 0.5 device in
-  let _ = Memo.synthesize cache ~device:small ~directives:[] func thunk in
+  let _ = Memo.synthesize cache ~device:small ~directives:[] prog in
   Alcotest.(check int) "different device: distinct report entries" 2
     (Memo.counters cache).Memo.report_misses
 

@@ -157,20 +157,20 @@ let test_checkpoint_fsync_each () =
 
 (* -------- memo: a failed compute stores nothing -------- *)
 
+(* The failure is an armed fault in the synthesis's own dependence
+   analysis.  gemm at size 12 is a function no earlier case profiled, so
+   its projections are not dependence-memo hits and the fault fires. *)
 let test_memo_failed_compute () =
   let cache = Memo.create () in
-  let func = Polybench.gemm 16 in
+  let prog = Pom_polyir.Prog.of_func_unscheduled (Polybench.gemm 12) in
   let device = Pom_hls.Device.xc7z020 in
   (match
-     Memo.synthesize cache ~device ~directives:[] func (fun () ->
-         failwith "boom")
+     with_faults "poly:fm-projection=fail@1" (fun () ->
+         Memo.synthesize cache ~device ~directives:[] prog)
    with
-  | exception Failure _ -> ()
+  | exception R.Fault.Injected _ -> ()
   | _ -> Alcotest.fail "expected the compute to fail");
-  let _, report =
-    Memo.synthesize cache ~device ~directives:[] func (fun () ->
-        Pom_polyir.Prog.of_func_unscheduled func)
-  in
+  let report = Memo.synthesize cache ~device ~directives:[] prog in
   Alcotest.(check bool) "the next request computes" true
     (report.Pom_hls.Report.latency > 0);
   let c = Memo.counters cache in
@@ -340,6 +340,33 @@ let test_search_faults_degrade () =
         (name ^ ": a failed candidate is traced as POM304")
         true !traced)
     [ (`Pom_auto, "pom"); (`Scalehls, "scalehls") ]
+
+(* A Stage-2 search that runs out of budget ends that iteration at the
+   incumbent: the budget line is the last [iter] line of the trace, with
+   no further step priced and no unit dropped after it. *)
+let test_budget_ends_the_iteration () =
+  List.iter
+    (fun (name, func) ->
+      match compile_outcome `Pom_auto func "dse:evaluate=timeout@7" with
+      | `Compiled c -> (
+          let iters =
+            List.filter
+              (fun l -> String.starts_with ~prefix:"iter " l)
+              c.Pom.trace
+          in
+          match List.rev iters with
+          | last :: _ ->
+              Alcotest.(check bool)
+                (name ^ ": the budget line is the last iter line")
+                true
+                (contains ~sub:"budget exhausted" last)
+          | [] -> Alcotest.failf "%s: no search iterations traced" name)
+      | `Killed site -> Alcotest.failf "%s: killed at %s" name site
+      | `Aborted e ->
+          Alcotest.failf "%s: aborted: %s" name (R.Error.to_string e))
+    [
+      ("3mm", Polybench.mm3 256); ("resnet18", Pom_workloads.Dnn.resnet18 ());
+    ]
 
 (* -------- deadline acceptance -------- *)
 
@@ -565,6 +592,8 @@ let () =
             test_fault_timeout_degrades_to_pom301;
           Alcotest.test_case "search faults never abort" `Quick
             test_search_faults_degrade;
+          Alcotest.test_case "budget ends the search iteration" `Quick
+            test_budget_ends_the_iteration;
           Alcotest.test_case "kill is never absorbed" `Quick
             test_fault_kill_is_never_absorbed;
         ] );

@@ -459,6 +459,52 @@ let test_executor_crash_respawns () =
   Alcotest.(check bool) "executor live again" true h.Protocol.h_executor_live;
   Alcotest.(check int) "respawn counted" 1 h.Protocol.h_executor_respawns
 
+(* -------- analyzer diagnostics over the wire -------- *)
+
+(* pom_compile is built next to this test in the build tree *)
+let pom_compile =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat ".." (Filename.concat "bin" "pom_compile.exe"))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let contains text sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
+(* A compile's analyzer errors travel in its result: the CLI against a live
+   daemon prints them and exits 2, as a local compile does, both when the
+   daemon computes the response and when it serves it from its cache. *)
+let test_connect_diagnostics () =
+  with_server @@ fun ~socket _t ->
+  List.iter
+    (fun served ->
+      let out = Filename.temp_file "pom_server" ".out" in
+      let err = Filename.temp_file "pom_server" ".err" in
+      let code =
+        Sys.command
+          (String.concat " "
+             [
+               pom_compile; "-w gemm -s 64 -f pom-manual --schedule";
+               Filename.quote "partition A cyclic 0 4"; "--connect";
+               Filename.quote socket; ">"; Filename.quote out; "2>";
+               Filename.quote err;
+             ])
+      in
+      let stdout = read_file out and stderr = read_file err in
+      Sys.remove out;
+      Sys.remove err;
+      Alcotest.(check bool) (served ^ ": served as expected") true
+        (contains stdout ("served:      " ^ served));
+      Alcotest.(check int) (served ^ ": exit code") 2 code;
+      Alcotest.(check bool) (served ^ ": prints POM106") true
+        (contains stderr "POM106"))
+    [ "computed"; "cached" ]
+
 (* -------- daemon kill -9: retry, then local fallback -------- *)
 
 (* the design fingerprint both paths must agree on: stopwatch and trace
@@ -477,16 +523,10 @@ let test_daemon_kill_local_fallback_bit_identical () =
   (* a real daemon process, kill -9'd: the socket file stays behind with
      nobody listening, so every retry sees a transient connection error *)
   let socket = fresh_socket () in
-  (* the driver lives next to this test in the build tree *)
-  let exe =
-    Filename.concat
-      (Filename.dirname Sys.executable_name)
-      (Filename.concat ".." (Filename.concat "bin" "pom_compile.exe"))
-  in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid =
-    Unix.create_process exe
-      [| exe; "--serve"; socket |]
+    Unix.create_process pom_compile
+      [| pom_compile; "--serve"; socket |]
       devnull devnull devnull
   in
   Unix.close devnull;
@@ -534,6 +574,11 @@ let () =
         [
           Alcotest.test_case "cold/warm bit-identity" `Quick
             test_cold_warm_bit_identity;
+        ] );
+      ( "diagnostics",
+        [
+          Alcotest.test_case "--connect prints analyzer diagnostics" `Quick
+            test_connect_diagnostics;
         ] );
       ( "lifecycle",
         [
