@@ -9,7 +9,7 @@ module Engine = Pom.Refute.Engine
 let seed = 7
 
 (* per-family case counts sized so the whole experiment stays in seconds:
-   poly cases are microseconds, degrade cases each run five compiles *)
+   poly cases are microseconds, degrade cases each run thirteen compiles *)
 let families =
   [ (`Poly, 5_000); (`Semantic, 500); (`Degrade, 50); (`Qor, 2_000) ]
 

@@ -1,18 +1,17 @@
-(* Compile-server benchmark: cold request vs warm-memo recompile vs pure
+(* Compile-server benchmark: cold request vs warm recompile vs pure
    response-cache hit, against an in-process --serve daemon on a temp
    socket.  Three measurements per kernel:
 
-   - cold:      first request for the design point (memo and response
-                cache both empty for that key);
+   - cold:      first request for the design point (response cache empty
+                for that key);
    - warm_memo: same request with the response cache bypassed
-                ([use_cache = false]) — a full recompile on warm
-                schedule/report/plan memo tables;
+                ([use_cache = false]) — a full recompile on a warm
+                dependence memo and projection cache;
    - warm_hit:  same request served verbatim from the cross-request
                 response cache.
 
    The acceptance gate rides along: the warm responses must be
-   bit-identical to the cold one (compared on the wire encoding), the
-   warm recompile must hit the report/plan memo at least once, and both
+   bit-identical to the cold one (compared on the wire encoding), and both
    warm paths must be measurably faster.  Results go to BENCH_serve.json
    for the CI smoke job. *)
 
@@ -65,15 +64,13 @@ let result_bytes (r : Protocol.response) =
   | Error e -> failwith (Printf.sprintf "%s: %s" e.Protocol.code e.Protocol.message)
 
 (* The design must be bit-identical across cold and warm compiles; the
-   measurement fields legitimately are not — a recompile reports its own
-   search time, and the trace narrates its own memo hits.  Strip those
-   before comparing, so the check is exactly "same artifact", not "same
+   search time legitimately is not — a recompile reports its own.  Strip
+   it before comparing, so the check is exactly "same artifact", not "same
    stopwatch". *)
 let design_bytes (r : Protocol.response) =
   match r.Protocol.outcome with
   | Ok v ->
-      Wire.to_string Protocol.result_codec
-        { v with Protocol.dse_time_s = 0.0; trace = [] }
+      Wire.to_string Protocol.result_codec { v with Protocol.dse_time_s = 0.0 }
   | Error e -> failwith (Printf.sprintf "%s: %s" e.Protocol.code e.Protocol.message)
 
 let measure ~socket (name, build) =
@@ -109,8 +106,8 @@ let run () =
   Printf.printf
     "compile server (size %d, %d repeats): cold vs warm-memo vs cache hit\n\n"
     size repeats;
-  Printf.printf "%-8s %12s %12s %12s %8s %8s %11s %s\n" "kernel" "cold(s)"
-    "warm-memo(s)" "hit-rtt(s)" "memo-x" "hit-x" "report hits" "identical";
+  Printf.printf "%-8s %12s %12s %12s %8s %8s %s\n" "kernel" "cold(s)"
+    "warm-memo(s)" "hit-rtt(s)" "memo-x" "hit-x" "identical";
   List.iter
     (fun m ->
       let identical =
@@ -119,19 +116,16 @@ let run () =
         result_bytes m.cold = result_bytes m.warm_hit
         && design_bytes m.cold = design_bytes m.warm_memo
       in
-      let memo = m.warm_memo.Protocol.memo in
-      let hits_ok = memo.Protocol.report_hits >= 1 in
       let faster =
         m.warm_memo.Protocol.wall_s < m.cold.Protocol.wall_s
         && m.warm_hit_client_s < m.cold_client_s
       in
-      if not (identical && hits_ok && faster) then ok := false;
-      Printf.printf "%-8s %12.4f %12.4f %12.4f %8.1f %8.1f %11d %s\n"
+      if not (identical && faster) then ok := false;
+      Printf.printf "%-8s %12.4f %12.4f %12.4f %8.1f %8.1f %s\n"
         m.name m.cold.Protocol.wall_s m.warm_memo.Protocol.wall_s
         m.warm_hit_client_s
         (m.cold.Protocol.wall_s /. Float.max 1e-9 m.warm_memo.Protocol.wall_s)
         (m.cold_client_s /. Float.max 1e-9 m.warm_hit_client_s)
-        memo.Protocol.report_hits
         (if identical then "yes" else "NO"))
     rows;
   Printf.printf
@@ -151,21 +145,18 @@ let run () =
     stats.Protocol.cache_entries;
   List.iteri
     (fun i m ->
-      let memo = m.warm_memo.Protocol.memo in
       Printf.fprintf oc
         "    { \"name\": %S, \"cold_wall_s\": %.6f, \"warm_memo_wall_s\": \
          %.6f,\n\
         \      \"warm_hit_wall_s\": %.6f, \"cold_client_s\": %.6f, \
          \"warm_memo_client_s\": %.6f, \"warm_hit_client_s\": %.6f,\n\
         \      \"warm_memo_speedup\": %.4f, \"warm_hit_speedup\": %.4f,\n\
-        \      \"report_hits\": %d, \"report_misses\": %d,\n\
         \      \"bit_identical\": %b }%s\n"
         m.name m.cold.Protocol.wall_s m.warm_memo.Protocol.wall_s
         m.warm_hit.Protocol.wall_s m.cold_client_s m.warm_memo_client_s
         m.warm_hit_client_s
         (m.cold.Protocol.wall_s /. Float.max 1e-9 m.warm_memo.Protocol.wall_s)
         (m.cold_client_s /. Float.max 1e-9 m.warm_hit_client_s)
-        memo.Protocol.report_hits memo.Protocol.report_misses
         (result_bytes m.cold = result_bytes m.warm_hit
         && design_bytes m.cold = design_bytes m.warm_memo)
         (if i < List.length rows - 1 then "," else ""))
@@ -175,5 +166,5 @@ let run () =
   Printf.printf "\nwrote BENCH_serve.json\n";
   if not !ok then
     Printf.eprintf
-      "bench serve: warm responses diverged from cold (identity, memo hits, \
-       or wall-clock) — investigate before trusting the cache\n"
+      "bench serve: warm responses diverged from cold (identity or \
+       wall-clock) — investigate before trusting the cache\n"

@@ -116,16 +116,8 @@ let pp_served ppf (r : Pom_server.Protocol.response) =
       Format.fprintf ppf "cached (server wall %.3f s)"
         r.Pom_server.Protocol.wall_s
   | Pom_server.Protocol.Computed ->
-      let m = r.Pom_server.Protocol.memo in
-      Format.fprintf ppf
-        "computed (server wall %.3f s; memo hits: schedule %d/%d, report \
-         %d/%d)"
-        r.Pom_server.Protocol.wall_s m.Pom_server.Protocol.schedule_hits
-        (m.Pom_server.Protocol.schedule_hits
-        + m.Pom_server.Protocol.schedule_misses)
-        m.Pom_server.Protocol.report_hits
-        (m.Pom_server.Protocol.report_hits
-        + m.Pom_server.Protocol.report_misses)
+      Format.fprintf ppf "computed (server wall %.3f s)"
+        r.Pom_server.Protocol.wall_s
 
 (* The one printer both the remote response and the local fallback flow
    through, so a design compiled either way prints character-identical
@@ -611,7 +603,7 @@ let trace_arg =
     value & flag
     & info [ "trace" ]
         ~doc:
-          "Print the compile trace: DSE decisions, memo cache summary, \
+          "Print the compile trace: DSE decisions, checkpoint notes, \
            legality verdicts.")
 
 let timing_arg =
@@ -724,9 +716,9 @@ let serve_arg =
         ~doc:
           "Run as a persistent compile server on the named Unix-domain \
            socket.  The process stays warm across requests — the \
-           schedule/report memo tables and a cross-request response \
-           cache persist — so repeated compiles of one design point cost \
-           a lookup.  Compiles are serialized (each request gets its own \
+           dependence memo and a cross-request response cache persist — \
+           so repeated compiles of one design point cost a lookup.  \
+           Compiles are serialized (each request gets its own \
            --deadline-style budget); admission is bounded by --queue.  \
            Exits 0 on SIGTERM/SIGINT or a client --stop, 1 when the \
            socket cannot be bound.")
@@ -760,7 +752,7 @@ let no_request_cache_arg =
     & info [ "no-request-cache" ]
         ~doc:
           "With --connect: bypass the server's cross-request response \
-           cache (the memo tables stay warm).  For measurement and \
+           cache (the dependence memo stays warm).  For measurement and \
            bit-identity checks.")
 
 let stop_arg =

@@ -102,5 +102,3 @@ let rec pp_node ppf = function
 and pp_body ppf body =
   Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_node ppf body
 
-let pp_func ppf f =
-  Format.fprintf ppf "@[<v 2>func @%s {@,%a@]@,}" f.name pp_body f.body

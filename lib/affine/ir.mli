@@ -57,4 +57,3 @@ val counts : node list -> int * int
 
 val pp_node : Format.formatter -> node -> unit
 
-val pp_func : Format.formatter -> func -> unit

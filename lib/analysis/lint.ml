@@ -232,12 +232,6 @@ let lint prog =
 
 (* ---- the DSE pre-pruning oracle ---- *)
 
-let effective_parallelism prog =
-  List.map
-    (fun (p : Summary.t) ->
-      (Stmt_poly.name p.Summary.stmt, Latency.effective_unroll p))
-    (Summary.profile_all prog)
-
 type hw_signature = (string * (string * int * int * bool * int) list) list
 
 let signature_of named_loops : hw_signature =
@@ -266,5 +260,3 @@ let profiles_signature profiles =
     (List.map
        (fun (p : Summary.t) -> (Stmt_poly.name p.Summary.stmt, p.Summary.loops))
        profiles)
-
-let gains_parallelism ~before prog = hw_signature prog <> before

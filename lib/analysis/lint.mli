@@ -28,11 +28,6 @@
 
 val lint : Pom_polyir.Prog.t -> Diagnostic.t list
 
-(** [stmt name -> materialized parallel copies] under the current
-    directives, counting only unrolls on dependence-free levels (see
-    {!Pom_hls.Latency.effective_unroll}). *)
-val effective_parallelism : Pom_polyir.Prog.t -> (string * int) list
-
 (** The latency-determining hardware structure of a scheduled program:
     per statement (sorted by name), the loop nest as
     [(dim, extent, unroll, pipelined, target_ii)] per level.  Two programs
@@ -46,13 +41,9 @@ val hw_signature : Pom_polyir.Prog.t -> hw_signature
 
 (** The signature of the statements [profiles] describe — equal to
     {!hw_signature} of their program, read from profiles a search already
-    holds. *)
-val profiles_signature : Pom_hls.Summary.t list -> hw_signature
-
-(** The DSE pre-pruning oracle: does [prog] change any statement's
-    hardware signature relative to [before]?  Factor clamping (per-level
+    holds.  It is the DSE pre-pruning oracle: factor clamping (per-level
     caps, extent saturation) makes distinct parallelism requests collapse
-    onto the same realization; such a candidate is the incumbent under
-    another name — identical latency and resources — so the search can
-    drop it before paying for synthesis. *)
-val gains_parallelism : before:hw_signature -> Pom_polyir.Prog.t -> bool
+    onto the same realization, and a candidate whose signature is the
+    incumbent's is the incumbent under another name — identical latency
+    and resources — so the search drops it before pricing it. *)
+val profiles_signature : Pom_hls.Summary.t list -> hw_signature

@@ -1,21 +1,5 @@
 open Pom_dsl
 
-let realize_order compute current desired =
-  let cur = Array.of_list current in
-  let swaps = ref [] in
-  List.iteri
-    (fun i want ->
-      if cur.(i) <> want then begin
-        let j = ref i in
-        Array.iteri (fun k d -> if d = want then j := k) cur;
-        swaps := Schedule.interchange compute cur.(i) want :: !swaps;
-        let tmp = cur.(i) in
-        cur.(i) <- cur.(!j);
-        cur.(!j) <- tmp
-      end)
-    desired;
-  List.rev !swaps
-
 let locality_tiling ?(tile = 32) ?(exclude = []) func =
   let per_compute =
     List.map
@@ -53,7 +37,8 @@ let locality_tiling ?(tile = 32) ?(exclude = []) func =
                 if List.memq v tiled then v.Var.name ^ "_t" else v.Var.name)
               c.Compute.iters
         in
-        (splits @ realize_order name after_splits desired, (name, desired)))
+        ( splits @ Pom_dse.Stage1.realize_order name after_splits desired,
+          (name, desired) ))
       (Func.computes func)
   in
   (List.concat_map fst per_compute, List.map snd per_compute)
@@ -70,9 +55,6 @@ let fused_computes func =
        (Func.directives func))
 
 let structural_directives = Pom_pipeline.Passes.structural_directives
-
-let schedule func directives =
-  Pom_pipeline.Memo.schedule Pom_pipeline.Memo.global func directives
 
 let locality_tiling_pass ?tile ~exclude_fused () =
   Pom_pipeline.Pass.v ~name:"pluto-locality-tiling"

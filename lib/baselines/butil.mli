@@ -2,9 +2,6 @@
 
 open Pom_dsl
 
-(** Interchange directives turning loop order [current] into [desired]. *)
-val realize_order : string -> string list -> string list -> Schedule.t list
-
 (** Pluto-style locality tiling: strip-mine every dimension whose extent
     reaches [2 * tile] and hoist the tile loops outward, per compute.
     Returns the directives and, per compute, the resulting loop order. *)
@@ -19,10 +16,6 @@ val fused_computes : Func.t -> string list
 
 (** The user's structural fusion directives (to be preserved verbatim). *)
 val structural_directives : Func.t -> Schedule.t list
-
-(** Apply directives to the unscheduled program (memoized through
-    {!Pom_pipeline.Memo.global}). *)
-val schedule : Func.t -> Schedule.t list -> Pom_polyir.Prog.t
 
 (** The locality tiling as a registered pipeline pass, appending its
     directives to the state ([exclude_fused] skips computes named in

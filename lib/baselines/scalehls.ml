@@ -45,7 +45,7 @@ let interchange_stage func =
       in
       match desired with
       | Some order when List.sort compare order = List.sort compare current ->
-          Butil.realize_order c.Compute.name current order
+          Stage1.realize_order c.Compute.name current order
       | Some _ | None -> [])
     (Pom_depgraph.Graph.nodes graph)
 
@@ -85,14 +85,13 @@ let usage_sub (a : Resource.usage) (b : Resource.usage) =
     bram = a.Resource.bram - b.Resource.bram;
   }
 
-let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
-    () =
+let greedy_pass ?checkpoint ?(on_result = fun _ -> ()) () =
   Pass.v ~name:"scalehls-greedy-dse"
     ~descr:"greedy program-order factor-ladder DSE under a dataflow budget"
     (fun (st : State.t) ->
       let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
       let func = st.State.func and device = st.State.device in
-      Stage2.start ?checkpoint ~cache ~device
+      Stage2.start ?checkpoint ~device
         ~composition:st.State.composition ~latency_mode:st.State.latency_mode
         func st.State.directives
       @@ fun s ->
@@ -212,11 +211,11 @@ let greedy_pass ?(cache = Memo.global) ?checkpoint ?(on_result = fun _ -> ())
         dse_cpu_s = st.State.dse_cpu_s +. (Sys.time () -. cpu0);
       })
 
-let passes ?cache ?checkpoint ?on_result () =
+let passes ?checkpoint ?on_result () =
   [
     interchange_pass ();
     Passes.structural ();
-    greedy_pass ?cache ?checkpoint ?on_result ();
+    greedy_pass ?checkpoint ?on_result ();
   ]
 
 let run ?(device = Device.xc7z020) ?(dnn = false) func =

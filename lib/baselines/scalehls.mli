@@ -38,13 +38,11 @@ type result = {
     and the intended latency mode.  The greedy pass tries each rung with
     {!Pom_dse.Stage2.step} and traces one line per rung.
 
-    [checkpoint] names a crash-safe journal: every synthesized ladder rung
-    is appended as it is evaluated, and a killed run resumed against the
-    same journal replays the intact records into the report memo and
-    re-derives the identical final design (see
-    {!Pom_pipeline.Memo.with_journal}). *)
+    [checkpoint] names a crash-safe journal: every priced ladder rung is
+    appended as it is evaluated, and a killed run resumed against the same
+    journal is served the journaled rungs and re-derives the identical
+    final design (see {!Pom_dse.Stage2.start}). *)
 val passes :
-  ?cache:Pom_pipeline.Memo.t ->
   ?checkpoint:string ->
   ?on_result:(result -> unit) ->
   unit ->

@@ -72,82 +72,6 @@ let carried_distance_at t ~order d =
       | `Carried _ | `Illegal -> acc)
     None t.self_deps
 
-(* Positional pairing of two iteration spaces for fusion checks. *)
-let positional_dims n = List.init n (Printf.sprintf "p%d")
-
-let rename_positional tag dims e =
-  let bindings =
-    List.mapi (fun k d -> (d, Linexpr.var (tag ^ "p" ^ string_of_int k))) dims
-  in
-  Linexpr.subst_all bindings e
-
-let fusion_violates c1 c2 =
-  let d1 = Compute.iter_names c1 and d2 = Compute.iter_names c2 in
-  let n = List.length d1 in
-  if List.length d2 <> n then true
-  else
-    let pos = positional_dims n in
-    let all = List.map (( ^ ) "a$") pos @ List.map (( ^ ) "b$") pos in
-    let dom_constrs tag dims compute =
-      List.map
-        (fun c ->
-          let e = Constr.expr c in
-          let e' = rename_positional tag dims e in
-          match c with Constr.Eq _ -> Constr.Eq e' | Constr.Ge _ -> Constr.Ge e')
-        (Basic_set.constraints (Compute.domain compute))
-    in
-    let pairs =
-      (* access pairs whose relative order must not flip: c1-write/c2-read
-         (RAW), c1-read/c2-write (WAR), c1-write/c2-write (WAW) *)
-      let w1 = Compute.write_access c1 and w2 = Compute.write_access c2 in
-      let raw =
-        List.filter_map
-          (fun (r : Dep.access) ->
-            if r.array = w1.array then Some (w1, r) else None)
-          (Compute.read_accesses c2)
-      in
-      let war =
-        List.filter_map
-          (fun (r : Dep.access) ->
-            if r.array = w2.array then Some (r, w2) else None)
-          (Compute.read_accesses c1)
-      in
-      let waw = if w1.array = w2.array then [ (w1, w2) ] else [] in
-      raw @ war @ waw
-    in
-    let violated ((a1 : Dep.access), (a2 : Dep.access)) =
-      if List.length a1.indices <> List.length a2.indices then true
-      else
-        let same_element =
-          List.map2
-            (fun i j ->
-              Constr.eq
-                (rename_positional "a$" d1 i)
-                (rename_positional "b$" d2 j))
-            a1.indices a2.indices
-        in
-        let base =
-          dom_constrs "a$" d1 c1 @ dom_constrs "b$" d2 c2 @ same_element
-        in
-        (* c2's instance strictly precedes c1's in the fused order *)
-        List.exists
-          (fun level ->
-            let order =
-              List.concat
-                (List.mapi
-                   (fun k p ->
-                     let a = Linexpr.var ("a$" ^ p)
-                     and b = Linexpr.var ("b$" ^ p) in
-                     if k < level then [ Constr.eq a b ]
-                     else if k = level then [ Constr.lt b a ]
-                     else [])
-                   pos)
-            in
-            not (Feasible.is_empty (Basic_set.make all (base @ order))))
-          (List.init n Fun.id)
-    in
-    List.exists violated pairs
-
 let pp_bound ppf = function
   | Some v -> Format.pp_print_int ppf v
   | None -> Format.pp_print_string ppf "inf"

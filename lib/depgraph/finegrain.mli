@@ -39,11 +39,4 @@ val innermost_free : t -> order:string list -> bool
     positive)? *)
 val legal_order : t -> order:string list -> bool
 
-(** Cross-compute check used for fusion legality: does executing the two
-    computes fused position-wise (iteration [v] of [c2] right after
-    iteration [v] of [c1] for each shared point) violate a producer →
-    consumer dependence from [c1] to [c2]?  Conservative: [true] means a
-    violation may exist. *)
-val fusion_violates : Compute.t -> Compute.t -> bool
-
 val pp : Format.formatter -> t -> unit

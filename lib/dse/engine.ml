@@ -14,7 +14,7 @@ type outcome = {
    coupling between the two pass closures. *)
 type State.ext += Stage1_output of Stage1.t
 
-let passes ?par_cap ?bank_cap ?steps ?cache ?checkpoint
+let passes ?par_cap ?bank_cap ?steps ?checkpoint
     ?(on_stage1 = fun _ -> ()) ?(on_result = fun _ -> ()) () =
   [
     Pass.v ~name:"stage1-transform"
@@ -30,7 +30,7 @@ let passes ?par_cap ?bank_cap ?steps ?cache ?checkpoint
           dse_cpu_s = st.State.dse_cpu_s +. (Sys.time () -. cpu0);
         });
     Pass.v ~name:"stage2-search"
-      ~descr:"bottleneck-oriented optimization (DSE stage 2, memoized QoR)"
+      ~descr:"bottleneck-oriented optimization (DSE stage 2)"
       (fun (st : State.t) ->
         let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
         let s1 =
@@ -44,7 +44,7 @@ let passes ?par_cap ?bank_cap ?steps ?cache ?checkpoint
         in
         let r =
           Stage2.run ~device:st.State.device
-            ~composition:st.State.composition ?par_cap ?bank_cap ?steps ?cache
+            ~composition:st.State.composition ?par_cap ?bank_cap ?steps
             ?checkpoint st.State.func s1
         in
         on_result r;
@@ -61,13 +61,13 @@ let passes ?par_cap ?bank_cap ?steps ?cache ?checkpoint
   ]
 
 let run ?(device = Pom_hls.Device.xc7z020) ?composition ?par_cap ?bank_cap
-    ?steps ?cache ?jobs:(_ : int option) ?checkpoint func =
+    ?steps ?jobs:(_ : int option) ?checkpoint func =
   (* Sys.time is CPU time; the Table III "DSE time" column is wall clock,
      so measure both and report them separately. *)
   let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
   let stage1 = ref None and result = ref None in
   let pipeline =
-    passes ?par_cap ?bank_cap ?steps ?cache ?checkpoint
+    passes ?par_cap ?bank_cap ?steps ?checkpoint
       ~on_stage1:(fun s1 -> stage1 := Some s1)
       ~on_result:(fun r -> result := Some r)
       ()

@@ -27,7 +27,6 @@ val passes :
   ?par_cap:int ->
   ?bank_cap:int ->
   ?steps:(int -> int list) ->
-  ?cache:Pom_pipeline.Memo.t ->
   ?checkpoint:string ->
   ?on_stage1:(Stage1.t -> unit) ->
   ?on_result:(Stage2.result -> unit) ->
@@ -44,7 +43,6 @@ val run :
   ?par_cap:int ->
   ?bank_cap:int ->
   ?steps:(int -> int list) ->
-  ?cache:Pom_pipeline.Memo.t ->
   ?jobs:int ->
   ?checkpoint:string ->
   Pom_dsl.Func.t ->

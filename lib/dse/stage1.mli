@@ -29,6 +29,10 @@ type t = {
           which Stage 2 orders by latency *)
 }
 
+(** [realize_order compute current desired]: the interchange directives
+    that turn [compute]'s loop order [current] into [desired]. *)
+val realize_order : string -> string list -> string list -> Schedule.t list
+
 (** [run func] plans dependence-aware transformations for every compute of
     [func].  User-provided fusion ([After]/[Fuse] directives at level >= 1)
     defines the initial fusion groups; conflicting per-node requirements

@@ -2,6 +2,7 @@ open Pom_dsl
 open Pom_polyir
 open Pom_hls
 module Memo = Pom_pipeline.Memo
+module Checkpoint = Pom_resilience.Checkpoint
 
 (* read by perfbench/cold.ml *)
 type sched = { chunks : int; steals : int; splits : int }
@@ -14,8 +15,6 @@ type result = {
   tile_vectors : (string * int list) list;
   trace : string list;
   evaluations : int;
-  report_cache_hits : int;
-  cold_syntheses : int;
   pruned : int;
   sched : sched;  (* read by perfbench/cold.ml *)
 }
@@ -154,7 +153,6 @@ type unit_state = {
   mutable par : int;
   mutable active : bool;
   mutable realization : realization list;  (* one per member *)
-  mutable hw_key : string;  (* Memo.directives_key of its hw directives *)
   mutable realized : (Stmt_poly.t * Summary.t) list;
       (* one per member: its statement under [realization], profiled *)
 }
@@ -183,9 +181,6 @@ let retiling (s : Stmt_poly.t) dirs =
 let realize_unit u =
   u.realization <-
     List.map (fun (c, order, extents) -> realize c order extents u.par) u.members;
-  u.hw_key <-
-    Memo.directives_key
-      (List.concat_map (fun r -> r.hw_directives) u.realization);
   u.realized <-
     List.map2
       (fun (p : Summary.t) r ->
@@ -214,7 +209,6 @@ let units_of (prog : Prog.t) =
           par = 1;
           active = true;
           realization = [];
-          hw_key = "";
           realized = [];
         }
       in
@@ -235,11 +229,9 @@ let max_par ~par_cap u =
    budget — goes through the one restore here. *)
 let try_move u par decide =
   let par0 = u.par and realization0 = u.realization and realized0 = u.realized in
-  let hw_key0 = u.hw_key in
   let restore () =
     u.par <- par0;
     u.realization <- realization0;
-    u.hw_key <- hw_key0;
     u.realized <- realized0
   in
   match
@@ -274,8 +266,97 @@ let splice (prog : Prog.t) units =
   in
   ({ prog with Prog.stmts = List.map fst pairs }, List.map snd pairs)
 
+(* ---- the checkpoint journal ---- *)
+
+(* A search's journal: the open file, and a table of the design points it
+   holds, the replayed ones and those priced since.  A record's key is a
+   digest of the point's identity: the function fingerprint, the full
+   directive list, the device, the composition and the latency mode.  Its
+   payload is the wire-encoded report, the schema {!Checkpoint.version}
+   covers.  The program is not recorded: a resumed search rebuilds it from
+   its own units. *)
+type journal = {
+  file : Checkpoint.t;
+  fkey : string;
+  context : string;  (* device, composition, latency mode *)
+  points : (string, Report.t) Hashtbl.t;
+}
+
+(* Open the journal at [path] and load its intact records into the
+   search's table, with the trace notes saying what happened.  A record
+   that no longer decodes is dropped (POM308): the journal caches
+   recomputable work, so a lost record costs one pricing, never
+   correctness. *)
+let open_journal ~device ~composition ~latency_mode func path =
+  match Checkpoint.load path with
+  | exception Sys_error m ->
+      ( None,
+        [
+          Printf.sprintf
+            "checkpoint: %s unreadable (%s); continuing without a journal \
+             (POM306)"
+            path m;
+        ] )
+  | file, records, load_notes ->
+      let points = Hashtbl.create 64 in
+      let dropped = ref 0 in
+      List.iter
+        (fun (key, data) ->
+          match Pom_wire.Wire.of_string Wirec.report data with
+          | Ok report -> Hashtbl.replace points key report
+          | Error _ -> incr dropped)
+        records;
+      let replayed = List.length records - !dropped in
+      let context =
+        String.concat "##"
+          [
+            Memo.device_key device;
+            (match composition with
+            | Resource.Reuse -> "reuse"
+            | Resource.Dataflow -> "dataflow");
+            (match latency_mode with
+            | `Sequential -> "sequential"
+            | `Dataflow -> "dataflow");
+          ]
+      in
+      let notes =
+        load_notes
+        @ (if replayed > 0 then
+             [
+               Printf.sprintf "checkpoint: replayed %d design points from %s"
+                 replayed path;
+             ]
+           else
+             [ Printf.sprintf "checkpoint: journaling design points to %s" path ])
+        @
+        if !dropped > 0 then
+          [
+            Printf.sprintf
+              "checkpoint: dropped %d undecodable design points (POM308)"
+              !dropped;
+          ]
+        else []
+      in
+      (Some { file; fkey = Memo.func_key func; context; points }, notes)
+
+(* A journaled design point is served from the table; any other is priced,
+   appended and kept. *)
+let journaled j directives price =
+  let key =
+    Digest.string
+      (String.concat "##" [ j.fkey; Memo.directives_key directives; j.context ])
+  in
+  match Hashtbl.find_opt j.points key with
+  | Some report -> report
+  | None ->
+      let report = price () in
+      Checkpoint.append j.file ~key
+        ~data:(Pom_wire.Wire.to_string Wirec.report report);
+      Hashtbl.replace j.points key report;
+      report
+
 type search = {
-  prog_base : Prog.t;  (* the base directives applied, looked up once *)
+  prog_base : Prog.t;  (* the base directives applied *)
   units : unit_state list;
   prices : Report.prices;  (* the search's own: dies with it *)
   price : Prog.t * Summary.t list -> Prog.t * Schedule.t list * Report.t;
@@ -294,40 +375,46 @@ type outcome =
   | Failed of exn
   | Out_of_budget of string
 
-let start ?bank_cap ?latency_mode ?checkpoint ~cache ~device ~composition
-    func base f =
-  (* Journal every genuinely synthesized design point; on resume the intact
-     records are replayed into the report memo first, so the search
-     re-derives the exact decision sequence of the uninterrupted search from
-     warm cache entries. *)
-  Memo.with_journal cache checkpoint @@ fun notes ->
-  let fkey = Memo.func_key func in
-  let base_key = Memo.directives_key base in
-  let prog_base = Memo.schedule ~fkey ~dkey:base_key cache func base in
+let start ?bank_cap ?(latency_mode = `Sequential) ?checkpoint ~device
+    ~composition func base f =
+  (* Journal every priced design point; on resume the intact records serve
+     the points they hold, so the search re-derives the exact decision
+     sequence of the uninterrupted search. *)
+  let journal, notes =
+    match checkpoint with
+    | None -> (None, [])
+    | Some path ->
+        open_journal ~device ~composition ~latency_mode func path
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter (fun j -> Checkpoint.close j.file) journal)
+  @@ fun () ->
+  let prog_base = Prog.apply_all (Prog.of_func_unscheduled func) base in
   let units = units_of prog_base in
   let prices = Report.prices () in
   let evaluations = ref 0 in
   (* Price the design point a splice of the units describes: its partition
-     plan comes from the spliced profiles, and the report memo prices the
-     partitioned program from them.  The report key joins the base,
-     hardware and partition keys, the bytes of [Memo.directives_key (base @
-     hw_directives units @ parts)] that the checkpoint journal records; the
-     hardware key joins the units' own keys. *)
+     plan comes from the spliced profiles, and the search's group-price
+     table prices the partitioned program from them. *)
   let price ((prog_hw : Prog.t), profiles) =
     incr evaluations;
     (* the per-evaluation fault site: [kill] here simulates the process
        dying on the Nth evaluation (the kill-and-resume test) *)
     Pom_resilience.Fault.point "dse:evaluate";
+    Pom_resilience.Budget.check "dse:evaluate";
     let parts = partition_plan ?bank_cap prog_hw.Prog.func profiles in
-    let hw_key = Memo.join_keys (List.map (fun u -> u.hw_key) units) in
     let prog = List.fold_left Prog.apply prog_hw parts in
-    let report =
-      Memo.synthesize_profiled cache ~fkey ~prices ~composition ?latency_mode
-        ~device
-        ~dkey:(Memo.join_keys [ base_key; hw_key; Memo.directives_key parts ])
-        prog (fun () -> profiles)
+    let directives = base @ hw_directives units @ parts in
+    let synthesize () =
+      Report.of_profiles ~prices ~composition ~latency_mode ~device prog
+        profiles
     in
-    (prog, base @ hw_directives units @ parts, report)
+    let report =
+      match journal with
+      | None -> synthesize ()
+      | Some j -> journaled j directives synthesize
+    in
+    (prog, directives, report)
   in
   let spliced = splice prog_base units in
   let incumbent = price spliced in
@@ -466,10 +553,9 @@ let default_steps par = [ par * 2; par * 3 / 2 ]
 let max_iterations = 60
 
 let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
-    ?(par_cap = 64) ?bank_cap ?(steps = default_steps) ?(cache = Memo.global)
-    ?checkpoint func (stage1 : Stage1.t) =
-  let memo0 = Memo.snapshot cache in
-  start ?bank_cap ?checkpoint ~cache ~device ~composition func
+    ?(par_cap = 64) ?bank_cap ?(steps = default_steps) ?checkpoint func
+    (stage1 : Stage1.t) =
+  start ?bank_cap ?checkpoint ~device ~composition func
     stage1.Stage1.directives
   @@ fun s ->
   let units = s.units in
@@ -559,16 +645,7 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
        the optimization list"
       !iterations
       (List.length (List.filter (fun u -> u.active) units));
-  (* Re-request the winning design point: the units hold the incumbent's
-     realization, so this counted evaluation is served from the report memo
-     — the same mechanism that makes any later re-synthesis of this point
-     (the compile pipeline's hls-synthesize pass, a --trace re-run) free. *)
-  let prog, directives, report = s.price (splice s.prog_base units) in
-  let memo1 = Memo.snapshot cache in
-  let report_cache_hits = memo1.Memo.report_hits - memo0.Memo.report_hits in
-  let cold_syntheses = memo1.Memo.report_misses - memo0.Memo.report_misses in
-  log "memo: %d of %d QoR evaluations served from cache (%d cold syntheses)"
-    report_cache_hits (evaluations s) cold_syntheses;
+  let prog, directives, report = s.incumbent in
   if s.pruned > 0 then
     log "analyzer: %d design points pruned before synthesis" s.pruned;
   {
@@ -579,8 +656,6 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
     tile_vectors = tile_vectors s;
     trace = List.rev !trace;
     evaluations = evaluations s;
-    report_cache_hits;
-    cold_syntheses;
     pruned = s.pruned;
     sched = { chunks = 0; steals = 0; splits = 0 };
   }

@@ -52,9 +52,6 @@ type unit_state = private {
   mutable par : int;
   mutable active : bool;  (** still on Stage 2's optimization list *)
   mutable realization : realization list;  (** one per member *)
-  mutable hw_key : string;
-      (** {!Pom_pipeline.Memo.directives_key} of [realization]'s hardware
-          directives *)
   mutable realized : (Pom_polyir.Stmt_poly.t * Pom_hls.Summary.t) list;
       (** one per member: its statement under [realization], profiled *)
 }
@@ -91,23 +88,29 @@ val splice :
     point and its loop signature, and the evaluation and prune counts. *)
 type search
 
-(** [start ~cache ~device ~composition func base f] sets a search up and
-    runs [f] on it: open the checkpoint journal
-    ({!Pom_pipeline.Memo.with_journal}, closed however [f] exits),
-    fingerprint [func] and key [base] once, apply [base] through one
-    {!Pom_pipeline.Memo.schedule} call, build the units ({!units_of}) and
+(** [start ~device ~composition func base f] sets a search up and runs [f]
+    on it: open the checkpoint journal when [checkpoint] names one (closed
+    however [f] exits), apply [base], build the units ({!units_of}) and
     price the initial design point, which becomes the incumbent.
 
-    Every evaluation counts one in {!evaluations} and first visits the
-    [dse:evaluate] fault site.  It splices the units into the base
+    Every evaluation counts one in {!evaluations}, first visits the
+    [dse:evaluate] fault site, and then checks the budget, so a deadline
+    stops a search between candidates.  It splices the units into the base
     program, derives the partition plan from the spliced profiles
-    ({!partition_plan} under [bank_cap]), and prices the design point
-    through the report memo under [latency_mode]. *)
+    ({!partition_plan} under [bank_cap]), and prices the design point with
+    {!Pom_hls.Report.of_profiles} under [latency_mode], through the
+    search's group-price table.
+
+    The journal's intact records are loaded into a table of the search's
+    own.  A design point the table holds is served from it; any other is
+    priced and appended to the journal.  A record's key is a 16-byte
+    digest of the point's identity: the function fingerprint
+    ({!Pom_pipeline.Memo.func_key}), the full directive list, the device,
+    the composition and the latency mode. *)
 val start :
   ?bank_cap:int ->
   ?latency_mode:Pom_hls.Report.latency_mode ->
   ?checkpoint:string ->
-  cache:Pom_pipeline.Memo.t ->
   device:Pom_hls.Device.t ->
   composition:Pom_hls.Resource.composition ->
   Func.t ->
@@ -200,18 +203,12 @@ type result = {
   trace : string list;
       (** human-readable decision log of the bottleneck search *)
   evaluations : int;
-      (** QoR-model evaluations requested by the search, including the
-          final re-request of the winning point (the deterministic
-          counterpart of the DSE-time column) *)
-  report_cache_hits : int;
-      (** evaluations served by the report memo instead of a synthesis *)
-  cold_syntheses : int;  (** evaluations that ran a full synthesis *)
+      (** QoR-model evaluations requested by the search (the
+          deterministic counterpart of the DSE-time column) *)
   pruned : int;
       (** candidate design points dropped by the analyzer's pre-pruning
-          oracle ({!Pom_analysis.Lint.parallelism_gain}) without any
-          synthesis: every copy the candidate adds would serialize on a
-          loop-carried dependence, so under the QoR model it cannot beat
-          the incumbent *)
+          oracle ({!Pom_analysis.Lint.profiles_signature}) without being
+          priced: their loop signature is the incumbent's *)
   sched : sched;  (** read by perfbench/cold.ml *)
 }
 
@@ -220,16 +217,15 @@ type result = {
     partition banks per array; [steps] is the user-specifiable strategy
     group of Section VI-B — given a node's current parallelism it returns
     the candidate degrees to try, first hit wins (default: double, then
-    1.5x as a fallback).  Every QoR evaluation goes through [cache]
-    (default {!Pom_pipeline.Memo.global}): the base-directive prefix is
-    applied once, and re-requested design points skip synthesis.
+    1.5x as a fallback).  The result is the incumbent the search ends
+    at, as it was priced.
 
-    [checkpoint], when given, is a crash-safe journal path: every
-    genuinely synthesized design point is appended as it is evaluated, and
-    on restart the intact records are replayed into the report memo before
-    the search begins — the search then re-derives the exact decision
-    sequence of the uninterrupted search, so a killed-and-resumed run
-    produces identical directives, tile vectors, and report.
+    [checkpoint], when given, is a crash-safe journal path ({!start}):
+    every priced design point is appended as it is evaluated, and on
+    restart the intact records serve the points they hold — the search
+    then re-derives the exact decision sequence of the uninterrupted
+    search, so a killed-and-resumed run produces identical directives,
+    tile vectors, and report.
 
     The search is sequential: the paper's bottleneck-oriented search
     decides each step from the previous step's report.  It stops after 60
@@ -241,7 +237,6 @@ val run :
   ?par_cap:int ->
   ?bank_cap:int ->
   ?steps:(int -> int list) ->
-  ?cache:Pom_pipeline.Memo.t ->
   ?checkpoint:string ->
   Func.t ->
   Stage1.t ->

@@ -129,6 +129,3 @@ let chain_arith_latency b =
   else if b.n_fadd > 0 then (add_cost b.dtype).latency
   else if b.n_fmul > 0 then (mul_cost b.dtype).latency
   else 1
-
-(* The recurrence cycle runs load -> one arithmetic stage -> store. *)
-let chain_latency b = load.latency + chain_arith_latency b + store.latency

@@ -51,9 +51,5 @@ val analyze_body : Pom_dsl.Compute.t -> body
 (** Resource cost of [copies] parallel instances of a body's operators. *)
 val body_resources : body -> copies:int -> cost
 
-(** Latency of the serial dependence chain through one body execution
-    (load -> arithmetic on the cycle -> store), used for RecMII. *)
-val chain_latency : body -> int
-
 (** Latency of the dominant arithmetic stage alone (per chained link). *)
 val chain_arith_latency : body -> int

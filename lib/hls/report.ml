@@ -169,14 +169,6 @@ let speedup ~baseline t = float_of_int baseline /. float_of_int t.latency
 let latency_ms (d : Device.t) t =
   float_of_int t.latency /. (d.Device.clock_mhz *. 1000.0)
 
-let util pct total = 100.0 *. float_of_int pct /. float_of_int total
-
-let util_dsp (d : Device.t) t = util t.usage.Resource.dsp d.Device.dsp
-
-let util_lut (d : Device.t) t = util t.usage.Resource.lut d.Device.lut
-
-let util_ff (d : Device.t) t = util t.usage.Resource.ff d.Device.ff
-
 let pp ppf t =
   Format.fprintf ppf
     "latency %d cycles, II [%s], %a, %.3f W, parallelism %.1f%s" t.latency

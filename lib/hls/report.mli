@@ -80,10 +80,4 @@ val speedup : baseline:int -> t -> float
 (** Wall-clock latency in milliseconds at the device's target clock. *)
 val latency_ms : Device.t -> t -> float
 
-val util_dsp : Device.t -> t -> float
-
-val util_lut : Device.t -> t -> float
-
-val util_ff : Device.t -> t -> float
-
 val pp : Format.formatter -> t -> unit

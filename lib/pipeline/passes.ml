@@ -55,12 +55,15 @@ let user_schedule () =
 
 let schedule_apply () =
   Pass.v ~name:"schedule-apply"
-    ~descr:"apply the accumulated directives to the polyhedral IR (memoized)"
+    ~descr:"apply the accumulated directives to the polyhedral IR"
     (fun (st : State.t) ->
       {
         st with
         State.prog =
-          Some (Memo.schedule Memo.global st.State.func st.State.directives);
+          Some
+            (Pom_polyir.Prog.apply_all
+               (Pom_polyir.Prog.of_func_unscheduled st.State.func)
+               st.State.directives);
       })
 
 let legality_timeout_trace = "legality: timed out -> conservatively rejected"
@@ -144,15 +147,19 @@ let verify_ir () =
 
 let synthesize () =
   Pass.v ~name:"hls-synthesize"
-    ~descr:"virtual HLS synthesis of the current design point (memoized)"
+    ~descr:"virtual HLS synthesis of the current design point"
     (fun (st : State.t) ->
-      let report =
-        Memo.synthesize Memo.global ~composition:st.State.composition
-          ~latency_mode:st.State.latency_mode ~device:st.State.device
-          ~directives:st.State.directives
-          (prog_exn st "hls-synthesize")
-      in
-      { st with State.report = Some report })
+      match st.State.report with
+      | Some _ ->
+          (* a search already priced the program it settled on *)
+          st
+      | None ->
+          let report =
+            Pom_hls.Report.synthesize ~composition:st.State.composition
+              ~latency_mode:st.State.latency_mode ~device:st.State.device
+              (prog_exn st "hls-synthesize")
+          in
+          { st with State.report = Some report })
 
 let affine_lower () =
   Pass.v ~name:"affine-lower"

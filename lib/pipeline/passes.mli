@@ -1,10 +1,6 @@
 (** The passes shared by every compile flow.  Each is a registered
     {!Pass.t} over {!State.t}; flows (POM auto, the baselines, manual
-    schedules) prepend their own transform passes and share this tail.
-
-    All schedule application and report synthesis goes through
-    {!Memo.global}, so a design point evaluated anywhere in the process
-    (e.g. by the DSE search) is never re-synthesized by these passes. *)
+    schedules) prepend their own transform passes and share this tail. *)
 
 (** Re-export of {!State.structural_directives}: the specification's
     [after]/[fuse] structure at level >= 1. *)
@@ -25,8 +21,7 @@ val structural : unit -> State.t Pass.t
     schedule; [auto_DSE] markers are inert under application). *)
 val user_schedule : unit -> State.t Pass.t
 
-(** Apply the accumulated directives, producing the polyhedral program
-    (memoized). *)
+(** Apply the accumulated directives, producing the polyhedral program. *)
 val schedule_apply : unit -> State.t Pass.t
 
 (** Check the current program against the structural reference with the
@@ -50,8 +45,9 @@ val lint_pragmas : unit -> State.t Pass.t
     [diags]. *)
 val verify_ir : unit -> State.t Pass.t
 
-(** Synthesize the virtual HLS report for the current design point
-    (memoized: a hit when the DSE already evaluated it). *)
+(** Synthesize the virtual HLS report for the current design point, unless
+    an earlier pass already set the state's report: a DSE search sets it
+    to the design it settled on, priced as it searched. *)
 val synthesize : unit -> State.t Pass.t
 
 (** Lower the polyhedral program to the annotated affine dialect. *)

@@ -41,10 +41,6 @@ let make dims constrs =
   List.iter (check_constr sorted) constrs;
   { dims; constrs; simplified = false }
 
-let universe dims =
-  ignore (sorted_dims dims);
-  { dims; constrs = []; simplified = true }
-
 let dims s = s.dims
 
 let n_dims s = List.length s.dims
@@ -198,7 +194,7 @@ let project_out d s =
     let constrs =
       match unit_eq with
       | Some i ->
-          Pom_resilience.Budget.tick fm_site;
+          Pom_resilience.Budget.check fm_site;
           (* c*d + rest = 0 with c = +-1, so d = -rest/c *)
           let e = Constr.expr (List.nth s.constrs i) in
           let cd = Linexpr.coeff e d in
@@ -220,8 +216,7 @@ let project_out d s =
                         bounds into %d constraints (cap %d)"
                        d n_low n_up materialized (Atomic.get cap);
                  });
-          (* the combination work is proportional to what it materializes *)
-          Pom_resilience.Budget.tick ~cost:(max 1 (n_low * n_up)) fm_site;
+          Pom_resilience.Budget.check fm_site;
           List.concat_map
             (fun (cl, el) ->
               List.map

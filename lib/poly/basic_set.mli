@@ -11,9 +11,6 @@ type t
     [Invalid_argument].  Duplicate dimension names raise too. *)
 val make : string list -> Constr.t list -> t
 
-(** The unconstrained set over the given dimensions. *)
-val universe : string list -> t
-
 val dims : t -> string list
 
 val n_dims : t -> int

@@ -61,7 +61,7 @@ let rec first_point s =
       let rec try_value v =
         if v > ub then None
         else begin
-          Pom_resilience.Budget.tick "poly:enumerate";
+          Pom_resilience.Budget.check "poly:enumerate";
           let s' = fix_dim d v s in
           if Basic_set.is_obviously_empty s' then try_value (v + 1)
           else
@@ -90,7 +90,7 @@ let fold_points ?(limit = default_limit) f init s =
           incr count;
           if !count > limit then
             invalid_arg "Feasible: enumeration limit exceeded";
-          Pom_resilience.Budget.tick "poly:enumerate";
+          Pom_resilience.Budget.check "poly:enumerate";
           f acc (List.rev prefix)
         end
     | d :: _ -> (

@@ -21,10 +21,6 @@ let union a b =
   if a.dims <> b.dims then invalid_arg "Iset.union: dimension tuples differ";
   { a with disjuncts = a.disjuncts @ b.disjuncts }
 
-let intersect_basic b t =
-  check_space t b;
-  { t with disjuncts = List.map (Basic_set.intersect b) t.disjuncts }
-
 let intersect a b =
   if a.dims <> b.dims then
     invalid_arg "Iset.intersect: dimension tuples differ";

@@ -20,8 +20,6 @@ val union : t -> t -> t
 (** Distributes over the disjuncts of both arguments. *)
 val intersect : t -> t -> t
 
-val intersect_basic : Basic_set.t -> t -> t
-
 val add_constraint : Constr.t -> t -> t
 
 val project_onto : string list -> t -> t

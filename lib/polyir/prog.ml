@@ -39,15 +39,6 @@ let stmt t name =
   | Some s -> s
   | None -> invalid_arg ("Prog.stmt: no statement " ^ name)
 
-let with_stmt t (s : Stmt_poly.t) =
-  {
-    t with
-    stmts =
-      List.map
-        (fun s' -> if Stmt_poly.name s' = Stmt_poly.name s then s else s')
-        t.stmts;
-  }
-
 let partition_of t (p : Placeholder.t) =
   match List.assoc_opt p.Placeholder.name t.partitions with
   | Some (factors, _) ->

@@ -28,9 +28,6 @@ val apply_all : t -> Schedule.t list -> t
 
 val stmt : t -> string -> Stmt_poly.t
 
-(** Replace a statement (by name). *)
-val with_stmt : t -> Stmt_poly.t -> t
-
 (** Partition factors for an array ([[1; 1; ...]] when unpartitioned). *)
 val partition_of : t -> Placeholder.t -> int list
 

@@ -315,11 +315,12 @@ let check_degrade f =
       Skip (Printf.sprintf "invalid case: %s" msg)
   | clean ->
       let clean_design = clean.Pom_pipeline.State.hls_c in
-      let check_one acc (site, kind) =
+      let check_one acc (site, kind, visit) =
         match acc with
         | Fail _ -> acc
         | _ -> (
-            Pom_resilience.Fault.configure (Printf.sprintf "%s=%s@1" site kind);
+            Pom_resilience.Fault.configure
+              (Printf.sprintf "%s=%s@%d" site kind visit);
             let result =
               Fun.protect ~finally:Pom_resilience.Fault.reset (fun () ->
                   match run_degrade_compile f with
@@ -337,17 +338,22 @@ let check_degrade f =
                 if st.Pom_pipeline.State.hls_c <> clean_design then
                   fail ~code:"POM404" ~loc
                     (Printf.sprintf
-                       "degraded run (fault %s at %s) produced a different \
-                        design"
-                       kind site)
+                       "degraded run (fault %s at %s, visit %d) produced a \
+                        different design"
+                       kind site visit)
                     ~note:
                       "analysis-only faults must affect diagnostics, never \
                        the artifact"
                 else acc)
       in
+      (* later visits too: a fault whose first visit lands in a required
+         pass (which must abort) may reach an analysis on a later one *)
       let combos =
         List.concat_map
-          (fun site -> [ (site, "fail"); (site, "timeout") ])
+          (fun site ->
+            List.concat_map
+              (fun kind -> List.map (fun v -> (site, kind, v)) [ 1; 2; 3 ])
+              [ "fail"; "timeout" ])
           analysis_sites
       in
       List.fold_left check_one Pass combos

@@ -11,7 +11,8 @@
       diverges is a soundness counterexample, a rejected schedule that
       does not diverge is only a precision miss;
     - {b degrade}: the POM30x degradation contract — faults injected at
-      analysis-only sites must never change the produced design, only the
+      analysis-only sites (each kind at its first, second and third
+      visit) must never change the produced design, only the
       diagnostics;
     - {b qor}: the QoR model's group latencies against
       {!Pom_sim.Cycles} operational lower bounds (distinct serial steps,

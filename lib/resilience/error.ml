@@ -9,13 +9,6 @@ exception Error of t
 
 let make ~code ?pass ?(context = []) message = { code; pass; context; message }
 
-let raise_ ~code ?pass ?context message =
-  raise (Error (make ~code ?pass ?context message))
-
-let with_context frame f =
-  try f ()
-  with Error e -> raise (Error { e with context = frame :: e.context })
-
 let of_exn ~code ?pass = function
   | Budget.Budget_exceeded { site; reason } ->
       make ~code:"POM301" ?pass ~context:[ site ]

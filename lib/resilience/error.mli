@@ -34,13 +34,6 @@ exception Error of t
 
 val make : code:string -> ?pass:string -> ?context:string list -> string -> t
 
-(** [raise_ ~code msg] raises {!Error}. *)
-val raise_ : code:string -> ?pass:string -> ?context:string list -> string -> 'a
-
-(** Re-raise [Error] with [frame] prepended to the context trace; any other
-    exception passes through untouched. *)
-val with_context : string -> (unit -> 'a) -> 'a
-
 (** Build a typed error from an arbitrary exception.  A {!Budget.Budget_exceeded}
     maps to [POM301], a {!Pom_wire.Wire.Corrupt} to [POM308], a
     {!Pom_wire.Wire.Version_mismatch} to [POM309] (each keeping its site

@@ -147,6 +147,16 @@ let error_codec : error Wire.t =
 
 let served_codec : served Wire.t = Wire.enum "served" [ Computed; Cached ]
 
+let no_memo =
+  {
+    schedule_hits = 0;
+    schedule_misses = 0;
+    report_hits = 0;
+    report_misses = 0;
+    plan_hits = 0;
+    plan_misses = 0;
+  }
+
 let memo_stats_codec : memo_stats Wire.t =
   Wire.record6 "memo_stats"
     (Wire.field Wire.int (fun m -> m.schedule_hits))
@@ -241,9 +251,9 @@ let framework_tag = function
   | `Pom_manual -> "pom-manual"
   | `Pom_auto -> "pom-auto"
 
-(* The memo's [func_key] deliberately excludes the function's attached
-   directives (the memo keys pass them separately); a whole-compile cache
-   must mix them back in, or two schedules of one function would collide. *)
+(* [func_key] deliberately excludes the function's attached directives; a
+   whole-compile cache must mix them back in, or two schedules of one
+   function would collide. *)
 let cache_key r =
   let module Memo = Pom_pipeline.Memo in
   Digest.string

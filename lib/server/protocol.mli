@@ -41,8 +41,8 @@ type request = {
   dnn : bool;
   deadline_s : float option;  (** per-request budget on the server *)
   use_cache : bool;
-      (** [false] bypasses the cross-request response cache (the memo
-          stays warm): measurement and bit-identity checks use this *)
+      (** [false] bypasses the cross-request response cache:
+          measurement and bit-identity checks use this *)
   client : string;  (** free-form label for the server log *)
 }
 
@@ -64,23 +64,23 @@ type result = {
 
 type error = { code : string; message : string; context : string list }
 
-(** How the response was produced: computed on this request (fresh or
-    via warm memo tables), or served verbatim from the cross-request
-    response cache. *)
+(** How the response was produced: compiled on this request, or served
+    verbatim from the cross-request response cache. *)
 type served = Computed | Cached
 
-(** Memo-counter deltas attributable to this request (all zero for a
-    [Cached] response). *)
+(** Always {!no_memo}: the compiler keeps no design-point memo.  Kept in
+    the wire schema, which perfbench/serve.ml reads. *)
 type memo_stats = {
   schedule_hits : int;
   schedule_misses : int;
   report_hits : int;
   report_misses : int;
   plan_hits : int;
-      (** always 0: the memo has no plan table; kept in the wire schema,
-          which perfbench/serve.ml reads *)
-  plan_misses : int;  (** always 0, like [plan_hits] *)
+  plan_misses : int;
 }
+
+(** All zeros: the [memo] of every response. *)
+val no_memo : memo_stats
 
 type response = {
   r_id : int;

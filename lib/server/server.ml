@@ -1,6 +1,5 @@
 module Budget = Pom_resilience.Budget
 module Checkpoint = Pom_resilience.Checkpoint
-module Memo = Pom_pipeline.Memo
 
 let default_max_queue = 16
 
@@ -67,16 +66,6 @@ type t = {
   mutable exec_thread : Thread.t option;
 }
 
-let zero_memo =
-  {
-    Protocol.schedule_hits = 0;
-    schedule_misses = 0;
-    report_hits = 0;
-    report_misses = 0;
-    plan_hits = 0;
-    plan_misses = 0;
-  }
-
 let stats t =
   Mutex.lock t.sm;
   let s =
@@ -100,16 +89,6 @@ let stats t =
   s
 
 (* -------- executor -------- *)
-
-let memo_delta (before : Memo.counters) (after : Memo.counters) =
-  {
-    Protocol.schedule_hits = after.Memo.schedule_hits - before.Memo.schedule_hits;
-    schedule_misses = after.Memo.schedule_misses - before.Memo.schedule_misses;
-    report_hits = after.Memo.report_hits - before.Memo.report_hits;
-    report_misses = after.Memo.report_misses - before.Memo.report_misses;
-    plan_hits = 0;
-    plan_misses = 0;
-  }
 
 (* First write wins, mirrored to the journal when one is configured.  A
    failed append (disk full, journal on a dead mount) costs durability,
@@ -174,12 +153,11 @@ let execute t (job : job) =
         {
           Protocol.r_id = req.Protocol.id;
           served = Protocol.Cached;
-          memo = zero_memo;
+          memo = Protocol.no_memo;
           wall_s = Unix.gettimeofday () -. t0;
           outcome = Stdlib.Ok result;
         }
     | None -> (
-        let before = Memo.snapshot Memo.global in
         match
           (* the request's deadline and the disconnect poll become the
              ambient budget for this compile only; [Pom.compile] is not
@@ -205,7 +183,7 @@ let execute t (job : job) =
             {
               Protocol.r_id = req.Protocol.id;
               served = Protocol.Computed;
-              memo = memo_delta before (Memo.snapshot Memo.global);
+              memo = Protocol.no_memo;
               wall_s = Unix.gettimeofday () -. t0;
               outcome = Stdlib.Ok result;
             }
@@ -216,7 +194,7 @@ let execute t (job : job) =
             {
               Protocol.r_id = req.Protocol.id;
               served = Protocol.Computed;
-              memo = memo_delta before (Memo.snapshot Memo.global);
+              memo = Protocol.no_memo;
               wall_s = Unix.gettimeofday () -. t0;
               outcome = Stdlib.Error (Protocol.error_of_exn e);
             })
@@ -252,7 +230,7 @@ let run_job t (job : job) =
       {
         Protocol.r_id = job.req.Protocol.id;
         served = Protocol.Computed;
-        memo = zero_memo;
+        memo = Protocol.no_memo;
         wall_s = 0.0;
         outcome =
           Stdlib.Error
@@ -299,7 +277,7 @@ let executor t () =
               {
                 Protocol.r_id = job.req.Protocol.id;
                 served = Protocol.Computed;
-                memo = zero_memo;
+                memo = Protocol.no_memo;
                 wall_s = 0.0;
                 outcome =
                   Stdlib.Error
@@ -331,7 +309,7 @@ let error_response ~id code message =
   {
     Protocol.r_id = id;
     served = Protocol.Computed;
-    memo = zero_memo;
+    memo = Protocol.no_memo;
     wall_s = 0.0;
     outcome = Stdlib.Error { Protocol.code; message; context = [] };
   }

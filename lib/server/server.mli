@@ -1,9 +1,9 @@
 (** The persistent compile server (POM-as-a-service).
 
     One process owns the warm state a cold [pom_compile] rebuilds from
-    scratch every run: the {!Pom_pipeline.Memo} schedule/report
-    tables and a cross-request response cache keyed by
-    {!Protocol.cache_key}.  Clients connect over a Unix-domain socket,
+    scratch every run: the dependence memo ({!Pom_hls.Summary}), the
+    projection cache ({!Pom_poly.Projcache}) and a cross-request response
+    cache keyed by {!Protocol.cache_key}.  Clients connect over a Unix-domain socket,
     send one framed {!Protocol.request}, and receive one framed
     {!Protocol.response}.
 

@@ -211,50 +211,51 @@ let test_lint_malformed_partition () =
 
 (* ---- the DSE pre-pruning oracle ---- *)
 
+(* The pre-pruning oracle compares hardware signatures: a candidate whose
+   signature is the incumbent's is the incumbent under another name. *)
 let test_oracle () =
   let base = Prog.of_func_unscheduled (Pom.Workloads.Polybench.gemm 32) in
   let before = Lint.hw_signature base in
-  Alcotest.(check bool) "identical program gains nothing" false
-    (Lint.gains_parallelism ~before base);
+  let changes prog = Lint.hw_signature prog <> before in
+  Alcotest.(check bool) "identical program: same signature" false
+    (changes base);
   Alcotest.(check bool) "an unroll changes the signature" true
-    (Lint.gains_parallelism ~before
-       (Prog.apply base (Schedule.unroll "s" "j" 4)));
+    (changes (Prog.apply base (Schedule.unroll "s" "j" 4)));
   Alcotest.(check bool) "a pipeline changes the signature" true
-    (Lint.gains_parallelism ~before
-       (Prog.apply base (Schedule.pipeline "s" "k" 2)));
+    (changes (Prog.apply base (Schedule.pipeline "s" "k" 2)));
   (* partitioning alone does not touch the loop structure the QoR model
      prices, so it is not "more parallelism" *)
   Alcotest.(check bool) "a bare partition does not" false
-    (Lint.gains_parallelism ~before
+    (changes
        (Prog.apply base (Schedule.partition "D" [ 1; 4 ] Schedule.Cyclic)))
 
-let test_effective_parallelism () =
+(* The copies an unroll materializes count only on dependence-free
+   levels. *)
+let test_effective_unroll () =
   let base = Prog.of_func_unscheduled (Pom.Workloads.Polybench.gemm 32) in
-  Alcotest.(check (list (pair string int))) "no directives" [ ("s", 1) ]
-    (Lint.effective_parallelism base);
-  Alcotest.(check (list (pair string int))) "dependence-free unroll counts"
-    [ ("s", 4) ]
-    (Lint.effective_parallelism
-       (Prog.apply base (Schedule.unroll "s" "j" 4)));
-  Alcotest.(check (list (pair string int))) "carried unroll does not"
-    [ ("s", 1) ]
-    (Lint.effective_parallelism
-       (Prog.apply base (Schedule.unroll "s" "k" 4)))
+  let copies prog =
+    List.map Pom.Hls.Latency.effective_unroll (Pom.Hls.Summary.profile_all prog)
+  in
+  Alcotest.(check (list int)) "no directives" [ 1 ] (copies base);
+  Alcotest.(check (list int)) "dependence-free unroll counts" [ 4 ]
+    (copies (Prog.apply base (Schedule.unroll "s" "j" 4)));
+  Alcotest.(check (list int)) "an unroll along the carrying level adds none"
+    [ 1 ]
+    (copies (Prog.apply base (Schedule.unroll "s" "k" 4)))
 
 (* The acceptance criterion: Stage 2 drops at least one design point before
-   synthesis, every synthesis that does happen is accounted as a cold miss,
-   and the trace says why. *)
+   pricing it, prices every evaluation exactly once, and the trace says
+   why. *)
 let test_stage2_pruning () =
   let f = Pom.Workloads.Polybench.bicg 1024 in
   let stage1 = Pom.Dse.Stage1.run f in
-  let cache = Pom.Pipeline.Memo.create () in
   let synth0 = Pom.Hls.Report.synth_count () in
-  let r = Pom.Dse.Stage2.run ~cache f stage1 in
+  let r = Pom.Dse.Stage2.run f stage1 in
   let synths = Pom.Hls.Report.synth_count () - synth0 in
   Alcotest.(check bool) "at least one point pruned" true
     (r.Pom.Dse.Stage2.pruned >= 1);
-  Alcotest.(check int) "pruned points never reached Report.synthesize"
-    r.Pom.Dse.Stage2.cold_syntheses synths;
+  Alcotest.(check int) "one synthesis per evaluation, none for a pruned point"
+    r.Pom.Dse.Stage2.evaluations synths;
   Alcotest.(check bool) "the trace records the pruning" true
     (List.exists
        (fun l -> contains l "pruned by the analyzer")
@@ -315,7 +316,7 @@ let () =
         [
           Alcotest.test_case "hardware-signature oracle" `Quick test_oracle;
           Alcotest.test_case "effective parallelism" `Quick
-            test_effective_parallelism;
+            test_effective_unroll;
           Alcotest.test_case "stage2 prunes before synthesis" `Quick
             test_stage2_pruning;
         ] );

@@ -134,19 +134,6 @@ let test_hints_seidel_skew () =
       Alcotest.(check bool) "positive factor" true (factor >= 1)
   | other -> Alcotest.failf "expected skew hint, got %a" Hints.pp other
 
-let test_fusion_violates () =
-  (* ping-pong jacobi: full-depth positional fusion is illegal *)
-  let func = Pom_workloads.Polybench.jacobi1d ~tsteps:4 16 in
-  let s0 = Func.find_compute func "s0" and s1 = Func.find_compute func "s1" in
-  Alcotest.(check bool) "ping-pong full fusion violates" true
-    (Finegrain.fusion_violates s0 s1);
-  (* BICG: the two statements share no data -> fusion is fine *)
-  let bicg = Pom_workloads.Polybench.bicg 16 in
-  Alcotest.(check bool) "bicg fusion legal" false
-    (Finegrain.fusion_violates
-       (Func.find_compute bicg "s_s")
-       (Func.find_compute bicg "s_q"))
-
 let test_free_orders () =
   let fine = accumulating () in
   let frees = Hints.free_orders fine in
@@ -171,7 +158,6 @@ let () =
           Alcotest.test_case "reduction dimension" `Quick test_finegrain_reduction;
           Alcotest.test_case "accumulation dependence" `Quick
             test_finegrain_accumulation;
-          Alcotest.test_case "fusion violation check" `Quick test_fusion_violates;
         ] );
       ( "hints",
         [

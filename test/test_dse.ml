@@ -161,17 +161,16 @@ let contains line sub =
   in
   has 0
 
-(* The ScaleHLS flow on [func] through a fresh memo: the greedy pass's
-   result and the flow's trace. *)
-let scalehls_search ?(dnn = false) ~cache func =
+(* The ScaleHLS flow on [func]: the greedy pass's result and the flow's
+   trace. *)
+let scalehls_search func =
   let result = ref None in
   let st, _ =
     Pom_pipeline.Pass.run
-      (Pom_baselines.Scalehls.passes ~cache
+      (Pom_baselines.Scalehls.passes
          ~on_result:(fun r -> result := Some r)
          ())
       (Pom_pipeline.State.init ~composition:Pom_hls.Resource.Dataflow
-         ~latency_mode:(if dnn then `Dataflow else `Sequential)
          ~device:Pom_hls.Device.xc7z020 func)
   in
   (Option.get !result, st.Pom_pipeline.State.trace)
@@ -202,9 +201,7 @@ let test_trace_records_decisions () =
   (* the ScaleHLS ladder traces every rung *)
   List.iter
     (fun (name, func) ->
-      let r, trace =
-        scalehls_search ~cache:(Pom_pipeline.Memo.create ()) func
-      in
+      let r, trace = scalehls_search func in
       let rungs = List.filter (fun line -> contains line "rung g") trace in
       Alcotest.(check bool)
         (name ^ ": an accepted rung")
@@ -244,36 +241,6 @@ let test_trace_records_decisions () =
        the optimization list";
     ]
     (cap_lines (search (Dnn.resnet18 ())))
-
-(* Both searches look their base program up once and price every
-   candidate from it: one schedule-memo miss, no hit, and no plan table. *)
-let test_search_schedules_base_once () =
-  List.iter
-    (fun (name, func, dnn) ->
-      List.iter
-        (fun (search, run) ->
-          let cache = Pom_pipeline.Memo.create () in
-          run cache;
-          let c = Pom_pipeline.Memo.counters cache in
-          let where = Printf.sprintf "%s %s: " name search in
-          Alcotest.(check int) (where ^ "schedule misses") 1
-            c.Pom_pipeline.Memo.schedule_misses;
-          Alcotest.(check int) (where ^ "schedule hits") 0
-            c.Pom_pipeline.Memo.schedule_hits;
-          Alcotest.(check (pair int int))
-            (where ^ "plan hits and misses")
-            (0, 0)
-            (c.Pom_pipeline.Memo.plan_hits, c.Pom_pipeline.Memo.plan_misses))
-        [
-          ( "pom",
-            fun cache -> ignore (Stage2.run ~cache func (Stage1.run func)) );
-          ("scalehls", fun cache -> ignore (scalehls_search ~dnn ~cache func));
-        ])
-    [
-      ("gemm-64", Polybench.gemm 64, false);
-      ("3mm-32", Polybench.mm3 32, false);
-      ("resnet18", Dnn.resnet18 (), true);
-    ]
 
 let test_realize_cases () =
   (* pipeline only *)
@@ -337,9 +304,10 @@ let whole_program_signature profiles =
 let test_splice_matches_whole_program () =
   List.iter
     (fun (name, func) ->
-      let cache = Pom_pipeline.Memo.create () in
       let base = (Stage1.run func).Stage1.directives in
-      let prog_base = Pom_pipeline.Memo.schedule cache func base in
+      let prog_base =
+        Pom_polyir.Prog.apply_all (Pom_polyir.Prog.of_func_unscheduled func) base
+      in
       let units = Stage2.units_of prog_base in
       let state () =
         render (Stage2.splice prog_base units) (hw_directives units)
@@ -661,6 +629,45 @@ let statement_partition_plan ?(bank_cap = 64) (prog : Pom_polyir.Prog.t) =
       else None)
     placeholders
 
+(* The design points a search over [base] prices, in order: the initial
+   incumbent, then every candidate [accept] is asked about while each unit
+   climbs every realizable level, taking a candidate that fits and is
+   faster. *)
+let priced_points ~composition ~latency_mode func base =
+  Stage2.start ~device:Pom_hls.Device.xc7z020 ~composition ~latency_mode func
+    base
+  @@ fun s ->
+  let prog, _, report = Stage2.incumbent s in
+  let points = ref [ (prog, report) ] in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun par ->
+          let _, _, (incumbent : Pom_hls.Report.t) = Stage2.incumbent s in
+          let accept prog (report : Pom_hls.Report.t) =
+            points := (prog, report) :: !points;
+            report.Pom_hls.Report.feasible
+            && report.Pom_hls.Report.latency < incumbent.Pom_hls.Report.latency
+          in
+          ignore (Stage2.step s u par ~accept))
+        realizable_levels)
+    (Stage2.units s);
+  List.rev !points
+
+(* The base the ScaleHLS greedy pass searches from: its flow's directives
+   before that pass. *)
+let scalehls_base func =
+  let st, _ =
+    Pom_pipeline.Pass.run
+      (List.filter
+         (fun (p : _ Pom_pipeline.Pass.t) ->
+           p.Pom_pipeline.Pass.info.Pom_pipeline.Pass.name
+           <> "scalehls-greedy-dse")
+         (Pom_baselines.Scalehls.passes ()))
+      (Pom_pipeline.State.init ~device:Pom_hls.Device.xc7z020 func)
+  in
+  st.Pom_pipeline.State.directives
+
 let test_search_reports_and_plans () =
   let device = Pom_hls.Device.xc7z020 in
   let workloads =
@@ -672,15 +679,7 @@ let test_search_reports_and_plans () =
   List.iter
     (fun (name, func, dnn) ->
       List.iter
-        (fun (search, composition, latency_mode) ->
-          let cache = Pom_pipeline.Memo.create () in
-          let reports = ref [] in
-          Pom_pipeline.Memo.set_report_observer cache
-            (Some
-               (fun ~key:_ prog report -> reports := (prog, report) :: !reports));
-          (match search with
-          | "pom" -> ignore (Stage2.run ~cache func (Stage1.run func))
-          | _ -> ignore (scalehls_search ~dnn ~cache func));
+        (fun (search, composition, latency_mode, base) ->
           List.iteri
             (fun k ((prog : Pom_polyir.Prog.t), report) ->
               incr priced;
@@ -707,12 +706,16 @@ let test_search_reports_and_plans () =
                     plan)
                    .Pom_polyir.Prog.partitions
                 = prog.Pom_polyir.Prog.partitions))
-            (List.rev !reports))
+            (priced_points ~composition ~latency_mode func (base func)))
         [
-          ("pom", Pom_hls.Resource.Reuse, `Sequential);
+          ( "pom",
+            Pom_hls.Resource.Reuse,
+            `Sequential,
+            fun func -> (Stage1.run func).Stage1.directives );
           ( "scalehls",
             Pom_hls.Resource.Dataflow,
-            if dnn then `Dataflow else `Sequential );
+            (if dnn then `Dataflow else `Sequential),
+            scalehls_base );
         ])
     workloads;
   Alcotest.(check bool) "searches priced design points" true (!priced > 100)
@@ -745,8 +748,6 @@ let () =
           Alcotest.test_case "custom strategy group" `Quick
             test_custom_strategy_group;
           Alcotest.test_case "decision trace" `Quick test_trace_records_decisions;
-          Alcotest.test_case "a search schedules its base once" `Quick
-            test_search_schedules_base_once;
           Alcotest.test_case "bottleneck pick equals the list walk" `Quick
             test_bottleneck_matches_list_walk;
           Alcotest.test_case "search reports and partition plans" `Slow

@@ -260,12 +260,10 @@ let test_qor_bounds_sane () =
         verdict
 
 let test_engine_budget_stops () =
-  (* an already-exhausted budget must stop the engine at the first case
+  (* an already-expired deadline must stop the engine at the first case
      boundary, cleanly and with the exhausted flag *)
-  Pom.Resilience.Budget.with_budget ~max_ticks:1 (fun () ->
-      (* spend the only tick *)
-      (try Pom.Resilience.Budget.tick "refute:test"
-       with Pom.Resilience.Budget.Budget_exceeded _ -> ());
+  Pom.Resilience.Budget.with_budget ~deadline_s:0.0 (fun () ->
+      Unix.sleepf 0.002;
       let s = Engine.run ~seed:1 ~cases:1000 `Poly in
       Alcotest.(check bool) "stopped early" true (s.Engine.cases < 1000);
       Alcotest.(check bool) "flagged exhausted" true s.Engine.exhausted)

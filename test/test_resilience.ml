@@ -1,9 +1,8 @@
 (* The resilience layer: cooperative budgets, typed failures and per-pass
-   degradation, crash-safe DSE checkpointing, the memo's failure path, and
-   the deterministic fault-injection knob that exercises all of it. *)
+   degradation, crash-safe DSE checkpointing, and the deterministic
+   fault-injection knob that exercises all of it. *)
 
 module R = Pom_resilience
-module Memo = Pom_pipeline.Memo
 module Polybench = Pom_workloads.Polybench
 
 let with_faults spec f =
@@ -12,33 +11,21 @@ let with_faults spec f =
 
 (* -------- budgets -------- *)
 
-let test_budget_ticks () =
-  Alcotest.(check bool) "no ambient budget" false (R.Budget.active ());
+let test_budget_deadline () =
   (match
-     R.Budget.with_budget ~max_ticks:10 (fun () ->
-         for _ = 1 to 20 do
-           R.Budget.tick "test:loop"
-         done)
+     R.Budget.with_budget ~deadline_s:0.0 (fun () ->
+         Unix.sleepf 0.002;
+         R.Budget.check "test:deadline")
    with
   | exception R.Budget.Budget_exceeded { site; _ } ->
-      Alcotest.(check string) "site" "test:loop" site
-  | () -> Alcotest.fail "expected the tick cap to trip");
-  Alcotest.(check bool) "budget restored" false (R.Budget.active ())
-
-let test_budget_deadline () =
-  match
-    R.Budget.with_budget ~deadline_s:0.0 (fun () ->
-        Unix.sleepf 0.002;
-        R.Budget.check "test:deadline")
-  with
-  | exception R.Budget.Budget_exceeded { site; _ } ->
       Alcotest.(check string) "site" "test:deadline" site
-  | () -> Alcotest.fail "expected the deadline to trip"
+  | () -> Alcotest.fail "expected the deadline to trip");
+  (* the expired budget ends with [with_budget]: a later check is free *)
+  R.Budget.check "test:deadline"
 
 let test_budget_noop_without_install () =
   (* without a budget every check is free and silent *)
-  R.Budget.check "test:none";
-  R.Budget.tick ~cost:1_000_000 "test:none"
+  R.Budget.check "test:none"
 
 let test_budget_cancel () =
   (* an external cancel poll trips a checkpoint exactly like a deadline *)
@@ -155,28 +142,6 @@ let test_checkpoint_fsync_each () =
   Alcotest.(check (list string)) "no degradation notes" [] notes2;
   Sys.remove path
 
-(* -------- memo: a failed compute stores nothing -------- *)
-
-(* The failure is an armed fault in the synthesis's own dependence
-   analysis.  gemm at size 12 is a function no earlier case profiled, so
-   its projections are not dependence-memo hits and the fault fires. *)
-let test_memo_failed_compute () =
-  let cache = Memo.create () in
-  let prog = Pom_polyir.Prog.of_func_unscheduled (Polybench.gemm 12) in
-  let device = Pom_hls.Device.xc7z020 in
-  (match
-     with_faults "poly:fm-projection=fail@1" (fun () ->
-         Memo.synthesize cache ~device ~directives:[] prog)
-   with
-  | exception R.Fault.Injected _ -> ()
-  | _ -> Alcotest.fail "expected the compute to fail");
-  let report = Memo.synthesize cache ~device ~directives:[] prog in
-  Alcotest.(check bool) "the next request computes" true
-    (report.Pom_hls.Report.latency > 0);
-  let c = Memo.counters cache in
-  Alcotest.(check int) "two misses" 2 c.Memo.report_misses;
-  Alcotest.(check int) "no hit" 0 c.Memo.report_hits
-
 (* -------- per-pass degradation matrix -------- *)
 
 (* Inject a failure into each pass of the `Baseline flow in turn.  Under
@@ -273,11 +238,9 @@ let test_fault_kill_is_never_absorbed () =
    with "dse:evaluate=kill@1" armed next to the fault, the compile dies at
    the first evaluation only if fault k has not fired yet.  The same
    compile with a kill at the pass after the search then has to reach
-   that pass.  The memo is cleared before each compile so both see the
-   same projections up to the first evaluation (the dependence memo only
-   grows, which can only move a fault later). *)
+   that pass: the dependence memo only grows between the two compiles,
+   which can only move a fault later. *)
 let compile_outcome framework func spec =
-  Memo.clear Memo.global;
   with_faults spec (fun () ->
       match
         Pom.compile ~framework ~on_error:R.Policy.Degrade func
@@ -387,8 +350,15 @@ let test_deadline_aborts_cleanly () =
 let test_checkpoint_kill_and_resume () =
   let module Engine = Pom_dse.Engine in
   let func = Polybench.gemm 32 in
-  (* ground truth: one uninterrupted search on a cold private cache *)
-  let full = (Engine.run ~cache:(Memo.create ()) func).Engine.result in
+  (* ground truth: one uninterrupted search, counting its syntheses *)
+  let syntheses f =
+    let n0 = Pom_hls.Report.synth_count () in
+    let v = f () in
+    (v, Pom_hls.Report.synth_count () - n0)
+  in
+  let full, full_synths =
+    syntheses (fun () -> (Engine.run func).Engine.result)
+  in
   Alcotest.(check bool) "search long enough to kill mid-way" true
     (full.Pom_dse.Stage2.evaluations > 4);
   let path = Filename.temp_file "pom_dse" ".jrnl" in
@@ -396,7 +366,7 @@ let test_checkpoint_kill_and_resume () =
   (* the same search, checkpointed, killed on its 4th sequential
      evaluation — simulating the process dying mid-DSE *)
   R.Fault.configure "dse:evaluate=kill@4";
-  (match Engine.run ~cache:(Memo.create ()) ~checkpoint:path func with
+  (match Engine.run ~checkpoint:path func with
   | exception R.Fault.Killed site ->
       Alcotest.(check string) "died at the evaluation site" "dse:evaluate"
         site
@@ -404,11 +374,10 @@ let test_checkpoint_kill_and_resume () =
   R.Fault.reset ();
   Alcotest.(check bool) "journal survived the kill" true
     (Sys.file_exists path);
-  (* resume on a fresh cold cache: the journal replays the evaluated
-     points, and the search re-derives the identical final design *)
-  let resumed =
-    (Engine.run ~cache:(Memo.create ()) ~checkpoint:path func)
-      .Engine.result
+  (* resume: the journal serves the evaluated points, and the search
+     re-derives the identical final design *)
+  let resumed, resumed_synths =
+    syntheses (fun () -> (Engine.run ~checkpoint:path func).Engine.result)
   in
   Alcotest.(check bool) "identical directives" true
     (full.Pom_dse.Stage2.directives = resumed.Pom_dse.Stage2.directives);
@@ -420,24 +389,38 @@ let test_checkpoint_kill_and_resume () =
   Alcotest.(check bool) "identical report" true
     (full.Pom_dse.Stage2.report = resumed.Pom_dse.Stage2.report);
   (* the resumed run actually used the journal: some of its evaluations
-     were served by replay instead of cold synthesis *)
+     were served by replay instead of a synthesis *)
   Alcotest.(check bool) "resume replayed journaled work" true
-    (resumed.Pom_dse.Stage2.cold_syntheses
-    < full.Pom_dse.Stage2.cold_syntheses);
+    (resumed_synths < full_synths);
   Sys.remove path
+
+(* A journal record is keyed by a digest of its design point, not by the
+   point's printed fingerprint. *)
+let test_journal_keys_are_digests () =
+  let path = Filename.temp_file "pom_resnet18" ".jrnl" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      ignore (Pom_dse.Engine.run ~checkpoint:path (Pom_workloads.Dnn.resnet18 ()));
+      let j, records, _ = R.Checkpoint.load path in
+      R.Checkpoint.close j;
+      Alcotest.(check bool) "the search journaled its points" true
+        (List.length records > 1);
+      List.iter
+        (fun (key, _) -> Alcotest.(check int) "key bytes" 16 (String.length key))
+        records)
 
 (* The ScaleHLS ladder keeps the same journal protocol, and a resumed
    compile traces the replay as Stage 2's does. *)
 let test_scalehls_kill_and_resume () =
   let func = Polybench.mm2 32 in
-  Memo.clear Memo.global;
   let full = Pom.compile ~framework:`Scalehls func in
   let path = Filename.temp_file "pom_scalehls" ".jrnl" in
   Sys.remove path;
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      Memo.clear Memo.global;
       (match
          with_faults "dse:evaluate=kill@4" (fun () ->
              Pom.compile ~framework:`Scalehls ~checkpoint:path func)
@@ -446,7 +429,6 @@ let test_scalehls_kill_and_resume () =
           Alcotest.(check string) "died at the evaluation site"
             "dse:evaluate" site
       | _ -> Alcotest.fail "expected the injected kill to unwind");
-      Memo.clear Memo.global;
       let resumed = Pom.compile ~framework:`Scalehls ~checkpoint:path func in
       Alcotest.(check bool) "resume traced the replay" true
         (List.exists (contains ~sub:"checkpoint: replayed") resumed.Pom.trace);
@@ -558,7 +540,6 @@ let () =
     [
       ( "budget",
         [
-          Alcotest.test_case "tick cap" `Quick test_budget_ticks;
           Alcotest.test_case "deadline" `Quick test_budget_deadline;
           Alcotest.test_case "no-op without install" `Quick
             test_budget_noop_without_install;
@@ -576,11 +557,8 @@ let () =
             test_checkpoint_roundtrip;
           Alcotest.test_case "fsync_each replay" `Quick
             test_checkpoint_fsync_each;
-        ] );
-      ( "memo",
-        [
-          Alcotest.test_case "failed compute stores nothing" `Quick
-            test_memo_failed_compute;
+          Alcotest.test_case "journal keys are digests" `Quick
+            test_journal_keys_are_digests;
         ] );
       ( "degradation",
         [

@@ -214,9 +214,10 @@ let test_journal_bitflip_fuzz () =
         (Printf.sprintf "flip at byte %d replayed non-prefix records" i)
   done
 
-(* A journal of any other schema restarts empty: a newer writer's, and a
-   version-2 one, whose records also carried each design point's
-   program. *)
+(* A journal of any other schema restarts empty: a newer writer's, a
+   version-2 one, whose records also carried each design point's program,
+   and a version-3 one, keyed by the point's full fingerprint instead of
+   its digest. *)
 let test_journal_version_bump () =
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -236,7 +237,7 @@ let test_journal_version_bump () =
         (List.length records);
       Alcotest.(check bool) (where ^ ": restart carries a POM309 note") true
         (List.exists (fun n -> contains n "POM309") notes))
-    [ Ckpt.version + 1; 2 ]
+    [ Ckpt.version + 1; 2; 3 ]
 
 let test_journal_unknown_tag_skipped () =
   let buf = Buffer.create 128 in
