@@ -436,15 +436,17 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
               Pom.compile ~device ~framework:fw ~dnn ~dump_after ~verify_each
                 ?deadline_s:deadline ~on_error ?checkpoint func
             in
+            let known =
+              List.sort_uniq String.compare
+                (List.map (fun r -> r.Pom.Pipeline.Pass.pass) c.Pom.passes)
+            in
             List.iter
               (fun name ->
-                if name <> "all" && not (Pom.Pipeline.Registry.mem name) then
+                if name <> "all" && not (List.mem name known) then
                   Printf.eprintf
                     "warning: --dump-after %s matches no registered pass \
                      (known: %s)\n"
-                    name
-                    (String.concat ", "
-                       (List.map fst (Pom.Pipeline.Registry.all ()))))
+                    name (String.concat ", " known))
               dump_after;
             Format.printf "workload:    %s (size %d)@." workload size;
             Format.printf "framework:   %s@." framework;

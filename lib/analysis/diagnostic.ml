@@ -35,13 +35,6 @@ let compare a b =
 
 let sort ds = List.sort compare ds
 
-let filter_severity ~min ds =
-  List.filter (fun d -> severity_rank d.severity <= severity_rank min) ds
-
-let errors ds = List.filter (fun d -> d.severity = Error) ds
-
-let warnings ds = List.filter (fun d -> d.severity = Warning) ds
-
 let has_errors ds = List.exists (fun d -> d.severity = Error) ds
 
 let promote_warnings ds =
@@ -75,5 +68,3 @@ let pp_list ppf ds =
   Format.fprintf ppf "@[<v>%a@]"
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp)
     ds
-
-let to_string d = Format.asprintf "@[<v>%a@]" pp d

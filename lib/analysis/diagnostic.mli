@@ -44,13 +44,6 @@ val compare : t -> t -> int
 
 val sort : t list -> t list
 
-(** Only diagnostics at least as severe as [min] ([Hint] keeps all). *)
-val filter_severity : min:severity -> t list -> t list
-
-val errors : t list -> t list
-
-val warnings : t list -> t list
-
 val has_errors : t list -> bool
 
 (** [--Werror]: every warning becomes an error (hints are untouched). *)
@@ -63,5 +56,3 @@ val summary : t list -> string
 val pp : Format.formatter -> t -> unit
 
 val pp_list : Format.formatter -> t list -> unit
-
-val to_string : t -> string

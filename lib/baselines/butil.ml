@@ -54,11 +54,8 @@ let fused_computes func =
          | _ -> [])
        (Func.directives func))
 
-let structural_directives = Pom_pipeline.Passes.structural_directives
-
 let locality_tiling_pass ?tile ~exclude_fused () =
   Pom_pipeline.Pass.v ~name:"pluto-locality-tiling"
-    ~descr:"Pluto-style cache tiling of large loop dimensions"
     (fun (st : Pom_pipeline.State.t) ->
       let func = st.Pom_pipeline.State.func in
       let exclude = if exclude_fused then fused_computes func else [] in
@@ -68,9 +65,3 @@ let locality_tiling_pass ?tile ~exclude_fused () =
         Pom_pipeline.State.directives =
           st.Pom_pipeline.State.directives @ tiling;
       })
-
-let extract (st : Pom_pipeline.State.t) =
-  match (st.Pom_pipeline.State.prog, st.Pom_pipeline.State.report) with
-  | Some prog, Some report ->
-      (st.Pom_pipeline.State.directives, prog, report)
-  | _ -> invalid_arg "Butil.extract: pipeline left no program or report"

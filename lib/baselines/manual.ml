@@ -10,7 +10,6 @@ type result = {
 (* The expert's hand schedule (Table IV), appended as a single pass. *)
 let schedule_pass () =
   Pass.v ~name:"manual-bicg-schedule"
-    ~descr:"expert's hand-written BICG schedule (Table IV)"
     (fun (st : State.t) ->
       let u = 24 in
       let directives =
@@ -34,14 +33,15 @@ let schedule_pass () =
       in
       { st with State.directives = st.State.directives @ directives })
 
-let passes () = [ schedule_pass () ]
-
 let bicg ?(device = Pom_hls.Device.xc7z020) n =
   let func = Pom_workloads.Polybench.bicg n in
   let st, _records =
     Pass.run
-      (passes () @ [ Passes.schedule_apply (); Passes.synthesize () ])
+      [ schedule_pass (); Passes.schedule_apply (); Passes.synthesize () ]
       (State.init ~device func)
   in
-  let directives, prog, report = Butil.extract st in
-  { directives; prog; report }
+  {
+    directives = st.State.directives;
+    prog = Option.get st.State.prog;
+    report = Option.get st.State.report;
+  }

@@ -12,9 +12,5 @@ type result = {
   report : Pom_hls.Report.t;
 }
 
-(** The hand schedule as a single registered pass, for embedding in a
-    larger pipeline. *)
-val passes : unit -> Pom_pipeline.State.t Pom_pipeline.Pass.t list
-
 (** [bicg n] builds the kernel and applies the manual schedule. *)
 val bicg : ?device:Pom_hls.Device.t -> int -> result

@@ -1,23 +1,7 @@
-open Pom_dsl
 open Pom_pipeline
-
-type result = {
-  directives : Schedule.t list;
-  prog : Pom_polyir.Prog.t;
-  report : Pom_hls.Report.t;
-}
 
 let passes () =
   [
     Butil.locality_tiling_pass ~exclude_fused:true ();
     Passes.structural ();
   ]
-
-let run ?(device = Pom_hls.Device.xc7z020) func =
-  let st, _records =
-    Pass.run
-      (passes () @ [ Passes.schedule_apply (); Passes.synthesize () ])
-      (State.init ~device func)
-  in
-  let directives, prog, report = Butil.extract st in
-  { directives; prog; report }

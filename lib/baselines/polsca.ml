@@ -1,17 +1,10 @@
 open Pom_dsl
 open Pom_pipeline
 
-type result = {
-  directives : Schedule.t list;
-  prog : Pom_polyir.Prog.t;
-  report : Pom_hls.Report.t;
-}
-
 (* Pipeline the innermost loop of every nest (in the post-tiling order);
    POLSCA adds pragmas on top of the Pluto schedule but no partitioning. *)
 let pipeline_pass () =
   Pass.v ~name:"polsca-pipeline"
-    ~descr:"pipeline the innermost loop of every tiled nest"
     (fun (st : State.t) ->
       let func = st.State.func in
       let _, orders =
@@ -37,12 +30,3 @@ let passes () =
     Passes.structural ();
     pipeline_pass ();
   ]
-
-let run ?(device = Pom_hls.Device.xc7z020) func =
-  let st, _records =
-    Pass.run
-      (passes () @ [ Passes.schedule_apply (); Passes.synthesize () ])
-      (State.init ~device func)
-  in
-  let directives, prog, report = Butil.extract st in
-  { directives; prog; report }

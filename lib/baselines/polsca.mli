@@ -4,13 +4,7 @@
     problem sizes.  Loop-carried dependences left in the Pluto schedule
     dominate the achieved II (the paper's Section VII-B analysis). *)
 
-open Pom_dsl
-
-type result = { directives : Schedule.t list; prog : Pom_polyir.Prog.t; report : Pom_hls.Report.t }
-
-(** The flow's transform passes (tiling, structural fusion, pipelining),
-    for embedding in a larger pipeline; {!run} appends schedule application
-    and synthesis. *)
+(** The flow's transform passes (tiling, structural fusion, pipelining):
+    the head of [Pom.compile]'s [`Polsca] flow, which appends schedule
+    application and the shared analysis, synthesis and emission passes. *)
 val passes : unit -> Pom_pipeline.State.t Pom_pipeline.Pass.t list
-
-val run : ?device:Pom_hls.Device.t -> Func.t -> result

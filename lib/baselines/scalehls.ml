@@ -4,16 +4,6 @@ open Pom_hls
 open Pom_dse
 open Pom_pipeline
 
-type result = {
-  directives : Schedule.t list;
-  prog : Prog.t;
-  report : Report.t;
-  dse_time_s : float;
-  tile_vectors : (string * int list) list;
-  evaluations : int;
-  pruned : int;
-}
-
 (* Interchange-only transformation stage: fused nests receive a single
    permutation (the first statement that asks for one wins), so the other
    statements may be left with tight dependences. *)
@@ -49,9 +39,9 @@ let interchange_stage func =
       | Some _ | None -> [])
     (Pom_depgraph.Graph.nodes graph)
 
+(* single-IR loop-order permutation (no distribution, no skew) *)
 let interchange_pass () =
   Pass.v ~name:"scalehls-interchange"
-    ~descr:"single-IR loop-order permutation (no distribution, no skew)"
     (fun (st : State.t) ->
       {
         st with
@@ -85,9 +75,9 @@ let usage_sub (a : Resource.usage) (b : Resource.usage) =
     bram = a.Resource.bram - b.Resource.bram;
   }
 
-let greedy_pass ?checkpoint ?(on_result = fun _ -> ()) () =
-  Pass.v ~name:"scalehls-greedy-dse"
-    ~descr:"greedy program-order factor-ladder DSE under a dataflow budget"
+(* greedy program-order factor-ladder DSE under a dataflow budget *)
+let greedy_pass ?checkpoint () =
+  Pass.v ~required:true ~name:"scalehls-greedy-dse"
     (fun (st : State.t) ->
       let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
       let func = st.State.func and device = st.State.device in
@@ -189,41 +179,17 @@ let greedy_pass ?checkpoint ?(on_result = fun _ -> ()) () =
           (Stage2.pruned s);
       let prog, directives, report = Stage2.incumbent s in
       let tile_vectors = Stage2.tile_vectors s in
-      let dse_time_s = Unix.gettimeofday () -. wall0 in
-      on_result
-        {
-          directives;
-          prog;
-          report;
-          dse_time_s;
-          tile_vectors;
-          evaluations = Stage2.evaluations s + !usage_checks;
-          pruned = Stage2.pruned s;
-        };
       {
         st with
         State.prog = Some prog;
         report = Some report;
         directives;
         tile_vectors;
+        evaluations = Stage2.evaluations s + !usage_checks;
         trace = st.State.trace @ Stage2.journal_notes s @ List.rev !trace;
-        dse_time_s = st.State.dse_time_s +. dse_time_s;
+        dse_time_s = st.State.dse_time_s +. (Unix.gettimeofday () -. wall0);
         dse_cpu_s = st.State.dse_cpu_s +. (Sys.time () -. cpu0);
       })
 
-let passes ?checkpoint ?on_result () =
-  [
-    interchange_pass ();
-    Passes.structural ();
-    greedy_pass ?checkpoint ?on_result ();
-  ]
-
-let run ?(device = Device.xc7z020) ?(dnn = false) func =
-  let result = ref None in
-  let latency_mode = if dnn then `Dataflow else `Sequential in
-  let _st, _records =
-    Pass.run
-      (passes ~on_result:(fun r -> result := Some r) ())
-      (State.init ~composition:Resource.Dataflow ~latency_mode ~device func)
-  in
-  match !result with Some r -> r | None -> assert false
+let passes ?checkpoint () =
+  [ interchange_pass (); Passes.structural (); greedy_pass ?checkpoint () ]

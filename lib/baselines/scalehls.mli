@@ -16,36 +16,19 @@
     - degraded search at very large problem sizes (>= 8192): only basic
       pipelining is applied (Fig. 12). *)
 
-open Pom_dsl
-
-type result = {
-  directives : Schedule.t list;
-  prog : Pom_polyir.Prog.t;
-  report : Pom_hls.Report.t;
-  dse_time_s : float;
-  tile_vectors : (string * int list) list;
-  evaluations : int;
-  pruned : int;
-      (** ladder rungs dropped by the analyzer's pre-pruning oracle before
-          synthesis (treated like factor saturation: backed out, climb
-          continues) *)
-}
-
-(** The flow's passes (interchange, structural fusion, greedy DSE — the
-    greedy pass fills the state's program/report slots itself and reports
-    the full search [result] through [on_result]), for embedding in a
-    larger pipeline.  Initialize the state with the dataflow composition
-    and the intended latency mode.  The greedy pass tries each rung with
-    {!Pom_dse.Stage2.step} and traces one line per rung.
+(** The flow's passes (interchange, structural fusion, greedy DSE): the
+    head of [Pom.compile]'s [`Scalehls] flow, which initializes the state
+    with the dataflow composition and appends the shared analysis,
+    synthesis and emission passes.  The greedy pass is required; it tries
+    each rung with {!Pom_dse.Stage2.step}, traces one line per rung (and an
+    [analyzer: N design points pruned] line when the analyzer's
+    pre-pruning oracle dropped any), and fills the state's program, report,
+    directives, tile vectors and evaluation count (priced rungs plus
+    per-unit usage checks).
 
     [checkpoint] names a crash-safe journal: every priced ladder rung is
     appended as it is evaluated, and a killed run resumed against the same
     journal is served the journaled rungs and re-derives the identical
     final design (see {!Pom_dse.Stage2.start}). *)
 val passes :
-  ?checkpoint:string ->
-  ?on_result:(result -> unit) ->
-  unit ->
-  Pom_pipeline.State.t Pom_pipeline.Pass.t list
-
-val run : ?device:Pom_hls.Device.t -> ?dnn:bool -> Func.t -> result
+  ?checkpoint:string -> unit -> Pom_pipeline.State.t Pom_pipeline.Pass.t list

@@ -41,11 +41,13 @@ type framework =
 
 type compiled = {
   framework : framework;
+  directives : Pom_dsl.Schedule.t list;
   prog : Pom_polyir.Prog.t;
   report : Pom_hls.Report.t;
   hls_c : string;
   dse_time_s : float;
   dse_cpu_s : float;
+  evaluations : int;
   tile_vectors : (string * int list) list;
   baseline_latency : int;
   passes : Pass.record list;
@@ -66,29 +68,6 @@ let head_passes ?checkpoint framework =
   | `Scalehls -> Baselines.Scalehls.passes ?checkpoint ()
   | `Pom_manual -> [ Passes.user_schedule (); Passes.schedule_apply () ]
   | `Pom_auto -> Dse.Engine.passes ?checkpoint ()
-
-(* The degradation contract, per pass.  A required pass produces the
-   artifact the compile exists to deliver — skipping it cannot yield a
-   usable result, so its failure always aborts with the typed error.
-   Everything else (directive accumulation, legality/lint/verify analyses)
-   degrades to a POM3xx warning diagnostic under [--on-error degrade]. *)
-let required_passes =
-  [
-    "schedule-apply";
-    "hls-synthesize";
-    "affine-lower";
-    "affine-simplify";
-    "emit-hls-c";
-    "stage1-transform";
-    "stage2-search";
-    "scalehls-greedy-dse";
-  ]
-
-let guard_pipeline ps =
-  List.map
-    (fun (p : State.t Pass.t) ->
-      Passes.guard ~required:(List.mem p.Pass.info.Pass.name required_passes) p)
-    ps
 
 let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
     ?(dnn = false) ?(dump_after = []) ?(verify_each = false)
@@ -117,8 +96,12 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
     | `Baseline | `Pluto | `Polsca | `Pom_manual | `Pom_auto ->
         (Pom_hls.Resource.Reuse, `Sequential)
   in
+  (* Each pass declares the degradation contract it keeps: a required pass
+     produces the artifact the compile exists to deliver, so its failure
+     always aborts with the typed error; everything else degrades to a
+     POM3xx warning diagnostic under [--on-error degrade]. *)
   let pipeline =
-    guard_pipeline
+    List.map Passes.guard
       (head_passes ?checkpoint framework
       @ [ Passes.legality_check (); Passes.lint_pragmas () ]
       @ Passes.tail ())
@@ -139,11 +122,13 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
   in
   {
     framework;
+    directives = st.State.directives;
     prog;
     report;
     hls_c;
     dse_time_s = st.State.dse_time_s;
     dse_cpu_s = st.State.dse_cpu_s;
+    evaluations = st.State.evaluations;
     tile_vectors = st.State.tile_vectors;
     baseline_latency;
     passes = records;
@@ -162,9 +147,5 @@ let speedup c =
 let validate func c = Pom_sim.Interp.divergence func c.prog
 
 let check_legality func c =
-  let original =
-    Pom_polyir.Prog.apply_all
-      (Pom_polyir.Prog.of_func_unscheduled func)
-      (Pom_baselines.Butil.structural_directives func)
-  in
-  Pom_polyir.Legality.violations ~original ~transformed:c.prog
+  Pom_polyir.Legality.violations ~original:(State.reference func)
+    ~transformed:c.prog

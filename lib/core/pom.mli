@@ -13,9 +13,10 @@
       Format.printf "%a@." Pom.Hls.Report.pp c.Pom.report
     ]}
 
-    Every flow is an instrumented pass pipeline ({!Pipeline.Pass}): each
-    step is a registered pass, and {!compile} returns one timing/statistics
-    record per pass. *)
+    Every flow is an instrumented pass pipeline ({!Pipeline.Pass}) and
+    {!compile} is the one way a framework's flow runs: it assembles the
+    flow's passes, guards each one by the degradation contract it
+    declares, and returns one timing/statistics record per pass. *)
 
 (** Re-exported subsystem entry points. *)
 
@@ -85,11 +86,15 @@ type framework =
 
 type compiled = {
   framework : framework;
+  directives : Pom_dsl.Schedule.t list;
+      (** the flow's full directive list, in application order *)
   prog : Pom_polyir.Prog.t;
   report : Pom_hls.Report.t;
   hls_c : string;  (** generated HLS C *)
   dse_time_s : float;  (** wall-clock search time; 0 for non-searching flows *)
   dse_cpu_s : float;  (** CPU search time ([Sys.time]) *)
+  evaluations : int;
+      (** QoR evaluations the flow's search made; 0 without a search *)
   tile_vectors : (string * int list) list;  (** empty for non-DSE flows *)
   baseline_latency : int;
   passes : Pom_pipeline.Pass.record list;
@@ -99,7 +104,8 @@ type compiled = {
   legality_violations : int;
       (** reversed dependences found by the legality-check pass *)
   trace : string list;
-      (** decision log: DSE search trace, memo summary, legality verdicts *)
+      (** decision log: DSE search trace, checkpoint notes, legality
+          verdicts *)
 }
 
 (** Compile a DSL function end-to-end through the selected flow.  [dnn]

@@ -16,13 +16,6 @@ let rec permutations = function
 let original_order (fine : Finegrain.t) =
   Pom_dsl.Compute.iter_names fine.compute
 
-let free_orders fine =
-  let dims = original_order fine in
-  List.filter
-    (fun order ->
-      Finegrain.legal_order fine ~order && Finegrain.innermost_free fine ~order)
-    (permutations dims)
-
 (* Interval arithmetic on optional bounds for the skewed component
    f*d1 + d2 (f > 0). *)
 let skew_box f d1 d2 box =
@@ -35,15 +28,13 @@ let skew_box f d1 d2 box =
 let skewed_fine (fine : Finegrain.t) f d1 d2 =
   { fine with Finegrain.self_deps = List.map (skew_box f d1 d2) fine.self_deps }
 
-(* Prefer orders close to the original: the original itself first, then
-   permutations in a stable order. *)
-let candidate_orders dims = permutations dims
-
 let suggest (fine : Finegrain.t) =
   let dims = original_order fine in
   if Finegrain.innermost_free fine ~order:dims then Keep
   else
-    let candidates = candidate_orders dims in
+    (* the original order itself first, then permutations in a stable
+       order *)
+    let candidates = permutations dims in
     match
       List.find_opt
         (fun order ->

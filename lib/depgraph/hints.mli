@@ -19,8 +19,4 @@ type suggestion =
     innermost loop for unrolling under an outer pipeline. *)
 val suggest : Finegrain.t -> suggestion
 
-(** All legal innermost-free loop orders (used to detect the conflicting
-    requirements of Fig. 10 between fused computes). *)
-val free_orders : Finegrain.t -> string list list
-
 val pp : Format.formatter -> suggestion -> unit

@@ -216,7 +216,11 @@ let units_of (prog : Prog.t) =
       u)
     ids
 
-let max_par ~par_cap u =
+(* A unit's parallelism degree is bounded by each member's two innermost
+   extents' product and by this cap per node. *)
+let par_cap = 64
+
+let max_par u =
   List.fold_left
     (fun acc (_, order, extents) ->
       let d = List.length order in
@@ -552,9 +556,8 @@ let default_steps par = [ par * 2; par * 3 / 2 ]
    reaches it; its pinned design depends on it. *)
 let max_iterations = 60
 
-let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
-    ?(par_cap = 64) ?bank_cap ?(steps = default_steps) ?checkpoint func
-    (stage1 : Stage1.t) =
+let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse) ?bank_cap
+    ?(steps = default_steps) ?checkpoint func (stage1 : Stage1.t) =
   start ?bank_cap ?checkpoint ~device ~composition func
     stage1.Stage1.directives
   @@ fun s ->
@@ -572,7 +575,7 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
     (fun u ->
       log "unit g%d {%s}: max parallelism %d" u.id
         (String.concat ", " (List.map (fun (c, _, _) -> c) u.members))
-        (max_par ~par_cap u))
+        (max_par u))
     units;
   let iterations = ref 0 in
   let continue_ = ref true in
@@ -592,7 +595,7 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse)
            node (the exit mechanism).  [try_par] is true when it settles
            the iteration: the step was accepted or the budget ran out. *)
         let try_par par =
-          if par <= u.par || par > max_par ~par_cap u then false
+          if par <= u.par || par > max_par u then false
           else begin
             let from = u.par and before = latency () in
             let accept _ (trial : Report.t) =

@@ -212,8 +212,8 @@ type result = {
   sched : sched;  (** read by perfbench/cold.ml *)
 }
 
-(** [run func stage1] performs the bottleneck-oriented search.
-    [par_cap] bounds the parallelism degree per node; [bank_cap] bounds
+(** [run func stage1] performs the bottleneck-oriented search.  The
+    parallelism degree per node is capped at 64; [bank_cap] bounds
     partition banks per array; [steps] is the user-specifiable strategy
     group of Section VI-B — given a node's current parallelism it returns
     the candidate degrees to try, first hit wins (default: double, then
@@ -234,7 +234,6 @@ type result = {
 val run :
   ?device:Pom_hls.Device.t ->
   ?composition:Pom_hls.Resource.composition ->
-  ?par_cap:int ->
   ?bank_cap:int ->
   ?steps:(int -> int list) ->
   ?checkpoint:string ->

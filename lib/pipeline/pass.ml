@@ -1,10 +1,6 @@
-type info = { name : string; descr : string }
+type 's t = { name : string; required : bool; run : 's -> 's }
 
-type 's t = { info : info; run : 's -> 's }
-
-let v ~name ~descr run =
-  Registry.register ~name ~descr;
-  { info = { name; descr }; run }
+let v ?(required = false) ~name run = { name; required; run }
 
 (* Wrap a pass in the resilience guard.  The wrapped pass:
    - is a fault-injection site named ["pass:<name>"];
@@ -15,21 +11,21 @@ let v ~name ~descr run =
      (the pass is skipped); a [required] pass always re-raises the typed
      error, as does everything when the policy is [Abort].
    [Fault.Killed] (simulated process death) is never absorbed. *)
-let guarded ?(required = false) ~diag p =
+let guarded ~diag p =
   let module R = Pom_resilience in
   let run st =
     try
-      R.Fault.point ("pass:" ^ p.info.name);
+      R.Fault.point ("pass:" ^ p.name);
       p.run st
     with
     | R.Fault.Killed _ as e -> raise e
     | e ->
-        let err = R.Error.of_exn ~code:"POM300" ~pass:p.info.name e in
-        if required || not (R.Policy.degrading ()) then
+        let err = R.Error.of_exn ~code:"POM300" ~pass:p.name e in
+        if p.required || not (R.Policy.degrading ()) then
           raise (R.Error.Error err)
         else diag st err
   in
-  { info = p.info; run }
+  { p with run }
 
 type record = {
   pass : string;
@@ -72,12 +68,12 @@ let run ?(instruments = observe_nothing) passes state =
         let apply hook = Option.map (fun f -> f st') hook in
         let record =
           {
-            pass = pass.info.name;
+            pass = pass.name;
             wall_s;
             cpu_s;
             stats = apply instruments.stats;
             dump =
-              (if wants_dump instruments pass.info.name then
+              (if wants_dump instruments pass.name then
                  apply instruments.dump
                else None);
             verdict =

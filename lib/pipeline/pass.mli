@@ -1,7 +1,7 @@
 (** A named compiler pass and an instrumented pass manager, in the style of
     MLIR's pass manager: every lowering/transform step of the compile flow is
-    a registered pass, and running a pipeline yields one {!record} per pass
-    with wall-clock and CPU timing, IR statistics, the optional IR dump
+    a pass, and running a pipeline yields one {!record} per pass with
+    wall-clock and CPU timing, IR statistics, the optional IR dump
     requested with [--dump-after], and the optional post-pass verification
     verdict requested with [--verify-each].
 
@@ -9,27 +9,25 @@
     drives the end-to-end compile state ({!State.t}), the DSE engine, and
     unit tests over toy states. *)
 
-type info = { name : string; descr : string }
+(** A pass carries everything the pass manager asks of it: its name (the
+    record's name and the [--dump-after] key), whether the compile needs
+    its output ([required], read by {!guarded}), and its transformation. *)
+type 's t = { name : string; required : bool; run : 's -> 's }
 
-type 's t = { info : info; run : 's -> 's }
-
-(** [v ~name ~descr f] creates a pass and registers its metadata in
-    {!Registry}. *)
-val v : name:string -> descr:string -> ('s -> 's) -> 's t
+(** [v ~name f] creates a pass; [required] defaults to [false]. *)
+val v : ?required:bool -> name:string -> ('s -> 's) -> 's t
 
 (** [guarded ~diag p] wraps [p] in the resilience guard: the wrapped pass
     is a fault-injection site ["pass:<name>"], and any failure — including
     a {!Pom_resilience.Budget.Budget_exceeded} deadline — becomes a typed
     {!Pom_resilience.Error.t} naming the pass.  When the ambient
-    {!Pom_resilience.Policy} is [Degrade] and the pass is not [required]
-    (default), the failure is recorded as a diagnostic through
-    [diag state err] (which should return the state with the diagnostic
-    attached) and the pipeline continues from the unmodified state;
-    otherwise the typed error is raised for the driver's exit-code
-    contract.  [Fault.Killed] always propagates — it simulates the process
-    dying at that point. *)
-val guarded :
-  ?required:bool -> diag:('s -> Pom_resilience.Error.t -> 's) -> 's t -> 's t
+    {!Pom_resilience.Policy} is [Degrade] and [p] is not [required], the
+    failure is recorded as a diagnostic through [diag state err] (which
+    should return the state with the diagnostic attached) and the pipeline
+    continues from the unmodified state; otherwise the typed error is
+    raised for the driver's exit-code contract.  [Fault.Killed] always
+    propagates — it simulates the process dying at that point. *)
+val guarded : diag:('s -> Pom_resilience.Error.t -> 's) -> 's t -> 's t
 
 (** What one pass did, measured by the manager. *)
 type record = {

@@ -1,7 +1,5 @@
 open Pom_dsl
 
-let structural_directives = State.structural_directives
-
 let prog_exn (st : State.t) what =
   match st.State.prog with
   | Some p -> p
@@ -32,21 +30,19 @@ let record_failure (st : State.t) (err : Pom_resilience.Error.t) =
         ];
   }
 
-let guard ?required p = Pass.guarded ?required ~diag:record_failure p
+let guard p = Pass.guarded ~diag:record_failure p
 
 let structural () =
   Pass.v ~name:"structural-directives"
-    ~descr:"append the specification's after/fuse structure"
     (fun (st : State.t) ->
       {
         st with
         State.directives =
-          st.State.directives @ structural_directives st.State.func;
+          st.State.directives @ State.structural_directives st.State.func;
       })
 
 let user_schedule () =
   Pass.v ~name:"user-schedule"
-    ~descr:"append the function's own scheduling primitives"
     (fun (st : State.t) ->
       {
         st with
@@ -54,8 +50,7 @@ let user_schedule () =
       })
 
 let schedule_apply () =
-  Pass.v ~name:"schedule-apply"
-    ~descr:"apply the accumulated directives to the polyhedral IR"
+  Pass.v ~required:true ~name:"schedule-apply"
     (fun (st : State.t) ->
       {
         st with
@@ -70,7 +65,6 @@ let legality_timeout_trace = "legality: timed out -> conservatively rejected"
 
 let legality_check () =
   Pass.v ~name:"legality-check"
-    ~descr:"prove the schedule preserves every dependence of the spec"
     (fun (st : State.t) ->
       match st.State.prog with
       | None ->
@@ -80,7 +74,8 @@ let legality_check () =
           }
       | Some prog -> (
           match
-            Pom_polyir.Legality.violations ~original:(State.reference st)
+            Pom_polyir.Legality.violations
+              ~original:(State.reference st.State.func)
               ~transformed:prog
           with
           | vs ->
@@ -123,7 +118,6 @@ let legality_check () =
 
 let lint_pragmas () =
   Pass.v ~name:"lint-pragmas"
-    ~descr:"dependence-aware lint of the requested HLS directives"
     (fun (st : State.t) ->
       let ds = Pom_analysis.Lint.lint (prog_exn st "lint-pragmas") in
       {
@@ -134,7 +128,6 @@ let lint_pragmas () =
 
 let verify_ir () =
   Pass.v ~name:"verify-ir"
-    ~descr:"verify the affine IR and prove every access stays in bounds"
     (fun (st : State.t) ->
       let prog = prog_exn st "verify-ir" in
       let ds = Pom_analysis.Verify_ir.verify ?affine:st.State.affine prog in
@@ -146,8 +139,7 @@ let verify_ir () =
       })
 
 let synthesize () =
-  Pass.v ~name:"hls-synthesize"
-    ~descr:"virtual HLS synthesis of the current design point"
+  Pass.v ~required:true ~name:"hls-synthesize"
     (fun (st : State.t) ->
       match st.State.report with
       | Some _ ->
@@ -162,8 +154,7 @@ let synthesize () =
           { st with State.report = Some report })
 
 let affine_lower () =
-  Pass.v ~name:"affine-lower"
-    ~descr:"lower the polyhedral AST to the annotated affine dialect"
+  Pass.v ~required:true ~name:"affine-lower"
     (fun (st : State.t) ->
       {
         st with
@@ -172,16 +163,14 @@ let affine_lower () =
       })
 
 let affine_simplify () =
-  Pass.v ~name:"affine-simplify"
-    ~descr:"merge, hoist, and elide guards on the affine level"
+  Pass.v ~required:true ~name:"affine-simplify"
     (fun (st : State.t) ->
       match st.State.affine with
       | Some f -> { st with State.affine = Some (Pom_affine.Passes.simplify f) }
       | None -> invalid_arg "affine-simplify: no affine IR in the state")
 
 let emit_hls_c () =
-  Pass.v ~name:"emit-hls-c"
-    ~descr:"emit HLS C with pragmas from the simplified affine program"
+  Pass.v ~required:true ~name:"emit-hls-c"
     (fun (st : State.t) ->
       match st.State.affine with
       | Some f -> { st with State.hls_c = Some (Pom_emit.Emit.hls_c f) }

@@ -1,10 +1,10 @@
-(** The passes shared by every compile flow.  Each is a registered
-    {!Pass.t} over {!State.t}; flows (POM auto, the baselines, manual
-    schedules) prepend their own transform passes and share this tail. *)
-
-(** Re-export of {!State.structural_directives}: the specification's
-    [after]/[fuse] structure at level >= 1. *)
-val structural_directives : Pom_dsl.Func.t -> Pom_dsl.Schedule.t list
+(** The passes shared by every compile flow.  Each is a {!Pass.t} over
+    {!State.t}; flows (POM auto, the baselines, manual schedules) prepend
+    their own transform passes and share this tail.  A pass whose output
+    the compile exists to deliver is created [required]: schedule
+    application, synthesis, lowering, simplification and emission.  The
+    analyses (legality, lint, verify-ir) and directive accumulation are
+    not. *)
 
 (** Record a degraded pass failure on the state: a warning diagnostic with
     the typed error's code/pass/context, plus a trace line. *)
@@ -12,7 +12,7 @@ val record_failure : State.t -> Pom_resilience.Error.t -> State.t
 
 (** [guard p] is {!Pass.guarded} with {!record_failure} as the diagnostic
     hook — the standard wrapping for every pass over {!State.t}. *)
-val guard : ?required:bool -> State.t Pass.t -> State.t Pass.t
+val guard : State.t Pass.t -> State.t Pass.t
 
 (** Append the specification's structural fusion directives. *)
 val structural : unit -> State.t Pass.t

@@ -17,6 +17,7 @@ type t = {
   hls_c : string option;
   dse_time_s : float;
   dse_cpu_s : float;
+  evaluations : int;
   tile_vectors : (string * int list) list;
   diags : Pom_analysis.Diagnostic.t list;
   legality_violations : int;
@@ -42,6 +43,7 @@ let init ?(composition = Pom_hls.Resource.Reuse) ?(latency_mode = `Sequential)
     hls_c = None;
     dse_time_s = 0.0;
     dse_cpu_s = 0.0;
+    evaluations = 0;
     tile_vectors = [];
     diags = [];
     legality_violations = 0;
@@ -77,17 +79,17 @@ let structural_directives func =
       | _ -> false)
     (Func.directives func)
 
-let reference t =
+let reference func =
   Pom_polyir.Prog.apply_all
-    (Pom_polyir.Prog.of_func_unscheduled t.func)
-    (structural_directives t.func)
+    (Pom_polyir.Prog.of_func_unscheduled func)
+    (structural_directives func)
 
 let verify t =
   match t.prog with
   | None -> "no polyhedral IR yet"
   | Some prog -> (
       match
-        Pom_polyir.Legality.violations ~original:(reference t)
+        Pom_polyir.Legality.violations ~original:(reference t.func)
           ~transformed:prog
       with
       | [] -> "legal"

@@ -26,6 +26,9 @@ type t = {
   hls_c : string option;
   dse_time_s : float;  (** wall-clock DSE time (0 for non-searching flows) *)
   dse_cpu_s : float;  (** CPU DSE time *)
+  evaluations : int;
+      (** QoR evaluations the flow's search made (0 for non-searching
+          flows) *)
   tile_vectors : (string * int list) list;
   diags : Pom_analysis.Diagnostic.t list;
       (** analyzer output accumulated by the verify/lint passes, in order *)
@@ -60,8 +63,10 @@ val dump : t -> string
 val structural_directives : Func.t -> Schedule.t list
 
 (** The structural reference program legality is checked against: the
-    unscheduled lowering plus the specification's own fusion structure. *)
-val reference : t -> Pom_polyir.Prog.t
+    unscheduled lowering plus the specification's own fusion structure.
+    The legality-check pass, {!verify}, [Pom.check_legality] and the
+    semantic refute oracle all check against it. *)
+val reference : Func.t -> Pom_polyir.Prog.t
 
 (** Post-pass verification verdict: polyhedral legality against
     {!reference}. *)

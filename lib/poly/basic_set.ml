@@ -133,23 +133,10 @@ let compact constrs =
   prune None [] constrs
 
 (* FM blowup guard: one elimination may not materialize more combined
-   constraints than this before compaction.  The default sits far above
-   anything a well-formed kernel produces; lowering it turns pathological
-   projections into a typed [Budget_exceeded] instead of a quadratic spin.
-   An [Atomic] so a compile on the daemon's executor thread sees an
-   override set on another thread. *)
-let default_projection_cap = 20_000
-
-let cap = Atomic.make default_projection_cap
-
-let projection_cap () = Atomic.get cap
-
-let set_projection_cap n = Atomic.set cap (max 1 n)
-
-let with_projection_cap n f =
-  let prev = Atomic.get cap in
-  set_projection_cap n;
-  Fun.protect ~finally:(fun () -> Atomic.set cap prev) f
+   constraints than this before compaction.  It sits far above anything a
+   well-formed kernel produces and turns a pathological projection into a
+   typed [Budget_exceeded] instead of a quadratic spin. *)
+let projection_cap = 20_000
 
 let bounds_of d s =
   let lowers = ref [] and uppers = ref [] and rest = ref [] in
@@ -205,7 +192,7 @@ let project_out d s =
           let lowers, uppers, rest = bounds_of d s in
           let n_low = List.length lowers and n_up = List.length uppers in
           let materialized = (n_low * n_up) + List.length rest in
-          if materialized > Atomic.get cap then
+          if materialized > projection_cap then
             raise
               (Pom_resilience.Budget.Budget_exceeded
                  {
@@ -214,7 +201,7 @@ let project_out d s =
                      Printf.sprintf
                        "eliminating %s would combine %d lower x %d upper \
                         bounds into %d constraints (cap %d)"
-                       d n_low n_up materialized (Atomic.get cap);
+                       d n_low n_up materialized projection_cap;
                  });
           Pom_resilience.Budget.check fm_site;
           List.concat_map

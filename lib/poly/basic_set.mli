@@ -53,26 +53,11 @@ val fix_dim : string -> int -> t -> t
     overapproximation.
 
     FM combination is quadratic per elimination: a projection that would
-    materialize more intermediate constraints than the current
-    {!projection_cap} raises {!Pom_resilience.Budget.Budget_exceeded}
-    instead of spinning, and every combination step also ticks the ambient
+    materialize more than 20,000 intermediate constraints raises
+    {!Pom_resilience.Budget.Budget_exceeded} at [poly:fm-projection]
+    instead of spinning, and every elimination also checks the ambient
     {!Pom_resilience.Budget}, so a deadline bounds chained projections. *)
 val project_out : string -> t -> t
-
-(** The library-level blowup guard on one FM elimination: the maximum
-    number of combined constraints {!project_out} may materialize before
-    compaction.  Defaults to a value far above anything a well-formed
-    kernel produces; lower it to make pathological projections fail fast
-    as a typed [Budget_exceeded]. *)
-val projection_cap : unit -> int
-
-val default_projection_cap : int
-
-(** Set the cap ([max 1]). *)
-val set_projection_cap : int -> unit
-
-(** Run [f] under a temporary cap, restoring the previous one after. *)
-val with_projection_cap : int -> (unit -> 'a) -> 'a
 
 (** [project_onto keep s] eliminates all dimensions not in [keep], preserving
     the relative order of [keep] as in [s] (names in [keep] but not in [s]

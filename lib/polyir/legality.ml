@@ -151,9 +151,6 @@ let violations ~original ~transformed =
   List.sort_uniq compare_violation
     (List.concat_map (fun a -> List.concat_map (pair_violations a) as_b) as_a)
 
-let is_legal ~original ~transformed =
-  violations ~original ~transformed = []
-
 let pp_violation ppf v =
   Format.fprintf ppf "%s dependence %s -> %s on %s reversed"
     (match v.kind with `Raw -> "RAW" | `War -> "WAR" | `Waw -> "WAW")

@@ -24,6 +24,4 @@ type violation = {
     directives). *)
 val violations : original:Prog.t -> transformed:Prog.t -> violation list
 
-val is_legal : original:Prog.t -> transformed:Prog.t -> bool
-
 val pp_violation : Format.formatter -> violation -> unit

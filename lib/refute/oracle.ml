@@ -216,15 +216,10 @@ let check_poly (p : Case.poly) =
 
 (* ---------- semantic oracle ---------- *)
 
-let structural_program f =
-  Pom_polyir.Prog.apply_all
-    (Pom_polyir.Prog.of_func_unscheduled f)
-    (Pom_pipeline.State.structural_directives f)
-
 let check_semantic f =
   let loc = [ "refute"; "semantic" ] in
   match
-    let original = structural_program f in
+    let original = Pom_pipeline.State.reference f in
     let transformed = Pom_polyir.Prog.of_func f in
     `Built (original, transformed)
   with
@@ -277,15 +272,7 @@ let analysis_sites = [ "legality:pair"; "poly:fm-projection" ]
 
 let manual_pipeline () =
   let open Pom_pipeline in
-  let required =
-    [
-      "schedule-apply"; "hls-synthesize"; "affine-lower"; "affine-simplify";
-      "emit-hls-c";
-    ]
-  in
-  List.map
-    (fun (p : State.t Pass.t) ->
-      Passes.guard ~required:(List.mem p.Pass.info.Pass.name required) p)
+  List.map Passes.guard
     ([
        Passes.user_schedule ();
        Passes.schedule_apply ();

@@ -1,67 +1,69 @@
+(* The comparator flows, compiled end to end through [Pom.compile]: each
+   design below also passed legality, lint, lowering, verify-ir and
+   emission. *)
+
 open Pom_baselines
 open Pom_workloads
 
 let speedup func (r : Pom_hls.Report.t) =
   Pom_hls.Report.speedup ~baseline:(Pom_hls.Report.baseline_latency func) r
 
+let pluto = Pom.compile ~framework:`Pluto
+
+let polsca = Pom.compile ~framework:`Polsca
+
+let scalehls = Pom.compile ~framework:`Scalehls
+
 let test_pluto_no_pragmas () =
-  let func = Polybench.gemm 256 in
-  let r = Pluto.run func in
+  let c = pluto (Polybench.gemm 256) in
   Alcotest.(check (list (pair int int))) "no pipelines" []
-    r.Pluto.report.Pom_hls.Report.iis;
+    c.Pom.report.Pom_hls.Report.iis;
   (* CPU-oriented tiling yields no FPGA speedup *)
-  Alcotest.(check bool) "about 1x" true
-    (speedup func r.Pluto.report < 2.0)
+  Alcotest.(check bool) "about 1x" true (Pom.speedup c < 2.0)
 
 let test_pluto_tiles () =
-  let func = Polybench.gemm 256 in
-  let r = Pluto.run func in
+  let c = pluto (Polybench.gemm 256) in
   let has_split =
     List.exists
       (fun d -> match d with Pom_dsl.Schedule.Split _ -> true | _ -> false)
-      r.Pluto.directives
+      c.Pom.directives
   in
   Alcotest.(check bool) "tiling applied" true has_split
 
 let test_polsca_dependence_limited () =
-  let func = Polybench.gemm 4096 in
-  let r = Polsca.run func in
+  let c = polsca (Polybench.gemm 4096) in
   (* pipelining without restructuring: II set by the reduction chain *)
-  let ii = List.assoc 0 r.Polsca.report.Pom_hls.Report.iis in
+  let ii = List.assoc 0 c.Pom.report.Pom_hls.Report.iis in
   Alcotest.(check int) "II = recurrence" 7 ii;
-  let s = speedup func r.Polsca.report in
+  let s = Pom.speedup c in
   Alcotest.(check bool) "about 2.3x" true (s > 1.5 && s < 4.0)
 
 let test_polsca_no_partitions () =
-  let func = Polybench.gemm 4096 in
-  let r = Polsca.run func in
+  let c = polsca (Polybench.gemm 4096) in
   let has_partition =
     List.exists
       (fun d -> match d with Pom_dsl.Schedule.Partition _ -> true | _ -> false)
-      r.Polsca.directives
+      c.Pom.directives
   in
   Alcotest.(check bool) "no partitioning" false has_partition
 
 let test_scalehls_beats_polsca_on_gemm () =
-  let func = Polybench.gemm 1024 in
-  let s = Scalehls.run func in
-  let p = Polsca.run (Polybench.gemm 1024) in
+  let s = scalehls (Polybench.gemm 1024) in
+  let p = polsca (Polybench.gemm 1024) in
   Alcotest.(check bool) "scalehls ahead of polsca" true
-    (speedup func s.Scalehls.report > speedup func p.Polsca.report)
+    (Pom.speedup s > Pom.speedup p)
 
 let test_scalehls_bicg_tight () =
   (* applying one interchange to the fused nest leaves s_s tight: II blows
      up (the Fig. 2(d) schedule) *)
-  let func = Polybench.bicg 1024 in
-  let s = Scalehls.run func in
-  let ii = List.assoc 0 s.Scalehls.report.Pom_hls.Report.iis in
+  let s = scalehls (Polybench.bicg 1024) in
+  let ii = List.assoc 0 s.Pom.report.Pom_hls.Report.iis in
   Alcotest.(check bool) "large II" true (ii > 10)
 
 let test_scalehls_greedy_order () =
-  let func = Polybench.mm3 2048 in
-  let s = Scalehls.run func in
+  let s = scalehls (Polybench.mm3 2048) in
   let par name =
-    match List.assoc_opt name s.Scalehls.tile_vectors with
+    match List.assoc_opt name s.Pom.tile_vectors with
     | Some v -> List.fold_left ( * ) 1 v
     | None -> 0
   in
@@ -70,28 +72,26 @@ let test_scalehls_greedy_order () =
     (par "mm_e" >= par "mm_g")
 
 let test_scalehls_no_skew () =
-  let func = Polybench.seidel ~tsteps:8 512 in
-  let s = Scalehls.run func in
+  let s = scalehls (Polybench.seidel ~tsteps:8 512) in
   let has_skew =
     List.exists
       (fun d -> match d with Pom_dsl.Schedule.Skew _ -> true | _ -> false)
-      s.Scalehls.directives
+      s.Pom.directives
   in
   Alcotest.(check bool) "no skewing" false has_skew
 
 let test_scalehls_huge_size_pipeline_only () =
-  let func = Polybench.gemm 8192 in
-  let s = Scalehls.run func in
+  let s = scalehls (Polybench.gemm 8192) in
   let pars =
-    List.map (fun (_, v) -> List.fold_left ( * ) 1 v) s.Scalehls.tile_vectors
+    List.map (fun (_, v) -> List.fold_left ( * ) 1 v) s.Pom.tile_vectors
   in
   Alcotest.(check (list int)) "par 1 only at 8192" [ 1 ] pars
 
 let test_scalehls_correctness () =
   let func = Polybench.bicg 8 in
-  let s = Scalehls.run func in
+  let s = scalehls func in
   Alcotest.(check (float 0.0)) "schedule preserves semantics" 0.0
-    (Pom_sim.Interp.divergence func s.Scalehls.prog)
+    (Pom_sim.Interp.divergence func s.Pom.prog)
 
 let test_manual_between_unopt_and_dse () =
   let n = 1024 in

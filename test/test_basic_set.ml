@@ -289,35 +289,23 @@ let test_fm_projection_stays_bounded () =
 
 let test_fm_projection_cap () =
   (* the library-level cap bounds the constraints a single elimination may
-     materialize; an absurdly low cap must trip it as a typed budget
-     failure, and the previous cap must be restored afterwards *)
-  let dims = [ "a"; "b"; "c"; "d"; "e"; "f" ] in
-  let chain =
-    let rec pairs = function
-      | x :: (y :: _ as rest) -> Constr.le (v x) (v y) :: pairs rest
-      | [ _ ] | [] -> []
+     materialize: [n] lower and [n] upper bounds on [b], plus one
+     constraint without it, combine into n * n + 1 constraints.  At n = 142
+     (20,165) that trips the cap of 20,000 as a typed budget failure before
+     anything is combined; at n = 141 (19,882) the projection goes
+     through. *)
+  let bounded n =
+    let bounds k =
+      [ Constr.ge (v "b") (c k); Constr.le (v "b") (c (1000 + k)) ]
     in
-    (Constr.ge (v "a") (c 0) :: pairs dims)
-    @ [ Constr.le (v "f") (c 40) ]
-    @ List.map (fun d -> Constr.ge (v d) (c (-5))) dims
-    @ List.map (fun d -> Constr.le (v d) (c 100)) dims
+    Basic_set.make [ "a"; "b" ]
+      (Constr.ge (v "a") (c 0) :: List.concat_map bounds (List.init n Fun.id))
   in
-  let s = Basic_set.make dims chain in
-  let s = Basic_set.intersect s s in
-  Alcotest.(check int)
-    "default cap" Basic_set.default_projection_cap
-    (Basic_set.projection_cap ());
-  (match
-     Basic_set.with_projection_cap 2 (fun () -> Basic_set.project_out "b" s)
-   with
+  (match Basic_set.project_out "b" (bounded 142) with
   | exception Pom_resilience.Budget.Budget_exceeded { site; _ } ->
       Alcotest.(check string) "site" "poly:fm-projection" site
   | _ -> Alcotest.fail "expected the projection cap to trip");
-  Alcotest.(check int)
-    "cap restored" Basic_set.default_projection_cap
-    (Basic_set.projection_cap ());
-  (* a generous cap admits the same projection untouched *)
-  let p = Basic_set.with_projection_cap 10_000 (fun () -> Basic_set.project_out "b" s) in
+  let p = Basic_set.project_out "b" (bounded 141) in
   Alcotest.(check bool) "dim gone" false (List.mem "b" (Basic_set.dims p))
 
 (* Oracles: [compact] and [is_obviously_empty] as they were written before

@@ -216,6 +216,33 @@ let test_connect_diagnostics () =
         "analysis:" );
     ]
 
+(* A --dump-after name that no pass of the compile carries only warns:
+   the compile succeeds, and the warning lists the names of the flow's own
+   passes, sorted. *)
+let test_dump_after_unknown () =
+  List.iter
+    (fun (framework, known) ->
+      let code, err =
+        run_stderr
+          (Printf.sprintf "-w gemm -s 64 -f %s --dump-after nosuch" framework)
+      in
+      Alcotest.(check int) (framework ^ ": exit code") 0 code;
+      Alcotest.(check string)
+        (framework ^ ": the warning")
+        ("warning: --dump-after nosuch matches no registered pass (known: "
+       ^ known ^ ")\n")
+        err)
+    [
+      ( "pom",
+        "affine-lower, affine-simplify, emit-hls-c, hls-synthesize, \
+         legality-check, lint-pragmas, stage1-transform, stage2-search, \
+         verify-ir" );
+      ( "pluto",
+        "affine-lower, affine-simplify, emit-hls-c, hls-synthesize, \
+         legality-check, lint-pragmas, pluto-locality-tiling, \
+         schedule-apply, structural-directives, verify-ir" );
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -237,5 +264,7 @@ let () =
             test_cycle_count_overflow;
           Alcotest.test_case "--connect diagnostics" `Quick
             test_connect_diagnostics;
+          Alcotest.test_case "--dump-after unknown pass" `Quick
+            test_dump_after_unknown;
         ] );
     ]

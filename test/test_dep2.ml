@@ -2,84 +2,6 @@ open Pom_poly
 
 let v = Linexpr.var
 
-let c = Linexpr.const
-
-let box dims_bounds =
-  Basic_set.make
-    (List.map (fun (d, _, _) -> d) dims_bounds)
-    (List.concat_map
-       (fun (d, lo, hi) ->
-         [ Constr.ge (v d) (c lo); Constr.le (v d) (c (hi - 1)) ])
-       dims_bounds)
-
-let side ?(pos = 0) dims_bounds order array indices =
-  {
-    Dep2.domain = box dims_bounds;
-    sched = Sched.set_const (Sched.initial order) 0 pos;
-    access = Dep.access array indices;
-  }
-
-(* producer S0 writes B(i), consumer S1 reads B(i), sequenced S0 then S1 *)
-let test_forward_producer_consumer () =
-  let s0 = side ~pos:0 [ ("i", 0, 8) ] [ "i" ] "B" [ v "i" ] in
-  let s1 = side ~pos:1 [ ("i", 0, 8) ] [ "i" ] "B" [ v "i" ] in
-  Alcotest.(check bool) "forward dependence exists" true
-    (Dep2.exists_forward ~source:s0 ~sink:s1);
-  Alcotest.(check bool) "no backward pair" false
-    (Dep2.exists_backward ~source:s0 ~sink:s1)
-
-let test_reversed_sequencing_flips () =
-  (* same accesses, but the consumer is scheduled first *)
-  let s0 = side ~pos:1 [ ("i", 0, 8) ] [ "i" ] "B" [ v "i" ] in
-  let s1 = side ~pos:0 [ ("i", 0, 8) ] [ "i" ] "B" [ v "i" ] in
-  Alcotest.(check bool) "backward pair exists" true
-    (Dep2.exists_backward ~source:s0 ~sink:s1);
-  Alcotest.(check bool) "no forward pair" false
-    (Dep2.exists_forward ~source:s0 ~sink:s1)
-
-let test_different_arrays_never_conflict () =
-  let s0 = side ~pos:0 [ ("i", 0, 8) ] [ "i" ] "B" [ v "i" ] in
-  let s1 = side ~pos:1 [ ("i", 0, 8) ] [ "i" ] "C" [ v "i" ] in
-  Alcotest.(check bool) "no conflict" false
-    (Dep2.exists_forward ~source:s0 ~sink:s1)
-
-(* fused ping-pong: writer at (t, i), reader of the shifted element at
-   (t, i+1) in the same time step -- the time loop carries part of the
-   conflict, the inner position the rest *)
-let test_fused_time_loop () =
-  let w =
-    {
-      Dep2.domain = box [ ("t", 0, 4); ("i", 1, 7) ];
-      sched = Sched.initial [ "t"; "i" ];
-      access = Dep.access "A" [ v "i" ];
-    }
-  in
-  let r =
-    {
-      Dep2.domain = box [ ("t", 0, 4); ("i", 1, 7) ];
-      sched = Sched.set_const (Sched.initial [ "t"; "i" ]) 1 1;
-      access = Dep.access "A" [ Linexpr.sub (v "i") (c 1) ];
-    }
-  in
-  Alcotest.(check bool) "conflict exists" true (Dep2.exists_forward ~source:w ~sink:r)
-
-let test_time_distance () =
-  (* S0 writes B(i) at time (0, i, 0); S1 reads B(i) at (0, i, 1) fused:
-     distance at the loop level is 0, at the inner scalar level is 1 *)
-  let s0 = side [ ("i", 0, 8) ] [ "i" ] "B" [ v "i" ] in
-  let s1 =
-    {
-      Dep2.domain = box [ ("i", 0, 8) ];
-      sched = Sched.set_const (Sched.initial [ "i" ]) 1 1;
-      access = Dep.access "B" [ v "i" ];
-    }
-  in
-  match Dep2.time_distance ~source:s0 ~sink:s1 with
-  | Some [ _, _; Some lo, Some hi; Some slo, _ ] ->
-      Alcotest.(check (pair int int)) "loop-level distance zero" (0, 0) (lo, hi);
-      Alcotest.(check int) "scalar sequenced" 1 slo
-  | _ -> Alcotest.fail "expected three-level distance"
-
 let test_order_branches () =
   (* (0, x, 0) < (0, y, 1): either x < y, or x = y (scalar 0 < 1) *)
   let a = [ Dep2.C 0; Dep2.V (v "x"); Dep2.C 0 ] in
@@ -101,14 +23,6 @@ let () =
     [
       ( "unit",
         [
-          Alcotest.test_case "producer/consumer forward" `Quick
-            test_forward_producer_consumer;
-          Alcotest.test_case "reversed sequencing" `Quick
-            test_reversed_sequencing_flips;
-          Alcotest.test_case "different arrays" `Quick
-            test_different_arrays_never_conflict;
-          Alcotest.test_case "fused time loop" `Quick test_fused_time_loop;
-          Alcotest.test_case "time distance" `Quick test_time_distance;
           Alcotest.test_case "order branches" `Quick test_order_branches;
           Alcotest.test_case "alignment" `Quick test_align;
         ] );

@@ -134,16 +134,6 @@ let test_hints_seidel_skew () =
       Alcotest.(check bool) "positive factor" true (factor >= 1)
   | other -> Alcotest.failf "expected skew hint, got %a" Hints.pp other
 
-let test_free_orders () =
-  let fine = accumulating () in
-  let frees = Hints.free_orders fine in
-  Alcotest.(check bool) "some free order exists" true (frees <> []);
-  List.iter
-    (fun order ->
-      Alcotest.(check bool) "each is innermost-free" true
-        (Finegrain.innermost_free fine ~order))
-    frees
-
 let () =
   Alcotest.run "depgraph"
     [
@@ -164,6 +154,5 @@ let () =
           Alcotest.test_case "gemm wants reorder" `Quick test_hints_gemm;
           Alcotest.test_case "outer-carried keeps order" `Quick test_hints_keep;
           Alcotest.test_case "seidel wants skew" `Quick test_hints_seidel_skew;
-          Alcotest.test_case "free orders" `Quick test_free_orders;
         ] );
     ]

@@ -161,19 +161,14 @@ let contains line sub =
   in
   has 0
 
-(* The ScaleHLS flow on [func]: the greedy pass's result and the flow's
-   trace. *)
-let scalehls_search func =
-  let result = ref None in
-  let st, _ =
-    Pom_pipeline.Pass.run
-      (Pom_baselines.Scalehls.passes
-         ~on_result:(fun r -> result := Some r)
-         ())
-      (Pom_pipeline.State.init ~composition:Pom_hls.Resource.Dataflow
-         ~device:Pom_hls.Device.xc7z020 func)
-  in
-  (Option.get !result, st.Pom_pipeline.State.trace)
+(* The count the ScaleHLS trace's [analyzer:] line reports; 0 without
+   one. *)
+let analyzer_pruned trace =
+  List.fold_left
+    (fun n line ->
+      try Scanf.sscanf line "analyzer: %d design points pruned" Fun.id
+      with Scanf.Scan_failure _ | End_of_file -> n)
+    0 trace
 
 (* The target cycles of the last line reading "... accepted (a -> b
    cycles)". *)
@@ -201,22 +196,24 @@ let test_trace_records_decisions () =
   (* the ScaleHLS ladder traces every rung *)
   List.iter
     (fun (name, func) ->
-      let r, trace = scalehls_search func in
-      let rungs = List.filter (fun line -> contains line "rung g") trace in
+      let c = Pom.compile ~framework:`Scalehls func in
+      let rungs =
+        List.filter (fun line -> contains line "rung g") c.Pom.trace
+      in
       Alcotest.(check bool)
         (name ^ ": an accepted rung")
         true
         (List.exists (fun line -> contains line " accepted (") rungs);
       Alcotest.(check int)
         (name ^ ": one line per pruned rung")
-        r.Pom_baselines.Scalehls.pruned
+        (analyzer_pruned c.Pom.trace)
         (List.length
            (List.filter
               (fun line -> contains line "pruned by the analyzer")
               rungs));
       Alcotest.(check (option int))
         (name ^ ": the last accepted rung reaches the design's latency")
-        (Some r.Pom_baselines.Scalehls.report.Pom_hls.Report.latency)
+        (Some c.Pom.report.Pom_hls.Report.latency)
         (last_accepted_cycles rungs))
     [
       ("2mm", Polybench.mm2 32);
@@ -661,8 +658,7 @@ let scalehls_base func =
     Pom_pipeline.Pass.run
       (List.filter
          (fun (p : _ Pom_pipeline.Pass.t) ->
-           p.Pom_pipeline.Pass.info.Pom_pipeline.Pass.name
-           <> "scalehls-greedy-dse")
+           p.Pom_pipeline.Pass.name <> "scalehls-greedy-dse")
          (Pom_baselines.Scalehls.passes ()))
       (Pom_pipeline.State.init ~device:Pom_hls.Device.xc7z020 func)
   in

@@ -267,13 +267,10 @@ let test_dse_faster_than_scalehls_search () =
   (* Table III: POM's bottleneck-oriented DSE needs fewer QoR evaluations
      than ScaleHLS's dense-ladder greedy search (the deterministic
      counterpart of the DSE-time column) *)
-  let pom =
-    Pom.Dse.Engine.run (Polybench.mm3 2048)
-  in
-  let shls = Pom.Baselines.Scalehls.run (Polybench.mm3 2048) in
+  let pom = Pom.compile ~framework:`Pom_auto (Polybench.mm3 2048) in
+  let shls = Pom.compile ~framework:`Scalehls (Polybench.mm3 2048) in
   Alcotest.(check bool) "pom needs fewer evaluations" true
-    (pom.Pom.Dse.Engine.result.Pom.Dse.Stage2.evaluations
-    <= shls.Pom.Baselines.Scalehls.evaluations)
+    (pom.Pom.evaluations <= shls.Pom.evaluations)
 
 let test_legality_of_compiled_schedules () =
   List.iter

@@ -12,7 +12,8 @@ let structural func =
          | _ -> false)
        (Func.directives func))
 
-let check func prog = Legality.is_legal ~original:(structural func) ~transformed:prog
+let check func prog =
+  Legality.violations ~original:(structural func) ~transformed:prog = []
 
 let test_identity_legal () =
   let f = Polybench.gemm 8 in

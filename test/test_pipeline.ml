@@ -1,6 +1,5 @@
 (* The instrumented pass manager: ordering, timing/statistics records,
-   dump-after and verify hooks, the registry, and the compile flows built
-   on it. *)
+   dump-after and verify hooks, and the compile flows built on it. *)
 
 open Pom_pipeline
 open Pom_workloads
@@ -9,10 +8,9 @@ let device = Pom_hls.Device.xc7z020
 
 (* -------- pass manager over a toy state -------- *)
 
-let incr_pass = Pass.v ~name:"test-incr" ~descr:"toy: add one" (fun n -> n + 1)
+let incr_pass = Pass.v ~name:"test-incr" (fun n -> n + 1)
 
-let double_pass =
-  Pass.v ~name:"test-double" ~descr:"toy: double" (fun n -> n * 2)
+let double_pass = Pass.v ~name:"test-double" (fun n -> n * 2)
 
 let test_ordering () =
   let final, records = Pass.run [ incr_pass; double_pass; incr_pass ] 3 in
@@ -59,26 +57,6 @@ let test_instruments () =
   in
   Alcotest.(check bool) "all passes dumped" true
     (List.for_all (fun (r : Pass.record) -> r.Pass.dump <> None) records)
-
-let test_registry () =
-  ignore (Passes.tail ());
-  ignore (Passes.structural ());
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " registered") true (Registry.mem name))
-    [
-      "structural-directives";
-      "hls-synthesize";
-      "affine-lower";
-      "affine-simplify";
-      "emit-hls-c";
-      "test-incr";
-    ];
-  Alcotest.(check bool) "unknown pass not registered" false
-    (Registry.mem "no-such-pass");
-  let names = List.map fst (Registry.all ()) in
-  Alcotest.(check bool) "registry listing sorted" true
-    (List.sort compare names = names)
 
 (* -------- the end-to-end compile flows -------- *)
 
@@ -171,7 +149,6 @@ let () =
         [
           Alcotest.test_case "ordering and records" `Quick test_ordering;
           Alcotest.test_case "instrument hooks" `Quick test_instruments;
-          Alcotest.test_case "registry" `Quick test_registry;
         ] );
       ( "compile",
         [
