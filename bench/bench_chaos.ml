@@ -23,8 +23,8 @@
    - executor-crash:    server:executor=fail@1 crashes the executor on
                         the first request (typed POM312, exit 3); the
                         respawned executor serves the second request
-                        (exit 0, golden design) and --health reports the
-                        respawn.
+                        (exit 0, golden design) and --server-stats reports
+                        the respawn.
 
    The schedule is a splitmix-style PRNG seeded from POM_CHAOS_SEED
    (default 42): kill delays, truncation lengths, and scenario order are
@@ -241,20 +241,20 @@ let journal_truncate round =
       start_daemon ~extra:[ "--cache-journal"; journal ] socket
     in
     let again = run_cli (base_args @ [ "--connect"; socket ]) in
-    let health = run_cli ~timeout_s:20.0 [ "--health"; socket ] in
+    let status = run_cli ~timeout_s:20.0 [ "--server-stats"; socket ] in
     stop_daemon socket dpid;
     (try Sys.remove journal with Sys_error _ -> ());
     let v2 = check ~scenario:"journal-truncate" ~round ~expect_exit:0 again in
     if not v2.pass then v2
     else begin
-      match health with
+      match status with
       | Exited 0, _, _ -> v2
       | _ ->
           {
             scenario = "journal-truncate";
             round;
             pass = false;
-            detail = "--health failed after journal replay";
+            detail = "--server-stats failed after journal replay";
           }
     end
   end
@@ -266,7 +266,7 @@ let executor_crash round =
   in
   let first = run_cli (base_args @ [ "--connect"; socket ]) in
   let second = run_cli (base_args @ [ "--connect"; socket ]) in
-  let health = run_cli ~timeout_s:20.0 [ "--health"; socket ] in
+  let status = run_cli ~timeout_s:20.0 [ "--server-stats"; socket ] in
   stop_daemon socket dpid;
   let _, _, first_errs = first in
   if
@@ -283,14 +283,14 @@ let executor_crash round =
     let v = check ~scenario:"executor-crash" ~round ~expect_exit:0 second in
     if not v.pass then v
     else begin
-      match health with
-      | Exited 0, hlines, _ when any_line_with "1 respawn" hlines -> v
+      match status with
+      | Exited 0, lines, _ when any_line_with "1 respawn" lines -> v
       | _ ->
           {
             scenario = "executor-crash";
             round;
             pass = false;
-            detail = "--health did not report the executor respawn";
+            detail = "--server-stats did not report the executor respawn";
           }
     end
 

@@ -149,6 +149,12 @@ let print_remote_result ~workload ~size ~framework ~served ~trace ~emit_c
     ~legality_violations:r.Pom_server.Protocol.legality_violations
     r.Pom_server.Protocol.diags
 
+let report_version_skew ~expected ~got =
+  Printf.eprintf
+    "error [POM309]: server speaks protocol version %d, this client expects \
+     %d\n"
+    got expected
+
 (* --connect: ship the scheduled function to a --serve daemon and print
    the wire-returned artifact in the local report shape.  Transport
    failures are retried under the --retries/--retry-backoff policy; when
@@ -163,11 +169,7 @@ let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
       ~use_cache ~client:"pom_compile" func
   in
   let policy =
-    {
-      Pom.Resilience.Retry.default with
-      Pom.Resilience.Retry.retries;
-      base_s = retry_backoff;
-    }
+    { Pom.Resilience.Retry.retries; base_s = retry_backoff }
   in
   let attempts = ref 1 in
   let on_retry ~attempt ~delay_s e =
@@ -182,41 +184,23 @@ let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
        compiling locally\n\
        %!"
       socket !attempts (Printexc.to_string e);
-    match
-      Pom.compile ~device ~framework:fw ~dnn ?deadline_s:deadline func
-    with
-    | c ->
-        let r = Pom_server.Protocol.result_of_compiled c in
-        let r =
-          {
-            r with
-            Pom_server.Protocol.trace =
-              r.Pom_server.Protocol.trace
-              @ [
-                  Printf.sprintf
-                    "fallback: server %s unreachable; compiled locally" socket;
-                ];
-          }
-        in
-        print_remote_result ~workload ~size ~framework
-          ~served:
-            (Printf.sprintf "local fallback (server unreachable after %d \
-                             attempt(s))"
-               !attempts)
-          ~trace ~emit_c ~lint ~werror r
-    | exception Pom.Resilience.Fault.Killed site ->
-        Format.eprintf "error [POM305]: injected kill at %s@." site;
-        3
-    | exception
-        (( Pom.Resilience.Error.Error _
-         | Pom.Resilience.Budget.Budget_exceeded _ ) as e) ->
-        let err =
-          match e with
-          | Pom.Resilience.Error.Error t -> t
-          | e -> Pom.Resilience.Error.of_exn ~code:"POM301" e
-        in
-        Format.eprintf "%s@." (Pom.Resilience.Error.to_string err);
-        3
+    let c = Pom.compile ~device ~framework:fw ~dnn ?deadline_s:deadline func in
+    let r = Pom_server.Protocol.result_of_compiled c in
+    print_remote_result ~workload ~size ~framework
+      ~served:
+        (Printf.sprintf "local fallback (server unreachable after %d \
+                         attempt(s))"
+           !attempts)
+      ~trace ~emit_c ~lint ~werror
+      {
+        r with
+        Pom_server.Protocol.trace =
+          r.Pom_server.Protocol.trace
+          @ [
+              Printf.sprintf "fallback: server %s unreachable; compiled locally"
+                socket;
+            ];
+      }
   in
   match
     Pom_server.Client.compile_retry ~policy ~on_retry ~socket req
@@ -224,10 +208,7 @@ let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
   | exception Pom_wire.Wire.Version_mismatch { expected; got; _ } ->
       (* a protocol generation gap will not improve on retry, and silently
          compiling locally would mask a deployment skew: fail loudly *)
-      Printf.eprintf
-        "error [POM309]: server speaks protocol version %d, this client \
-         expects %d\n"
-        got expected;
+      report_version_skew ~expected ~got;
       3
   | exception
       (( Unix.Unix_error _ | End_of_file | Sys_error _
@@ -248,31 +229,51 @@ let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
             ~trace ~emit_c ~lint ~werror r)
 
 let print_server_stats (s : Pom_server.Protocol.server_stats) =
+  let module P = Pom_server.Protocol in
   Format.printf
     "server:      %d requests (%d ok, %d failed, %d rejected)@.\
-     cache:       %d hits / %d misses (%d entries)@.\
+     cache:       %d hits / %d misses (%d entries)%s@.\
      queue:       %d deep@.\
+     executor:    %d respawn(s)@.\
      uptime:      %.1f s@."
-    s.Pom_server.Protocol.requests s.Pom_server.Protocol.succeeded
-    s.Pom_server.Protocol.failed s.Pom_server.Protocol.rejected
-    s.Pom_server.Protocol.cache_hits s.Pom_server.Protocol.cache_misses
-    s.Pom_server.Protocol.cache_entries s.Pom_server.Protocol.queue_depth
-    s.Pom_server.Protocol.uptime_s
-
-let print_health (h : Pom_server.Protocol.health) =
-  Format.printf
-    "health:      executor %s (%d respawn(s))@.\
-     queue:       %d deep@.\
-     cache:       %d entries%s@.\
-     uptime:      %.1f s@."
-    (if h.Pom_server.Protocol.h_executor_live then "live" else "stopped")
-    h.Pom_server.Protocol.h_executor_respawns
-    h.Pom_server.Protocol.h_queue_depth h.Pom_server.Protocol.h_cache_entries
-    (match h.Pom_server.Protocol.h_journal_lag with
-    | None -> ", journal off"
+    s.P.requests s.P.succeeded s.P.failed s.P.rejected s.P.cache_hits
+    s.P.cache_misses s.P.cache_entries
+    (match s.P.journal_lag with
+    | None -> ""
     | Some 0 -> ", journal synced"
     | Some n -> Printf.sprintf ", journal %d behind" n)
-    h.Pom_server.Protocol.h_uptime_s
+    s.P.queue_depth s.P.executor_respawns s.P.uptime_s
+
+(* --stop and --server-stats: one exchange with the daemon, its status
+   reply printed. *)
+let query_daemon request socket =
+  match request ~socket with
+  | s ->
+      print_server_stats s;
+      0
+  | exception Unix.Unix_error (e, _, _) ->
+      Printf.eprintf "error: cannot connect to %s: %s\n" socket
+        (Unix.error_message e);
+      1
+  | exception Pom_wire.Wire.Version_mismatch { expected; got; _ } ->
+      report_version_skew ~expected ~got;
+      1
+
+(* A compile that fails in this process, locally or as the --connect
+   fallback, exits 3 with its typed diagnostic. *)
+let exit_on_compile_failure f =
+  try f () with
+  | Pom.Resilience.Fault.Killed site ->
+      (* an injected kill simulates the process dying here: no
+         degradation, just the resilience exit code *)
+      Format.eprintf "error [POM305]: injected kill at %s@." site;
+      3
+  | (Pom.Resilience.Error.Error _ | Pom.Resilience.Budget.Budget_exceeded _)
+    as e ->
+      Format.eprintf "%s@."
+        (Pom.Resilience.Error.to_string
+           (Pom.Resilience.Error.of_exn ~code:"POM301" e));
+      3
 
 let framework_of_string = function
   | "baseline" -> Ok `Baseline
@@ -311,7 +312,7 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
     emit_testbench validate check_legality timeline trace timing dump_after
     verify_each resource_frac jobs deadline on_error checkpoint inject
     list_workloads serve connect queue no_request_cache stop_socket
-    stats_socket retries retry_backoff health_socket cache_journal =
+    stats_socket retries retry_backoff cache_journal =
   if jobs <> 1 then begin
     Printf.eprintf
       "error: --jobs must be 1 (got %d): the compiler runs on one thread\n"
@@ -335,6 +336,33 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
         prerr_endline m;
         exit 1
   in
+  (* the daemon compiles under its own defaults and returns a fixed subset
+     of the artifact: a flag only a compile in this process honours must
+     not be dropped silently *)
+  (if connect <> None then
+     match
+       List.filter_map
+         (fun (set, flag) -> if set then Some flag else None)
+         [
+           (timing, "--timing");
+           (dump_after <> [], "--dump-after");
+           (verify_each, "--verify-each");
+           (validate, "--validate");
+           (check_legality, "--check-legality");
+           (timeline, "--timeline");
+           (emit_mlir, "--emit-mlir");
+           (emit_testbench, "--emit-testbench");
+           (checkpoint <> None, "--checkpoint");
+           (on_error <> Pom.Resilience.Policy.Abort, "--on-error");
+         ]
+     with
+     | [] -> ()
+     | flags ->
+         Printf.eprintf
+           "error: %s needs a local compile and cannot be used with \
+            --connect\n"
+           (String.concat ", " flags);
+         exit 1);
   let arm_faults () =
     match inject with
     | Some spec -> (
@@ -350,37 +378,12 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
     0
   end
   else
-    match (serve, stop_socket, stats_socket, health_socket) with
-    | Some socket, _, _, _ ->
+    match (serve, stop_socket, stats_socket) with
+    | Some socket, _, _ ->
         Pom_server.Server.run ~max_queue:queue ?cache_journal ~socket ()
-    | None, Some socket, _, _ -> (
-        match Pom_server.Client.shutdown ~socket with
-        | s ->
-            print_server_stats s;
-            0
-        | exception Unix.Unix_error (e, _, _) ->
-            Printf.eprintf "error: cannot connect to %s: %s\n" socket
-              (Unix.error_message e);
-            1)
-    | None, None, Some socket, _ -> (
-        match Pom_server.Client.stats ~socket with
-        | s ->
-            print_server_stats s;
-            0
-        | exception Unix.Unix_error (e, _, _) ->
-            Printf.eprintf "error: cannot connect to %s: %s\n" socket
-              (Unix.error_message e);
-            1)
-    | None, None, None, Some socket -> (
-        match Pom_server.Client.ping ~socket with
-        | h ->
-            print_health h;
-            0
-        | exception Unix.Unix_error (e, _, _) ->
-            Printf.eprintf "error: cannot connect to %s: %s\n" socket
-              (Unix.error_message e);
-            1)
-    | None, None, None, None ->
+    | None, Some socket, _ -> query_daemon Pom_server.Client.shutdown socket
+    | None, None, Some socket -> query_daemon Pom_server.Client.stats socket
+    | None, None, None ->
     let named_builder =
       match from_c with
       | Some path -> (
@@ -399,14 +402,13 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
     | None ->
         Printf.eprintf "unknown workload %s (try --list)\n" workload;
         1
-    | Some builder_pair -> (
+    | Some (workload, build) -> (
         match framework_of_string framework with
         | Error (`Msg m) ->
             prerr_endline m;
             1
-        | Ok fw -> (
-          try
-            let workload, build = (fst builder_pair, snd builder_pair) in
+        | Ok fw ->
+            exit_on_compile_failure @@ fun () ->
             let device =
               Pom.Hls.Device.scale resource_frac Pom.Hls.Device.xc7z020
             in
@@ -511,28 +513,10 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
             end;
             if emit_testbench then begin
               print_newline ();
-              print_string
-                (Pom.Emit.Emit.testbench
-                   (Pom.Affine.Passes.simplify
-                      (Pom.Affine.Lower.lower c.Pom.prog)))
+              print_string (Pom.Emit.Emit.testbench c.Pom.affine)
             end;
             analysis_exit ~lint ~werror ~trace:c.Pom.trace
-              ~legality_violations:c.Pom.legality_violations c.Pom.diags
-          with
-          | Pom.Resilience.Fault.Killed site ->
-              (* an injected kill simulates the process dying here: no
-                 degradation, just the resilience exit code *)
-              Format.eprintf "error [POM305]: injected kill at %s@." site;
-              3
-          | ( Pom.Resilience.Error.Error _
-            | Pom.Resilience.Budget.Budget_exceeded _ ) as e ->
-              let err =
-                match e with
-                | Pom.Resilience.Error.Error t -> t
-                | e -> Pom.Resilience.Error.of_exn ~code:"POM301" e
-              in
-              Format.eprintf "%s@." (Pom.Resilience.Error.to_string err);
-              3))
+              ~legality_violations:c.Pom.legality_violations c.Pom.diags)
 
 let from_c_arg =
   Arg.(
@@ -736,7 +720,10 @@ let connect_arg =
            wire protocol and the synthesis report, HLS C, trace and \
            analyzer diagnostics come back: --lint, --Werror and the exit \
            code act on them as on a local compile.  --deadline rides along \
-           as the server-side budget.")
+           as the server-side budget.  A flag only a local compile honours \
+           (--timing, --dump-after, --verify-each, --validate, \
+           --check-legality, --timeline, --emit-mlir, --emit-testbench, \
+           --checkpoint, --on-error other than abort) is a usage error.")
 
 let queue_arg =
   Arg.(
@@ -764,7 +751,7 @@ let stop_arg =
     & info [ "stop" ] ~docv:"SOCKET"
         ~doc:
           "Ask the --serve daemon at $(docv) to shut down cleanly and \
-           print its final counters.")
+           print its final status, as --server-stats does.")
 
 let server_stats_arg =
   Arg.(
@@ -772,8 +759,11 @@ let server_stats_arg =
     & opt (some string) None
     & info [ "server-stats" ] ~docv:"SOCKET"
         ~doc:
-          "Print the --serve daemon's request/cache/queue counters and \
-           exit.")
+          "Print the --serve daemon's status and exit: request counters, \
+           cache hits and size (and, with --cache-journal, the journal's \
+           durability lag), queue depth, executor respawns, uptime.  \
+           Answered on the connection thread, never queued behind a \
+           compile.")
 
 let retries_arg =
   Arg.(
@@ -781,9 +771,9 @@ let retries_arg =
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "With --connect: retry a failed transport exchange up to $(docv) \
-           times (capped exponential backoff with deterministic jitter) \
-           before degrading to a local in-process compile of the same \
-           request.  Must be positive.")
+           times (exponential backoff, capped at 2 s) before degrading to \
+           a local in-process compile of the same request.  Must be \
+           positive.")
 
 let retry_backoff_arg =
   Arg.(
@@ -793,17 +783,6 @@ let retry_backoff_arg =
         ~doc:
           "With --connect: base delay before the first retry; each further \
            retry doubles it (capped).  Must be positive.")
-
-let health_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "health" ] ~docv:"SOCKET"
-        ~doc:
-          "Ping the --serve daemon at $(docv) and print its health: \
-           executor liveness and respawn count, queue depth, cache size, \
-           cache-journal durability lag, uptime.  Answered from the \
-           connection thread, never queued behind a compile.")
 
 let cache_journal_arg =
   Arg.(
@@ -825,8 +804,9 @@ let cmd =
       Cmd.Exit.info 1
         ~doc:
           "on usage errors (unknown options, bad numeric options, \
-           unparsable input — POM307), an unbindable --serve socket, or \
-           an unreachable --stop/--server-stats/--health socket.  An \
+           unparsable input — POM307, a flag only a local compile honours \
+           given with --connect), an unbindable --serve socket, or an \
+           unreachable --stop/--server-stats socket.  An \
            unreachable --connect socket is not fatal: after --retries \
            transport retries the client compiles locally and exits by \
            that compile's result.";
@@ -849,7 +829,7 @@ let cmd =
       $ jobs_arg $ deadline_arg $ on_error_arg $ checkpoint_arg $ inject_arg
       $ list_arg $ serve_arg $ connect_arg $ queue_arg $ no_request_cache_arg
       $ stop_arg $ server_stats_arg $ retries_arg $ retry_backoff_arg
-      $ health_arg $ cache_journal_arg)
+      $ cache_journal_arg)
 
 (* Cmdliner exits 124 on a command-line parse error (unknown flag,
    malformed value); the documented contract gives usage errors 1. *)

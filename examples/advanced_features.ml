@@ -64,10 +64,7 @@ let () =
 
   (* -- the compilable C testbench -------------------------------------- *)
   print_endline "\nC testbench head (compile with `cc tb.c -lm`):";
-  let tb =
-    Pom.Emit.Emit.testbench
-      (Pom.Affine.Passes.simplify (Pom.Affine.Lower.lower ct.Pom.prog))
-  in
+  let tb = Pom.Emit.Emit.testbench ct.Pom.affine in
   String.split_on_char '\n' tb
   |> List.filteri (fun k _ -> k < 12)
   |> List.iter print_endline

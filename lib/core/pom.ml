@@ -44,6 +44,7 @@ type compiled = {
   directives : Pom_dsl.Schedule.t list;
   prog : Pom_polyir.Prog.t;
   report : Pom_hls.Report.t;
+  affine : Pom_affine.Ir.func;
   hls_c : string;
   dse_time_s : float;
   dse_cpu_s : float;
@@ -117,6 +118,9 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
   let report =
     match st.State.report with Some r -> r | None -> assert false
   in
+  let affine =
+    match st.State.affine with Some f -> f | None -> assert false
+  in
   let hls_c =
     match st.State.hls_c with Some c -> c | None -> assert false
   in
@@ -125,6 +129,7 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
     directives = st.State.directives;
     prog;
     report;
+    affine;
     hls_c;
     dse_time_s = st.State.dse_time_s;
     dse_cpu_s = st.State.dse_cpu_s;
@@ -137,9 +142,7 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
     trace = st.State.trace;
   }
 
-let mlir c =
-  Pom_emit.Emit_mlir.mlir
-    (Pom_affine.Passes.simplify (Pom_affine.Lower.lower c.prog))
+let mlir c = Pom_emit.Emit_mlir.mlir c.affine
 
 let speedup c =
   Pom_hls.Report.speedup ~baseline:c.baseline_latency c.report

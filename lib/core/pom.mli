@@ -90,6 +90,9 @@ type compiled = {
       (** the flow's full directive list, in application order *)
   prog : Pom_polyir.Prog.t;
   report : Pom_hls.Report.t;
+  affine : Pom_affine.Ir.func;
+      (** the annotated affine function the [affine-simplify] pass built:
+          what the HLS C, {!mlir} and the C testbench are emitted from *)
   hls_c : string;  (** generated HLS C *)
   dse_time_s : float;  (** wall-clock search time; 0 for non-searching flows *)
   dse_cpu_s : float;  (** CPU search time ([Sys.time]) *)

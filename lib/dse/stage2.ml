@@ -280,37 +280,22 @@ let splice (prog : Prog.t) units =
    covers.  The program is not recorded: a resumed search rebuilds it from
    its own units. *)
 type journal = {
-  file : Checkpoint.t;
+  file : Report.t Checkpoint.t;
   fkey : string;
   context : string;  (* device, composition, latency mode *)
   points : (string, Report.t) Hashtbl.t;
 }
 
 (* Open the journal at [path] and load its intact records into the
-   search's table, with the trace notes saying what happened.  A record
-   that no longer decodes is dropped (POM308): the journal caches
-   recomputable work, so a lost record costs one pricing, never
-   correctness. *)
+   search's table, with the trace notes saying what happened. *)
 let open_journal ~device ~composition ~latency_mode func path =
-  match Checkpoint.load path with
-  | exception Sys_error m ->
-      ( None,
-        [
-          Printf.sprintf
-            "checkpoint: %s unreadable (%s); continuing without a journal \
-             (POM306)"
-            path m;
-        ] )
-  | file, records, load_notes ->
+  match Checkpoint.load Wirec.report path with
+  | None, _, notes -> (None, notes)
+  | Some file, records, notes ->
       let points = Hashtbl.create 64 in
-      let dropped = ref 0 in
       List.iter
-        (fun (key, data) ->
-          match Pom_wire.Wire.of_string Wirec.report data with
-          | Ok report -> Hashtbl.replace points key report
-          | Error _ -> incr dropped)
+        (fun (key, report) -> Hashtbl.replace points key report)
         records;
-      let replayed = List.length records - !dropped in
       let context =
         String.concat "##"
           [
@@ -323,25 +308,14 @@ let open_journal ~device ~composition ~latency_mode func path =
             | `Dataflow -> "dataflow");
           ]
       in
-      let notes =
-        load_notes
-        @ (if replayed > 0 then
-             [
-               Printf.sprintf "checkpoint: replayed %d design points from %s"
-                 replayed path;
-             ]
-           else
-             [ Printf.sprintf "checkpoint: journaling design points to %s" path ])
-        @
-        if !dropped > 0 then
-          [
-            Printf.sprintf
-              "checkpoint: dropped %d undecodable design points (POM308)"
-              !dropped;
-          ]
-        else []
+      let note =
+        if records <> [] then
+          Printf.sprintf "checkpoint: replayed %d design points from %s"
+            (List.length records) path
+        else Printf.sprintf "checkpoint: journaling design points to %s" path
       in
-      (Some { file; fkey = Memo.func_key func; context; points }, notes)
+      ( Some { file; fkey = Memo.func_key func; context; points },
+        notes @ [ note ] )
 
 (* A journaled design point is served from the table; any other is priced,
    appended and kept. *)
@@ -354,8 +328,7 @@ let journaled j directives price =
   | Some report -> report
   | None ->
       let report = price () in
-      Checkpoint.append j.file ~key
-        ~data:(Pom_wire.Wire.to_string Wirec.report report);
+      Checkpoint.append j.file ~key report;
       Hashtbl.replace j.points key report;
       report
 

@@ -2,13 +2,11 @@ type access = { array : string; indices : Linexpr.t list }
 
 let access array indices = { array; indices }
 
-type direction = Lt | Eq | Gt | Star
-
 type entry = { dmin : int option; dmax : int option }
 
 type level_dep = { level : int; distance : entry list }
 
-type t = { carried : level_dep list; direction : direction list }
+type t = { carried : level_dep list }
 
 let src_dim d = "s$" ^ d
 
@@ -72,7 +70,7 @@ let carried_levels ~levels ~domain ~source ~sink ~found ~unknown =
         with Pom_resilience.Budget.Budget_exceeded _ as e ->
           (* Degradation policy: a dependence test that ran out of budget
              must err conservative — assume the dependence exists, with
-             unknown ([None]/[None] -> [Star]) distances at this level.
+             unknown ([None]/[None]) distances at this level.
              Every transform that would need the distance is then rejected
              as unsafe, which loses performance but never correctness. *)
           if Pom_resilience.Policy.degrading () then Some (unknown level)
@@ -110,80 +108,4 @@ let analyze ~domain ~source ~sink =
           distance = List.map (fun _ -> { dmin = None; dmax = None }) ds;
         })
   in
-  if carried = [] then None
-  else
-    let direction =
-      List.mapi
-        (fun k _ ->
-          (* summarize across carrying levels *)
-          let mins =
-            List.filter_map (fun ld -> (List.nth ld.distance k).dmin) carried
-          and maxs =
-            List.filter_map (fun ld -> (List.nth ld.distance k).dmax) carried
-          in
-          match (mins, maxs) with
-          | [], _ | _, [] -> Star
-          | _ ->
-              let dmin = List.fold_left min max_int mins
-              and dmax = List.fold_left max min_int maxs in
-              if List.length mins < List.length carried then Star
-              else if dmin >= 1 then Lt
-              else if dmax <= -1 then Gt
-              else if dmin = 0 && dmax = 0 then Eq
-              else Star)
-        ds
-    in
-    Some { carried; direction }
-
-let outermost_level t =
-  match t.carried with
-  | { level; _ } :: _ -> level
-  | [] -> invalid_arg "Dep.outermost_level: empty dependence"
-
-let innermost_level t =
-  match List.rev t.carried with
-  | { level; _ } :: _ -> level
-  | [] -> invalid_arg "Dep.innermost_level: empty dependence"
-
-let min_distance_at t level =
-  List.find_map
-    (fun ld ->
-      if ld.level = level then (List.nth ld.distance (level - 1)).dmin
-      else None)
-    t.carried
-
-let constant_distance t =
-  match t.carried with
-  | [ ld ] ->
-      let entries =
-        List.map
-          (fun e ->
-            match (e.dmin, e.dmax) with
-            | Some a, Some b when a = b -> Some a
-            | _ -> None)
-          ld.distance
-      in
-      if List.for_all Option.is_some entries then
-        Some (List.map Option.get entries)
-      else None
-  | _ -> None
-
-let min_distance_vector t =
-  match t.carried with
-  | [] -> []
-  | ld :: _ -> List.map (fun e -> e.dmin) ld.distance
-
-let pp_direction ppf = function
-  | Lt -> Format.pp_print_string ppf "<"
-  | Eq -> Format.pp_print_string ppf "="
-  | Gt -> Format.pp_print_string ppf ">"
-  | Star -> Format.pp_print_string ppf "*"
-
-let pp ppf t =
-  Format.fprintf ppf "direction (%a), carried at levels [%s]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       pp_direction)
-    t.direction
-    (String.concat ", "
-       (List.map (fun ld -> string_of_int ld.level) t.carried))
+  if carried = [] then None else Some { carried }

@@ -3,16 +3,14 @@
     Given the iteration domain of a statement and two affine accesses to the
     same array, the dependence polyhedron is the set of (source, sink)
     iteration pairs that touch the same element with the source preceding
-    the sink in the original lexicographic execution order.  Distances and
-    direction vectors (Section II-A of the paper) are extracted by
-    optimizing [sink_k - source_k] over that polyhedron, level by level. *)
+    the sink in the original lexicographic execution order.  Distances
+    (Section II-A of the paper) are extracted by optimizing
+    [sink_k - source_k] over that polyhedron, level by level. *)
 
 (** An affine array access: index expressions over the domain dimensions. *)
 type access = { array : string; indices : Linexpr.t list }
 
 val access : string -> Linexpr.t list -> access
-
-type direction = Lt | Eq | Gt | Star
 
 (** Distance range for one loop level: min/max of [sink_k - source_k]. *)
 type entry = { dmin : int option; dmax : int option }
@@ -24,10 +22,7 @@ type level_dep = {
   distance : entry list;  (** one entry per loop level *)
 }
 
-type t = {
-  carried : level_dep list;  (** non-empty; one per carrying level *)
-  direction : direction list;  (** summary direction vector, per level *)
-}
+type t = { carried : level_dep list  (** non-empty; one per carrying level *) }
 
 (** [analyze ~domain ~source ~sink] computes the dependence between the two
     accesses within a single statement's loop nest (source instance writes
@@ -58,25 +53,3 @@ val carried_distances :
   sink:access ->
   unit ->
   (int * int option) list
-
-(** First (outermost) level that carries the dependence. *)
-val innermost_level : t -> int
-
-val outermost_level : t -> int
-
-(** Minimal distance at a given level across all carrying disjuncts at that
-    level; [None] if the level carries nothing. *)
-val min_distance_at : t -> int -> int option
-
-(** The distance vector when it is constant (every level's min = max),
-    e.g. [(0, 0, 1)] for a GEMM-style reduction. *)
-val constant_distance : t -> int list option
-
-(** The minimal-distance vector of the outermost carrying level: per-level
-    minimum of [sink_k - source_k].  This is "the" distance vector in the
-    paper's Fig. 1/Fig. 8 sense (the closest dependent reuse). *)
-val min_distance_vector : t -> int option list
-
-val pp_direction : Format.formatter -> direction -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
 module Wire = Pom_wire.Wire
 module Frame = Pom_wire.Frame
 
-type t = {
-  path : string;
+type 'a t = {
+  codec : 'a Wire.t;
   oc : out_channel;
   lock : Mutex.t;
   fsync_each : bool;
@@ -93,8 +93,9 @@ let examine ~kind ~version path =
     verdict
   end
 
-let load ?(fsync_each = false) ?(kind = default_kind) ?(version = version) path
-    =
+(* Open (creating if needed) the file, cutting a torn tail or restarting
+   a foreign one; the intact records come back still encoded. *)
+let open_file ~kind ~version path =
   let records, notes =
     match examine ~kind ~version path with
     | Intact (records, good, notes) ->
@@ -120,18 +121,52 @@ let load ?(fsync_each = false) ?(kind = default_kind) ?(version = version) path
         close_out oc;
         ([], Option.to_list note)
   in
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-  ({ path; oc; lock = Mutex.create (); fsync_each }, records, notes)
+  (open_out_gen [ Open_append; Open_binary ] 0o644 path, records, notes)
 
-let append t ~key ~data =
+(* A path that cannot be opened costs the journal, never the compile. *)
+let unreadable path reason =
+  ( None,
+    [],
+    [
+      Printf.sprintf
+        "checkpoint: %s unreadable (%s); continuing without a journal (POM306)"
+        path reason;
+    ] )
+
+let load ?(fsync_each = false) ?(kind = default_kind) ?(version = version)
+    codec path =
+  match open_file ~kind ~version path with
+  | exception Sys_error reason -> unreadable path reason
+  | exception Unix.Unix_error (e, _, _) ->
+      unreadable path (path ^ ": " ^ Unix.error_message e)
+  | oc, records, notes ->
+      let decoded =
+        List.filter_map
+          (fun (key, data) ->
+            match Wire.of_string codec data with
+            | Ok v -> Some (key, v)
+            | Error _ -> None)
+          records
+      in
+      let dropped = List.length records - List.length decoded in
+      let notes =
+        if dropped = 0 then notes
+        else
+          notes
+          @ [
+              Printf.sprintf
+                "checkpoint: dropped %d undecodable record(s) (POM308)" dropped;
+            ]
+      in
+      (Some { codec; oc; lock = Mutex.create (); fsync_each }, decoded, notes)
+
+let append t ~key v =
   Mutex.lock t.lock;
   Frame.output_record t.oc ~tag:record_tag
-    (Wire.to_string record_codec (key, data));
+    (Wire.to_string record_codec (key, Wire.to_string t.codec v));
   flush t.oc;
   if t.fsync_each then fsync_channel t.oc;
   Mutex.unlock t.lock
-
-let path t = t.path
 
 let close t =
   Mutex.lock t.lock;

@@ -19,7 +19,8 @@
     recomputable work, so every degradation path drops data and
     recomputes, never crashes and never yields a wrong result. *)
 
-type t
+(** An open journal whose record values are ['a]s. *)
+type 'a t
 
 (** The default stream kind written in the header (the DSE journal);
     other keyed journals (the compile server's response-cache journal,
@@ -34,11 +35,16 @@ val kind : string
     design point's program. *)
 val version : int
 
-(** [load path] opens (creating if needed) the journal and returns it
-    with the intact records, oldest first, plus human-readable notes
-    describing any degradation applied (torn tail truncated, version
-    mismatch restart, corrupt record cut).  An empty note list means the
-    file was pristine.
+(** [load codec path] opens (creating if needed) the journal and returns
+    it with the intact records, oldest first, their values decoded with
+    [codec], plus human-readable notes describing any degradation applied
+    (torn tail truncated, version mismatch restart, corrupt record cut).
+    An empty note list means the file was pristine.
+
+    The journal is a cache of recomputable work, so no load failure is
+    fatal: a CRC-intact value [codec] cannot decode is dropped (one
+    POM308 note counts them), and a [path] that cannot be opened or
+    created yields no journal ([None]) and a POM306 note.
 
     Durability contract: every {!append} flushes to the OS, so a
     *process* crash loses at most the record being written; {!close}
@@ -55,13 +61,13 @@ val load :
   ?fsync_each:bool ->
   ?kind:string ->
   ?version:int ->
+  'a Pom_wire.Wire.t ->
   string ->
-  t * (string * string) list * string list
+  'a t option * (string * 'a) list * string list
 
-(** Append one record and flush it to the OS (and fsync it, when the
-    journal was loaded with [fsync_each]).  Thread-safe. *)
-val append : t -> key:string -> data:string -> unit
+(** Append one record, its value encoded with the journal's codec, and
+    flush it to the OS (and fsync it, when the journal was loaded with
+    [fsync_each]).  Thread-safe. *)
+val append : 'a t -> key:string -> 'a -> unit
 
-val path : t -> string
-
-val close : t -> unit
+val close : 'a t -> unit

@@ -1,27 +1,11 @@
-type policy = {
-  retries : int;
-  base_s : float;
-  factor : float;
-  max_s : float;
-  seed : int;
-}
+type policy = { retries : int; base_s : float }
 
-let default = { retries = 3; base_s = 0.1; factor = 2.0; max_s = 2.0; seed = 0 }
-
-(* splitmix-style avalanche of (seed, attempt) onto 16 bits; enough
-   entropy to decorrelate clients, cheap enough to be obviously pure *)
-let jitter_u16 seed attempt =
-  let x = (seed * 0x9E3779B9) lxor (attempt * 0x85EBCA6B) in
-  let x = (x lxor (x lsr 15)) * 0x2C1B3C6D in
-  let x = (x lxor (x lsr 12)) * 0x297A2D39 in
-  (x lxor (x lsr 15)) land 0xFFFF
+let default = { retries = 3; base_s = 0.1 }
+let max_backoff_s = 2.0
 
 let backoff_s p ~attempt =
-  let attempt = max 1 attempt in
-  let raw = p.base_s *. (p.factor ** float_of_int (attempt - 1)) in
-  let capped = Float.min p.max_s raw in
-  let j = float_of_int (jitter_u16 p.seed attempt) /. 65535.0 in
-  capped *. (0.5 +. (0.5 *. j))
+  Float.min max_backoff_s
+    (p.base_s *. (2.0 ** float_of_int (max 1 attempt - 1)))
 
 let run ?(policy = default) ?deadline_s ?on_retry ~retry_on f =
   let deadline =

@@ -21,22 +21,16 @@ let unexpected () =
 let compile ~socket req =
   match roundtrip ~socket (Protocol.Compile req) with
   | Protocol.Response r -> r
-  | Protocol.Server_stats _ | Protocol.Health _ -> unexpected ()
+  | Protocol.Server_stats _ -> unexpected ()
 
-let stats ~socket =
-  match roundtrip ~socket Protocol.Stats with
+let server_stats ~socket msg =
+  match roundtrip ~socket msg with
   | Protocol.Server_stats s -> s
-  | Protocol.Response _ | Protocol.Health _ -> unexpected ()
+  | Protocol.Response _ -> unexpected ()
 
-let shutdown ~socket =
-  match roundtrip ~socket Protocol.Shutdown with
-  | Protocol.Server_stats s -> s
-  | Protocol.Response _ | Protocol.Health _ -> unexpected ()
-
-let ping ~socket =
-  match roundtrip ~socket Protocol.Ping with
-  | Protocol.Health h -> h
-  | Protocol.Response _ | Protocol.Server_stats _ -> unexpected ()
+let stats ~socket = server_stats ~socket Protocol.Stats
+let ping = stats
+let shutdown ~socket = server_stats ~socket Protocol.Shutdown
 
 (* What a retry may safely chase: the daemon restarting (connection
    refused / socket gone / reset) or dying mid-exchange (EOF, torn

@@ -14,11 +14,11 @@ val compile : socket:string -> Protocol.request -> Protocol.response
 (** As {!compile}, but transport-level failures (connection refused,
     socket vanished, server died mid-exchange, torn frame) are retried
     under the {!Pom_resilience.Retry} policy — capped exponential
-    backoff, deterministic seeded jitter, bounded by the request's own
-    [deadline_s] when set.  Typed error {e responses} are never
-    retried: they answer the request.  When every attempt fails, the
-    last transport exception is re-raised — callers then degrade (the
-    CLI falls back to a local in-process compile). *)
+    backoff, bounded by the request's own [deadline_s] when set.  Typed
+    error {e responses} are never retried: they answer the request.
+    When every attempt fails, the last transport exception is re-raised
+    — callers then degrade (the CLI falls back to a local in-process
+    compile). *)
 val compile_retry :
   ?policy:Pom_resilience.Retry.policy ->
   ?on_retry:(attempt:int -> delay_s:float -> exn -> unit) ->
@@ -26,12 +26,13 @@ val compile_retry :
   Protocol.request ->
   Protocol.response
 
-(** Liveness probe: answered from the connection thread, never queued
-    behind a compile. *)
-val ping : socket:string -> Protocol.health
-
-(** Server counters (requests, cache hits, queue depth, uptime). *)
+(** The daemon's status ({!Protocol.server_stats}): answered from the
+    connection thread, never queued behind a compile. *)
 val stats : socket:string -> Protocol.server_stats
+
+(** The readiness probe: {!stats} under the name perfbench/serve.ml
+    polls. *)
+val ping : socket:string -> Protocol.server_stats
 
 (** Ask the server to stop; returns its final counters. *)
 val shutdown : socket:string -> Protocol.server_stats

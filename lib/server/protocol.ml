@@ -3,7 +3,7 @@ module Frame = Pom_wire.Frame
 
 let request_kind = "pom-request"
 let response_kind = "pom-response"
-let version = 2
+let version = 3
 
 (* A request is a DSL function plus a few scalars — kilobytes.  Cap well
    below the framing default so a hostile length field on the listening
@@ -61,25 +61,14 @@ type server_stats = {
   cache_hits : int;
   cache_misses : int;
   cache_entries : int;
+  journal_lag : int option;
   queue_depth : int;
+  executor_respawns : int;
   uptime_s : float;
 }
 
-type health = {
-  h_uptime_s : float;
-  h_queue_depth : int;
-  h_executor_live : bool;
-  h_executor_respawns : int;
-  h_cache_entries : int;
-  h_journal_lag : int option;
-}
-
-type client_msg = Compile of request | Stats | Shutdown | Ping
-
-type server_msg =
-  | Response of response
-  | Server_stats of server_stats
-  | Health of health
+type client_msg = Compile of request | Stats | Shutdown
+type server_msg = Response of response | Server_stats of server_stats
 
 (* -------- codecs -------- *)
 
@@ -197,19 +186,23 @@ let response_codec : response Wire.t =
     (fun r_id served memo wall_s outcome ->
       { r_id; served; memo; wall_s; outcome })
 
+(* Eleven fields over the nine-field record combinator: the cache's three
+   counters travel as one triple. *)
 let server_stats_codec : server_stats Wire.t =
   Wire.record9 "server_stats"
     (Wire.field Wire.int (fun s -> s.requests))
     (Wire.field Wire.int (fun s -> s.succeeded))
     (Wire.field Wire.int (fun s -> s.failed))
     (Wire.field Wire.int (fun s -> s.rejected))
-    (Wire.field Wire.int (fun s -> s.cache_hits))
-    (Wire.field Wire.int (fun s -> s.cache_misses))
-    (Wire.field Wire.int (fun s -> s.cache_entries))
+    (Wire.field (Wire.triple Wire.int Wire.int Wire.int) (fun s ->
+         (s.cache_hits, s.cache_misses, s.cache_entries)))
+    (Wire.field (Wire.option Wire.int) (fun s -> s.journal_lag))
     (Wire.field Wire.int (fun s -> s.queue_depth))
+    (Wire.field Wire.int (fun s -> s.executor_respawns))
     (Wire.field Wire.float (fun s -> s.uptime_s))
-    (fun requests succeeded failed rejected cache_hits cache_misses
-         cache_entries queue_depth uptime_s ->
+    (fun requests succeeded failed rejected
+         (cache_hits, cache_misses, cache_entries) journal_lag queue_depth
+         executor_respawns uptime_s ->
       {
         requests;
         succeeded;
@@ -218,27 +211,10 @@ let server_stats_codec : server_stats Wire.t =
         cache_hits;
         cache_misses;
         cache_entries;
+        journal_lag;
         queue_depth;
+        executor_respawns;
         uptime_s;
-      })
-
-let health_codec : health Wire.t =
-  Wire.record6 "health"
-    (Wire.field Wire.float (fun h -> h.h_uptime_s))
-    (Wire.field Wire.int (fun h -> h.h_queue_depth))
-    (Wire.field Wire.bool (fun h -> h.h_executor_live))
-    (Wire.field Wire.int (fun h -> h.h_executor_respawns))
-    (Wire.field Wire.int (fun h -> h.h_cache_entries))
-    (Wire.field (Wire.option Wire.int) (fun h -> h.h_journal_lag))
-    (fun h_uptime_s h_queue_depth h_executor_live h_executor_respawns
-         h_cache_entries h_journal_lag ->
-      {
-        h_uptime_s;
-        h_queue_depth;
-        h_executor_live;
-        h_executor_respawns;
-        h_cache_entries;
-        h_journal_lag;
       })
 
 (* -------- cache key -------- *)
@@ -271,10 +247,8 @@ let cache_key r =
 let tag_compile = 1
 let tag_stats = 2
 let tag_shutdown = 3
-let tag_ping = 4
 let tag_response = 1
 let tag_server_stats = 2
-let tag_health = 3
 
 (* The durable response cache is a {!Pom_resilience.Checkpoint} journal
    with its own stream kind, so a DSE journal handed to [--cache-journal]
@@ -291,8 +265,7 @@ let write_client_msg oc msg =
         (Wire.to_string request_codec r)
   | Stats -> Frame.output_record oc ~tag:tag_stats (Wire.to_string Wire.unit ())
   | Shutdown ->
-      Frame.output_record oc ~tag:tag_shutdown (Wire.to_string Wire.unit ())
-  | Ping -> Frame.output_record oc ~tag:tag_ping (Wire.to_string Wire.unit ()));
+      Frame.output_record oc ~tag:tag_shutdown (Wire.to_string Wire.unit ()));
   flush oc
 
 let corrupt what detail = raise (Wire.Corrupt { what; detail })
@@ -315,7 +288,6 @@ let read_client_msg ?(max_payload = default_max_request_payload) ic =
         Compile (Wire.of_string_exn request_codec payload)
       else if tag = tag_stats then Stats
       else if tag = tag_shutdown then Shutdown
-      else if tag = tag_ping then Ping
       else corrupt what (Printf.sprintf "unknown request tag %d" tag)
 
 let write_server_msg oc msg =
@@ -326,9 +298,7 @@ let write_server_msg oc msg =
         (Wire.to_string response_codec r)
   | Server_stats s ->
       Frame.output_record oc ~tag:tag_server_stats
-        (Wire.to_string server_stats_codec s)
-  | Health h ->
-      Frame.output_record oc ~tag:tag_health (Wire.to_string health_codec h));
+        (Wire.to_string server_stats_codec s));
   flush oc
 
 let read_server_msg ic =
@@ -342,8 +312,6 @@ let read_server_msg ic =
         Response (Wire.of_string_exn response_codec payload)
       else if tag = tag_server_stats then
         Server_stats (Wire.of_string_exn server_stats_codec payload)
-      else if tag = tag_health then
-        Health (Wire.of_string_exn health_codec payload)
       else corrupt what (Printf.sprintf "unknown response tag %d" tag)
 
 (* Shared by the server's executor and the CLI's local-fallback path, so

@@ -13,9 +13,10 @@
       directives, device, framework, deadline, cache preference);
     - [2] — stats: empty payload, answered with {!server_stats};
     - [3] — shutdown: empty payload, answered with {!server_stats}
-      after the stop flag is set;
-    - [4] — ping: empty payload, answered with {!health} (response tag
-      [3]) — the liveness probe never touches the compile queue.
+      after the stop flag is set.
+
+    Both status requests are answered on the connection thread, never
+    queued behind a compile.
 
     Unknown request tags are answered with a POM308 error response
     (forward compatibility belongs to the framing layer, but a server
@@ -90,6 +91,8 @@ type response = {
   outcome : (result, error) Stdlib.result;
 }
 
+(** The daemon's one status record: what [--server-stats], [--stop] and
+    the readiness probe print or poll. *)
 type server_stats = {
   requests : int;
   succeeded : int;
@@ -98,30 +101,20 @@ type server_stats = {
   cache_hits : int;
   cache_misses : int;
   cache_entries : int;
+  journal_lag : int option;
+      (** [Some n] when response-cache journaling is on, with [n] the
+          cached responses not yet durable on disk (0 = fully
+          journaled); [None] when journaling is off *)
   queue_depth : int;
+  executor_respawns : int;
+      (** executor crashes survived (POM312), each charged to one
+          request *)
   uptime_s : float;
 }
 
-(** The answer to a ping: enough to decide "is this daemon healthy"
-    without queueing behind a compile.  [h_journal_lag] is [Some n]
-    when response-cache journaling is on, with [n] the cached responses
-    not yet durable on disk (0 = fully journaled); [None] means
-    journaling is disabled. *)
-type health = {
-  h_uptime_s : float;
-  h_queue_depth : int;
-  h_executor_live : bool;
-  h_executor_respawns : int;
-  h_cache_entries : int;
-  h_journal_lag : int option;
-}
+type client_msg = Compile of request | Stats | Shutdown
 
-type client_msg = Compile of request | Stats | Shutdown | Ping
-
-type server_msg =
-  | Response of response
-  | Server_stats of server_stats
-  | Health of health
+type server_msg = Response of response | Server_stats of server_stats
 
 (** Codecs (exported for fuzzing and round-trip tests). *)
 
@@ -129,7 +122,6 @@ val request_codec : request Pom_wire.Wire.t
 val response_codec : response Pom_wire.Wire.t
 val server_stats_codec : server_stats Pom_wire.Wire.t
 val result_codec : result Pom_wire.Wire.t
-val health_codec : health Pom_wire.Wire.t
 
 (** Stream kind of the server's durable response-cache journal (a
     {!Pom_resilience.Checkpoint} with [key = cache_key], [data] a

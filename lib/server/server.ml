@@ -46,11 +46,11 @@ type t = {
   (* cross-request response cache + counters, under [sm] *)
   sm : Mutex.t;
   cache : (string, Protocol.result) Hashtbl.t;
-  (* durable mirror of [cache]: every insert is appended (key,
-     wire-encoded result) so a restarted daemon warm-starts from disk.
-     [journaled] counts entries known durable; cache size minus it is
-     the journal lag the health probe reports. *)
-  journal : Checkpoint.t option;
+  (* durable mirror of [cache]: every insert is appended (key, result) so
+     a restarted daemon warm-starts from disk.  [journaled] counts entries
+     known durable; cache size minus it is the journal lag the status
+     reply reports. *)
+  journal : Protocol.result Checkpoint.t option;
   mutable journaled : int;
   mutable requests : int;
   mutable succeeded : int;
@@ -59,41 +59,54 @@ type t = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable executor_respawns : int;
-  executor_live : bool Atomic.t;
   started_at : float;
   live_conns : int Atomic.t;
   mutable accept_thread : Thread.t option;
   mutable exec_thread : Thread.t option;
 }
 
+(* Every counter bump, cache read and cache insert runs under [sm]. *)
+let locked t f = Mutex.protect t.sm f
+
 let stats t =
-  Mutex.lock t.sm;
-  let s =
-    {
-      Protocol.requests = t.requests;
-      succeeded = t.succeeded;
-      failed = t.failed;
-      rejected = t.rejected;
-      cache_hits = t.cache_hits;
-      cache_misses = t.cache_misses;
-      cache_entries = Hashtbl.length t.cache;
-      queue_depth =
-        (Mutex.lock t.qm;
-         let d = Queue.length t.queue in
-         Mutex.unlock t.qm;
-         d);
-      uptime_s = Unix.gettimeofday () -. t.started_at;
-    }
-  in
-  Mutex.unlock t.sm;
-  s
+  let queue_depth = Mutex.protect t.qm (fun () -> Queue.length t.queue) in
+  locked t @@ fun () ->
+  let cache_entries = Hashtbl.length t.cache in
+  {
+    Protocol.requests = t.requests;
+    succeeded = t.succeeded;
+    failed = t.failed;
+    rejected = t.rejected;
+    cache_hits = t.cache_hits;
+    cache_misses = t.cache_misses;
+    cache_entries;
+    journal_lag =
+      Option.map (fun _ -> max 0 (cache_entries - t.journaled)) t.journal;
+    queue_depth;
+    executor_respawns = t.executor_respawns;
+    uptime_s = Unix.gettimeofday () -. t.started_at;
+  }
+
+(* Every response the server sends: only a compile or a cache hit has a
+   start time [t0] to charge its wall clock from. *)
+let response ?(served = Protocol.Computed) ?t0 ~id outcome =
+  {
+    Protocol.r_id = id;
+    served;
+    memo = Protocol.no_memo;
+    wall_s =
+      (match t0 with Some t0 -> Unix.gettimeofday () -. t0 | None -> 0.0);
+    outcome;
+  }
+
+let error code message = Stdlib.Error { Protocol.code; message; context = [] }
 
 (* -------- executor -------- *)
 
 (* First write wins, mirrored to the journal when one is configured.  A
    failed append (disk full, journal on a dead mount) costs durability,
-   not the request: the in-memory cache still serves, and the health
-   probe reports the growing lag.  Caller holds [sm]. *)
+   not the request: the in-memory cache still serves, and the status
+   reply reports the growing lag.  Caller holds [sm]. *)
 let cache_insert t key result =
   if not (Hashtbl.mem t.cache key) then begin
     Hashtbl.replace t.cache key result;
@@ -101,105 +114,58 @@ let cache_insert t key result =
     | None -> ()
     | Some j -> (
         try
-          Checkpoint.append j ~key
-            ~data:(Pom_wire.Wire.to_string Protocol.result_codec result);
+          Checkpoint.append j ~key result;
           t.journaled <- t.journaled + 1
         with _ -> ())
   end
-
-let health t =
-  Mutex.lock t.sm;
-  let entries = Hashtbl.length t.cache in
-  let journaled = t.journaled in
-  let respawns = t.executor_respawns in
-  let has_journal = t.journal <> None in
-  Mutex.unlock t.sm;
-  {
-    Protocol.h_uptime_s = Unix.gettimeofday () -. t.started_at;
-    h_queue_depth =
-      (Mutex.lock t.qm;
-       let d = Queue.length t.queue in
-       Mutex.unlock t.qm;
-       d);
-    h_executor_live = Atomic.get t.executor_live;
-    h_executor_respawns = respawns;
-    h_cache_entries = entries;
-    h_journal_lag =
-      (if has_journal then Some (max 0 (entries - journaled)) else None);
-  }
 
 let execute t (job : job) =
   let req = job.req in
   let key = Protocol.cache_key req in
   let t0 = Unix.gettimeofday () in
+  let respond ?served outcome =
+    settle job (response ?served ~t0 ~id:req.Protocol.id outcome)
+  in
   let cached =
     if not req.Protocol.use_cache then None
-    else begin
-      Mutex.lock t.sm;
+    else
+      locked t @@ fun () ->
       let v = Hashtbl.find_opt t.cache key in
       (match v with
       | Some _ -> t.cache_hits <- t.cache_hits + 1
       | None -> t.cache_misses <- t.cache_misses + 1);
-      Mutex.unlock t.sm;
       v
-    end
   in
-  let resp =
-    match cached with
-    | Some result ->
-        Mutex.lock t.sm;
-        t.succeeded <- t.succeeded + 1;
-        Mutex.unlock t.sm;
-        {
-          Protocol.r_id = req.Protocol.id;
-          served = Protocol.Cached;
-          memo = Protocol.no_memo;
-          wall_s = Unix.gettimeofday () -. t0;
-          outcome = Stdlib.Ok result;
-        }
-    | None -> (
-        match
-          (* the request's deadline and the disconnect poll become the
-             ambient budget for this compile only; [Pom.compile] is not
-             given a deadline of its own, so it runs under this one *)
-          Budget.with_budget ?deadline_s:req.Protocol.deadline_s
-            ~cancel:(fun () -> Atomic.get job.cancelled)
-            (fun () ->
-              Pom.compile ~device:req.Protocol.device
-                ~framework:req.Protocol.framework ~dnn:req.Protocol.dnn
-                req.Protocol.func)
-        with
-        | c ->
-            let result = Protocol.result_of_compiled c in
-            Mutex.lock t.sm;
-            t.succeeded <- t.succeeded + 1;
-            (* only successful compiles enter the cache (a deadline-shaped
-               failure must not poison future requests), and the first
-               write wins: a cache-bypassing recompile reproduces the
-               design but not the stopwatch fields, and cached responses
-               must stay bit-stable across it *)
-            cache_insert t key result;
-            Mutex.unlock t.sm;
-            {
-              Protocol.r_id = req.Protocol.id;
-              served = Protocol.Computed;
-              memo = Protocol.no_memo;
-              wall_s = Unix.gettimeofday () -. t0;
-              outcome = Stdlib.Ok result;
-            }
-        | exception e ->
-            Mutex.lock t.sm;
-            t.failed <- t.failed + 1;
-            Mutex.unlock t.sm;
-            {
-              Protocol.r_id = req.Protocol.id;
-              served = Protocol.Computed;
-              memo = Protocol.no_memo;
-              wall_s = Unix.gettimeofday () -. t0;
-              outcome = Stdlib.Error (Protocol.error_of_exn e);
-            })
-  in
-  settle job resp
+  match cached with
+  | Some result ->
+      locked t (fun () -> t.succeeded <- t.succeeded + 1);
+      respond ~served:Protocol.Cached (Ok result)
+  | None -> (
+      match
+        (* the request's deadline and the disconnect poll become the
+           ambient budget for this compile only; [Pom.compile] is not
+           given a deadline of its own, so it runs under this one *)
+        Budget.with_budget ?deadline_s:req.Protocol.deadline_s
+          ~cancel:(fun () -> Atomic.get job.cancelled)
+          (fun () ->
+            Pom.compile ~device:req.Protocol.device
+              ~framework:req.Protocol.framework ~dnn:req.Protocol.dnn
+              req.Protocol.func)
+      with
+      | c ->
+          let result = Protocol.result_of_compiled c in
+          (* only successful compiles enter the cache (a deadline-shaped
+             failure must not poison future requests), and the first
+             write wins: a cache-bypassing recompile reproduces the
+             design but not the stopwatch fields, and cached responses
+             must stay bit-stable across it *)
+          locked t (fun () ->
+              t.succeeded <- t.succeeded + 1;
+              cache_insert t key result);
+          respond (Ok result)
+      | exception e ->
+          locked t (fun () -> t.failed <- t.failed + 1);
+          respond (Stdlib.Error (Protocol.error_of_exn e)))
 
 let next_job t =
   Mutex.lock t.qm;
@@ -223,23 +189,10 @@ let next_job t =
 let run_job t (job : job) =
   if Atomic.get job.cancelled then begin
     (* client gone before we started: account it, skip the work *)
-    Mutex.lock t.sm;
-    t.failed <- t.failed + 1;
-    Mutex.unlock t.sm;
+    locked t (fun () -> t.failed <- t.failed + 1);
     settle job
-      {
-        Protocol.r_id = job.req.Protocol.id;
-        served = Protocol.Computed;
-        memo = Protocol.no_memo;
-        wall_s = 0.0;
-        outcome =
-          Stdlib.Error
-            {
-              Protocol.code = "POM301";
-              message = "client disconnected before compile started";
-              context = [];
-            };
-      }
+      (response ~id:job.req.Protocol.id
+         (error "POM301" "client disconnected before compile started"))
   end
   else begin
     (* deterministic chaos site: an "executor bug" striking between jobs —
@@ -255,41 +208,29 @@ let run_job t (job : job) =
    swallowed with the client left waiting on a job that would never
    settle.  Now it is logged, charged to the in-flight request alone as a
    typed POM312, and the loop respawns for the next job; the daemon stays
-   up and the health probe reports the respawn count. *)
+   up and the status reply reports the respawn count. *)
 let executor t () =
   let rec next () =
     match next_job t with
-    | None -> Atomic.set t.executor_live false
+    | None -> ()
     | Some job ->
         (match run_job t job with
         | () -> ()
         | exception e ->
-            Mutex.lock t.sm;
-            t.failed <- t.failed + 1;
-            t.executor_respawns <- t.executor_respawns + 1;
-            Mutex.unlock t.sm;
+            locked t (fun () ->
+                t.failed <- t.failed + 1;
+                t.executor_respawns <- t.executor_respawns + 1);
             Printf.eprintf
               "pom_compile --serve: executor crashed (%s); respawning \
                (POM312)\n\
                %!"
               (Printexc.to_string e);
             settle job
-              {
-                Protocol.r_id = job.req.Protocol.id;
-                served = Protocol.Computed;
-                memo = Protocol.no_memo;
-                wall_s = 0.0;
-                outcome =
-                  Stdlib.Error
-                    {
-                      Protocol.code = "POM312";
-                      message =
-                        "server executor crashed mid-request and was \
-                         respawned; only this request failed: "
-                        ^ Printexc.to_string e;
-                      context = [];
-                    };
-              });
+              (response ~id:job.req.Protocol.id
+                 (error "POM312"
+                    ("server executor crashed mid-request and was \
+                      respawned; only this request failed: "
+                    ^ Printexc.to_string e))));
         next ()
   in
   next ()
@@ -304,15 +245,6 @@ let send_response fd msg =
   let oc = Unix.out_channel_of_descr fd in
   try Protocol.write_server_msg oc msg
   with Sys_error _ | Unix.Unix_error _ -> ()
-
-let error_response ~id code message =
-  {
-    Protocol.r_id = id;
-    served = Protocol.Computed;
-    memo = Protocol.no_memo;
-    wall_s = 0.0;
-    outcome = Stdlib.Error { Protocol.code; message; context = [] };
-  }
 
 (* Park until the executor settles [job], watching the socket so a client
    that hangs up cancels the compile instead of wasting the server's
@@ -373,14 +305,11 @@ let handle_connection t fd =
   let ic = Unix.in_channel_of_descr fd in
   match Protocol.read_client_msg ~max_payload:t.max_payload ic with
   | Protocol.Stats -> send_response fd (Protocol.Server_stats (stats t))
-  | Protocol.Ping -> send_response fd (Protocol.Health (health t))
   | Protocol.Shutdown ->
       Atomic.set t.stop true;
       send_response fd (Protocol.Server_stats (stats t))
   | Protocol.Compile req -> (
-      Mutex.lock t.sm;
-      t.requests <- t.requests + 1;
-      Mutex.unlock t.sm;
+      locked t (fun () -> t.requests <- t.requests + 1);
       let notify_r, notify_w = Unix.pipe ~cloexec:true () in
       let job =
         {
@@ -397,13 +326,11 @@ let handle_connection t fd =
       | `Full | `Closed ->
           close_quietly notify_r;
           close_quietly notify_w;
-          Mutex.lock t.sm;
-          t.rejected <- t.rejected + 1;
-          Mutex.unlock t.sm;
+          locked t (fun () -> t.rejected <- t.rejected + 1);
           send_response fd
             (Protocol.Response
-               (error_response ~id:req.Protocol.id "POM310"
-                  "server overloaded: admission queue full"))
+               (response ~id:req.Protocol.id
+                  (error "POM310" "server overloaded: admission queue full")))
       | `Admitted -> (
           match await_response fd job with
           | Some resp -> send_response fd (Protocol.Response resp)
@@ -412,12 +339,14 @@ let handle_connection t fd =
   | exception Pom_wire.Wire.Corrupt { detail; _ } ->
       send_response fd
         (Protocol.Response
-           (error_response ~id:0 "POM308" ("corrupt request: " ^ detail)))
+           (response ~id:0 (error "POM308" ("corrupt request: " ^ detail))))
   | exception Pom_wire.Wire.Version_mismatch { expected; got; _ } ->
       send_response fd
         (Protocol.Response
-           (error_response ~id:0 "POM309"
-              (Printf.sprintf "protocol version %d (expected %d)" got expected)))
+           (response ~id:0
+              (error "POM309"
+                 (Printf.sprintf "protocol version %d (expected %d)" got
+                    expected))))
   | exception (Sys_error _ | Unix.Unix_error _) ->
       (* read timeout or transport error: drop the connection *) ()
 
@@ -482,39 +411,17 @@ let start ?(max_queue = default_max_queue)
   (* a client closing mid-write must surface as EPIPE, not kill us *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   remove_stale_socket socket;
-  let journal, warm, journal_notes =
+  let journal, warm =
     match cache_journal with
-    | None -> (None, [], [])
+    | None -> (None, [])
     | Some path ->
-        let j, records, notes =
+        let j, warm, notes =
           Checkpoint.load ~kind:Protocol.cache_journal_kind
-            ~version:Protocol.version path
+            ~version:Protocol.version Protocol.result_codec path
         in
-        let warm, dropped =
-          List.fold_left
-            (fun (warm, dropped) (key, data) ->
-              match
-                Pom_wire.Wire.of_string Protocol.result_codec data
-              with
-              | Ok result -> ((key, result) :: warm, dropped)
-              | Error _ -> (warm, dropped + 1))
-            ([], 0) records
-        in
-        let notes =
-          if dropped = 0 then notes
-          else
-            notes
-            @ [
-                Printf.sprintf
-                  "cache journal: dropped %d undecodable record(s) (POM308)"
-                  dropped;
-              ]
-        in
-        (Some j, List.rev warm, notes)
+        List.iter (Printf.eprintf "pom_compile --serve: %s\n%!") notes;
+        (j, warm)
   in
-  List.iter
-    (fun n -> Printf.eprintf "pom_compile --serve: %s\n%!" n)
-    journal_notes;
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
      Unix.bind listen_fd (Unix.ADDR_UNIX socket);
@@ -556,7 +463,6 @@ let start ?(max_queue = default_max_queue)
       cache_hits = 0;
       cache_misses = 0;
       executor_respawns = 0;
-      executor_live = Atomic.make true;
       started_at = Unix.gettimeofday ();
       live_conns = Atomic.make 0;
       accept_thread = None;

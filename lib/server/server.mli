@@ -1,11 +1,10 @@
 (** The persistent compile server (POM-as-a-service).
 
-    One process owns the warm state a cold [pom_compile] rebuilds from
-    scratch every run: the dependence memo ({!Pom_hls.Summary}), the
-    projection cache ({!Pom_poly.Projcache}) and a cross-request response
-    cache keyed by {!Protocol.cache_key}.  Clients connect over a Unix-domain socket,
-    send one framed {!Protocol.request}, and receive one framed
-    {!Protocol.response}.
+    One process owns the warm state a cold [pom_compile] rebuilds on
+    every run: the dependence memo ({!Pom_hls.Summary}) and a
+    cross-request response cache keyed by {!Protocol.cache_key}.
+    Clients connect over a Unix-domain socket, send one framed
+    {!Protocol.request}, and receive one framed {!Protocol.response}.
 
     Concurrency model: connection handling is threaded (decode, queue,
     watch for client disconnect, write the response), but compiles are
@@ -36,10 +35,11 @@
     {!Pom_resilience.Checkpoint} journal (stream kind
     {!Protocol.cache_journal_kind}, torn tails truncated on reopen), so
     a restarted daemon warm-starts and serves previously compiled
-    requests as bit-identical cache hits.  The {!Protocol.Ping} probe
-    answers with {!Protocol.health} — uptime, queue depth, executor
-    liveness and respawn count, and the journal's durability lag —
-    without queueing behind a compile. *)
+    requests as bit-identical cache hits; a journal path that cannot be
+    opened leaves the daemon serving without one (a POM306 note on
+    stderr).  A status request is answered with {!Protocol.server_stats}
+    — counters, queue depth, executor respawns, the journal's durability
+    lag, uptime — without queueing behind a compile. *)
 
 type t
 
@@ -78,10 +78,8 @@ val request_stop : t -> unit
     or a client's shutdown request). *)
 val join : t -> unit
 
+(** The status reply a stats or shutdown request is answered with. *)
 val stats : t -> Protocol.server_stats
-
-(** The liveness snapshot a {!Protocol.Ping} is answered with. *)
-val health : t -> Protocol.health
 
 (** [run ~socket ()] is the daemon entry point: {!start}, install
     SIGTERM/SIGINT handlers that trigger a clean stop, block until

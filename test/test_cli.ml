@@ -216,6 +216,76 @@ let test_connect_diagnostics () =
         "analysis:" );
     ]
 
+(* The daemon compiles under its own defaults and returns a fixed subset
+   of the artifact, so a flag only a local compile honours is a usage
+   error with --connect, named and caught before connecting.  The socket
+   does not exist: a dropped flag would fall back to a local compile and
+   exit 0. *)
+let test_connect_local_only_flags () =
+  let connect =
+    "-w gemm -s 32 -f pom-manual -j 1 --connect /nonexistent/pom.sock \
+     --retries 1 --retry-backoff 0.01"
+  in
+  List.iter
+    (fun (flag, arg) ->
+      let code, err = run_stderr (String.concat " " [ connect; flag; arg ]) in
+      Alcotest.(check int) (flag ^ ": usage error") 1 code;
+      Alcotest.(check bool) (flag ^ ": named") true (contains err flag))
+    [
+      ("--timing", "");
+      ("--dump-after", "all");
+      ("--verify-each", "");
+      ("--validate", "");
+      ("--check-legality", "");
+      ("--timeline", "");
+      ("--emit-mlir", "");
+      ("--emit-testbench", "");
+      ("--checkpoint", "/nonexistent/pom.jrnl");
+      ("--on-error", "degrade");
+    ];
+  Alcotest.(check int) "--on-error abort is the daemon's own policy" 0
+    (run (connect ^ " --on-error abort"))
+
+(* A daemon of another protocol generation cannot answer a status
+   request: --server-stats and --stop name the skew (POM309) and exit 1
+   instead of dying on an uncaught exception.  The stand-in daemon reads
+   the request and answers with the previous generation's header. *)
+let test_status_version_skew () =
+  let module Frame = Pom_wire.Frame in
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pom-cli-%d.sock" (Unix.getpid ()))
+  in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX socket);
+  Unix.listen fd 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Sys.remove socket)
+  @@ fun () ->
+  List.iter
+    (fun flag ->
+      let answer () =
+        let c, _ = Unix.accept ~cloexec:true fd in
+        ignore (Unix.read c (Bytes.create 4096) 0 4096);
+        let oc = Unix.out_channel_of_descr c in
+        Frame.output_header oc
+          {
+            Frame.kind = Pom_server.Protocol.response_kind;
+            version = Pom_server.Protocol.version - 1;
+          };
+        close_out oc
+      in
+      let daemon = Thread.create answer () in
+      let code, err = run_stderr (flag ^ " " ^ socket) in
+      Thread.join daemon;
+      Alcotest.(check int) (flag ^ ": exit 1") 1 code;
+      Alcotest.(check bool) (flag ^ ": names POM309") true
+        (contains err "POM309"))
+    [ "--server-stats"; "--stop" ]
+
 (* A --dump-after name that no pass of the compile carries only warns:
    the compile succeeds, and the warning lists the names of the flow's own
    passes, sorted. *)
@@ -264,6 +334,10 @@ let () =
             test_cycle_count_overflow;
           Alcotest.test_case "--connect diagnostics" `Quick
             test_connect_diagnostics;
+          Alcotest.test_case "--connect local-only flags" `Quick
+            test_connect_local_only_flags;
+          Alcotest.test_case "status version skew" `Quick
+            test_status_version_skew;
           Alcotest.test_case "--dump-after unknown pass" `Quick
             test_dump_after_unknown;
         ] );

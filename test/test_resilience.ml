@@ -9,6 +9,13 @@ let with_faults spec f =
   R.Fault.configure spec;
   Fun.protect ~finally:R.Fault.reset f
 
+let contains ~sub line =
+  let n = String.length sub in
+  let rec from i =
+    i + n <= String.length line && (String.sub line i n = sub || from (i + 1))
+  in
+  from 0
+
 (* -------- budgets -------- *)
 
 let test_budget_deadline () =
@@ -89,15 +96,22 @@ let test_fault_kinds () =
 
 (* -------- checkpoint journal -------- *)
 
+(* The journal under test holds plain strings. *)
+let load_strings ?fsync_each path =
+  match R.Checkpoint.load ?fsync_each Pom_wire.Wire.string path with
+  | Some j, records, notes -> (j, records, notes)
+  | None, _, notes ->
+      Alcotest.failf "journal not opened: %s" (String.concat "; " notes)
+
 let test_checkpoint_roundtrip () =
   let path = Filename.temp_file "pom_ckpt" ".jrnl" in
   Sys.remove path;
-  let j, recs, _ = R.Checkpoint.load path in
+  let j, recs, _ = load_strings path in
   Alcotest.(check int) "fresh journal empty" 0 (List.length recs);
-  R.Checkpoint.append j ~key:"k1" ~data:"d1";
-  R.Checkpoint.append j ~key:"k2" ~data:"d2";
+  R.Checkpoint.append j ~key:"k1" "d1";
+  R.Checkpoint.append j ~key:"k2" "d2";
   R.Checkpoint.close j;
-  let j2, recs2, notes2 = R.Checkpoint.load path in
+  let j2, recs2, notes2 = load_strings path in
   R.Checkpoint.close j2;
   Alcotest.(check (list (pair string string)))
     "records replay in order"
@@ -109,33 +123,47 @@ let test_checkpoint_roundtrip () =
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
   output_string oc "torn";
   close_out oc;
-  let j3, recs3, notes3 = R.Checkpoint.load path in
+  let j3, recs3, notes3 = load_strings path in
   Alcotest.(check int) "torn tail dropped" 2 (List.length recs3);
   Alcotest.(check bool) "truncation is reported" true (notes3 <> []);
-  R.Checkpoint.append j3 ~key:"k3" ~data:"d3";
+  R.Checkpoint.append j3 ~key:"k3" "d3";
   R.Checkpoint.close j3;
-  let j4, recs4, _ = R.Checkpoint.load path in
+  let j4, recs4, _ = load_strings path in
   R.Checkpoint.close j4;
   Alcotest.(check int) "extends cleanly after recovery" 3 (List.length recs4);
+  (* a value the codec cannot decode is dropped with one POM308 note *)
+  (match R.Checkpoint.load Pom_wire.Wire.int path with
+  | Some j, records, notes ->
+      R.Checkpoint.close j;
+      Alcotest.(check int) "undecodable values dropped" 0 (List.length records);
+      Alcotest.(check (list string)) "one POM308 note"
+        [ "checkpoint: dropped 3 undecodable record(s) (POM308)" ]
+        notes
+  | None, _, _ -> Alcotest.fail "journal not opened");
   (* an unrecognized header is restarted empty, not trusted *)
   let oc = open_out_bin path in
   output_string oc "NOTAJRNL\nwhatever";
   close_out oc;
-  let j5, recs5, _ = R.Checkpoint.load path in
+  let j5, recs5, _ = load_strings path in
   R.Checkpoint.close j5;
   Alcotest.(check int) "bad magic restarts empty" 0 (List.length recs5);
-  Sys.remove path
+  Sys.remove path;
+  (* a path that cannot be created is no journal and a POM306 note *)
+  match R.Checkpoint.load Pom_wire.Wire.string "/nonexistent-dir/j" with
+  | None, [], [ note ] ->
+      Alcotest.(check bool) "POM306 note" true (contains ~sub:"(POM306)" note)
+  | _ -> Alcotest.fail "an uncreatable journal must load as none"
 
 let test_checkpoint_fsync_each () =
   (* fsync_each is a durability knob, not a behaviour change: records
      written under it replay identically *)
   let path = Filename.temp_file "pom_ckpt_sync" ".jrnl" in
   Sys.remove path;
-  let j, _, _ = R.Checkpoint.load ~fsync_each:true path in
-  R.Checkpoint.append j ~key:"k1" ~data:"d1";
-  R.Checkpoint.append j ~key:"k2" ~data:"d2";
+  let j, _, _ = load_strings ~fsync_each:true path in
+  R.Checkpoint.append j ~key:"k1" "d1";
+  R.Checkpoint.append j ~key:"k2" "d2";
   R.Checkpoint.close j;
-  let j2, recs2, notes2 = R.Checkpoint.load path in
+  let j2, recs2, notes2 = load_strings path in
   R.Checkpoint.close j2;
   Alcotest.(check (list (pair string string)))
     "synced records replay" [ ("k1", "d1"); ("k2", "d2") ] recs2;
@@ -248,13 +276,6 @@ let compile_outcome framework func spec =
       | c -> `Compiled c
       | exception R.Fault.Killed site -> `Killed site
       | exception R.Error.Error e -> `Aborted e)
-
-let contains ~sub line =
-  let n = String.length sub in
-  let rec from i =
-    i + n <= String.length line && (String.sub line i n = sub || from (i + 1))
-  in
-  from 0
 
 let test_search_faults_degrade () =
   let func = Polybench.bicg 64 in
@@ -403,8 +424,8 @@ let test_journal_keys_are_digests () =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       ignore (Pom_dse.Engine.run ~checkpoint:path (Pom_workloads.Dnn.resnet18 ()));
-      let j, records, _ = R.Checkpoint.load path in
-      R.Checkpoint.close j;
+      let j, records, _ = R.Checkpoint.load Pom_hls.Wirec.report path in
+      Option.iter R.Checkpoint.close j;
       Alcotest.(check bool) "the search journaled its points" true
         (List.length records > 1);
       List.iter
@@ -445,31 +466,15 @@ exception Transient
 
 exception Fatal
 
-let fast_policy =
-  { Retry.retries = 3; base_s = 0.001; factor = 2.0; max_s = 0.01; seed = 7 }
+let fast_policy = { Retry.retries = 3; base_s = 0.001 }
 
-(* The whole point of the seeded jitter: the schedule is a pure function
-   of (policy, attempt), so a chaos run replays byte-identical timing. *)
-let test_retry_backoff_deterministic () =
-  let sched p = List.init 6 (fun i -> Retry.backoff_s p ~attempt:(i + 1)) in
+(* The schedule is a pure function of (policy, attempt): the base delay,
+   doubling per retry, capped at 2 s. *)
+let test_retry_backoff_doubles_and_caps () =
   Alcotest.(check (list (float 1e-12)))
-    "same policy, same schedule" (sched Retry.default) (sched Retry.default);
-  let reseeded = { Retry.default with Retry.seed = 1 } in
-  Alcotest.(check bool) "different seed desynchronizes" true
-    (sched Retry.default <> sched reseeded);
-  List.iteri
-    (fun i d ->
-      let attempt = i + 1 in
-      let raw =
-        Float.min Retry.default.Retry.max_s
-          (Retry.default.Retry.base_s
-          *. (Retry.default.Retry.factor ** float_of_int i))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "attempt %d within the jitter band" attempt)
-        true
-        (d >= (0.5 *. raw) -. 1e-12 && d <= raw +. 1e-12))
-    (sched Retry.default)
+    "0.1 s doubling, capped at 2 s"
+    [ 0.1; 0.2; 0.4; 0.8; 1.6; 2.0; 2.0 ]
+    (List.init 7 (fun i -> Retry.backoff_s Retry.default ~attempt:(i + 1)))
 
 let test_retry_succeeds_after_transients () =
   let calls = ref 0 and observed = ref [] in
@@ -515,9 +520,7 @@ let test_retry_rejects_non_transient () =
 (* The backoff must never overshoot the caller's deadline: when the next
    sleep does not fit, the loop gives up immediately. *)
 let test_retry_deadline_bounds_sleeps () =
-  let slow =
-    { Retry.retries = 50; base_s = 0.5; factor = 2.0; max_s = 5.0; seed = 0 }
-  in
+  let slow = { Retry.retries = 50; base_s = 0.5 } in
   let calls = ref 0 in
   let t0 = Unix.gettimeofday () in
   (match
@@ -577,8 +580,8 @@ let () =
         ] );
       ( "retry",
         [
-          Alcotest.test_case "seeded backoff is deterministic" `Quick
-            test_retry_backoff_deterministic;
+          Alcotest.test_case "backoff doubles and caps" `Quick
+            test_retry_backoff_doubles_and_caps;
           Alcotest.test_case "succeeds after transients" `Quick
             test_retry_succeeds_after_transients;
           Alcotest.test_case "exhaustion re-raises the last failure" `Quick

@@ -241,7 +241,7 @@ let expect_error_code ~socket bytes code =
   | Protocol.Response { Protocol.outcome = Error e; _ } ->
       Alcotest.(check string) "typed error code" code e.Protocol.code
   | Protocol.Response _ -> Alcotest.fail "expected an error response"
-  | Protocol.Server_stats _ | Protocol.Health _ ->
+  | Protocol.Server_stats _ ->
       Alcotest.fail "expected a compile response"
 
 let test_malformed_requests () =
@@ -330,7 +330,7 @@ let test_admission_overload () =
   let queued = Protocol.read_server_msg (Unix.in_channel_of_descr queued_fd) in
   (match queued with
   | Protocol.Response qr -> ignore (ok_result qr)
-  | Protocol.Server_stats _ | Protocol.Health _ ->
+  | Protocol.Server_stats _ ->
       Alcotest.fail "expected a compile response");
   Unix.close queued_fd
 
@@ -398,20 +398,21 @@ let test_non_socket_file_untouched () =
       close_in ic;
       Alcotest.(check string) "file left untouched" "precious bytes" contents)
 
-(* -------- health probe -------- *)
+(* -------- status reply -------- *)
 
-let test_ping_health () =
+let test_ping_server_stats () =
   with_server @@ fun ~socket _t ->
-  let h = Client.ping ~socket in
-  Alcotest.(check bool) "executor live" true h.Protocol.h_executor_live;
-  Alcotest.(check int) "no respawns yet" 0 h.Protocol.h_executor_respawns;
-  Alcotest.(check int) "queue empty" 0 h.Protocol.h_queue_depth;
-  Alcotest.(check int) "cache empty" 0 h.Protocol.h_cache_entries;
-  Alcotest.(check (option int)) "journal off" None h.Protocol.h_journal_lag;
-  Alcotest.(check bool) "uptime sane" true (h.Protocol.h_uptime_s >= 0.0);
+  let s = Client.ping ~socket in
+  Alcotest.(check int) "no respawns yet" 0 s.Protocol.executor_respawns;
+  Alcotest.(check int) "queue empty" 0 s.Protocol.queue_depth;
+  Alcotest.(check int) "cache empty" 0 s.Protocol.cache_entries;
+  Alcotest.(check (option int)) "journal off" None s.Protocol.journal_lag;
+  Alcotest.(check bool) "uptime sane" true (s.Protocol.uptime_s >= 0.0);
   ignore (Client.compile ~socket (Client.request (scheduled_gemm 16)));
-  let h = Client.ping ~socket in
-  Alcotest.(check int) "cache grew" 1 h.Protocol.h_cache_entries
+  let s = Client.ping ~socket in
+  Alcotest.(check int) "cache grew" 1 s.Protocol.cache_entries;
+  Alcotest.(check int) "the stats request answers the same record"
+    s.Protocol.requests (Client.stats ~socket).Protocol.requests
 
 (* -------- durable cache journal -------- *)
 
@@ -426,24 +427,59 @@ let test_journal_warm_start () =
       let cold_bytes =
         with_server ~cache_journal:journal @@ fun ~socket _t ->
         let r = Client.compile ~socket (req ()) in
-        let h = Client.ping ~socket in
+        let s = Client.ping ~socket in
         Alcotest.(check (option int)) "insert journaled" (Some 0)
-          h.Protocol.h_journal_lag;
+          s.Protocol.journal_lag;
         Wire.to_string Protocol.result_codec (ok_result r)
       in
       (* a restarted daemon replays the journal into its cache and serves
          the old request as a hit, bit-identically *)
       with_server ~cache_journal:journal @@ fun ~socket _t ->
-      let h = Client.ping ~socket in
+      let s = Client.ping ~socket in
       Alcotest.(check int) "entry replayed at startup" 1
-        h.Protocol.h_cache_entries;
+        s.Protocol.cache_entries;
       Alcotest.(check (option int)) "journal synced after replay" (Some 0)
-        h.Protocol.h_journal_lag;
+        s.Protocol.journal_lag;
       let warm = Client.compile ~socket (req ()) in
       Alcotest.(check bool) "served from the replayed cache" true
         (warm.Protocol.served = Protocol.Cached);
       Alcotest.(check string) "bit-identical across the restart" cold_bytes
         (Wire.to_string Protocol.result_codec (ok_result warm)))
+
+(* A journal path that cannot be created costs the journal, not the
+   daemon: it serves without one and says so on stderr (POM306). *)
+let test_journal_unopenable () =
+  let log = Filename.temp_file "pom-serve" ".err" in
+  let socket = fresh_socket () in
+  (* the note goes to stderr at start-up: capture just that *)
+  let t =
+    let saved = Unix.dup Unix.stderr in
+    let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+    Unix.dup2 fd Unix.stderr;
+    Unix.close fd;
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      (fun () -> Server.start ~cache_journal:"/nonexistent-dir/j" ~socket ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_stop t;
+      Server.join t;
+      Sys.remove log)
+    (fun () ->
+      Alcotest.(check string) "the POM306 note"
+        "pom_compile --serve: checkpoint: /nonexistent-dir/j unreadable \
+         (/nonexistent-dir/j: No such file or directory); continuing \
+         without a journal (POM306)\n"
+        (In_channel.with_open_bin log In_channel.input_all);
+      let req = Client.request (scheduled_gemm 16) in
+      ignore (ok_result (Client.compile ~socket req));
+      let s = Client.stats ~socket in
+      Alcotest.(check (option int)) "serving without a journal" None
+        s.Protocol.journal_lag;
+      Alcotest.(check int) "the cache still serves" 1 s.Protocol.cache_entries)
 
 (* -------- executor supervision -------- *)
 
@@ -462,9 +498,8 @@ let test_executor_crash_respawns () =
   (* the respawned executor serves the next request *)
   let ok = Client.compile ~socket (Client.request (scheduled_gemm 16)) in
   ignore (ok_result ok);
-  let h = Client.ping ~socket in
-  Alcotest.(check bool) "executor live again" true h.Protocol.h_executor_live;
-  Alcotest.(check int) "respawn counted" 1 h.Protocol.h_executor_respawns
+  Alcotest.(check int) "respawn counted" 1
+    (Client.stats ~socket).Protocol.executor_respawns
 
 (* -------- analyzer diagnostics over the wire -------- *)
 
@@ -549,11 +584,7 @@ let test_daemon_kill_local_fallback_bit_identical () =
     (fun () ->
       let retried = ref 0 in
       let policy =
-        {
-          Pom.Resilience.Retry.default with
-          Pom.Resilience.Retry.retries = 2;
-          base_s = 0.01;
-        }
+        { Pom.Resilience.Retry.retries = 2; base_s = 0.01 }
       in
       (match
          Client.compile_retry ~policy
@@ -611,9 +642,12 @@ let () =
             test_live_socket_not_stolen;
           Alcotest.test_case "non-socket file untouched" `Quick
             test_non_socket_file_untouched;
-          Alcotest.test_case "ping answers health" `Quick test_ping_health;
+          Alcotest.test_case "ping answers server stats" `Quick
+            test_ping_server_stats;
           Alcotest.test_case "cache journal warm-starts a restart" `Quick
             test_journal_warm_start;
+          Alcotest.test_case "unopenable cache journal" `Quick
+            test_journal_unopenable;
           Alcotest.test_case "executor crash is POM312 + respawn" `Quick
             test_executor_crash_respawns;
           Alcotest.test_case "kill -9'd daemon: retries then local fallback"
