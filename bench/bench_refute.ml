@@ -4,7 +4,7 @@
    regressed into pathological work (e.g. an enumeration that stopped
    respecting the case's bounding box). *)
 
-module Engine = Pom.Refute.Engine
+module Engine = Pom_refute.Engine
 
 let seed = 7
 
@@ -37,7 +37,7 @@ let run () =
   let replay_s = Unix.gettimeofday () -. t0 in
   let replay_regressions =
     List.length
-      (List.filter (fun (_, _, v) -> Pom.Refute.Oracle.is_fail v) replayed)
+      (List.filter (fun (_, _, v) -> Pom_refute.Oracle.is_fail v) replayed)
   in
   Util.print_table
     [ "family"; "cases"; "cases/s"; "skip"; "precision"; "counterexamples" ]

@@ -310,7 +310,7 @@ let build_checked ~workload ~size build =
 
 let run workload from_c size framework schedules lint werror emit_c emit_mlir
     emit_testbench validate check_legality timeline trace timing dump_after
-    verify_each resource_frac jobs deadline on_error checkpoint inject
+    verify_each resource_frac jobs deadline on_error inject
     list_workloads serve connect queue no_request_cache stop_socket
     stats_socket retries retry_backoff cache_journal =
   if jobs <> 1 then begin
@@ -352,7 +352,6 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
            (timeline, "--timeline");
            (emit_mlir, "--emit-mlir");
            (emit_testbench, "--emit-testbench");
-           (checkpoint <> None, "--checkpoint");
            (on_error <> Pom.Resilience.Policy.Abort, "--on-error");
          ]
      with
@@ -418,13 +417,16 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
             Pom.Resilience.Fault.reset ();
             let func = build_checked ~workload ~size build in
             arm_faults ();
+            (* a directive the parser or a Schedule constructor rejects (a
+               split factor of 1, an II of 0, an unknown compute) is a
+               usage error *)
             (match
                List.iter
                  (fun s -> Pom.Dsl.Func.schedule func (directive_of_string s))
                  schedules
              with
             | () -> ()
-            | exception Failure m ->
+            | exception (Failure m | Invalid_argument m) ->
                 prerr_endline m;
                 exit 1);
             match connect with
@@ -436,7 +438,7 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
             | None ->
             let c =
               Pom.compile ~device ~framework:fw ~dnn ~dump_after ~verify_each
-                ?deadline_s:deadline ~on_error ?checkpoint func
+                ?deadline_s:deadline ~on_error func
             in
             let known =
               List.sort_uniq String.compare
@@ -589,8 +591,7 @@ let trace_arg =
     value & flag
     & info [ "trace" ]
         ~doc:
-          "Print the compile trace: DSE decisions, checkpoint notes, \
-           legality verdicts.")
+          "Print the compile trace: DSE decisions and legality verdicts.")
 
 let timing_arg =
   Arg.(
@@ -668,18 +669,6 @@ let on_error_arg =
            assume the dependence, reject the transform, skip the DSE \
            candidate, keep the incumbent design.")
 
-let checkpoint_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE"
-        ~doc:
-          "Journal every evaluated DSE design point to $(docv) (append \
-           and flush per record).  Re-running with the same $(docv) \
-           replays the journal into the evaluation cache first, so a \
-           killed search resumes and reproduces the identical final \
-           design.")
-
 let inject_arg =
   Arg.(
     value
@@ -723,7 +712,7 @@ let connect_arg =
            as the server-side budget.  A flag only a local compile honours \
            (--timing, --dump-after, --verify-each, --validate, \
            --check-legality, --timeline, --emit-mlir, --emit-testbench, \
-           --checkpoint, --on-error other than abort) is a usage error.")
+           --on-error other than abort) is a usage error.")
 
 let queue_arg =
   Arg.(
@@ -826,7 +815,7 @@ let cmd =
       $ schedule_arg $ lint_arg $ werror_arg $ emit_c_arg $ emit_mlir_arg
       $ emit_testbench_arg $ validate_arg $ check_legality_arg $ timeline_arg
       $ trace_arg $ timing_arg $ dump_after_arg $ verify_each_arg $ frac_arg
-      $ jobs_arg $ deadline_arg $ on_error_arg $ checkpoint_arg $ inject_arg
+      $ jobs_arg $ deadline_arg $ on_error_arg $ inject_arg
       $ list_arg $ serve_arg $ connect_arg $ queue_arg $ no_request_cache_arg
       $ stop_arg $ server_stats_arg $ retries_arg $ retry_backoff_arg
       $ cache_journal_arg)

@@ -9,7 +9,7 @@
    and, with --corpus, saved as replayable .case files. *)
 
 open Cmdliner
-module Refute = Pom.Refute
+module Refute = Pom_refute
 
 let seed_arg =
   Arg.(
@@ -83,7 +83,7 @@ let replay_corpus dir =
   in
   List.iter
     (fun (path, _, v) ->
-      Fmt.pr "replay %s: %a@." (Filename.basename path)
+      Format.printf "replay %s: %a@." (Filename.basename path)
         Refute.Oracle.pp_verdict v)
     results;
   (List.length results, List.length regressions)
@@ -91,7 +91,7 @@ let replay_corpus dir =
 let run seed cases families budget corpus replay_only inject =
   match parse_families families with
   | Error e ->
-      Fmt.epr "pom_refute: %s@." e;
+      Format.eprintf "pom_refute: %s@." e;
       1
   | Ok families -> (
       (match inject with
@@ -103,20 +103,20 @@ let run seed cases families budget corpus replay_only inject =
         | _ -> (0, 0)
       in
       if replayed > 0 then
-        Fmt.pr "corpus: %d case(s) replayed, %d regression(s)@.@." replayed
-          regressions;
+        Format.printf "corpus: %d case(s) replayed, %d regression(s)@.@."
+          replayed regressions;
       let found = ref 0 in
       let on_finding dir (f : Refute.Engine.finding) =
         incr found;
-        Fmt.pr "@.counterexample (%s, shrunk %d step(s)):@.  %s@."
+        Format.printf "@.counterexample (%s, shrunk %d step(s)):@.  %s@."
           f.Refute.Engine.diag.Pom.Analysis.Diagnostic.code
           f.Refute.Engine.shrink_steps
           f.Refute.Engine.diag.Pom.Analysis.Diagnostic.message;
-        Fmt.pr "  %s@." (Refute.Case.to_string f.Refute.Engine.case);
+        Format.printf "  %s@." (Refute.Case.to_string f.Refute.Engine.case);
         match dir with
         | Some dir ->
             let path = Refute.Corpus.save dir f.Refute.Engine.case in
-            Fmt.pr "  saved %s@." path
+            Format.printf "  saved %s@." path
         | None -> ()
       in
       if not replay_only then
@@ -127,9 +127,9 @@ let run seed cases families budget corpus replay_only inject =
                   Refute.Engine.run ~seed ~cases
                     ~on_finding:(on_finding corpus) family)
             in
-            Fmt.pr "%a@." Refute.Engine.pp_stats stats;
+            Format.printf "%a@." Refute.Engine.pp_stats stats;
             if stats.Refute.Engine.precision_misses > 0 then
-              Fmt.pr
+              Format.printf
                 "hint [POM405]: %d schedule(s) rejected by the legality \
                  engine executed bit-identically anyway — imprecision, not \
                  unsoundness@."

@@ -59,8 +59,7 @@ let ladder = [ 2; 3; 4; 6; 8; 12; 16; 24; 32; 48; 64 ]
    evaluation. *)
 let unit_usage ~count ~device s (prog : Prog.t) (u : Stage2.unit_state) =
   incr count;
-  Report.group_usage (Stage2.prices s) ~device prog
-    (List.map snd u.Stage2.realized)
+  Report.group_usage (Stage2.prices s) ~device prog u.Stage2.realized
 
 let usage_fits (budget : Resource.usage) (u : Resource.usage) =
   u.Resource.dsp <= budget.Resource.dsp
@@ -76,15 +75,15 @@ let usage_sub (a : Resource.usage) (b : Resource.usage) =
   }
 
 (* greedy program-order factor-ladder DSE under a dataflow budget *)
-let greedy_pass ?checkpoint () =
+let greedy_pass () =
   Pass.v ~required:true ~name:"scalehls-greedy-dse"
     (fun (st : State.t) ->
       let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
       let func = st.State.func and device = st.State.device in
-      Stage2.start ?checkpoint ~device
-        ~composition:st.State.composition ~latency_mode:st.State.latency_mode
-        func st.State.directives
-      @@ fun s ->
+      let s =
+        Stage2.start ~device ~composition:st.State.composition
+          ~latency_mode:st.State.latency_mode func st.State.directives
+      in
       let huge =
         List.exists
           (fun (c : Compute.t) ->
@@ -186,10 +185,9 @@ let greedy_pass ?checkpoint () =
         directives;
         tile_vectors;
         evaluations = Stage2.evaluations s + !usage_checks;
-        trace = st.State.trace @ Stage2.journal_notes s @ List.rev !trace;
+        trace = st.State.trace @ List.rev !trace;
         dse_time_s = st.State.dse_time_s +. (Unix.gettimeofday () -. wall0);
         dse_cpu_s = st.State.dse_cpu_s +. (Sys.time () -. cpu0);
       })
 
-let passes ?checkpoint () =
-  [ interchange_pass (); Passes.structural (); greedy_pass ?checkpoint () ]
+let passes () = [ interchange_pass (); Passes.structural (); greedy_pass () ]

@@ -24,11 +24,5 @@
     [analyzer: N design points pruned] line when the analyzer's
     pre-pruning oracle dropped any), and fills the state's program, report,
     directives, tile vectors and evaluation count (priced rungs plus
-    per-unit usage checks).
-
-    [checkpoint] names a crash-safe journal: every priced ladder rung is
-    appended as it is evaluated, and a killed run resumed against the same
-    journal is served the journaled rungs and re-derives the identical
-    final design (see {!Pom_dse.Stage2.start}). *)
-val passes :
-  ?checkpoint:string -> unit -> Pom_pipeline.State.t Pom_pipeline.Pass.t list
+    per-unit usage checks). *)
+val passes : unit -> Pom_pipeline.State.t Pom_pipeline.Pass.t list

@@ -32,7 +32,6 @@ module Cfront = Pom_cfront
 module Pipeline = Pom_pipeline
 module Analysis = Pom_analysis
 module Resilience = Pom_resilience
-module Refute = Pom_refute
 
 open Pom_pipeline
 
@@ -61,19 +60,19 @@ type compiled = {
    synthesize/lower/simplify/emit tail.  Searching flows (`Scalehls,
    `Pom_auto) fill the program slot themselves; the others accumulate
    directives and apply them with the shared schedule-apply pass. *)
-let head_passes ?checkpoint framework =
+let head_passes framework =
   match framework with
   | `Baseline -> [ Passes.structural (); Passes.schedule_apply () ]
   | `Pluto -> Baselines.Pluto.passes () @ [ Passes.schedule_apply () ]
   | `Polsca -> Baselines.Polsca.passes () @ [ Passes.schedule_apply () ]
-  | `Scalehls -> Baselines.Scalehls.passes ?checkpoint ()
+  | `Scalehls -> Baselines.Scalehls.passes ()
   | `Pom_manual -> [ Passes.user_schedule (); Passes.schedule_apply () ]
-  | `Pom_auto -> Dse.Engine.passes ?checkpoint ()
+  | `Pom_auto -> Dse.Engine.passes ()
 
 let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
     ?(dnn = false) ?(dump_after = []) ?(verify_each = false)
     ?jobs:(_ : int option) ?deadline_s ?(on_error = Pom_resilience.Policy.Abort)
-    ?checkpoint func =
+    func =
   Pom_resilience.Policy.with_policy on_error @@ fun () ->
   Pom_resilience.Budget.with_budget ?deadline_s @@ fun () ->
   (* The speedup baseline profiles the input program, so it can fail or run
@@ -103,7 +102,7 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
      POM3xx warning diagnostic under [--on-error degrade]. *)
   let pipeline =
     List.map Passes.guard
-      (head_passes ?checkpoint framework
+      (head_passes framework
       @ [ Passes.legality_check (); Passes.lint_pragmas () ]
       @ Passes.tail ())
   in

@@ -62,18 +62,12 @@ module Cfront = Pom_cfront
 module Pipeline = Pom_pipeline
 module Analysis = Pom_analysis
 
-(** Deadlines, typed failures, graceful degradation, DSE checkpointing,
-    and deterministic fault injection ({!Resilience.Budget},
+(** Deadlines, typed failures, graceful degradation, the crash-safe
+    journal behind the compile daemon's durable response cache, client
+    retry, and deterministic fault injection ({!Resilience.Budget},
     {!Resilience.Policy}, {!Resilience.Error}, {!Resilience.Checkpoint},
-    {!Resilience.Fault}). *)
+    {!Resilience.Retry}, {!Resilience.Fault}). *)
 module Resilience = Pom_resilience
-
-(** Property-based refutation of the trust anchors: differential oracles
-    for polyhedral projection, legality-vs-execution, and the degradation
-    contract, with shrinking and a replayable counterexample corpus
-    ({!Refute.Gen}, {!Refute.Oracle}, {!Refute.Engine},
-    {!Refute.Corpus}). *)
-module Refute = Pom_refute
 
 (** Which optimization flow to run. *)
 type framework =
@@ -107,8 +101,7 @@ type compiled = {
   legality_violations : int;
       (** reversed dependences found by the legality-check pass *)
   trace : string list;
-      (** decision log: DSE search trace, checkpoint notes, legality
-          verdicts *)
+      (** decision log: DSE search trace, legality verdicts *)
 }
 
 (** Compile a DSL function end-to-end through the selected flow.  [dnn]
@@ -130,9 +123,9 @@ type compiled = {
     {!Resilience.Error.Error}; [Degrade] records a POM3xx diagnostic and
     applies each pass's documented fallback (assume the dependence, reject
     the transform, keep the DSE incumbent) — passes that produce the final
-    artifact always abort.  [checkpoint] journals every evaluated DSE
-    design point to the named file so a killed search can resume and
-    reproduce the identical final design. *)
+    artifact always abort.  Both searches are deterministic, so a compile
+    killed mid-search recovers by running again: the rerun walks to the
+    identical design. *)
 val compile :
   ?device:Pom_hls.Device.t ->
   ?framework:framework ->
@@ -142,7 +135,6 @@ val compile :
   ?jobs:int ->
   ?deadline_s:float ->
   ?on_error:Pom_resilience.Policy.t ->
-  ?checkpoint:string ->
   Pom_dsl.Func.t ->
   compiled
 

@@ -14,7 +14,7 @@ type outcome = {
    the pipeline — no hidden mutable coupling between the pass closures. *)
 type State.ext += Stage1_output of Stage1.t | Stage2_output of Stage2.result
 
-let passes ?bank_cap ?checkpoint () =
+let passes ?bank_cap () =
   [
     (* dependence-aware code transformation (DSE stage 1) *)
     Pass.v ~required:true ~name:"stage1-transform"
@@ -42,8 +42,7 @@ let passes ?bank_cap ?checkpoint () =
         in
         let r =
           Stage2.run ~device:st.State.device
-            ~composition:st.State.composition ?bank_cap ?checkpoint
-            st.State.func s1
+            ~composition:st.State.composition ?bank_cap st.State.func s1
         in
         {
           (State.add_ext (Stage2_output r) st) with
@@ -59,12 +58,12 @@ let passes ?bank_cap ?checkpoint () =
   ]
 
 let run ?(device = Pom_hls.Device.xc7z020) ?bank_cap ?jobs:(_ : int option)
-    ?checkpoint func =
+    func =
   (* Sys.time is CPU time; the Table III "DSE time" column is wall clock,
      so measure both and report them separately. *)
   let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
   let st, records =
-    Pass.run (passes ?bank_cap ?checkpoint ()) (State.init ~device func)
+    Pass.run (passes ?bank_cap ()) (State.init ~device func)
   in
   let output f = Option.get (State.find_ext f st) in
   {

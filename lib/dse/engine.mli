@@ -25,23 +25,20 @@ type Pom_pipeline.State.ext +=
     for embedding in a larger pipeline (the [`Pom_auto] compile flow).
     The device and composition are read from the state; stage2-search
     sets the state's program, report, directives, tile vectors and
-    evaluation count from {!Stage2.result}.  [bank_cap] and [checkpoint]
-    are forwarded to {!Stage2.run}. *)
+    evaluation count from {!Stage2.result}.  [bank_cap] is forwarded to
+    {!Stage2.run}. *)
 val passes :
   ?bank_cap:int ->
-  ?checkpoint:string ->
   unit ->
   Pom_pipeline.State.t Pom_pipeline.Pass.t list
 
 (** Run {!passes} alone on [func], with the default reuse composition,
     and return both stages' outputs.  [jobs] is ignored:
     perfbench/cold.ml still passes it, and the compiler runs on one
-    thread.  [checkpoint] is forwarded to {!Stage2.run}: the chosen design
-    is identical across a kill-and-resume of a checkpointed search. *)
+    thread. *)
 val run :
   ?device:Pom_hls.Device.t ->
   ?bank_cap:int ->
   ?jobs:int ->
-  ?checkpoint:string ->
   Pom_dsl.Func.t ->
   outcome

@@ -1,8 +1,6 @@
 open Pom_dsl
 open Pom_polyir
 open Pom_hls
-module Memo = Pom_pipeline.Memo
-module Checkpoint = Pom_resilience.Checkpoint
 
 (* read by perfbench/cold.ml *)
 type sched = { chunks : int; steals : int; splits : int }
@@ -153,7 +151,7 @@ type unit_state = {
   mutable par : int;
   mutable active : bool;
   mutable realization : realization list;  (* one per member *)
-  mutable realized : (Stmt_poly.t * Summary.t) list;
+  mutable realized : Summary.t list;
       (* one per member: its statement under [realization], profiled *)
 }
 
@@ -190,7 +188,7 @@ let realize_unit u =
                r.hw_directives)
         in
         let parent = (p, retiling p.Summary.stmt r.hw_directives) in
-        (s, Summary.of_stmt ~parent s))
+        Summary.of_stmt ~parent s)
       u.stage1 u.realization
 
 let units_of (prog : Prog.t) =
@@ -260,77 +258,17 @@ let hw_directives units =
 
 let splice (prog : Prog.t) units =
   let realized = List.concat_map (fun u -> u.realized) units in
-  let pairs =
+  let profiles =
     List.map
       (fun s ->
         List.find
-          (fun (r, _) -> Stmt_poly.name r = Stmt_poly.name s)
+          (fun (r : Summary.t) ->
+            Stmt_poly.name r.Summary.stmt = Stmt_poly.name s)
           realized)
       prog.Prog.stmts
   in
-  ({ prog with Prog.stmts = List.map fst pairs }, List.map snd pairs)
-
-(* ---- the checkpoint journal ---- *)
-
-(* A search's journal: the open file, and a table of the design points it
-   holds, the replayed ones and those priced since.  A record's key is a
-   digest of the point's identity: the function fingerprint, the full
-   directive list, the device, the composition and the latency mode.  Its
-   payload is the wire-encoded report, the schema {!Checkpoint.version}
-   covers.  The program is not recorded: a resumed search rebuilds it from
-   its own units. *)
-type journal = {
-  file : Report.t Checkpoint.t;
-  fkey : string;
-  context : string;  (* device, composition, latency mode *)
-  points : (string, Report.t) Hashtbl.t;
-}
-
-(* Open the journal at [path] and load its intact records into the
-   search's table, with the trace notes saying what happened. *)
-let open_journal ~device ~composition ~latency_mode func path =
-  match Checkpoint.load Wirec.report path with
-  | None, _, notes -> (None, notes)
-  | Some file, records, notes ->
-      let points = Hashtbl.create 64 in
-      List.iter
-        (fun (key, report) -> Hashtbl.replace points key report)
-        records;
-      let context =
-        String.concat "##"
-          [
-            Memo.device_key device;
-            (match composition with
-            | Resource.Reuse -> "reuse"
-            | Resource.Dataflow -> "dataflow");
-            (match latency_mode with
-            | `Sequential -> "sequential"
-            | `Dataflow -> "dataflow");
-          ]
-      in
-      let note =
-        if records <> [] then
-          Printf.sprintf "checkpoint: replayed %d design points from %s"
-            (List.length records) path
-        else Printf.sprintf "checkpoint: journaling design points to %s" path
-      in
-      ( Some { file; fkey = Memo.func_key func; context; points },
-        notes @ [ note ] )
-
-(* A journaled design point is served from the table; any other is priced,
-   appended and kept. *)
-let journaled j directives price =
-  let key =
-    Digest.string
-      (String.concat "##" [ j.fkey; Memo.directives_key directives; j.context ])
-  in
-  match Hashtbl.find_opt j.points key with
-  | Some report -> report
-  | None ->
-      let report = price () in
-      Checkpoint.append j.file ~key report;
-      Hashtbl.replace j.points key report;
-      report
+  let stmt (r : Summary.t) = r.Summary.stmt in
+  ({ prog with Prog.stmts = List.map stmt profiles }, profiles)
 
 type search = {
   prog_base : Prog.t;  (* the base directives applied *)
@@ -342,7 +280,6 @@ type search = {
   mutable pruned : int;
   mutable incumbent : Prog.t * Schedule.t list * Report.t;
   mutable signature : Pom_analysis.Lint.hw_signature;  (* the incumbent's *)
-  notes : string list;  (* the checkpoint journal's *)
 }
 
 type outcome =
@@ -352,20 +289,8 @@ type outcome =
   | Failed of exn
   | Out_of_budget of string
 
-let start ?bank_cap ?(latency_mode = `Sequential) ?checkpoint ~device
-    ~composition func base f =
-  (* Journal every priced design point; on resume the intact records serve
-     the points they hold, so the search re-derives the exact decision
-     sequence of the uninterrupted search. *)
-  let journal, notes =
-    match checkpoint with
-    | None -> (None, [])
-    | Some path ->
-        open_journal ~device ~composition ~latency_mode func path
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter (fun j -> Checkpoint.close j.file) journal)
-  @@ fun () ->
+let start ?bank_cap ?(latency_mode = `Sequential) ~device ~composition func
+    base =
   let prog_base = Prog.apply_all (Prog.of_func_unscheduled func) base in
   let units = units_of prog_base in
   let prices = Report.prices () in
@@ -376,38 +301,30 @@ let start ?bank_cap ?(latency_mode = `Sequential) ?checkpoint ~device
   let price ((prog_hw : Prog.t), profiles) =
     incr evaluations;
     (* the per-evaluation fault site: [kill] here simulates the process
-       dying on the Nth evaluation (the kill-and-resume test) *)
+       dying on the Nth evaluation *)
     Pom_resilience.Fault.point "dse:evaluate";
     Pom_resilience.Budget.check "dse:evaluate";
     let parts = partition_plan ?bank_cap prog_hw.Prog.func profiles in
     let prog = List.fold_left Prog.apply prog_hw parts in
-    let directives = base @ hw_directives units @ parts in
-    let synthesize () =
+    let report =
       Report.of_profiles ~prices ~composition ~latency_mode ~device prog
         profiles
     in
-    let report =
-      match journal with
-      | None -> synthesize ()
-      | Some j -> journaled j directives synthesize
-    in
-    (prog, directives, report)
+    (prog, base @ hw_directives units @ parts, report)
   in
   let spliced = splice prog_base units in
   let incumbent = price spliced in
   let signature = Pom_analysis.Lint.profiles_signature (snd spliced) in
-  f
-    {
-      prog_base;
-      units;
-      prices;
-      price;
-      evaluations;
-      pruned = 0;
-      incumbent;
-      signature;
-      notes;
-    }
+  {
+    prog_base;
+    units;
+    prices;
+    price;
+    evaluations;
+    pruned = 0;
+    incumbent;
+    signature;
+  }
 
 (* The candidate's realization, its pruning check, its evaluation and the
    caller's rule fail together: [try_move] backs any failure out. *)
@@ -456,7 +373,6 @@ let prices s = s.prices
 let incumbent s = s.incumbent
 let evaluations s = !(s.evaluations)
 let pruned s = s.pruned
-let journal_notes s = s.notes
 
 let tile_vectors s =
   List.concat_map
@@ -530,10 +446,8 @@ let default_steps par = [ par * 2; par * 3 / 2 ]
 let max_iterations = 60
 
 let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse) ?bank_cap
-    ?(steps = default_steps) ?checkpoint func (stage1 : Stage1.t) =
-  start ?bank_cap ?checkpoint ~device ~composition func
-    stage1.Stage1.directives
-  @@ fun s ->
+    ?(steps = default_steps) func (stage1 : Stage1.t) =
+  let s = start ?bank_cap ~device ~composition func stage1.Stage1.directives in
   let units = s.units in
   let unit_array = Array.of_list units in
   let paths = unit_paths stage1.Stage1.paths unit_array in
@@ -543,7 +457,6 @@ let run ?(device = Device.xc7z020) ?(composition = Resource.Reuse) ?bank_cap
   in
   let trace = ref [] in
   let log fmt = Format.kasprintf (fun m -> trace := m :: !trace) fmt in
-  List.iter (fun m -> log "%s" m) s.notes;
   List.iter
     (fun u ->
       log "unit g%d {%s}: max parallelism %d" u.id

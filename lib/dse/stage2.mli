@@ -52,8 +52,9 @@ type unit_state = private {
   mutable par : int;
   mutable active : bool;  (** still on Stage 2's optimization list *)
   mutable realization : realization list;  (** one per member *)
-  mutable realized : (Pom_polyir.Stmt_poly.t * Pom_hls.Summary.t) list;
-      (** one per member: its statement under [realization], profiled *)
+  mutable realized : Pom_hls.Summary.t list;
+      (** one per member: its statement under [realization], profiled (the
+          statement is the profile's [stmt]) *)
 }
 
 (** The units of a stage-1 program in schedule order, each realized at
@@ -88,10 +89,9 @@ val splice :
     point and its loop signature, and the evaluation and prune counts. *)
 type search
 
-(** [start ~device ~composition func base f] sets a search up and runs [f]
-    on it: open the checkpoint journal when [checkpoint] names one (closed
-    however [f] exits), apply [base], build the units ({!units_of}) and
-    price the initial design point, which becomes the incumbent.
+(** [start ~device ~composition func base] sets a search up: apply
+    [base], build the units ({!units_of}) and price the initial design
+    point, which becomes the incumbent.
 
     Every evaluation counts one in {!evaluations}, first visits the
     [dse:evaluate] fault site, and then checks the budget, so a deadline
@@ -99,24 +99,15 @@ type search
     program, derives the partition plan from the spliced profiles
     ({!partition_plan} under [bank_cap]), and prices the design point with
     {!Pom_hls.Report.of_profiles} under [latency_mode], through the
-    search's group-price table.
-
-    The journal's intact records are loaded into a table of the search's
-    own.  A design point the table holds is served from it; any other is
-    priced and appended to the journal.  A record's key is a 16-byte
-    digest of the point's identity: the function fingerprint
-    ({!Pom_pipeline.Memo.func_key}), the full directive list, the device,
-    the composition and the latency mode. *)
+    search's group-price table. *)
 val start :
   ?bank_cap:int ->
   ?latency_mode:Pom_hls.Report.latency_mode ->
-  ?checkpoint:string ->
   device:Pom_hls.Device.t ->
   composition:Pom_hls.Resource.composition ->
   Func.t ->
   Schedule.t list ->
-  (search -> 'a) ->
-  'a
+  search
 
 (** What {!step} did with one candidate. *)
 type outcome =
@@ -162,9 +153,6 @@ val evaluations : search -> int
 
 (** Candidates pruned so far. *)
 val pruned : search -> int
-
-(** The checkpoint journal's trace notes. *)
-val journal_notes : search -> string list
 
 (** Per compute, the units' tile/unroll factor per loop level. *)
 val tile_vectors : search -> (string * int list) list
@@ -220,23 +208,17 @@ type result = {
     1.5x as a fallback).  The result is the incumbent the search ends
     at, as it was priced.
 
-    [checkpoint], when given, is a crash-safe journal path ({!start}):
-    every priced design point is appended as it is evaluated, and on
-    restart the intact records serve the points they hold — the search
-    then re-derives the exact decision sequence of the uninterrupted
-    search, so a killed-and-resumed run produces identical directives,
-    tile vectors, and report.
-
     The search is sequential: the paper's bottleneck-oriented search
-    decides each step from the previous step's report.  It stops after 60
-    iterations; when that cap, not the exit mechanism, ends it, the trace
-    says how many units were still on the optimization list. *)
+    decides each step from the previous step's report, so one input always
+    walks to one design, and a killed search recovers by running again.
+    It stops after 60 iterations; when that cap, not the exit mechanism,
+    ends it, the trace says how many units were still on the optimization
+    list. *)
 val run :
   ?device:Pom_hls.Device.t ->
   ?composition:Pom_hls.Resource.composition ->
   ?bank_cap:int ->
   ?steps:(int -> int list) ->
-  ?checkpoint:string ->
   Func.t ->
   Stage1.t ->
   result

@@ -19,9 +19,6 @@ let fsync_channel oc =
   try Unix.fsync (Unix.descr_of_out_channel oc)
   with Unix.Unix_error _ | Sys_error _ -> ()
 
-let default_kind = "pom-dse-journal"
-let kind = default_kind
-let version = 4
 let record_tag = 1
 let record_codec = Wire.pair Wire.string Wire.string
 
@@ -133,8 +130,7 @@ let unreadable path reason =
         path reason;
     ] )
 
-let load ?(fsync_each = false) ?(kind = default_kind) ?(version = version)
-    codec path =
+let load ?(fsync_each = false) ~kind ~version codec path =
   match open_file ~kind ~version path with
   | exception Sys_error reason -> unreadable path reason
   | exception Unix.Unix_error (e, _, _) ->

@@ -15,7 +15,8 @@
     - [POM304] DSE candidate evaluation failed — candidate skipped
     - [POM305] injected kill — the [pom_compile] driver's report of a
       [kill] fault (simulated process death)
-    - [POM306] checkpoint journal unreadable — search restarted fresh
+    - [POM306] journal unreadable, foreign or torn — skipped, restarted
+      empty or truncated; what it held is recomputed
     - [POM307] front-end parse error
     - [POM308] corrupt wire data — artifact dropped (cache miss), never trusted
     - [POM309] wire format version mismatch — artifact from another

@@ -14,8 +14,8 @@
     - [timeout]: raise {!Budget.Budget_exceeded} — indistinguishable from
       a genuine deadline, exercising the timeout fallbacks;
     - [kill]: raise {!Killed} — simulates the process dying at that point;
-      guards re-raise it, so it unwinds everything (used by the
-      checkpoint kill-and-resume test).
+      guards re-raise it, so it unwinds everything (a killed search
+      recovers by running again: both searches are deterministic).
 
     Example: ["pass:hls-synthesize=fail@1,dse:evaluate=kill@5"]. *)
 

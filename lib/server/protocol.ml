@@ -227,17 +227,50 @@ let framework_tag = function
   | `Pom_manual -> "pom-manual"
   | `Pom_auto -> "pom-auto"
 
-(* [func_key] deliberately excludes the function's attached directives; a
-   whole-compile cache must mix them back in, or two schedules of one
-   function would collide. *)
+(* The function fingerprint covers everything a compile can observe:
+   iterator extents, array shapes and types, and the statement bodies (two
+   same-named workloads at different problem sizes or data types must not
+   collide).  It excludes the function's attached directives, which
+   [cache_key] mixes back in, or two schedules of one function would
+   collide. *)
+let func_key func =
+  let open Pom_dsl in
+  let b = Buffer.create 256 in
+  Buffer.add_string b (Func.name func);
+  List.iter
+    (fun (c : Compute.t) ->
+      Buffer.add_char b '|';
+      Buffer.add_string b (Format.asprintf "%a" Compute.pp c);
+      List.iter
+        (fun (v : Var.t) ->
+          Buffer.add_string b
+            (Printf.sprintf ";%s:%d:%d" v.Var.name v.Var.lb v.Var.ub))
+        c.Compute.iters)
+    (Func.computes func);
+  List.iter
+    (fun (p : Placeholder.t) ->
+      Buffer.add_string b
+        (Printf.sprintf "|%s[%s]%s" p.Placeholder.name
+           (String.concat "," (List.map string_of_int p.Placeholder.shape))
+           (Dtype.c_name p.Placeholder.dtype)))
+    (Func.placeholders func);
+  Buffer.contents b
+
+let directives_key directives =
+  String.concat ";" (List.map Pom_dsl.Schedule.to_string directives)
+
+let device_key (d : Pom_hls.Device.t) =
+  let open Pom_hls in
+  Printf.sprintf "%s:%d:%d:%d:%d:%g" d.Device.name d.Device.dsp d.Device.lut
+    d.Device.ff d.Device.bram_bits d.Device.clock_mhz
+
 let cache_key r =
-  let module Memo = Pom_pipeline.Memo in
   Digest.string
     (String.concat "\x00"
        [
-         Memo.func_key r.func;
-         Memo.directives_key (Pom_dsl.Func.directives r.func);
-         Memo.device_key r.device;
+         func_key r.func;
+         directives_key (Pom_dsl.Func.directives r.func);
+         device_key r.device;
          framework_tag r.framework;
          string_of_bool r.dnn;
        ])
@@ -251,8 +284,8 @@ let tag_response = 1
 let tag_server_stats = 2
 
 (* The durable response cache is a {!Pom_resilience.Checkpoint} journal
-   with its own stream kind, so a DSE journal handed to [--cache-journal]
-   (or vice versa) is restarted empty instead of misread. *)
+   with its own stream kind, so any other journal handed to
+   [--cache-journal] is restarted empty instead of misread. *)
 let cache_journal_kind = "pom-cache-journal"
 
 (* -------- channel IO -------- *)

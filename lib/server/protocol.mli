@@ -125,8 +125,8 @@ val result_codec : result Pom_wire.Wire.t
 
 (** Stream kind of the server's durable response-cache journal (a
     {!Pom_resilience.Checkpoint} with [key = cache_key], [data] a
-    wire-encoded {!result}); distinct from the DSE journal's kind so
-    the two can never be confused. *)
+    wire-encoded {!result}, schema {!version}); a file of any other kind
+    is restarted empty rather than misread. *)
 val cache_journal_kind : string
 
 (** Project the compile artifact onto the wire subset — used by the
@@ -135,7 +135,8 @@ val cache_journal_kind : string
 val result_of_compiled : Pom.compiled -> result
 
 (** The cross-request cache key of a compile request: a digest over the
-    function fingerprint, its attached directives, the device, the
+    function fingerprint (its name, statement bodies, iterator bounds and
+    array shapes and types), its attached directives, the device, the
     framework, and the DNN flag — exactly the inputs that determine the
     compiled artifact.  Deliberately excludes [id], [deadline_s],
     [use_cache], and [client]. *)

@@ -11,7 +11,7 @@
     v}
 
     [fv] is the single-byte framing format version ({!format_version});
-    the header's [kind] names the stream (["pom-dse-journal"],
+    the header's [kind] names the stream (["pom-request"],
     ["pom-cache-journal"], ...) and its schema [version] covers the record
     payload codecs.  Each record is a varint [tag], a varint byte
     [len], the payload, and a CRC-32 over the encoded tag+len+payload.

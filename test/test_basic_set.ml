@@ -152,8 +152,8 @@ let test_bounds_of () =
   Alcotest.(check string) "lower expr" "2" (Linexpr.to_string el)
 
 (* the random bounded sets come from the refutation engine's shared
-   generator (Pom.Refute.Gen) — the same distribution the fuzzing driver
-   uses, with its shrinker, instead of a private ad-hoc generator *)
+   generator (Pom_refute.Gen) — the same distribution pom_refute fuzzes
+   with, with its shrinker, instead of a private ad-hoc generator *)
 module Rcase = Pom_refute.Case
 
 let prop_projection_is_shadow =

@@ -13,6 +13,28 @@ let exe =
 
 let run args = Sys.command (exe ^ " " ^ args ^ " > /dev/null 2> /dev/null")
 
+(* [run] that also returns what pom_compile printed on [stream] *)
+let run_capture stream args =
+  let file = Filename.temp_file "pom_cli" ".out" in
+  let redirect =
+    match stream with
+    | `Stdout -> " > " ^ Filename.quote file ^ " 2> /dev/null"
+    | `Stderr -> " > /dev/null 2> " ^ Filename.quote file
+  in
+  let code = Sys.command (exe ^ " " ^ args ^ redirect) in
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (code, text)
+
+let run_stderr = run_capture `Stderr
+
+let contains text sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
 let test_success () =
   Alcotest.(check int) "clean manual compile" 0
     (run "-w gemm -s 32 -f pom-manual");
@@ -25,10 +47,33 @@ let test_usage_errors () =
   Alcotest.(check int) "malformed schedule" 1
     (run "-w gemm -f pom-manual --schedule \"pipeline s\"");
   (* command-line parse errors, including flags of retired scheduler
-     modes that old scripts may still pass *)
+     modes and of the retired DSE journal that old scripts may still
+     pass *)
   Alcotest.(check int) "unknown flag" 1 (run "-w gemm --bogus-flag");
   Alcotest.(check int) "--jobs-mode" 1 (run "-w gemm --jobs-mode procs");
-  Alcotest.(check int) "--chunk" 1 (run "-w gemm --chunk 8")
+  Alcotest.(check int) "--chunk" 1 (run "-w gemm --chunk 8");
+  Alcotest.(check int) "--checkpoint" 1 (run "-w gemm -s 32 --checkpoint x");
+  (* a directive a Schedule constructor rejects, named by its message, on
+     the local path and before connecting *)
+  List.iter
+    (fun (directive, message) ->
+      List.iter
+        (fun (path, extra) ->
+          let code, err =
+            run_stderr
+              (Printf.sprintf "-w gemm -s 8 -f pom-manual --schedule %S%s"
+                 directive extra)
+          in
+          let where = Printf.sprintf "%s, %s" directive path in
+          Alcotest.(check int) (where ^ ": exit code") 1 code;
+          Alcotest.(check string) (where ^ ": message") (message ^ "\n") err)
+        [ ("local", ""); ("--connect", " --connect /nonexistent/pom.sock") ])
+    [
+      ("split s k 1 ko ki", "Schedule.split: factor must exceed 1");
+      ("split s k 0 ko ki", "Schedule.split: factor must exceed 1");
+      ("unroll s k 0", "Schedule.unroll: factor must be positive");
+      ("pipeline s k 0", "Schedule.pipeline: II must be at least 1");
+    ]
 
 (* Numeric options must be rejected up front with a clear usage error,
    never clamped or passed through.  The compiler runs on one thread, so
@@ -80,28 +125,6 @@ let test_resilience_failures () =
             [ 1; 3 ])
         [ "abort"; "degrade" ])
     [ "baseline"; "pluto"; "polsca"; "scalehls"; "pom-manual"; "pom" ]
-
-(* [run] that also returns what pom_compile printed on [stream] *)
-let run_capture stream args =
-  let file = Filename.temp_file "pom_cli" ".out" in
-  let redirect =
-    match stream with
-    | `Stdout -> " > " ^ Filename.quote file ^ " 2> /dev/null"
-    | `Stderr -> " > /dev/null 2> " ^ Filename.quote file
-  in
-  let code = Sys.command (exe ^ " " ^ args ^ redirect) in
-  let text = In_channel.with_open_bin file In_channel.input_all in
-  Sys.remove file;
-  (code, text)
-
-let run_stderr = run_capture `Stderr
-
-let contains text sub =
-  let n = String.length sub in
-  let rec at i =
-    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
-  in
-  at 0
 
 (* A fraction scales the device budget down; above 1 it would ask for more
    resources than the device has, which is a usage error like any other
@@ -240,7 +263,6 @@ let test_connect_local_only_flags () =
       ("--timeline", "");
       ("--emit-mlir", "");
       ("--emit-testbench", "");
-      ("--checkpoint", "/nonexistent/pom.jrnl");
       ("--on-error", "degrade");
     ];
   Alcotest.(check int) "--on-error abort is the daemon's own policy" 0
@@ -285,6 +307,37 @@ let test_status_version_skew () =
       Alcotest.(check bool) (flag ^ ": names POM309") true
         (contains err "POM309"))
     [ "--server-stats"; "--stop" ]
+
+(* Both searches are deterministic, so a compile killed mid-search
+   recovers by running again: the killed process exits 3 naming the kill
+   site, and a fresh process prints the design an uninterrupted run
+   prints. *)
+let test_kill_then_rerun () =
+  let design out =
+    List.filter
+      (fun line ->
+        List.exists
+          (fun prefix -> String.starts_with ~prefix line)
+          [ "report:"; "speedup:"; "tiles " ])
+      (String.split_on_char '\n' out)
+  in
+  List.iter
+    (fun framework ->
+      let args = "-w resnet18 -f " ^ framework in
+      let code, uninterrupted = run_capture `Stdout args in
+      Alcotest.(check int) (framework ^ ": uninterrupted exit code") 0 code;
+      Alcotest.(check bool) (framework ^ ": a design is printed") true
+        (List.length (design uninterrupted) > 2);
+      let code, err = run_stderr (args ^ " --inject dse:evaluate=kill@30") in
+      Alcotest.(check int) (framework ^ ": killed exit code") 3 code;
+      Alcotest.(check string) (framework ^ ": names the kill")
+        "error [POM305]: injected kill at dse:evaluate\n" err;
+      let code, rerun = run_capture `Stdout args in
+      Alcotest.(check int) (framework ^ ": rerun exit code") 0 code;
+      Alcotest.(check (list string))
+        (framework ^ ": the rerun's design")
+        (design uninterrupted) (design rerun))
+    [ "pom"; "scalehls" ]
 
 (* A --dump-after name that no pass of the compile carries only warns:
    the compile succeeds, and the warning lists the names of the flow's own
@@ -340,5 +393,7 @@ let () =
             test_status_version_skew;
           Alcotest.test_case "--dump-after unknown pass" `Quick
             test_dump_after_unknown;
+          Alcotest.test_case "killed search recovers by rerun" `Quick
+            test_kill_then_rerun;
         ] );
     ]

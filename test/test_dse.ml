@@ -323,7 +323,7 @@ let test_splice_matches_whole_program () =
                     (Stage2.realize c order extents par).Stage2.hw_directives)
                   u.Stage2.members
               in
-              let key = Pom_pipeline.Memo.directives_key own in
+              let key = String.concat ";" (List.map Schedule.to_string own) in
               if not (Hashtbl.mem seen key) then begin
                 Hashtbl.add seen key ();
                 let where =
@@ -425,8 +425,8 @@ let test_derived_deps_match_full_analysis () =
                 (fun par ->
                   let check () =
                     List.iter2
-                      (fun (stage1 : Pom_hls.Summary.t)
-                           (s, (p : Pom_hls.Summary.t)) ->
+                      (fun (stage1 : Pom_hls.Summary.t) (p : Pom_hls.Summary.t) ->
+                        let s = p.Pom_hls.Summary.stmt in
                         let where =
                           Printf.sprintf "%s %s g%d par %d %s" name search
                             u.Stage2.id par
@@ -631,9 +631,10 @@ let statement_partition_plan ?(bank_cap = 64) (prog : Pom_polyir.Prog.t) =
    climbs every realizable level, taking a candidate that fits and is
    faster. *)
 let priced_points ~composition ~latency_mode func base =
-  Stage2.start ~device:Pom_hls.Device.xc7z020 ~composition ~latency_mode func
-    base
-  @@ fun s ->
+  let s =
+    Stage2.start ~device:Pom_hls.Device.xc7z020 ~composition ~latency_mode func
+      base
+  in
   let prog, _, report = Stage2.incumbent s in
   let points = ref [ (prog, report) ] in
   List.iter

@@ -9,7 +9,7 @@
    wire-format or generator change. *)
 
 open Pom_poly
-module Refute = Pom.Refute
+module Refute = Pom_refute
 module Case = Refute.Case
 module Oracle = Refute.Oracle
 module Engine = Refute.Engine
