@@ -412,23 +412,29 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
               Pom.Hls.Device.scale resource_frac Pom.Hls.Device.xc7z020
             in
             let dnn = List.mem_assoc workload Pom.Workloads.Dnn.by_name in
-            (* the size check is not part of the compile: its projections
-               must not count toward --inject's visit numbers *)
+            (* the size and schedule checks are not part of the compile:
+               their projections must not count toward --inject's visit
+               numbers *)
             Pom.Resilience.Fault.reset ();
             let func = build_checked ~workload ~size build in
-            arm_faults ();
             (* a directive the parser or a Schedule constructor rejects (a
-               split factor of 1, an II of 0, an unknown compute) is a
-               usage error *)
+               split factor of 1, an II of 0, an unknown compute), or one
+               the workload's loops reject (a dimension the compute lacks,
+               a new name it already has), is a usage error *)
             (match
                List.iter
                  (fun s -> Pom.Dsl.Func.schedule func (directive_of_string s))
-                 schedules
+                 schedules;
+               if schedules <> [] then ignore (Pom.Polyir.Prog.of_func func)
              with
             | () -> ()
-            | exception (Failure m | Invalid_argument m) ->
+            | exception
+                ( Failure m
+                | Invalid_argument m
+                | Pom.Polyir.Transform.Transform_error m ) ->
                 prerr_endline m;
                 exit 1);
+            arm_faults ();
             match connect with
             | Some socket ->
                 run_remote ~socket ~device ~fw ~dnn ~deadline

@@ -17,6 +17,11 @@ let boxes_of_dep dims (dep : Dep.t) =
         dims ld.distance)
     dep.carried
 
+let key compute =
+  Dep.key ~domain:(Compute.domain compute)
+    ~write:(Compute.write_access compute)
+    ~reads:(Compute.read_accesses compute)
+
 let analyze compute =
   let domain = Compute.domain compute in
   let dims = Compute.iter_names compute in

@@ -23,6 +23,10 @@ type t = {
     of Fig. 8). *)
 val analyze : Compute.t -> t
 
+(** The compute's dependence problem ({!Pom_poly.Dep.key}): two computes
+    with equal keys have equal {!t.self_deps}. *)
+val key : Compute.t -> string
+
 (** Minimal positive distance carried by dimension [d] across all deps
     whose first non-zero (in the order given) sits at [d]; [None] when no
     dependence is carried at [d] under that order. *)

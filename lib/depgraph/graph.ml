@@ -8,11 +8,23 @@ type node = { compute : Compute.t; fine : Finegrain.t }
 
 type t = { nodes : node list; edges : edge list }
 
+(* One analysis per distinct dependence problem: same-shape computes
+   (ResNet-18's 28 come in 12 shapes) share the first one's result.  The
+   key holds the iterators and the write's indices, so the reduction
+   dimensions are shared too; only the compute is a node's own. *)
 let build func =
   let computes = Func.computes func in
-  let nodes =
-    List.map (fun c -> { compute = c; fine = Finegrain.analyze c }) computes
+  let analyzed = Hashtbl.create 16 in
+  let fine c =
+    let key = Finegrain.key c in
+    match Hashtbl.find_opt analyzed key with
+    | Some (f : Finegrain.t) -> { f with Finegrain.compute = c }
+    | None ->
+        let f = Finegrain.analyze c in
+        Hashtbl.add analyzed key f;
+        f
   in
+  let nodes = List.map (fun c -> { compute = c; fine = fine c }) computes in
   let rec pairs = function
     | [] -> []
     | c :: rest -> List.map (fun c' -> (c, c')) rest @ pairs rest

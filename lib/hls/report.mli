@@ -72,7 +72,10 @@ val synth_count : unit -> int
 
 (** Cycles of the original unoptimized program (schedule directives
     stripped): the denominator-free baseline of every speedup in the
-    paper. *)
+    paper.  It equals {!Latency.sequential_latency} over
+    [Summary.profile_all] of that program, but runs no dependence
+    analysis ({!Summary.unanalyzed}): with no unroll and no partition no
+    cost reads one. *)
 val baseline_latency : Pom_dsl.Func.t -> int
 
 val speedup : baseline:int -> t -> float

@@ -41,15 +41,16 @@ let ordered_domain (s : Stmt_poly.t) =
     (Basic_set.constraints s.Stmt_poly.domain)
 
 (* Dependence analysis dominates profiling cost and depends only on the
-   domain, schedule, and index map — not the hardware attributes the DSE
-   mutates between trials — so it memoizes well across a search.  The
-   search itself is sequential; the mutex keeps this process-global cache
-   safe when the compile daemon's executor thread and another thread of the
-   process compile at once.  The analysis runs outside
-   the lock (two racing callers may compute the same entry twice — the
-   results are equal, last write wins).  An entry is the statement's
-   per-read result ({!t.carried}); [deps] is read off it. *)
-let dep_cache : (string, (int * int option) list list) Hashtbl.t =
+   problem the statement poses — not its names, nor the hardware
+   attributes the DSE mutates between trials — so it memoizes well across
+   a search and across same-shape statements.  The search itself is
+   sequential; the mutex keeps this process-global cache safe when the
+   compile daemon's executor thread and another thread of the process
+   compile at once.  The analysis runs outside the lock (two racing
+   callers may compute the same entry twice — the results are equal, last
+   write wins).  An entry is the statement's per-read result ({!t.carried};
+   [deps] is read off it) and its loop extents in schedule order. *)
+let dep_cache : (string, (int * int option) list list * int list) Hashtbl.t =
   Hashtbl.create 256
 
 let dep_cache_lock = Mutex.create ()
@@ -66,21 +67,19 @@ let dep_cache_stats () =
   Mutex.unlock dep_cache_lock;
   s
 
-(* The key is the statement's printout plus its accesses: two workloads'
-   statements may share a name, domain, schedule and index map but read
-   different elements (jacobi-1d's and heat-1d's [s0] at one size). *)
-let memo_carried (s : Stmt_poly.t) compute =
-  let access (a : Dep.access) =
-    Printf.sprintf "%s[%s]" a.Dep.array
-      (String.concat ", " (List.map Linexpr.to_string a.Dep.indices))
-  in
-  let c = s.Stmt_poly.compute in
-  let key =
-    String.concat "\n"
-      (Format.asprintf "%a" Stmt_poly.pp
-         { s with Stmt_poly.hw = Stmt_poly.no_hw }
-      :: List.map access (Compute.write_access c :: Compute.read_accesses c))
-  in
+(* The key is what the entry is computed from, and no name: the analysis's
+   problem ({!Dep.key} over the domain in schedule order) and the
+   domain's own dimension tuple, in whose order the extents' projections
+   eliminate. *)
+let memo_key (s : Stmt_poly.t) =
+  let write, reads = transformed_accesses s in
+  Dep.key ~domain:(ordered_domain s) ~write ~reads
+  ^ Pom_wire.Wire.to_string
+      (Pom_wire.Wire.list Pom_wire.Wire.string)
+      (Basic_set.dims s.Stmt_poly.domain)
+
+let memo (s : Stmt_poly.t) compute =
+  let key = memo_key s in
   Mutex.lock dep_cache_lock;
   let cached = Hashtbl.find_opt dep_cache key in
   (match cached with
@@ -88,14 +87,14 @@ let memo_carried (s : Stmt_poly.t) compute =
   | None -> incr dep_cache_misses);
   Mutex.unlock dep_cache_lock;
   match cached with
-  | Some carried -> carried
+  | Some entry -> entry
   | None ->
-      let carried = compute () in
+      let entry = compute () in
       Mutex.lock dep_cache_lock;
       if Hashtbl.length dep_cache > 20_000 then Hashtbl.reset dep_cache;
-      Hashtbl.replace dep_cache key carried;
+      Hashtbl.replace dep_cache key entry;
       Mutex.unlock dep_cache_lock;
-      carried
+      entry
 
 type retiling = Same | Split of int | Tile of int
 
@@ -155,20 +154,22 @@ let analyze_carried ?parent (s : Stmt_poly.t) =
             (carried_distances ~levels:tested read))
         parent.carried reads
 
-(* The loop structure alone: extents and hardware attributes per level, in
-   schedule order, without the dependence analysis {!of_stmt} adds. *)
-let loops_of (s : Stmt_poly.t) =
+(* Each level's bounding trip count, in schedule order. *)
+let extents_of (s : Stmt_poly.t) =
   List.map
     (fun dim ->
-      let lb, ub = Basic_set.const_range dim s.Stmt_poly.domain in
-      let extent =
-        match (lb, ub) with
-        | Some l, Some u -> u - l + 1
-        | _ ->
-            invalid_arg
-              (Printf.sprintf "Summary: unbounded dimension %s in %s" dim
-                 (Stmt_poly.name s))
-      in
+      match Basic_set.const_range dim s.Stmt_poly.domain with
+      | Some l, Some u -> u - l + 1
+      | _ ->
+          invalid_arg
+            (Printf.sprintf "Summary: unbounded dimension %s in %s" dim
+               (Stmt_poly.name s)))
+    (Sched.dims s.Stmt_poly.sched)
+
+(* The loop structure: extents and hardware attributes per level. *)
+let loops_with (s : Stmt_poly.t) extents =
+  List.map2
+    (fun dim extent ->
       let unroll =
         match List.assoc_opt dim s.Stmt_poly.hw.Stmt_poly.unrolls with
         | Some f -> min f extent
@@ -181,16 +182,11 @@ let loops_of (s : Stmt_poly.t) =
       in
       { dim; extent; unroll; pipelined; target_ii })
     (Sched.dims s.Stmt_poly.sched)
+    extents
 
-(* Only a re-tiling reaches the memo: a [Same] statement's key is its
-   parent's, whose entry the parent's own profile settled. *)
-let of_stmt ?parent (s : Stmt_poly.t) =
-  let carried =
-    match parent with
-    | Some (parent, Same) -> parent.carried
-    | _ -> memo_carried s (fun () -> analyze_carried ?parent s)
-  in
-  let loops = loops_of s in
+let loops_of s = loops_with s (extents_of s)
+
+let build (s : Stmt_poly.t) ~carried loops =
   let write, reads = transformed_accesses s in
   let access_dims =
     List.map
@@ -222,6 +218,22 @@ let of_stmt ?parent (s : Stmt_poly.t) =
     access_dims;
     rectangular;
   }
+
+(* Only a re-tiling reaches the memo: a [Same] statement poses its
+   parent's problem, whose answer the parent's own profile settled. *)
+let of_stmt ?parent (s : Stmt_poly.t) =
+  let carried, extents =
+    match parent with
+    | Some (parent, Same) ->
+        (parent.carried, List.map (fun l -> l.extent) parent.loops)
+    | _ ->
+        memo s (fun () ->
+            let carried = analyze_carried ?parent s in
+            (carried, extents_of s))
+  in
+  build s ~carried (loops_with s extents)
+
+let unanalyzed s = build s ~carried:[] (loops_of s)
 
 let profile stmts = List.map of_stmt stmts
 

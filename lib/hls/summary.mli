@@ -56,12 +56,25 @@ type retiling =
       (** levels [l] and [l + 1] tiled into [l .. l + 3]
           (outer, outer, inner, inner) *)
 
-(** [of_stmt s] profiles [s].  With [~parent:(p, r)], [s] is [p.stmt]
-    re-tiled by [r]: its dependences are derived from [p]'s by the level
-    rule, and only the levels the rule cannot derive are analyzed.  The
-    result is the one a full analysis gives; it goes through the same
-    dependence memo, under [s]'s own key. *)
+(** [of_stmt s] profiles [s].  Its dependences and loop extents come from
+    the dependence memo, keyed on the problem [s] poses and no name
+    ({!Pom_poly.Dep.key} over {!ordered_domain}, plus the domain's own
+    dimension tuple): a hit, such as a statement of a shape profiled
+    before, runs no analysis and no projection.  With [~parent:(p, r)],
+    [s] is [p.stmt] re-tiled by [r]: its dependences are derived from
+    [p]'s by the level rule, and only the levels the rule cannot derive
+    are analyzed.  The result is the one a full analysis gives; it goes
+    through the same memo, under [s]'s own key.  A [Same] re-tiling poses
+    its parent's problem and takes [p]'s dependences and extents without
+    a lookup. *)
 val of_stmt : ?parent:t * retiling -> Stmt_poly.t -> t
+
+(** [unanalyzed s] is [of_stmt s] with {!t.deps} and {!t.carried} empty,
+    and runs no dependence analysis.  Only a price that reads no
+    dependence may use it: the sequential latency of statements with no
+    unrolled level and no partitioned array, which is the speedup
+    baseline's ({!Report.baseline_latency}). *)
+val unanalyzed : Stmt_poly.t -> t
 
 (** [profile stmts] profiles each statement in order: a DSE candidate
     re-profiles only the statements it changed. *)
@@ -84,9 +97,10 @@ val transformed_accesses :
 val ordered_domain : Stmt_poly.t -> Pom_poly.Basic_set.t
 
 (** Dependence-analysis memo counters since process start as
-    [(hits, misses)] — the cache is keyed on the hardware-stripped
-    statement, so a DSE search that revisits a schedule skeleton with
-    different hardware attributes should hit almost always. *)
+    [(hits, misses)] — the cache is keyed on the statement's dependence
+    problem, which its hardware attributes and names do not change, so a
+    DSE search that revisits a schedule skeleton with different hardware
+    attributes, or profiles a statement of a shape it has seen, hits. *)
 val dep_cache_stats : unit -> int * int
 
 val pp : Format.formatter -> t -> unit

@@ -2,6 +2,24 @@ type access = { array : string; indices : Linexpr.t list }
 
 let access array indices = { array; indices }
 
+(* Every input of an analysis of [write] against [reads] over [domain],
+   and no name: the dimension tuple and constraints, the write's indices,
+   and per read its indices and whether it reads the written array.  The
+   wire encoding is injective, so equal keys are equal problems. *)
+let key_codec =
+  let module W = Pom_wire.Wire in
+  let indices = W.list Wirec.linexpr in
+  W.triple
+    (W.pair (W.list W.string) (W.list Wirec.constr))
+    indices
+    (W.list (W.pair indices W.bool))
+
+let key ~domain ~write ~reads =
+  Pom_wire.Wire.to_string key_codec
+    ( (Basic_set.dims domain, Basic_set.constraints domain),
+      write.indices,
+      List.map (fun r -> (r.indices, r.array = write.array)) reads )
+
 type entry = { dmin : int option; dmax : int option }
 
 type level_dep = { level : int; distance : entry list }

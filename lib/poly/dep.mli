@@ -12,6 +12,16 @@ type access = { array : string; indices : Linexpr.t list }
 
 val access : string -> Linexpr.t list -> access
 
+(** [key ~domain ~write ~reads] names the dependence problem of [write]
+    against each of [reads] over [domain] by exactly what an analysis
+    reads: the dimension tuple and constraints of [domain], the indices of
+    [write], and per read its indices and whether it reads the written
+    array — never a statement or an array name.  The bytes are an
+    injective encoding, so two calls with equal keys ask the same
+    questions of {!analyze} and {!carried_distances} and get the same
+    answers: statements of one shape share one analysis. *)
+val key : domain:Basic_set.t -> write:access -> reads:access list -> string
+
 (** Distance range for one loop level: min/max of [sink_k - source_k]. *)
 type entry = { dmin : int option; dmax : int option }
 

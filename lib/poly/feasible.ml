@@ -129,8 +129,29 @@ let with_objective e s k =
   in
   k obj (Basic_set.project_onto [ obj ] lifted)
 
+(* An equality [g + k = 0] (or [-g + k = 0]) of the simplified set whose
+   gradient [g] is the objective's fixes the objective on every point:
+   [e = g + c] is [c - k] (or [c + k]).  On a non-empty set that is the
+   one value the lifted projection finds, without projecting.  A scaled
+   gradient ([2g + k = 0]) is left to the projection. *)
+let fixed_value e s =
+  if Linexpr.is_const e then None
+  else
+    List.find_map
+      (function
+        | Constr.Eq f when Linexpr.compare_gradient f e = 0 ->
+            Some (Linexpr.const_of e - Linexpr.const_of f)
+        | Constr.Eq f when Linexpr.opposite_gradient f e ->
+            Some (Linexpr.const_of e + Linexpr.const_of f)
+        | Constr.Eq _ | Constr.Ge _ -> None)
+      (Basic_set.constraints (Basic_set.simplify s))
+
 let range_nonempty e s =
-  with_objective e s (fun obj projected -> Basic_set.const_range obj projected)
+  match fixed_value e s with
+  | Some v -> (Some v, Some v)
+  | None ->
+      with_objective e s (fun obj projected ->
+          Basic_set.const_range obj projected)
 
 let min_of e s = if is_empty s then None else fst (range_nonempty e s)
 

@@ -41,6 +41,8 @@ val max_of : Linexpr.t -> Basic_set.t -> int option
 
 (** [range_nonempty e s] is [(min_of e s, max_of e s)] for a set the caller
     has already proven non-empty: both bounds come from one projection onto
-    [e], with no emptiness test.  On an empty set the result is
-    meaningless. *)
+    [e], with no emptiness test — or from no projection at all when an
+    equality of the simplified set has [e]'s gradient or its negation (a
+    level two dependent instances share), which fixes [e] to one value.
+    On an empty set the result is meaningless. *)
 val range_nonempty : Linexpr.t -> Basic_set.t -> int option * int option

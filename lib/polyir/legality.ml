@@ -84,34 +84,65 @@ let unchanged_prefix ~oa ~ob ~na ~nb =
   in
   go 0 (oa, ob, na, nb)
 
-(* flip set: same element, originally a-first, transformed b-first.  Only
-   the order branches at positions at or past the unchanged time prefix [m]
-   are crossed.  An original-order branch at [p < m] puts a before b at
-   [p] with equal items before it; those items are the transformed ones
-   too, so a precedes b in the new order and no new-order branch holds.  A
-   new-order branch at [q < m] is the symmetric case.  Every dropped
-   crossing is empty, so the verdict is the full p x q crossing's. *)
-let flip_exists a b (acc_a : Dep.access) (acc_b : Dep.access) =
-  acc_a.Dep.array = acc_b.Dep.array
-  && List.length acc_a.Dep.indices = List.length acc_b.Dep.indices
-  &&
-  let dims = a.dims @ b.dims in
-  let same_element =
-    List.map2 Constr.eq acc_a.Dep.indices acc_b.Dep.indices
-  in
-  let base = a.constrs @ b.constrs @ same_element in
-  let oa, ob = Dep2.align a.orig_time b.orig_time in
-  let na, nb = Dep2.align a.new_time b.new_time in
-  let start = unchanged_prefix ~oa ~ob ~na ~nb in
-  let orig_branches = Dep2.order_branches ~start oa ob in
-  let new_branches = Dep2.order_branches ~start nb na in
+(* An access pair's flip problem: the instance pairs that touch the same
+   element, ordered a-first originally and b-first after the transform.
+   Only the order branches at positions at or past the unchanged time
+   prefix [m] are crossed.  An original-order branch at [p < m] puts a
+   before b at [p] with equal items before it; those items are the
+   transformed ones too, so a precedes b in the new order and no new-order
+   branch holds.  A new-order branch at [q < m] is the symmetric case.
+   Every dropped crossing is empty, so the verdict is the full p x q
+   crossing's.  [None]: the accesses cannot touch one element. *)
+type problem = {
+  dims : string list;
+  base : Constr.t list;  (* both domains and the same-element equalities *)
+  orig_branches : Constr.t list list;
+  new_branches : Constr.t list list;
+}
+
+let flip_problem a b (acc_a : Dep.access) (acc_b : Dep.access) =
+  if
+    acc_a.Dep.array <> acc_b.Dep.array
+    || List.compare_lengths acc_a.Dep.indices acc_b.Dep.indices <> 0
+  then None
+  else
+    let oa, ob = Dep2.align a.orig_time b.orig_time in
+    let na, nb = Dep2.align a.new_time b.new_time in
+    let start = unchanged_prefix ~oa ~ob ~na ~nb in
+    Some
+      {
+        dims = a.dims @ b.dims;
+        base =
+          a.constrs @ b.constrs
+          @ List.map2 Constr.eq acc_a.Dep.indices acc_b.Dep.indices;
+        orig_branches = Dep2.order_branches ~start oa ob;
+        new_branches = Dep2.order_branches ~start nb na;
+      }
+
+(* Some crossing of an original-order and a new-order branch has an
+   integer point. *)
+let flip_exists p =
   List.exists
     (fun ob_cs ->
       List.exists
         (fun nb_cs ->
-          not (Feasible.is_empty (Basic_set.make dims (base @ ob_cs @ nb_cs))))
-        new_branches)
-    orig_branches
+          not
+            (Feasible.is_empty (Basic_set.make p.dims (p.base @ ob_cs @ nb_cs))))
+        p.new_branches)
+    p.orig_branches
+
+(* A problem's key is all of it, in an injective encoding: the statement
+   and array names are not in it, so the RAW, WAR and WAW problems of a
+   reduction's one access function, and same-shape statement pairs, share
+   one verdict. *)
+let problem_codec =
+  let module W = Pom_wire.Wire in
+  let conj = W.list Pom_poly.Wirec.constr in
+  W.triple (W.list W.string) conj (W.pair (W.list conj) (W.list conj))
+
+let problem_key p =
+  Pom_wire.Wire.to_string problem_codec
+    (p.dims, p.base, (p.orig_branches, p.new_branches))
 
 let compare_violation (a : violation) b = compare a b
 
@@ -124,6 +155,17 @@ let violations ~original ~transformed =
       prog_t.Prog.stmts
   in
   let as_a = insts "a$" transformed and as_b = insts "b$" transformed in
+  (* problem key -> verdict, for this call *)
+  let verdicts = Hashtbl.create 64 in
+  let flips p =
+    let key = problem_key p in
+    match Hashtbl.find_opt verdicts key with
+    | Some v -> v
+    | None ->
+        let v = flip_exists p in
+        Hashtbl.add verdicts key v;
+        v
+  in
   let pair_violations a b =
     (* cooperative deadline check between pairs: a legality run on a big
        statement set stops at a pair boundary, and the guard layer maps the
@@ -137,15 +179,16 @@ let violations ~original ~transformed =
     in
     List.filter_map
       (fun (acc_a, acc_b, kind) ->
-        if flip_exists a b acc_a acc_b then
-          Some
-            {
-              src_stmt = a.name;
-              dst_stmt = b.name;
-              array = acc_a.Dep.array;
-              kind;
-            }
-        else None)
+        match flip_problem a b acc_a acc_b with
+        | Some p when flips p ->
+            Some
+              {
+                src_stmt = a.name;
+                dst_stmt = b.name;
+                array = acc_a.Dep.array;
+                kind;
+              }
+        | Some _ | None -> None)
       accesses
   in
   List.sort_uniq compare_violation

@@ -7,7 +7,15 @@
     *original* (structural) schedule but sink-first under the
     *transformed* schedule.  The transformation is legal iff every such
     flip set is integer-empty.  This is the "ensuring the correctness of
-    the code" guarantee of Section V-B, made effective. *)
+    the code" guarantee of Section V-B, made effective.
+
+    A flip problem is the dimension tuple, the two domains with the
+    same-element equalities, and the original- and transformed-order
+    branches; no statement or array name is part of it.  One
+    {!violations} call tests each distinct problem once and reuses the
+    verdict for every access pair that poses it again: a reduction's RAW,
+    WAR and WAW pairs over one access function, and statement pairs of
+    one shape transformed alike. *)
 
 type violation = {
   src_stmt : string;

@@ -41,12 +41,8 @@ let stmt t name =
 
 let partition_of t (p : Placeholder.t) =
   match List.assoc_opt p.Placeholder.name t.partitions with
-  | Some (factors, _) ->
-      if List.length factors = Placeholder.rank p then factors
-      else
-        invalid_arg
-          (Printf.sprintf "Prog.partition_of: %s rank mismatch" p.name)
-  | None -> List.map (fun _ -> 1) p.Placeholder.shape
+  | Some (factors, _) when List.length factors = Placeholder.rank p -> factors
+  | Some _ | None -> List.map (fun _ -> 1) p.Placeholder.shape
 
 let to_ast t =
   Ast_build.build

@@ -28,7 +28,11 @@ val apply_all : t -> Schedule.t list -> t
 
 val stmt : t -> string -> Stmt_poly.t
 
-(** Partition factors for an array ([[1; 1; ...]] when unpartitioned). *)
+(** Partition factors for an array ([[1; 1; ...]] when unpartitioned).  A
+    partition directive with one factor per array dimension applies; one
+    with another number of factors does not, and the analyzer reports it
+    as an error (POM207), as it does a directive naming an array no
+    compute accesses. *)
 val partition_of : t -> Placeholder.t -> int list
 
 (** Generate the polyhedral AST for all statements (Fig. 9 (c) step 3). *)

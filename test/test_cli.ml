@@ -53,8 +53,9 @@ let test_usage_errors () =
   Alcotest.(check int) "--jobs-mode" 1 (run "-w gemm --jobs-mode procs");
   Alcotest.(check int) "--chunk" 1 (run "-w gemm --chunk 8");
   Alcotest.(check int) "--checkpoint" 1 (run "-w gemm -s 32 --checkpoint x");
-  (* a directive a Schedule constructor rejects, named by its message, on
-     the local path and before connecting *)
+  (* a directive a Schedule constructor or the workload's loops reject (a
+     dimension the compute lacks, a new name it already has), named by its
+     message, on the local path and before connecting *)
   List.iter
     (fun (directive, message) ->
       List.iter
@@ -73,6 +74,9 @@ let test_usage_errors () =
       ("split s k 0 ko ki", "Schedule.split: factor must exceed 1");
       ("unroll s k 0", "Schedule.unroll: factor must be positive");
       ("pipeline s k 0", "Schedule.pipeline: II must be at least 1");
+      ("unroll s zz 2", "s: dimension zz not in schedule");
+      ("split s k 8 i ki", "s: dimension i already exists");
+      ("reverse s k k", "s: dimension k already exists");
     ]
 
 (* Numeric options must be rejected up front with a clear usage error,
@@ -101,7 +105,26 @@ let test_analysis_failures () =
   Alcotest.(check int) "--Werror promotes the analyzer warning" 2
     (run "-w gemm -s 32 -f pom-manual --schedule \"pipeline s k 1\" --Werror");
   Alcotest.(check int) "illegal schedule (reversed dependences)" 2
-    (run "-w seidel -s 16 -f pom-manual --schedule \"interchange s t j\"")
+    (run "-w seidel -s 16 -f pom-manual --schedule \"interchange s t j\"");
+  (* a malformed partition is the analyzer's error, not a lowering crash:
+     it is not applied, like one naming an array no compute accesses *)
+  List.iter
+    (fun (directive, message) ->
+      let code, err =
+        run_stderr
+          (Printf.sprintf "-w gemm -s 8 -f pom-manual --schedule %S" directive)
+      in
+      Alcotest.(check int) (directive ^ ": exit code") 2 code;
+      Alcotest.(check bool) (directive ^ ": POM207 printed") true
+        (contains err message))
+    [
+      ( "partition A cyclic 2",
+        "POM207 error [gemm/array A]: partition has 1 factors for a rank-2 \
+         array" );
+      ( "partition Z cyclic 2 2",
+        "POM207 error [gemm/array Z]: partition directive names an array no \
+         compute accesses" );
+    ]
 
 (* A failure anywhere in a compile — the speedup baseline, which profiles
    the input before any pass runs, included — exits 3 with the typed

@@ -59,6 +59,31 @@ let test_edge_kinds () =
   (* S1 writes A read by S2 (RAW); no WAR/WAW between them on A or B *)
   Alcotest.(check bool) "raw present" true (List.mem Graph.Raw kinds)
 
+(* Same-shape computes share one analysis in [Graph.build]: each node
+   must still carry exactly what its own analysis finds. *)
+let test_build_shares_equal_problems () =
+  List.iter
+    (fun (name, func) ->
+      List.iter
+        (fun (n : Graph.node) ->
+          let own = Finegrain.analyze n.Graph.compute in
+          let where = name ^ " " ^ n.Graph.compute.Compute.name in
+          Alcotest.(check bool) (where ^ ": its own compute") true
+            (n.Graph.fine.Finegrain.compute == n.Graph.compute);
+          Alcotest.(
+            check
+              (list (list (pair string (pair (option int) (option int))))))
+            (where ^ ": self dependences") own.Finegrain.self_deps
+            n.Graph.fine.Finegrain.self_deps;
+          Alcotest.(check (list string))
+            (where ^ ": reduction dimensions") own.Finegrain.reduction_dims
+            n.Graph.fine.Finegrain.reduction_dims)
+        (Graph.nodes (Graph.build func)))
+    [
+      ("vgg16", Pom_workloads.Dnn.vgg16 ());
+      ("resnet18", Pom_workloads.Dnn.resnet18 ());
+    ]
+
 let gemm_node () =
   let f = fig8 () in
   (Graph.node (Graph.build f) "S4").Graph.fine
@@ -142,6 +167,8 @@ let () =
           Alcotest.test_case "coarse-grained graph" `Quick test_coarse_graph;
           Alcotest.test_case "data paths (Fig. 8)" `Quick test_data_paths;
           Alcotest.test_case "edge kinds" `Quick test_edge_kinds;
+          Alcotest.test_case "same-shape computes share an analysis" `Quick
+            test_build_shares_equal_problems;
         ] );
       ( "finegrain",
         [

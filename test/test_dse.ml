@@ -442,7 +442,17 @@ let test_derived_deps_match_full_analysis () =
                           full p.Pom_hls.Summary.carried;
                         Alcotest.(check (list (list (pair int int))))
                           (where ^ ": deps") (deps_of full)
-                          p.Pom_hls.Summary.deps)
+                          p.Pom_hls.Summary.deps;
+                        let extents loops =
+                          List.map
+                            (fun (l : Pom_hls.Summary.loop) ->
+                              l.Pom_hls.Summary.extent)
+                            loops
+                        in
+                        Alcotest.(check (list int))
+                          (where ^ ": loop extents")
+                          (extents (Pom_hls.Summary.loops_of s))
+                          (extents p.Pom_hls.Summary.loops))
                       u.Stage2.stage1 u.Stage2.realized;
                     false
                   in

@@ -138,6 +138,67 @@ let prop_min_is_attained =
              unit-coefficient objective *)
           values <> [] && List.for_all (fun x -> m <= x) values)
 
+(* The range as a projection computes it: the objective lifted into the
+   set as a new dimension, and every other dimension projected out. *)
+let lifted_range e s =
+  let obj = "__obj" in
+  let lifted =
+    Basic_set.make
+      (Basic_set.dims s @ [ obj ])
+      (Constr.eq (v obj) e :: Basic_set.constraints s)
+  in
+  Basic_set.const_range obj (Basic_set.project_onto [ obj ] lifted)
+
+(* Whether [range_nonempty e s] projects: a fault armed at the first
+   projection fires only then. *)
+let projects e s =
+  Pom_resilience.Fault.configure "poly:fm-projection=fail@1";
+  Fun.protect ~finally:Pom_resilience.Fault.reset (fun () ->
+      match Feasible.range_nonempty e s with
+      | _ -> false
+      | exception Pom_resilience.Fault.Injected _ -> true)
+
+let test_range_shortcut () =
+  (* 0 <= i, j <= 9 and i - j = 2 *)
+  let s =
+    Basic_set.add_constraint
+      (Constr.eq (Linexpr.sub (v "i") (v "j")) (c 2))
+      (box [ ("i", 0, 10); ("j", 0, 10) ])
+  in
+  let i_minus_j = Linexpr.sub (v "i") (v "j") in
+  List.iter
+    (fun (name, e, expected, shortcut) ->
+      let range = Alcotest.(pair (option int) (option int)) in
+      Alcotest.check range (name ^ ": the lifted projection's")
+        (lifted_range e s) (Feasible.range_nonempty e s);
+      Alcotest.check range (name ^ ": range") expected
+        (Feasible.range_nonempty e s);
+      Alcotest.(check bool) (name ^ ": projects") (not shortcut) (projects e s))
+    [
+      ("gradient", Linexpr.add i_minus_j (c 1), (Some 3, Some 3), true);
+      ( "negated gradient",
+        Linexpr.sub (c 5) i_minus_j,
+        (Some 3, Some 3),
+        true );
+      ("scaled gradient", Linexpr.scale 2 i_minus_j, (Some 4, Some 4), false);
+      ("another gradient", v "i", (Some 2, Some 9), false);
+    ]
+
+let prop_range_shortcut_matches_projection =
+  QCheck.Test.make ~name:"range shortcut equals the lifted projection"
+    ~count:300 (Pom_refute.Gen.arb_poly ()) (fun pc ->
+      let g =
+        match pc.Rcase.dims with
+        | [ d ] -> v d
+        | d :: d' :: _ -> Linexpr.sub (v d) (v d')
+        | [] -> assert false
+      in
+      let s = Basic_set.add_constraint (Constr.eq g (c 1)) (Rcase.set_of_poly pc) in
+      Feasible.is_empty s
+      || List.for_all
+           (fun e -> Feasible.range_nonempty e s = lifted_range e s)
+           [ Linexpr.add g (c 3); Linexpr.sub (c 3) g ])
+
 (* Oracle: [elimination_exact] as it was written before it read the
    coefficients directly, pairing every lower bound with every upper bound
    from [bounds_of]. *)
@@ -189,6 +250,7 @@ let () =
           Alcotest.test_case "optimization over empty" `Quick test_min_max_empty;
           Alcotest.test_case "exact-first elimination" `Quick
             test_exact_first_elimination;
+          Alcotest.test_case "range shortcut" `Quick test_range_shortcut;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -196,5 +258,6 @@ let () =
             prop_emptiness_exact;
             prop_min_is_attained;
             prop_elimination_exact_matches_oracle;
+            prop_range_shortcut_matches_projection;
           ] );
     ]

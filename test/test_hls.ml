@@ -84,6 +84,62 @@ let test_sequential_baseline () =
   (* 512 points x (crit 10 + 2*3 levels) = 8192 *)
   Alcotest.(check int) "baseline formula" 8192 lat
 
+(* Every workload pom_compile lists: the baseline skips the dependence
+   analysis, and its latency is the one the analyzed profiles give. *)
+let test_baseline_reads_no_dependence () =
+  let open Pom_workloads in
+  List.iter
+    (fun (name, func) ->
+      let prog = Prog.of_func_unscheduled func in
+      Alcotest.(check int) name
+        (Latency.sequential_latency ~partitions:(Report.partition_fn prog)
+           (Summary.profile_all prog))
+        (Report.baseline_latency func))
+    (List.map (fun (n, f) -> (n, f 32)) Polybench.by_name
+    @ List.map (fun (n, f) -> (n, f 32)) Image.by_name
+    @ List.map (fun (n, f) -> (n, f ())) Dnn.by_name)
+
+(* [written[i] = read[i - 1] + 1]: a recurrence when it reads the array it
+   writes, nothing otherwise.  The two statements differ only in array
+   names, which the dependence memo's key leaves out, so the key has to
+   say whether the read is of the written array. *)
+let chain ~written ~read n =
+  let f = Func.create "chain" in
+  let i = Var.make "i" 1 n in
+  let w = Placeholder.make written [ n ] f32 in
+  let r = if read = written then w else Placeholder.make read [ n ] f32 in
+  ignore
+    (Func.compute f "s" ~iters:[ i ]
+       ~body:(access r [ ix i -! ixc 1 ] +: fconst 1.0)
+       ~dest:(w, [ ix i ]) ());
+  f
+
+let test_memo_key_reads_the_written_array () =
+  let deps = function
+    | `Recurrence -> [ [ (1, 1) ] ]
+    | `Copy -> []
+  in
+  let profile n = function
+    | `Recurrence -> chain ~written:"A" ~read:"A" n
+    | `Copy -> chain ~written:"B" ~read:"C" n
+  in
+  (* a fresh size per order, so the second order misses the memo too *)
+  List.iter
+    (fun (n, order) ->
+      List.iter
+        (fun kind ->
+          match Summary.profile_all (Prog.of_func (profile n kind)) with
+          | [ p ] ->
+              Alcotest.(check (list (list (pair int int))))
+                (Printf.sprintf "size %d, %s" n
+                   (match kind with
+                   | `Recurrence -> "A[i] = A[i-1] + 1"
+                   | `Copy -> "B[i] = C[i-1] + 1"))
+                (deps kind) p.Summary.deps
+          | _ -> Alcotest.fail "expected one profile")
+        order)
+    [ (16, [ `Recurrence; `Copy ]); (17, [ `Copy; `Recurrence ]) ]
+
 let test_pipelined_ii_one () =
   let f = gemm_func 8 in
   (* innermost-free order (k outermost carries the dep): pipeline j *)
@@ -225,6 +281,10 @@ let () =
           Alcotest.test_case "body resources" `Quick test_body_resources;
           Alcotest.test_case "summary extraction" `Quick test_summary;
           Alcotest.test_case "sequential baseline" `Quick test_sequential_baseline;
+          Alcotest.test_case "baseline reads no dependence" `Quick
+            test_baseline_reads_no_dependence;
+          Alcotest.test_case "memo key reads the written array" `Quick
+            test_memo_key_reads_the_written_array;
           Alcotest.test_case "pipelined II=1" `Quick test_pipelined_ii_one;
           Alcotest.test_case "RecMII on tight loop" `Quick test_recmii_on_tight_loop;
           Alcotest.test_case "ResMII port pressure" `Quick test_resmii_ports;

@@ -51,6 +51,62 @@ let test_illegal_stencil_interchange () =
          v.Legality.kind = `Raw && v.Legality.array = "A")
        vs)
 
+(* Two recurrences of one shape, [X[i][j] = X[i-1][j+1] + 1] on
+   different arrays: their flip problems differ only in the order
+   branches once one of them is interchanged, which reverses its
+   (1, -1) dependence.  The verdict table must not hand the interchanged
+   one's verdict to the other. *)
+let twin_recurrences () =
+  let open Expr in
+  let f = Func.create "twins" in
+  let n = 8 in
+  List.iter
+    (fun (name, out) ->
+      let i = Var.make "i" 1 n and j = Var.make "j" 0 (n - 1) in
+      let x = Placeholder.make out [ n; n ] Dtype.p_float32 in
+      ignore
+        (Func.compute f name ~iters:[ i; j ]
+           ~body:(access x [ ix i -! ixc 1; ix j +! ixc 1 ] +: fconst 1.0)
+           ~dest:(x, [ ix i; ix j ]) ()))
+    [ ("s1", "X"); ("s2", "Y") ];
+  f
+
+let test_same_shape_statements () =
+  List.iter
+    (fun interchanged ->
+      let f = twin_recurrences () in
+      Func.schedule f (Schedule.interchange interchanged "i" "j");
+      let named =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun (v : Legality.violation) ->
+               [ v.Legality.src_stmt; v.Legality.dst_stmt ])
+             (Legality.violations ~original:(structural f)
+                ~transformed:(Prog.of_func f)))
+      in
+      Alcotest.(check (list string))
+        (interchanged ^ " interchanged: only it is named")
+        [ interchanged ] named)
+    [ "s1"; "s2" ]
+
+(* A reduction's RAW, WAR and WAW pairs read one access function, so they
+   pose one flip problem; each kind is still reported. *)
+let test_reversed_reduction_kinds () =
+  let f = Polybench.gemm 8 in
+  Func.schedule f (Schedule.reverse "s" "k" "kr");
+  let vs =
+    Legality.violations ~original:(structural f) ~transformed:(Prog.of_func f)
+  in
+  List.iter
+    (fun (kind, name) ->
+      Alcotest.(check bool) (name ^ " on D reported") true
+        (List.exists
+           (fun (v : Legality.violation) ->
+             v.Legality.kind = kind && v.Legality.array = "D"
+             && v.Legality.src_stmt = "s" && v.Legality.dst_stmt = "s")
+           vs))
+    [ (`Raw, "RAW"); (`War, "WAR"); (`Waw, "WAW") ]
+
 let test_illegal_distribution () =
   (* dropping the ping-pong fusion changes the interleaving *)
   let f = Polybench.jacobi1d ~tsteps:3 10 in
@@ -294,6 +350,10 @@ let () =
             test_bicg_distribution_legal;
           Alcotest.test_case "loop reversal legality" `Quick
             test_reversal_legality;
+          Alcotest.test_case "same-shape statements" `Quick
+            test_same_shape_statements;
+          Alcotest.test_case "reversed reduction kinds" `Quick
+            test_reversed_reduction_kinds;
           Alcotest.test_case "DSE outputs are legal" `Slow test_dse_outputs_legal;
           Alcotest.test_case "prefix skip agrees on random programs" `Quick
             test_prefix_skip_random_programs;
