@@ -89,8 +89,11 @@ let section title =
 let per_group_usage (c : Pom.compiled) =
   let prog = c.Pom.prog in
   let profiles = Pom.Hls.Summary.profile_all prog in
-  let partitions = Pom.Hls.Report.partition_fn prog in
-  let evals, _ = Pom.Hls.Latency.eval_program ~partitions profiles in
+  let evals, _ =
+    Pom.Hls.Latency.eval_program
+      ~partitions:(Pom.Polyir.Prog.partition_of prog)
+      profiles
+  in
   List.map
     (fun (e : Pom.Hls.Latency.group_eval) ->
       let mine =

@@ -101,7 +101,7 @@ let lower prog =
   let arrays =
     List.map
       (fun p ->
-        let partition = Prog.partition_of prog p in
+        let partition = Prog.partition_of prog p.Placeholder.name in
         let kind =
           match List.assoc_opt p.Placeholder.name prog.Prog.partitions with
           | Some (_, kind) -> kind

@@ -208,7 +208,7 @@ let lint_partitions (prog : Prog.t) profiles =
 
 let lint_profiles prog =
   let fname = Func.name prog.Prog.func in
-  let partitions = Report.partition_fn prog in
+  let partitions = Prog.partition_of prog in
   let profiles = Summary.profile_all prog in
   let per_stmt =
     List.concat_map

@@ -45,14 +45,7 @@ let locality_tiling ?(tile = 32) ?(exclude = []) func =
 
 let fused_computes func =
   List.sort_uniq String.compare
-    (List.concat_map
-       (fun d ->
-         match (d : Schedule.t) with
-         | Schedule.After { compute; anchor; level } when level >= 1 ->
-             [ compute; anchor ]
-         | Schedule.Fuse { c1; c2; level } when level >= 1 -> [ c1; c2 ]
-         | _ -> [])
-       (Func.directives func))
+    (List.concat_map (fun (_, (a, b)) -> [ a; b ]) (Func.structure func))
 
 let locality_tiling_pass ?tile ~exclude_fused () =
   Pom_pipeline.Pass.v ~name:"pluto-locality-tiling"

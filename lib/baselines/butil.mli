@@ -11,7 +11,8 @@ val locality_tiling :
   Func.t ->
   Schedule.t list * (string * string list) list
 
-(** Computes named in any structural fusion directive. *)
+(** Computes joined by the specification's fusion structure
+    ({!Pom_dsl.Func.structure}). *)
 val fused_computes : Func.t -> string list
 
 (** The locality tiling as a pipeline pass, appending its

@@ -78,7 +78,7 @@ let usage_sub (a : Resource.usage) (b : Resource.usage) =
 let greedy_pass () =
   Pass.v ~required:true ~name:"scalehls-greedy-dse"
     (fun (st : State.t) ->
-      let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
+      let wall0 = Unix.gettimeofday () in
       let func = st.State.func and device = st.State.device in
       let s =
         Stage2.start ~device ~composition:st.State.composition
@@ -187,7 +187,6 @@ let greedy_pass () =
         evaluations = Stage2.evaluations s + !usage_checks;
         trace = st.State.trace @ List.rev !trace;
         dse_time_s = st.State.dse_time_s +. (Unix.gettimeofday () -. wall0);
-        dse_cpu_s = st.State.dse_cpu_s +. (Sys.time () -. cpu0);
       })
 
 let passes () = [ interchange_pass (); Passes.structural (); greedy_pass () ]

@@ -46,7 +46,6 @@ type compiled = {
   affine : Pom_affine.Ir.func;
   hls_c : string;
   dse_time_s : float;
-  dse_cpu_s : float;
   evaluations : int;
   tile_vectors : (string * int list) list;
   baseline_latency : int;
@@ -131,7 +130,6 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
     affine;
     hls_c;
     dse_time_s = st.State.dse_time_s;
-    dse_cpu_s = st.State.dse_cpu_s;
     evaluations = st.State.evaluations;
     tile_vectors = st.State.tile_vectors;
     baseline_latency;
@@ -149,5 +147,5 @@ let speedup c =
 let validate func c = Pom_sim.Interp.divergence func c.prog
 
 let check_legality func c =
-  Pom_polyir.Legality.violations ~original:(State.reference func)
+  Pom_polyir.Legality.violations ~original:(Pom_polyir.Prog.reference func)
     ~transformed:c.prog

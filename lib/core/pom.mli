@@ -89,7 +89,6 @@ type compiled = {
           what the HLS C, {!mlir} and the C testbench are emitted from *)
   hls_c : string;  (** generated HLS C *)
   dse_time_s : float;  (** wall-clock search time; 0 for non-searching flows *)
-  dse_cpu_s : float;  (** CPU search time ([Sys.time]) *)
   evaluations : int;
       (** QoR evaluations the flow's search made; 0 without a search *)
   tile_vectors : (string * int list) list;  (** empty for non-DSE flows *)
@@ -145,12 +144,13 @@ val speedup : compiled -> float
 val mlir : compiled -> string
 
 (** Check a compiled schedule against the specification on small inputs
-    with the functional simulator; returns the max elementwise
-    divergence. *)
+    with the functional simulator; returns the max elementwise divergence
+    from the reference program ({!Pom_polyir.Prog.reference}). *)
 val validate : Pom_dsl.Func.t -> compiled -> float
 
-(** Prove the compiled schedule legal against the specification with the
-    polyhedral dependence checker (no execution, any problem size);
-    returns the reversed dependences ([[]] = legal). *)
+(** Prove the compiled schedule legal against the specification's
+    reference program ({!Pom_polyir.Prog.reference}, the one {!validate}
+    runs) with the polyhedral dependence checker (no execution, any
+    problem size); returns the reversed dependences ([[]] = legal). *)
 val check_legality :
   Pom_dsl.Func.t -> compiled -> Pom_polyir.Legality.violation list

@@ -76,20 +76,3 @@ let carried_distance_at t ~order d =
           match acc with None -> Some dist | Some a -> Some (min a dist))
       | `Carried _ | `Illegal -> acc)
     None t.self_deps
-
-let pp_bound ppf = function
-  | Some v -> Format.pp_print_int ppf v
-  | None -> Format.pp_print_string ppf "inf"
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v 2>%s:@,reduction dims: [%s]@,%a@]"
-    t.compute.Compute.name
-    (String.concat ", " t.reduction_dims)
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf box ->
-         Format.fprintf ppf "dep (%s)"
-           (String.concat ", "
-              (List.map
-                 (fun (d, (lo, hi)) ->
-                   Format.asprintf "%s:[%a,%a]" d pp_bound lo pp_bound hi)
-                 box))))
-    t.self_deps

@@ -43,4 +43,3 @@ val innermost_free : t -> order:string list -> bool
     positive)? *)
 val legal_order : t -> order:string list -> bool
 
-val pp : Format.formatter -> t -> unit

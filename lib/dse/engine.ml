@@ -3,8 +3,6 @@ open Pom_pipeline
 type outcome = {
   stage1 : Stage1.t;
   result : Stage2.result;
-  dse_time_s : float;
-  dse_cpu_s : float;
   records : Pass.record list;
 }
 
@@ -19,18 +17,17 @@ let passes ?bank_cap () =
     (* dependence-aware code transformation (DSE stage 1) *)
     Pass.v ~required:true ~name:"stage1-transform"
       (fun (st : State.t) ->
-        let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
+        let wall0 = Unix.gettimeofday () in
         let s1 = Stage1.run st.State.func in
         {
           (State.add_ext (Stage1_output s1) st) with
           State.directives = st.State.directives @ s1.Stage1.directives;
           dse_time_s = st.State.dse_time_s +. (Unix.gettimeofday () -. wall0);
-          dse_cpu_s = st.State.dse_cpu_s +. (Sys.time () -. cpu0);
         });
     (* bottleneck-oriented optimization (DSE stage 2) *)
     Pass.v ~required:true ~name:"stage2-search"
       (fun (st : State.t) ->
-        let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
+        let wall0 = Unix.gettimeofday () in
         let s1 =
           match
             State.find_ext
@@ -53,15 +50,11 @@ let passes ?bank_cap () =
           evaluations = r.Stage2.evaluations;
           trace = st.State.trace @ r.Stage2.trace;
           dse_time_s = st.State.dse_time_s +. (Unix.gettimeofday () -. wall0);
-          dse_cpu_s = st.State.dse_cpu_s +. (Sys.time () -. cpu0);
         });
   ]
 
 let run ?(device = Pom_hls.Device.xc7z020) ?bank_cap ?jobs:(_ : int option)
     func =
-  (* Sys.time is CPU time; the Table III "DSE time" column is wall clock,
-     so measure both and report them separately. *)
-  let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
   let st, records =
     Pass.run (passes ?bank_cap ()) (State.init ~device func)
   in
@@ -69,7 +62,5 @@ let run ?(device = Pom_hls.Device.xc7z020) ?bank_cap ?jobs:(_ : int option)
   {
     stage1 = output (function Stage1_output s1 -> Some s1 | _ -> None);
     result = output (function Stage2_output r -> Some r | _ -> None);
-    dse_time_s = Unix.gettimeofday () -. wall0;
-    dse_cpu_s = Sys.time () -. cpu0;
     records;
   }

@@ -3,13 +3,11 @@
     ([stage1-transform]) then bottleneck-oriented optimization
     ([stage2-search]), each a pass with its own timing record.
     The search time that Table III reports as the toolchain's runtime is
-    wall clock; CPU time is accounted separately. *)
+    the wall clock both passes add to the state's [dse_time_s]. *)
 
 type outcome = {
   stage1 : Stage1.t;
   result : Stage2.result;
-  dse_time_s : float;  (** wall-clock search time ([Unix.gettimeofday]) *)
-  dse_cpu_s : float;  (** CPU search time ([Sys.time]) *)
   records : Pom_pipeline.Pass.record list;  (** per-pass instrumentation *)
 }
 

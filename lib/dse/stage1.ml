@@ -54,19 +54,10 @@ let plan_node (node : Graph.node) =
   | Hints.Tight _ ->
       ([], { compute = cname; final_order = original; skewed = false; tight = true })
 
-(* Fusion groups declared by the user ([After]/[Fuse] at level >= 1),
-   as lists of compute names in program order. *)
+(* Fusion groups declared by the user (the specification's structure,
+   {!Func.structure}), as lists of compute names in program order. *)
 let user_fusion_groups func =
-  let pairs =
-    List.filter_map
-      (fun d ->
-        match (d : Schedule.t) with
-        | Schedule.After { compute; anchor; level } when level >= 1 ->
-            Some (anchor, compute)
-        | Schedule.Fuse { c1; c2; level } when level >= 1 -> Some (c1, c2)
-        | _ -> None)
-      (Func.directives func)
-  in
+  let pairs = List.map snd (Func.structure func) in
   let rec group_of groups name =
     match groups with
     | [] -> None
@@ -93,15 +84,9 @@ let user_fusion_groups func =
 (* Fusion directives declared by the user (the [after]/[fuse] calls of the
    algorithm specification, Fig. 16), restricted to one group. *)
 let user_fusion_directives func g =
-  List.filter
-    (fun d ->
-      match (d : Schedule.t) with
-      | Schedule.After { compute; anchor; level } when level >= 1 ->
-          List.mem compute g && List.mem anchor g
-      | Schedule.Fuse { c1; c2; level } when level >= 1 ->
-          List.mem c1 g && List.mem c2 g
-      | _ -> false)
-    (Func.directives func)
+  List.filter_map
+    (fun (d, (a, b)) -> if List.mem a g && List.mem b g then Some d else None)
+    (Func.structure func)
 
 (* Any data edge between two members means distributing them would change
    the specified interleaved semantics — the group must stay fused. *)

@@ -48,6 +48,16 @@ let schedule t d =
   | Schedule.Partition _ | Schedule.Auto_dse -> ());
   t.directives <- d :: t.directives
 
+let structure t =
+  List.filter_map
+    (fun d ->
+      match (d : Schedule.t) with
+      | Schedule.After { compute; anchor; level } when level >= 1 ->
+          Some (d, (anchor, compute))
+      | Schedule.Fuse { c1; c2; level } when level >= 1 -> Some (d, (c1, c2))
+      | _ -> None)
+    (directives t)
+
 let placeholders t =
   List.sort_uniq
     (fun (a : Placeholder.t) b -> String.compare a.name b.name)

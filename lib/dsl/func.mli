@@ -35,6 +35,16 @@ val compute :
 (** Append a schedule directive (also checks referenced computes exist). *)
 val schedule : t -> Schedule.t -> unit
 
+(** The specification's own fusion structure: its [after]/[fuse]
+    directives at level >= 1, in application order, each paired with the
+    two computes it joins (the anchor, or [c1], first).  A level-0
+    [after] shares no loop with its anchor: it only reorders computes, a
+    transformation like any other, so it is not structure.  The one
+    owner of that decision: the reference program every semantic check
+    compares against, the DSE's user fusion groups and the baselines'
+    fused computes all read this list. *)
+val structure : t -> (Schedule.t * (string * string)) list
+
 (** All placeholders referenced by any compute, deduplicated by name. *)
 val placeholders : t -> Placeholder.t list
 

@@ -20,8 +20,8 @@ type group_eval = {
 
 (** [eval_group ~partitions profiles] evaluates one fusion group (all
     profiles share the leading scalar constant).  [partitions] maps an
-    array name to its per-dimension partition factors ([[]] or all-ones if
-    unpartitioned). *)
+    array name to its per-dimension partition factors
+    ({!Pom_polyir.Prog.partition_of}: all ones when unpartitioned). *)
 val eval_group : partitions:(string -> int list) -> Summary.t list -> group_eval
 
 (** Evaluate every group of a program; returns the groups in execution

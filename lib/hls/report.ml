@@ -11,11 +11,6 @@ type t = {
   unroll_products : (string * int) list;
 }
 
-let partition_fn (prog : Prog.t) array =
-  match List.assoc_opt array prog.Prog.partitions with
-  | Some (factors, _) -> factors
-  | None -> []
-
 type latency_mode = [ `Sequential | `Dataflow ]
 
 (* Process-wide count of full (cold) syntheses, so callers layering a memo
@@ -79,7 +74,7 @@ let group_price prices ~device ~partitions group profiles =
 let of_profiles ?(prices = prices ()) ?(composition = Resource.Reuse)
     ?(latency_mode = `Sequential) ~device prog profiles =
   Atomic.incr synth_counter;
-  let partitions = partition_fn prog in
+  let partitions = Prog.partition_of prog in
   let priced =
     List.map
       (fun g ->
@@ -151,7 +146,7 @@ let of_profiles ?(prices = prices ()) ?(composition = Resource.Reuse)
 
 let group_usage prices ~device prog profiles =
   let g =
-    group_price prices ~device ~partitions:(partition_fn prog)
+    group_price prices ~device ~partitions:(Prog.partition_of prog)
       (List.hd profiles).Summary.group profiles
   in
   { g.area with Resource.bram = 0 }
@@ -164,7 +159,7 @@ let synthesize ?composition ?latency_mode ~device prog =
    it carries, so the profiles skip the analysis. *)
 let baseline_latency func =
   let prog = Prog.of_func_unscheduled func in
-  Latency.sequential_latency ~partitions:(partition_fn prog)
+  Latency.sequential_latency ~partitions:(Prog.partition_of prog)
     (List.map Summary.unanalyzed prog.Prog.stmts)
 
 let speedup ~baseline t = float_of_int baseline /. float_of_int t.latency

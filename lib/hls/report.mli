@@ -21,9 +21,6 @@ type t = {
     unmatched producer/consumer paces (Fig. 13's ScaleHLS mode). *)
 type latency_mode = [ `Sequential | `Dataflow ]
 
-(** Per-dimension partition factors of an array in a scheduled program. *)
-val partition_fn : Pom_polyir.Prog.t -> string -> int list
-
 (** Group prices one search reuses across the design points it prices.
     A program is priced group by group: each fusion group's latency
     evaluation and area (operators plus on-chip buffers), then the
@@ -38,7 +35,8 @@ val prices : unit -> prices
 
 (** [of_profiles ~device prog profiles] prices a scheduled program whose
     statements [profiles] describes, in program order ([prog] supplies the
-    array partitioning).  The one pricing function: a DSE search hands it
+    array partitioning: {!Pom_polyir.Prog.partition_of}, the factors the
+    lowered design gets).  The one pricing function: a DSE search hands it
     the profiles it already holds instead of re-profiling every statement,
     and its own [prices] table (default: a fresh one) so that only the
     groups a candidate changed are priced again. *)

@@ -31,8 +31,9 @@ let instances ~cap prog =
 
 let render ?(max_instances = 16) ?(max_width = 72) prog =
   let profiles = Summary.profile_all prog in
-  let partitions = Report.partition_fn prog in
-  let evals, _ = Latency.eval_program ~partitions profiles in
+  let evals, _ =
+    Latency.eval_program ~partitions:(Prog.partition_of prog) profiles
+  in
   let group_of name =
     let p =
       List.find

@@ -38,7 +38,7 @@ let structural () =
       {
         st with
         State.directives =
-          st.State.directives @ State.structural_directives st.State.func;
+          st.State.directives @ List.map fst (Func.structure st.State.func);
       })
 
 let user_schedule () =
@@ -75,7 +75,7 @@ let legality_check () =
       | Some prog -> (
           match
             Pom_polyir.Legality.violations
-              ~original:(State.reference st.State.func)
+              ~original:(Pom_polyir.Prog.reference st.State.func)
               ~transformed:prog
           with
           | vs ->

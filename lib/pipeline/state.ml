@@ -16,7 +16,6 @@ type t = {
   affine : Pom_affine.Ir.func option;
   hls_c : string option;
   dse_time_s : float;
-  dse_cpu_s : float;
   evaluations : int;
   tile_vectors : (string * int list) list;
   diags : Pom_analysis.Diagnostic.t list;
@@ -42,7 +41,6 @@ let init ?(composition = Pom_hls.Resource.Reuse) ?(latency_mode = `Sequential)
     affine = None;
     hls_c = None;
     dse_time_s = 0.0;
-    dse_cpu_s = 0.0;
     evaluations = 0;
     tile_vectors = [];
     diags = [];
@@ -69,27 +67,13 @@ let dump t =
   | None, None, Some prog -> Format.asprintf "%a" Pom_polyir.Prog.pp prog
   | None, None, None -> "(no IR constructed yet)"
 
-(* The specification's own fusion structure ([after]/[fuse] at level >= 1)
-   is part of the reference semantics, not a transformation under test. *)
-let structural_directives func =
-  List.filter
-    (fun d ->
-      match (d : Schedule.t) with
-      | Schedule.After { level; _ } | Schedule.Fuse { level; _ } -> level >= 1
-      | _ -> false)
-    (Func.directives func)
-
-let reference func =
-  Pom_polyir.Prog.apply_all
-    (Pom_polyir.Prog.of_func_unscheduled func)
-    (structural_directives func)
-
 let verify t =
   match t.prog with
   | None -> "no polyhedral IR yet"
   | Some prog -> (
       match
-        Pom_polyir.Legality.violations ~original:(reference t.func)
+        Pom_polyir.Legality.violations
+          ~original:(Pom_polyir.Prog.reference t.func)
           ~transformed:prog
       with
       | [] -> "legal"

@@ -25,7 +25,6 @@ type t = {
   affine : Pom_affine.Ir.func option;
   hls_c : string option;
   dse_time_s : float;  (** wall-clock DSE time (0 for non-searching flows) *)
-  dse_cpu_s : float;  (** CPU DSE time *)
   evaluations : int;
       (** QoR evaluations the flow's search made (0 for non-searching
           flows) *)
@@ -58,18 +57,8 @@ val stats : t -> Stats.t
     of the affine level, else the polyhedral program). *)
 val dump : t -> string
 
-(** The specification's own fusion structure ([after]/[fuse] at level >= 1):
-    part of the reference semantics, not a transformation under test. *)
-val structural_directives : Func.t -> Schedule.t list
-
-(** The structural reference program legality is checked against: the
-    unscheduled lowering plus the specification's own fusion structure.
-    The legality-check pass, {!verify}, [Pom.check_legality] and the
-    semantic refute oracle all check against it. *)
-val reference : Func.t -> Pom_polyir.Prog.t
-
 (** Post-pass verification verdict: polyhedral legality against
-    {!reference}. *)
+    {!Pom_polyir.Prog.reference}. *)
 val verify : t -> string
 
 (** Pass-manager hooks observing this state: statistics, dumps and

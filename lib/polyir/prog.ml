@@ -1,11 +1,20 @@
 open Pom_poly
 open Pom_dsl
 
+module Names = Map.Make (String)
+
+(* a map, not an association list: pricing reads it for every array of
+   every fusion group of every design point a search prices *)
+type factors = int list Names.t
+
 type t = {
   func : Func.t;
   stmts : Stmt_poly.t list;
   partitions : (string * (int list * Schedule.partition_kind)) list;
+  factors : factors;
 }
+
+let unpartitioned = List.map (fun _ -> 1)
 
 let of_func_unscheduled func =
   {
@@ -15,8 +24,16 @@ let of_func_unscheduled func =
         (fun k c -> Stmt_poly.of_compute ~position:k c)
         (Func.computes func);
     partitions = [];
+    factors =
+      List.fold_left
+        (fun m (p : Placeholder.t) ->
+          Names.add p.Placeholder.name (unpartitioned p.Placeholder.shape) m)
+        Names.empty (Func.placeholders func);
   }
 
+(* The last partition directive per array wins, and it applies only with
+   one factor per dimension of the array: decided here, once, so every
+   reader of [factors] prices, lowers and checks the same banks. *)
 let apply t directive =
   match (directive : Schedule.t) with
   | Schedule.Partition { array; factors; kind } ->
@@ -24,6 +41,12 @@ let apply t directive =
         t with
         partitions =
           (array, (factors, kind)) :: List.remove_assoc array t.partitions;
+        factors =
+          Names.update array
+            (Option.map (fun current ->
+                 if List.compare_lengths factors current = 0 then factors
+                 else unpartitioned current))
+            t.factors;
       }
   | Schedule.Auto_dse -> t
   | _ -> { t with stmts = Transform.apply_directive t.stmts directive }
@@ -32,6 +55,9 @@ let apply_all t directives = List.fold_left apply t directives
 
 let of_func func = apply_all (of_func_unscheduled func) (Func.directives func)
 
+let reference func =
+  apply_all (of_func_unscheduled func) (List.map fst (Func.structure func))
+
 let stmt t name =
   match
     List.find_opt (fun s -> Stmt_poly.name s = name) t.stmts
@@ -39,10 +65,8 @@ let stmt t name =
   | Some s -> s
   | None -> invalid_arg ("Prog.stmt: no statement " ^ name)
 
-let partition_of t (p : Placeholder.t) =
-  match List.assoc_opt p.Placeholder.name t.partitions with
-  | Some (factors, _) when List.length factors = Placeholder.rank p -> factors
-  | Some _ | None -> List.map (fun _ -> 1) p.Placeholder.shape
+let partition_of t array =
+  Option.value ~default:[] (Names.find_opt array t.factors)
 
 let to_ast t =
   Ast_build.build

@@ -174,30 +174,6 @@ let unroll (s : Stmt_poly.t) dim factor =
       };
   }
 
-let rename_dim (s : Stmt_poly.t) old_name new_name =
-  check_dim s old_name;
-  check_fresh s new_name;
-  {
-    s with
-    domain = Basic_set.rename_dim old_name new_name s.domain;
-    index_map =
-      List.map
-        (fun (o, e) -> (o, Linexpr.rename_dim old_name new_name e))
-        s.index_map;
-    sched = Sched.rename_dim s.sched old_name new_name;
-    hw =
-      {
-        Stmt_poly.pipeline =
-          Option.map
-            (fun (d, ii) -> ((if d = old_name then new_name else d), ii))
-            s.hw.Stmt_poly.pipeline;
-        unrolls =
-          List.map
-            (fun (d, f) -> ((if d = old_name then new_name else d), f))
-            s.hw.Stmt_poly.unrolls;
-      };
-  }
-
 let on_stmt stmts cname f =
   let found = ref false in
   let stmts =

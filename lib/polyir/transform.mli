@@ -50,9 +50,6 @@ val pipeline : Stmt_poly.t -> string -> int -> Stmt_poly.t
 (** Mark an unroll attribute on a loop level. *)
 val unroll : Stmt_poly.t -> string -> int -> Stmt_poly.t
 
-(** Rename a current dimension everywhere (domain, schedule, index map). *)
-val rename_dim : Stmt_poly.t -> string -> string -> Stmt_poly.t
-
 (** Apply a DSL schedule directive to the matching statement of a list
     (hardware directives update attributes; [Auto_dse] and [Partition] are
     ignored here — they are consumed by the DSE engine and the emitter). *)

@@ -270,11 +270,12 @@ let func () st =
         let a = gi 0 (n_computes - 1) st in
         let b = (a + 1 + gi 0 (n_computes - 2) st) mod n_computes in
         let sa = Printf.sprintf "s%d" a and sb = Printf.sprintf "s%d" b in
-        (* level >= 1 only: level-0 [after] reorders the reference the
-           interpreter uses but not the one the legality check uses, which
-           would make the two oracles disagree by construction.  Sharing a
-           loop also requires equal nest depths — the AST builder rejects
-           statements fused over unequal depths. *)
+        (* level >= 1 only, so that seeded case streams and corpus ids
+           stay fixed.  A level-0 [after] would be a fair case too: the
+           interpreter and the legality check compare against one
+           reference program, which leaves it out.  Sharing a loop also
+           requires equal nest depths — the AST builder rejects statements
+           fused over unequal depths. *)
         if List.length (Hashtbl.find live sa)
            = List.length (Hashtbl.find live sb)
         then Func.schedule func (Schedule.after sa ~anchor:sb ~level:1)

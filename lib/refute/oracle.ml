@@ -219,7 +219,7 @@ let check_poly (p : Case.poly) =
 let check_semantic f =
   let loc = [ "refute"; "semantic" ] in
   match
-    let original = Pom_pipeline.State.reference f in
+    let original = Pom_polyir.Prog.reference f in
     let transformed = Pom_polyir.Prog.of_func f in
     `Built (original, transformed)
   with

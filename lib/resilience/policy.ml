@@ -16,8 +16,6 @@ let with_policy p f =
   Atomic.set current p;
   Fun.protect ~finally:(fun () -> Atomic.set current saved) f
 
-let to_string = function Abort -> "abort" | Degrade -> "degrade"
-
 let of_string = function
   | "abort" -> Ok Abort
   | "degrade" -> Ok Degrade

@@ -20,6 +20,4 @@ val degrading : unit -> bool
 (** Run [f] under [policy], restoring the previous policy afterwards. *)
 val with_policy : t -> (unit -> 'a) -> 'a
 
-val to_string : t -> string
-
 val of_string : string -> (t, string) result

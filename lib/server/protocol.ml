@@ -3,7 +3,7 @@ module Frame = Pom_wire.Frame
 
 let request_kind = "pom-request"
 let response_kind = "pom-response"
-let version = 3
+let version = 4
 
 (* A request is a DSL function plus a few scalars — kilobytes.  Cap well
    below the framing default so a hostile length field on the listening
@@ -219,61 +219,13 @@ let server_stats_codec : server_stats Wire.t =
 
 (* -------- cache key -------- *)
 
-let framework_tag = function
-  | `Baseline -> "baseline"
-  | `Pluto -> "pluto"
-  | `Polsca -> "polsca"
-  | `Scalehls -> "scalehls"
-  | `Pom_manual -> "pom-manual"
-  | `Pom_auto -> "pom-auto"
-
-(* The function fingerprint covers everything a compile can observe:
-   iterator extents, array shapes and types, and the statement bodies (two
-   same-named workloads at different problem sizes or data types must not
-   collide).  It excludes the function's attached directives, which
-   [cache_key] mixes back in, or two schedules of one function would
-   collide. *)
-let func_key func =
-  let open Pom_dsl in
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Func.name func);
-  List.iter
-    (fun (c : Compute.t) ->
-      Buffer.add_char b '|';
-      Buffer.add_string b (Format.asprintf "%a" Compute.pp c);
-      List.iter
-        (fun (v : Var.t) ->
-          Buffer.add_string b
-            (Printf.sprintf ";%s:%d:%d" v.Var.name v.Var.lb v.Var.ub))
-        c.Compute.iters)
-    (Func.computes func);
-  List.iter
-    (fun (p : Placeholder.t) ->
-      Buffer.add_string b
-        (Printf.sprintf "|%s[%s]%s" p.Placeholder.name
-           (String.concat "," (List.map string_of_int p.Placeholder.shape))
-           (Dtype.c_name p.Placeholder.dtype)))
-    (Func.placeholders func);
-  Buffer.contents b
-
-let directives_key directives =
-  String.concat ";" (List.map Pom_dsl.Schedule.to_string directives)
-
-let device_key (d : Pom_hls.Device.t) =
-  let open Pom_hls in
-  Printf.sprintf "%s:%d:%d:%d:%d:%g" d.Device.name d.Device.dsp d.Device.lut
-    d.Device.ff d.Device.bram_bits d.Device.clock_mhz
-
+(* The bytes the daemon decodes a compile's inputs from, with the fields
+   that do not change the compile fixed: two requests share a key only
+   when they ask for the same compile. *)
 let cache_key r =
   Digest.string
-    (String.concat "\x00"
-       [
-         func_key r.func;
-         directives_key (Pom_dsl.Func.directives r.func);
-         device_key r.device;
-         framework_tag r.framework;
-         string_of_bool r.dnn;
-       ])
+    (Wire.to_string request_codec
+       { r with id = 0; deadline_s = None; use_cache = true; client = "" })
 
 (* -------- record tags -------- *)
 

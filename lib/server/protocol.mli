@@ -23,7 +23,9 @@
     must answer {e something} to a one-shot connection). *)
 
 (** Frame kinds and the protocol schema version (bump on incompatible
-    payload changes). *)
+    payload changes, and when {!cache_key} changes, so a cache journal
+    keyed the old way restarts empty with a POM309 note).  Version 4 keys
+    the cache on the request's wire bytes. *)
 
 val request_kind : string
 val response_kind : string
@@ -134,12 +136,13 @@ val cache_journal_kind : string
     produce field-identical results. *)
 val result_of_compiled : Pom.compiled -> result
 
-(** The cross-request cache key of a compile request: a digest over the
-    function fingerprint (its name, statement bodies, iterator bounds and
-    array shapes and types), its attached directives, the device, the
-    framework, and the DNN flag — exactly the inputs that determine the
-    compiled artifact.  Deliberately excludes [id], [deadline_s],
-    [use_cache], and [client]. *)
+(** The cross-request cache key of a compile request: the digest of its
+    {!request_codec} bytes with [id], [deadline_s], [use_cache] and
+    [client] set to fixed values.  Those are the bytes the daemon decodes
+    the compile's inputs from (the function with every statement, guard
+    and attached directive, the device, the framework and the DNN flag),
+    so two requests share a key only when they ask for the same
+    compile. *)
 val cache_key : request -> string
 
 (** {1 Channel IO}

@@ -163,38 +163,15 @@ let port_bound (prog : Prog.t) group_instances =
   in
   SS.iter observe reads;
   SS.iter observe writes;
-  let factors_of array =
-    match List.assoc_opt array prog.Prog.partitions with
-    | Some (fs, _) -> fs
-    | None -> []
-  in
   let bound_under mapping =
     let per_bank : (string * int, int) Hashtbl.t = Hashtbl.create 32 in
     let charge (array, idx) =
-      let fs = factors_of array in
-      let es =
-        match Hashtbl.find_opt extents array with
-        | Some e -> Array.to_list e
-        | None -> List.map (fun _ -> 1) fs
+      let b =
+        bank_of ~mapping
+          ~factors:(Prog.partition_of prog array)
+          ~extents:(Array.to_list (Hashtbl.find extents array))
+          idx
       in
-      (* pad/truncate factors to the index arity *)
-      let rec fit fs idx =
-        match (fs, idx) with
-        | _, [] -> []
-        | [], _ :: idx -> 1 :: fit [] idx
-        | f :: fs, _ :: idx -> f :: fit fs idx
-      in
-      let fs = fit fs idx in
-      let es =
-        let rec fit es idx =
-          match (es, idx) with
-          | _, [] -> []
-          | [], _ :: idx -> 1 :: fit [] idx
-          | e :: es, _ :: idx -> e :: fit es idx
-        in
-        fit es idx
-      in
-      let b = bank_of ~mapping ~factors:fs ~extents:es idx in
       let key = (array, b) in
       Hashtbl.replace per_bank key (1 + Option.value ~default:0 (Hashtbl.find_opt per_bank key))
     in

@@ -74,20 +74,7 @@ let run_affine (f : Ir.func) mem =
   List.iter exec f.Ir.body
 
 let run_structural func mem =
-  let structural =
-    List.filter
-      (fun d ->
-        match (d : Schedule.t) with
-        | Schedule.After _ | Schedule.Fuse _ -> true
-        | _ -> false)
-      (Func.directives func)
-  in
-  let prog =
-    List.fold_left Pom_polyir.Prog.apply
-      (Pom_polyir.Prog.of_func_unscheduled func)
-      structural
-  in
-  run_affine (Lower.lower prog) mem
+  run_affine (Lower.lower (Pom_polyir.Prog.reference func)) mem
 
 let divergence func prog =
   let ps = Func.placeholders func in

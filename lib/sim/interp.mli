@@ -12,11 +12,13 @@ val run_reference : Pom_dsl.Func.t -> Memory.t -> unit
 (** Execute a lowered affine-dialect function. *)
 val run_affine : Pom_affine.Ir.func -> Memory.t -> unit
 
-(** Execute the *specified* semantics of a function: computes plus the
-    structural [After]/[Fuse] directives of the algorithm description
-    (which, for ping-pong stencils, interleave computes inside a shared
-    time loop), with all purely performance-oriented directives ignored.
-    This is the semantic reference for any further scheduling. *)
+(** Execute the *specified* semantics of a function: the reference
+    program {!Pom_polyir.Prog.reference}, i.e. the computes plus the
+    algorithm description's fusion structure ({!Pom_dsl.Func.structure}:
+    [after]/[fuse] at level >= 1, which for ping-pong stencils interleave
+    computes inside a shared time loop), with every other directive
+    ignored.  The legality check compares against the same program, so
+    the two never disagree on what a schedule must preserve. *)
 val run_structural : Pom_dsl.Func.t -> Memory.t -> unit
 
 (** Convenience: lower [func]'s computes through the full polyhedral

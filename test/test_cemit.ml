@@ -62,19 +62,10 @@ let crosscheck name func prog =
       ml_sums c_sums
   end
 
-let structural func =
-  List.fold_left Pom_polyir.Prog.apply
-    (Pom_polyir.Prog.of_func_unscheduled func)
-    (List.filter
-       (fun d ->
-         match (d : Schedule.t) with
-         | Schedule.After _ | Schedule.Fuse _ -> true
-         | _ -> false)
-       (Func.directives func))
-
 let test_plain_kernels () =
   List.iter
-    (fun func -> crosscheck (Func.name func) func (structural func))
+    (fun func ->
+      crosscheck (Func.name func) func (Pom_polyir.Prog.reference func))
     [
       Polybench.gemm 12;
       Polybench.bicg 12;

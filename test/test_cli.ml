@@ -124,7 +124,16 @@ let test_analysis_failures () =
       ( "partition Z cyclic 2 2",
         "POM207 error [gemm/array Z]: partition directive names an array no \
          compute accesses" );
-    ]
+    ];
+  (* a partition that does not apply is not priced either: the report is
+     the one the same compile gives without the directive *)
+  let code, out =
+    run_capture `Stdout
+      "-w gemm -s 8 -f pom-manual --schedule \"partition A cyclic 2\""
+  in
+  Alcotest.(check int) "unapplied partition: exit code" 2 code;
+  Alcotest.(check bool) "unapplied partition: priced unpartitioned" true
+    (contains out "DSP 5, LUT 2425, FF 1498, BRAM18 3,")
 
 (* A failure anywhere in a compile — the speedup baseline, which profiles
    the input before any pass runs, included — exits 3 with the typed

@@ -92,7 +92,7 @@ let test_baseline_reads_no_dependence () =
     (fun (name, func) ->
       let prog = Prog.of_func_unscheduled func in
       Alcotest.(check int) name
-        (Latency.sequential_latency ~partitions:(Report.partition_fn prog)
+        (Latency.sequential_latency ~partitions:(Prog.partition_of prog)
            (Summary.profile_all prog))
         (Report.baseline_latency func))
     (List.map (fun (n, f) -> (n, f 32)) Polybench.by_name

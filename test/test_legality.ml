@@ -2,22 +2,12 @@ open Pom_dsl
 open Pom_polyir
 open Pom_workloads
 
-let structural func =
-  List.fold_left Prog.apply
-    (Prog.of_func_unscheduled func)
-    (List.filter
-       (fun d ->
-         match (d : Schedule.t) with
-         | Schedule.After _ | Schedule.Fuse _ -> true
-         | _ -> false)
-       (Func.directives func))
-
 let check func prog =
-  Legality.violations ~original:(structural func) ~transformed:prog = []
+  Legality.violations ~original:(Prog.reference func) ~transformed:prog = []
 
 let test_identity_legal () =
   let f = Polybench.gemm 8 in
-  Alcotest.(check bool) "identity" true (check f (structural f))
+  Alcotest.(check bool) "identity" true (check f (Prog.reference f))
 
 let test_safe_interchange_legal () =
   let f = Polybench.gemm 8 in
@@ -42,7 +32,8 @@ let test_illegal_stencil_interchange () =
   Func.schedule f (Schedule.interchange "s" "t" "j");
   Alcotest.(check bool) "caught" false (check f (Prog.of_func f));
   let vs =
-    Legality.violations ~original:(structural (Polybench.seidel ~tsteps:3 10))
+    Legality.violations
+      ~original:(Prog.reference (Polybench.seidel ~tsteps:3 10))
       ~transformed:(Prog.of_func f)
   in
   Alcotest.(check bool) "reports RAW on A" true
@@ -81,7 +72,7 @@ let test_same_shape_statements () =
           (List.concat_map
              (fun (v : Legality.violation) ->
                [ v.Legality.src_stmt; v.Legality.dst_stmt ])
-             (Legality.violations ~original:(structural f)
+             (Legality.violations ~original:(Prog.reference f)
                 ~transformed:(Prog.of_func f)))
       in
       Alcotest.(check (list string))
@@ -95,7 +86,8 @@ let test_reversed_reduction_kinds () =
   let f = Polybench.gemm 8 in
   Func.schedule f (Schedule.reverse "s" "k" "kr");
   let vs =
-    Legality.violations ~original:(structural f) ~transformed:(Prog.of_func f)
+    Legality.violations ~original:(Prog.reference f)
+      ~transformed:(Prog.of_func f)
   in
   List.iter
     (fun (kind, name) ->
@@ -289,7 +281,7 @@ let violation =
       a = b)
 
 let agrees where func transformed =
-  let original = structural func in
+  let original = Prog.reference func in
   let expected = Full_crossing.violations ~original ~transformed in
   Alcotest.(check (list violation))
     (where ^ ": violations equal the full crossing's")

@@ -79,6 +79,12 @@ let ok_result (r : Protocol.response) =
       Alcotest.failf "expected a successful compile, got %s: %s"
         e.Protocol.code e.Protocol.message
 
+(* the design fingerprint a daemon's answer and a local compile must agree
+   on: stopwatch and trace legitimately differ, everything else must not *)
+let design_bytes (v : Protocol.result) =
+  Wire.to_string Protocol.result_codec
+    { v with Protocol.dse_time_s = 0.0; trace = [] }
+
 (* -------- protocol round-trips -------- *)
 
 let test_protocol_roundtrip () =
@@ -94,6 +100,10 @@ let test_protocol_roundtrip () =
     back.Protocol.deadline_s;
   Alcotest.(check string) "cache key survives the wire"
     (Protocol.cache_key req) (Protocol.cache_key back);
+  Alcotest.(check string)
+    "the key ignores id, deadline, cache preference and client"
+    (Protocol.cache_key (Client.request (scheduled_gemm 16)))
+    (Protocol.cache_key req);
   (* two schedules of one function must not collide in the cache *)
   let plain = Client.request (Pom.Workloads.Polybench.gemm 16) in
   let sched = Client.request (scheduled_gemm 16) in
@@ -111,6 +121,45 @@ let test_cache_key_sizes_and_devices () =
   Alcotest.(check bool) "different device: distinct" false
     (key 32
     = key ~device:(Pom_hls.Device.scale 0.5 Pom_hls.Device.xc7z020) 32)
+
+(* trmm with its triangular guard [k > i], or without it: same name,
+   iterators and arrays, different compiles. *)
+let trmm ~guarded n =
+  let open Pom.Dsl in
+  let open Expr in
+  let f = Func.create "trmm" in
+  let a = Placeholder.make "A" [ n; n ] Dtype.p_float32 in
+  let b = Placeholder.make "B" [ n; n ] Dtype.p_float32 in
+  let i = Var.make "i" 0 n and j = Var.make "j" 0 n and k = Var.make "k" 0 n in
+  ignore
+    (Func.compute f "s" ~iters:[ i; j; k ]
+       ~where:(if guarded then [ Cgt (ix k, ix i) ] else [])
+       ~body:
+         (access b [ ix i; ix j ]
+         +: (access a [ ix k; ix i ] *: access b [ ix k; ix j ]))
+       ~dest:(b, [ ix i; ix j ]) ());
+  f
+
+let test_cache_key_guards () =
+  let req guarded = Client.request ~framework:`Pom_auto (trmm ~guarded 16) in
+  Alcotest.(check string) "the guarded build is the built-in trmm"
+    (Protocol.cache_key
+       (Client.request ~framework:`Pom_auto (Pom.Workloads.Polybench.trmm 16)))
+    (Protocol.cache_key (req true));
+  Alcotest.(check bool) "a where guard distinguishes cache keys" false
+    (Protocol.cache_key (req true) = Protocol.cache_key (req false));
+  with_server @@ fun ~socket _t ->
+  ignore (ok_result (Client.compile ~socket (req true)));
+  let second = Client.compile ~socket (req false) in
+  Alcotest.(check bool) "the unguarded kernel is computed" true
+    (second.Protocol.served = Protocol.Computed);
+  let local =
+    Pom.compile ~device:Pom.Hls.Device.xc7z020 ~framework:`Pom_auto
+      ~dnn:false (trmm ~guarded:false 16)
+  in
+  Alcotest.(check string) "and is the design a local compile gives"
+    (design_bytes (Protocol.result_of_compiled local))
+    (design_bytes (ok_result second))
 
 (* -------- cold / warm / bypass -------- *)
 
@@ -549,12 +598,6 @@ let test_connect_diagnostics () =
 
 (* -------- daemon kill -9: retry, then local fallback -------- *)
 
-(* the design fingerprint both paths must agree on: stopwatch and trace
-   legitimately differ, everything else must not *)
-let design_bytes (v : Protocol.result) =
-  Wire.to_string Protocol.result_codec
-    { v with Protocol.dse_time_s = 0.0; trace = [] }
-
 let test_daemon_kill_local_fallback_bit_identical () =
   let req () = Client.request ~id:9 (scheduled_gemm 32) in
   (* golden: what a healthy server serves *)
@@ -611,6 +654,8 @@ let () =
           Alcotest.test_case "round-trips" `Quick test_protocol_roundtrip;
           Alcotest.test_case "keys distinguish sizes and devices" `Quick
             test_cache_key_sizes_and_devices;
+          Alcotest.test_case "keys distinguish where guards" `Quick
+            test_cache_key_guards;
         ] );
       ( "cache",
         [

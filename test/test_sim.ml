@@ -92,6 +92,33 @@ let test_structural_semantics () =
   Alcotest.(check bool) "interleaving matters" true
     (Memory.max_diff m_seq m_str > 1e-9)
 
+(* A level-0 [after] shares no loop: it only reorders computes, so it is
+   a schedule under test, not part of the specification.  Running s0
+   after s1 reverses the RAW dependence s0 -> s1 on A; the legality check
+   and the simulator measure it against one reference program, so both
+   see it. *)
+let test_level0_after_checked () =
+  let f = Func.create "reorder" in
+  let a = Placeholder.make "A" [ 8 ] f32 in
+  let b = Placeholder.make "B" [ 8 ] f32 in
+  let i = Var.make "i" 0 8 and j = Var.make "j" 0 8 in
+  ignore
+    (Func.compute f "s0" ~iters:[ i ]
+       ~body:(access a [ ix i ] +: fconst 1.0)
+       ~dest:(a, [ ix i ]) ());
+  ignore
+    (Func.compute f "s1" ~iters:[ j ]
+       ~body:(access a [ ix j ] *: fconst 2.0)
+       ~dest:(b, [ ix j ]) ());
+  Func.schedule f (Schedule.after "s0" ~anchor:"s1" ~level:0);
+  let c = Pom.compile ~framework:`Pom_manual f in
+  Alcotest.(check int) "the legality pass counts one violation" 1
+    c.Pom.legality_violations;
+  Alcotest.(check int) "Pom.check_legality agrees" 1
+    (List.length (Pom.check_legality f c));
+  Alcotest.(check bool) "Pom.validate reports a divergence" true
+    (Pom.validate f c > 0.0)
+
 let test_stencil_divergence () =
   let f = Pom_workloads.Polybench.seidel ~tsteps:3 10 in
   Func.schedule f (Schedule.skew "s" "i" "j" 2 1 "is" "js");
@@ -156,6 +183,8 @@ let () =
             test_divergence_zero_transformed;
           Alcotest.test_case "structural vs sequential semantics" `Quick
             test_structural_semantics;
+          Alcotest.test_case "level-0 after is checked, not assumed" `Quick
+            test_level0_after_checked;
           Alcotest.test_case "skewed stencil divergence" `Quick
             test_stencil_divergence;
         ] );
