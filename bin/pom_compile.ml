@@ -78,22 +78,10 @@ let require_positive_float name v =
     exit 1
   end
 
-(* A legality proof that timed out under [degrade] rejects the schedule
-   with the violation count 1 as a sentinel; say so instead of counting. *)
-let report_illegal ~trace violations =
-  if List.mem Pom.Pipeline.Passes.legality_timeout_trace trace then
-    Format.eprintf
-      "legality:    the proof timed out — the schedule is conservatively \
-       rejected@."
-  else
-    Format.eprintf
-      "legality:    %d reversed dependences — the schedule is illegal@."
-      violations
-
 (* The end of every compile, local or --connect: print the diagnostics
    (after --Werror promotion) under --lint or when one is an error, and the
    verdict of an illegal schedule; either of those is exit 2. *)
-let analysis_exit ~lint ~werror ~trace ~legality_violations diags =
+let analysis_exit ~lint ~werror ~legality_violations diags =
   let diags =
     if werror then Pom.Analysis.Diagnostic.promote_warnings diags else diags
   in
@@ -104,7 +92,9 @@ let analysis_exit ~lint ~werror ~trace ~legality_violations diags =
     Format.eprintf "analysis:    %s@." (Pom.Analysis.Diagnostic.summary diags)
   end;
   if legality_violations > 0 then begin
-    report_illegal ~trace legality_violations;
+    Format.eprintf
+      "legality:    %d reversed dependences — the schedule is illegal@."
+      legality_violations;
     2
   end
   else if has_errors then 2
@@ -119,14 +109,24 @@ let pp_served ppf (r : Pom_server.Protocol.response) =
       Format.fprintf ppf "computed (server wall %.3f s)"
         r.Pom_server.Protocol.wall_s
 
+(* The input the [workload:] and [validation:] lines name: a built-in
+   workload's size, or the C file a --from-c kernel was parsed from, whose
+   sizes are the source's own. *)
+let input_of ~from_c size =
+  match from_c with Some path -> path | None -> Printf.sprintf "size %d" size
+
+(* The head of every compile's output, local or --connect. *)
+let print_head ~workload ~input ~framework =
+  Format.printf "workload:    %s (%s)@." workload input;
+  Format.printf "framework:   %s@." framework
+
 (* The one printer both the remote response and the local fallback flow
    through, so a design compiled either way prints character-identical
    report/speedup/tiles/C lines — only the [served:] provenance (and the
    trace, which carries the fallback note) may differ. *)
-let print_remote_result ~workload ~size ~framework ~served ~trace ~emit_c
+let print_remote_result ~workload ~input ~framework ~served ~trace ~emit_c
     ~lint ~werror (r : Pom_server.Protocol.result) =
-  Format.printf "workload:    %s (size %d)@." workload size;
-  Format.printf "framework:   %s@." framework;
+  print_head ~workload ~input ~framework;
   Format.printf "served:      %s@." served;
   Format.printf "report:      %a@." Pom.Hls.Report.pp
     r.Pom_server.Protocol.report;
@@ -145,7 +145,7 @@ let print_remote_result ~workload ~size ~framework ~served ~trace ~emit_c
     print_newline ();
     print_string r.Pom_server.Protocol.hls_c
   end;
-  analysis_exit ~lint ~werror ~trace:r.Pom_server.Protocol.trace
+  analysis_exit ~lint ~werror
     ~legality_violations:r.Pom_server.Protocol.legality_violations
     r.Pom_server.Protocol.diags
 
@@ -163,7 +163,7 @@ let report_version_skew ~expected ~got =
    server would have produced (same compile entry point, same result
    projection), annotated in the trace as a fallback. *)
 let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
-    ~lint ~werror ~workload ~size ~framework ~retries ~retry_backoff func =
+    ~lint ~werror ~workload ~input ~framework ~retries ~retry_backoff func =
   let req =
     Pom_server.Client.request ~device ~framework:fw ~dnn ?deadline_s:deadline
       ~use_cache ~client:"pom_compile" func
@@ -186,7 +186,7 @@ let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
       socket !attempts (Printexc.to_string e);
     let c = Pom.compile ~device ~framework:fw ~dnn ?deadline_s:deadline func in
     let r = Pom_server.Protocol.result_of_compiled c in
-    print_remote_result ~workload ~size ~framework
+    print_remote_result ~workload ~input ~framework
       ~served:
         (Printf.sprintf "local fallback (server unreachable after %d \
                          attempt(s))"
@@ -224,7 +224,7 @@ let run_remote ~socket ~device ~fw ~dnn ~deadline ~use_cache ~trace ~emit_c
             | ctx -> " (" ^ String.concat " < " ctx ^ ")");
           3
       | Ok r ->
-          print_remote_result ~workload ~size ~framework
+          print_remote_result ~workload ~input ~framework
             ~served:(Format.asprintf "%a" pp_served resp)
             ~trace ~emit_c ~lint ~werror r)
 
@@ -310,7 +310,7 @@ let build_checked ~workload ~size build =
 
 let run workload from_c size framework schedules lint werror emit_c emit_mlir
     emit_testbench validate check_legality timeline trace timing dump_after
-    verify_each resource_frac jobs deadline on_error inject
+    resource_frac jobs deadline on_error inject
     list_workloads serve connect queue no_request_cache stop_socket
     stats_socket retries retry_backoff cache_journal =
   if jobs <> 1 then begin
@@ -346,7 +346,6 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
          [
            (timing, "--timing");
            (dump_after <> [], "--dump-after");
-           (verify_each, "--verify-each");
            (validate, "--validate");
            (check_legality, "--check-legality");
            (timeline, "--timeline");
@@ -439,11 +438,11 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
             | Some socket ->
                 run_remote ~socket ~device ~fw ~dnn ~deadline
                   ~use_cache:(not no_request_cache) ~trace ~emit_c ~lint
-                  ~werror ~workload ~size ~framework ~retries ~retry_backoff
-                  func
+                  ~werror ~workload ~input:(input_of ~from_c size) ~framework
+                  ~retries ~retry_backoff func
             | None ->
             let c =
-              Pom.compile ~device ~framework:fw ~dnn ~dump_after ~verify_each
+              Pom.compile ~device ~framework:fw ~dnn ~dump_after
                 ?deadline_s:deadline ~on_error func
             in
             let known =
@@ -458,8 +457,7 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
                      (known: %s)\n"
                     name (String.concat ", " known))
               dump_after;
-            Format.printf "workload:    %s (size %d)@." workload size;
-            Format.printf "framework:   %s@." framework;
+            print_head ~workload ~input:(input_of ~from_c size) ~framework;
             if timing then begin
               List.iter
                 (Format.printf "pass:        %a@." Pom.Pipeline.Pass.pp_record)
@@ -487,11 +485,11 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
                   (String.concat ", " (List.map string_of_int v)))
               c.Pom.tile_vectors;
             if validate then begin
-              let vsize = if from_c = None then min size 32 else size in
+              let vsize = min size 32 in
               let small = build vsize in
               let cv = Pom.compile ~device ~framework:fw ~dnn small in
-              Format.printf "validation:  max divergence %g (size %d)@."
-                (Pom.validate small cv) vsize
+              Format.printf "validation:  max divergence %g (%s)@."
+                (Pom.validate small cv) (input_of ~from_c vsize)
             end;
             if check_legality then begin
               match Pom.check_legality func c with
@@ -523,7 +521,7 @@ let run workload from_c size framework schedules lint werror emit_c emit_mlir
               print_newline ();
               print_string (Pom.Emit.Emit.testbench c.Pom.affine)
             end;
-            analysis_exit ~lint ~werror ~trace:c.Pom.trace
+            analysis_exit ~lint ~werror
               ~legality_violations:c.Pom.legality_violations c.Pom.diags)
 
 let from_c_arg =
@@ -615,14 +613,6 @@ let dump_after_arg =
           "Print the IR after the named pass (repeatable; 'all' dumps after \
            every pass).")
 
-let verify_each_arg =
-  Arg.(
-    value & flag
-    & info [ "verify-each" ]
-        ~doc:
-          "Re-check polyhedral legality after every pass (verdicts shown \
-           with --timing).")
-
 let timeline_arg =
   Arg.(
     value & flag
@@ -662,7 +652,8 @@ let deadline_arg =
           "Wall-clock budget for the whole compile.  The polyhedral \
            kernels, legality proof, and DSE searches check it \
            cooperatively; when it runs out the compile aborts with a \
-           POM301 diagnostic (or degrades, under --on-error degrade).")
+           POM301 diagnostic (or applies a fallback, under --on-error \
+           degrade).")
 
 let on_error_arg =
   Arg.(
@@ -670,10 +661,13 @@ let on_error_arg =
     & info [ "on-error" ] ~docv:"POLICY"
         ~doc:
           "What a failed or timed-out pass does: 'abort' (default) stops \
-           with a typed POM3xx error and exit code 3; 'degrade' records \
-           the diagnostic and applies the pass's conservative fallback — \
-           assume the dependence, reject the transform, skip the DSE \
-           candidate, keep the incumbent design.")
+           with a typed POM3xx error and exit code 3; 'degrade' applies \
+           the fallback the pass declares, and only the analyses declare \
+           one: a failed lint or IR verification is skipped with a \
+           warning, and a legality proof that fails or times out rejects \
+           the schedule with an error (exit 2).  Inside the DSE searches \
+           a failed candidate is skipped and an exhausted budget keeps \
+           the incumbent design; any other failure still exits 3.")
 
 let inject_arg =
   Arg.(
@@ -716,9 +710,9 @@ let connect_arg =
            analyzer diagnostics come back: --lint, --Werror and the exit \
            code act on them as on a local compile.  --deadline rides along \
            as the server-side budget.  A flag only a local compile honours \
-           (--timing, --dump-after, --verify-each, --validate, \
-           --check-legality, --timeline, --emit-mlir, --emit-testbench, \
-           --on-error other than abort) is a usage error.")
+           (--timing, --dump-after, --validate, --check-legality, \
+           --timeline, --emit-mlir, --emit-testbench, --on-error other \
+           than abort) is a usage error.")
 
 let queue_arg =
   Arg.(
@@ -806,12 +800,16 @@ let cmd =
            transport retries the client compiles locally and exits by \
            that compile's result.";
       Cmd.Exit.info 2
-        ~doc:"on analyzer errors or an illegal schedule (POM1xx/POM2xx).";
+        ~doc:
+          "on analyzer errors or an illegal schedule (POM1xx/POM2xx), \
+           including a schedule rejected under --on-error degrade because \
+           its legality proof failed or timed out (POM300/POM301).";
       Cmd.Exit.info 3
         ~doc:
-          "on a resilience abort: exhausted --deadline, failed required \
-           pass, injected kill, or a typed server-side error over \
-           --connect (POM3xx, including POM310 overload).";
+          "on a resilience abort: exhausted --deadline, a failed pass \
+           without a degrade fallback, injected kill, or a typed \
+           server-side error over --connect (POM3xx, including POM310 \
+           overload).";
     ]
   in
   Cmd.v
@@ -820,7 +818,7 @@ let cmd =
       const run $ workload_arg $ from_c_arg $ size_arg $ framework_arg
       $ schedule_arg $ lint_arg $ werror_arg $ emit_c_arg $ emit_mlir_arg
       $ emit_testbench_arg $ validate_arg $ check_legality_arg $ timeline_arg
-      $ trace_arg $ timing_arg $ dump_after_arg $ verify_each_arg $ frac_arg
+      $ trace_arg $ timing_arg $ dump_after_arg $ frac_arg
       $ jobs_arg $ deadline_arg $ on_error_arg $ inject_arg
       $ list_arg $ serve_arg $ connect_arg $ queue_arg $ no_request_cache_arg
       $ stop_arg $ server_stats_arg $ retries_arg $ retry_backoff_arg

@@ -76,7 +76,7 @@ let usage_sub (a : Resource.usage) (b : Resource.usage) =
 
 (* greedy program-order factor-ladder DSE under a dataflow budget *)
 let greedy_pass () =
-  Pass.v ~required:true ~name:"scalehls-greedy-dse"
+  Pass.v ~name:"scalehls-greedy-dse"
     (fun (st : State.t) ->
       let wall0 = Unix.gettimeofday () in
       let func = st.State.func and device = st.State.device in

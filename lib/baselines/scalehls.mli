@@ -19,7 +19,8 @@
 (** The flow's passes (interchange, structural fusion, greedy DSE): the
     head of [Pom.compile]'s [`Scalehls] flow, which initializes the state
     with the dataflow composition and appends the shared analysis,
-    synthesis and emission passes.  The greedy pass is required; it tries
+    synthesis and emission passes.  No pass of the flow declares a
+    [degrade] fallback.  The greedy pass tries
     each rung with {!Pom_dse.Stage2.step}, traces one line per rung (and an
     [analyzer: N design points pruned] line when the analyzer's
     pre-pruning oracle dropped any), and fills the state's program, report,

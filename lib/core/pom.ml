@@ -69,14 +69,13 @@ let head_passes framework =
   | `Pom_auto -> Dse.Engine.passes ()
 
 let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
-    ?(dnn = false) ?(dump_after = []) ?(verify_each = false)
-    ?jobs:(_ : int option) ?deadline_s ?(on_error = Pom_resilience.Policy.Abort)
-    func =
+    ?(dnn = false) ?(dump_after = []) ?jobs:(_ : int option) ?deadline_s
+    ?(on_error = Pom_resilience.Policy.Abort) func =
   Pom_resilience.Policy.with_policy on_error @@ fun () ->
   Pom_resilience.Budget.with_budget ?deadline_s @@ fun () ->
   (* The speedup baseline profiles the input program, so it can fail or run
-     out of budget like a pass; it is required, so any failure aborts with
-     the typed error a required pass raises (exit 3), never a bare
+     out of budget like a pass; it has no fallback, so any failure aborts
+     with the typed error a pass without one raises (exit 3), never a bare
      exception. *)
   let baseline_latency =
     match Pom_hls.Report.baseline_latency func with
@@ -95,17 +94,15 @@ let compile ?(device = Pom_hls.Device.xc7z020) ?(framework = `Pom_auto)
     | `Baseline | `Pluto | `Polsca | `Pom_manual | `Pom_auto ->
         (Pom_hls.Resource.Reuse, `Sequential)
   in
-  (* Each pass declares the degradation contract it keeps: a required pass
-     produces the artifact the compile exists to deliver, so its failure
-     always aborts with the typed error; everything else degrades to a
-     POM3xx warning diagnostic under [--on-error degrade]. *)
+  (* Each pass declares its own fallback under [--on-error degrade]; one
+     without a fallback aborts with the typed error. *)
   let pipeline =
-    List.map Passes.guard
+    List.map Pass.guarded
       (head_passes framework
       @ [ Passes.legality_check (); Passes.lint_pragmas () ]
       @ Passes.tail ())
   in
-  let instruments = State.instruments ~dump_after ~verify_each () in
+  let instruments = State.instruments ~dump_after () in
   let st, records =
     Pass.run ~instruments pipeline
       (State.init ~composition ~latency_mode ~device func)

@@ -15,8 +15,8 @@
 
     Every flow is an instrumented pass pipeline ({!Pipeline.Pass}) and
     {!compile} is the one way a framework's flow runs: it assembles the
-    flow's passes, guards each one by the degradation contract it
-    declares, and returns one timing/statistics record per pass. *)
+    flow's passes, guards each one with the fallback it declares, and
+    returns one timing/statistics record per pass. *)
 
 (** Re-exported subsystem entry points. *)
 
@@ -108,8 +108,7 @@ type compiled = {
     reuses resources across loops.
 
     [dump_after] names passes whose post-pass IR should be captured in the
-    matching {!Pipeline.Pass.record} ([["all"]] captures every pass);
-    [verify_each] re-checks polyhedral legality after every pass.
+    matching {!Pipeline.Pass.record} ([["all"]] captures every pass).
 
     [jobs] is ignored: perfbench/cold.ml still passes it, and the compiler
     runs on one thread.
@@ -119,18 +118,21 @@ type compiled = {
     legality proof, and both DSE searches check it and raise
     [Budget_exceeded] when it runs out.  [on_error] selects what a failed
     or timed-out pass does: [Abort] (the default) re-raises the typed
-    {!Resilience.Error.Error}; [Degrade] records a POM3xx diagnostic and
-    applies each pass's documented fallback (assume the dependence, reject
-    the transform, keep the DSE incumbent) — passes that produce the final
-    artifact always abort.  Both searches are deterministic, so a compile
-    killed mid-search recovers by running again: the rerun walks to the
-    identical design. *)
+    {!Resilience.Error.Error}; under [Degrade] a pass applies the fallback
+    it declares ({!Pipeline.Pass.t}), and only three do: [lint-pragmas]
+    and [verify-ir] are skipped with a POM3xx warning, and
+    [legality-check] rejects the schedule with a POM300/POM301 error
+    diagnostic.  Every other pass aborts with the typed error; inside the
+    searches a failed candidate is skipped (POM304) and a timeout keeps
+    the incumbent.  No analysis assumes an answer it could not prove, so
+    nothing a degraded compile computes differs from a clean one's.  Both
+    searches are deterministic, so a compile killed mid-search recovers by
+    running again: the rerun walks to the identical design. *)
 val compile :
   ?device:Pom_hls.Device.t ->
   ?framework:framework ->
   ?dnn:bool ->
   ?dump_after:string list ->
-  ?verify_each:bool ->
   ?jobs:int ->
   ?deadline_s:float ->
   ?on_error:Pom_resilience.Policy.t ->

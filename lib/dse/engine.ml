@@ -15,7 +15,7 @@ type State.ext += Stage1_output of Stage1.t | Stage2_output of Stage2.result
 let passes ?bank_cap () =
   [
     (* dependence-aware code transformation (DSE stage 1) *)
-    Pass.v ~required:true ~name:"stage1-transform"
+    Pass.v ~name:"stage1-transform"
       (fun (st : State.t) ->
         let wall0 = Unix.gettimeofday () in
         let s1 = Stage1.run st.State.func in
@@ -25,7 +25,7 @@ let passes ?bank_cap () =
           dse_time_s = st.State.dse_time_s +. (Unix.gettimeofday () -. wall0);
         });
     (* bottleneck-oriented optimization (DSE stage 2) *)
-    Pass.v ~required:true ~name:"stage2-search"
+    Pass.v ~name:"stage2-search"
       (fun (st : State.t) ->
         let wall0 = Unix.gettimeofday () in
         let s1 =

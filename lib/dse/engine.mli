@@ -19,12 +19,12 @@ type Pom_pipeline.State.ext +=
   | Stage1_output of Stage1.t
   | Stage2_output of Stage2.result
 
-(** The engine's two passes over the shared compile state, both required,
-    for embedding in a larger pipeline (the [`Pom_auto] compile flow).
-    The device and composition are read from the state; stage2-search
-    sets the state's program, report, directives, tile vectors and
-    evaluation count from {!Stage2.result}.  [bank_cap] is forwarded to
-    {!Stage2.run}. *)
+(** The engine's two passes over the shared compile state, neither with
+    a [degrade] fallback, for embedding in a larger pipeline (the
+    [`Pom_auto] compile flow).  The device and composition are read from
+    the state; stage2-search sets the state's program, report,
+    directives, tile vectors and evaluation count from {!Stage2.result}.
+    [bank_cap] is forwarded to {!Stage2.run}. *)
 val passes :
   ?bank_cap:int ->
   unit ->

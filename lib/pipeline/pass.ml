@@ -1,17 +1,20 @@
-type 's t = { name : string; required : bool; run : 's -> 's }
+type 's t = {
+  name : string;
+  degrade : ('s -> Pom_resilience.Error.t -> 's) option;
+  run : 's -> 's;
+}
 
-let v ?(required = false) ~name run = { name; required; run }
+let v ?degrade ~name run = { name; degrade; run }
 
 (* Wrap a pass in the resilience guard.  The wrapped pass:
    - is a fault-injection site named ["pass:<name>"];
    - maps any failure (including a budget timeout) to a typed
      {!Pom_resilience.Error.t} carrying the pass name;
-   - under [--on-error degrade], a non-[required] pass records the failure
-     as a diagnostic via [diag] and passes the state through unchanged
-     (the pass is skipped); a [required] pass always re-raises the typed
-     error, as does everything when the policy is [Abort].
+   - under [--on-error degrade], a pass that declares a fallback returns
+     what the fallback makes of the state and the error; every other pass,
+     and every pass under [Abort], re-raises the typed error.
    [Fault.Killed] (simulated process death) is never absorbed. *)
-let guarded ~diag p =
+let guarded p =
   let module R = Pom_resilience in
   let run st =
     try
@@ -19,11 +22,11 @@ let guarded ~diag p =
       p.run st
     with
     | R.Fault.Killed _ as e -> raise e
-    | e ->
+    | e -> (
         let err = R.Error.of_exn ~code:"POM300" ~pass:p.name e in
-        if p.required || not (R.Policy.degrading ()) then
-          raise (R.Error.Error err)
-        else diag st err
+        match p.degrade with
+        | Some fallback when R.Policy.degrading () -> fallback st err
+        | _ -> raise (R.Error.Error err))
   in
   { p with run }
 
@@ -33,25 +36,15 @@ type record = {
   cpu_s : float;
   stats : Stats.t option;
   dump : string option;
-  verdict : string option;
 }
 
 type 's instruments = {
   stats : ('s -> Stats.t) option;
   dump : ('s -> string) option;
   dump_after : string list;
-  verify : ('s -> string) option;
-  verify_each : bool;
 }
 
-let observe_nothing =
-  {
-    stats = None;
-    dump = None;
-    dump_after = [];
-    verify = None;
-    verify_each = false;
-  }
+let observe_nothing = { stats = None; dump = None; dump_after = [] }
 
 let wants_dump instruments name =
   List.mem name instruments.dump_after || instruments.dump_after = [ "all" ]
@@ -76,9 +69,6 @@ let run ?(instruments = observe_nothing) passes state =
               (if wants_dump instruments pass.name then
                  apply instruments.dump
                else None);
-            verdict =
-              (if instruments.verify_each then apply instruments.verify
-               else None);
           }
         in
         records := record :: !records;
@@ -90,5 +80,4 @@ let run ?(instruments = observe_nothing) passes state =
 let pp_record ppf r =
   Format.fprintf ppf "%-24s %8.3f ms wall %8.3f ms cpu" r.pass
     (r.wall_s *. 1000.0) (r.cpu_s *. 1000.0);
-  Option.iter (fun s -> Format.fprintf ppf "  [%a]" Stats.pp s) r.stats;
-  Option.iter (fun v -> Format.fprintf ppf "  verify: %s" v) r.verdict
+  Option.iter (fun s -> Format.fprintf ppf "  [%a]" Stats.pp s) r.stats

@@ -5,17 +5,17 @@ let prog_exn (st : State.t) what =
   | Some p -> p
   | None -> invalid_arg (what ^ ": no polyhedral program in the state")
 
-(* The [diag] hook for {!Pass.guarded} over {!State.t}: a degraded pass
-   failure becomes a warning diagnostic (the compile continued) plus a trace
-   line, carrying the typed error's code and context. *)
+let loc_of (err : Pom_resilience.Error.t) =
+  (match err.Pom_resilience.Error.pass with Some p -> [ p ] | None -> [])
+  @ err.Pom_resilience.Error.context
+
+(* The [degrade] fallback of an analysis that only reports: the failure
+   becomes a warning diagnostic (the compile continued without it) plus a
+   trace line, carrying the typed error's code and context. *)
 let record_failure (st : State.t) (err : Pom_resilience.Error.t) =
-  let loc =
-    (match err.Pom_resilience.Error.pass with Some p -> [ p ] | None -> [])
-    @ err.Pom_resilience.Error.context
-  in
   let d =
-    Pom_analysis.Diagnostic.warning ~code:err.Pom_resilience.Error.code ~loc
-      ~note:"pass skipped under --on-error degrade"
+    Pom_analysis.Diagnostic.warning ~code:err.Pom_resilience.Error.code
+      ~loc:(loc_of err) ~note:"pass skipped under --on-error degrade"
       err.Pom_resilience.Error.message
   in
   {
@@ -30,7 +30,25 @@ let record_failure (st : State.t) (err : Pom_resilience.Error.t) =
         ];
   }
 
-let guard p = Pass.guarded ~diag:record_failure p
+(* The [degrade] fallback of the legality check: an unproven schedule is
+   an illegal schedule, whether the proof ran out of budget (POM301) or
+   failed (POM300).  The rejection is an error diagnostic with the
+   failure's own code, so the compile exits 2. *)
+let reject (st : State.t) (err : Pom_resilience.Error.t) =
+  let how =
+    if err.Pom_resilience.Error.code = "POM301" then "timed out" else "failed"
+  in
+  let d =
+    Pom_analysis.Diagnostic.error ~code:err.Pom_resilience.Error.code
+      ~loc:(loc_of err)
+      (Printf.sprintf "legality proof %s (%s): the schedule is rejected" how
+         err.Pom_resilience.Error.message)
+  in
+  {
+    st with
+    State.diags = st.State.diags @ [ d ];
+    trace = st.State.trace @ [ "legality: proof " ^ how ^ " -> rejected" ];
+  }
 
 let structural () =
   Pass.v ~name:"structural-directives"
@@ -50,7 +68,7 @@ let user_schedule () =
       })
 
 let schedule_apply () =
-  Pass.v ~required:true ~name:"schedule-apply"
+  Pass.v ~name:"schedule-apply"
     (fun (st : State.t) ->
       {
         st with
@@ -61,10 +79,8 @@ let schedule_apply () =
                st.State.directives);
       })
 
-let legality_timeout_trace = "legality: timed out -> conservatively rejected"
-
 let legality_check () =
-  Pass.v ~name:"legality-check"
+  Pass.v ~degrade:reject ~name:"legality-check"
     (fun (st : State.t) ->
       match st.State.prog with
       | None ->
@@ -72,52 +88,25 @@ let legality_check () =
             st with
             State.trace = st.State.trace @ [ "legality: no polyhedral IR yet" ];
           }
-      | Some prog -> (
-          match
+      | Some prog ->
+          let vs =
             Pom_polyir.Legality.violations
               ~original:(Pom_polyir.Prog.reference st.State.func)
               ~transformed:prog
-          with
-          | vs ->
-              let verdict =
-                match vs with
-                | [] -> "legal"
-                | vs ->
-                    Printf.sprintf "%d reversed dependences" (List.length vs)
-              in
-              {
-                st with
-                State.legality_violations = List.length vs;
-                trace = st.State.trace @ [ "legality: " ^ verdict ];
-              }
-          | exception (Pom_resilience.Budget.Budget_exceeded { site; reason }
-                       as e) ->
-              (* Degradation policy: an unproven schedule is an illegal
-                 schedule.  Under [degrade] the timeout conservatively
-                 rejects the transform (counted as a violation, POM302
-                 diagnostic); under [abort] it propagates to the guard. *)
-              if not (Pom_resilience.Policy.degrading ()) then raise e
-              else
-                let d =
-                  Pom_analysis.Diagnostic.warning ~code:"POM302"
-                    ~loc:[ "legality-check"; site ]
-                    ~note:
-                      "raise --deadline or simplify the schedule to complete \
-                       the proof"
-                    (Printf.sprintf
-                       "legality proof timed out (%s); schedule conservatively \
-                        rejected"
-                       reason)
-                in
-                {
-                  st with
-                  State.legality_violations = 1;
-                  diags = st.State.diags @ [ d ];
-                  trace = st.State.trace @ [ legality_timeout_trace ];
-                }))
+          in
+          let verdict =
+            match vs with
+            | [] -> "legal"
+            | vs -> Printf.sprintf "%d reversed dependences" (List.length vs)
+          in
+          {
+            st with
+            State.legality_violations = List.length vs;
+            trace = st.State.trace @ [ "legality: " ^ verdict ];
+          })
 
 let lint_pragmas () =
-  Pass.v ~name:"lint-pragmas"
+  Pass.v ~degrade:record_failure ~name:"lint-pragmas"
     (fun (st : State.t) ->
       let ds = Pom_analysis.Lint.lint (prog_exn st "lint-pragmas") in
       {
@@ -127,7 +116,7 @@ let lint_pragmas () =
       })
 
 let verify_ir () =
-  Pass.v ~name:"verify-ir"
+  Pass.v ~degrade:record_failure ~name:"verify-ir"
     (fun (st : State.t) ->
       let prog = prog_exn st "verify-ir" in
       let ds = Pom_analysis.Verify_ir.verify ?affine:st.State.affine prog in
@@ -139,7 +128,7 @@ let verify_ir () =
       })
 
 let synthesize () =
-  Pass.v ~required:true ~name:"hls-synthesize"
+  Pass.v ~name:"hls-synthesize"
     (fun (st : State.t) ->
       match st.State.report with
       | Some _ ->
@@ -154,7 +143,7 @@ let synthesize () =
           { st with State.report = Some report })
 
 let affine_lower () =
-  Pass.v ~required:true ~name:"affine-lower"
+  Pass.v ~name:"affine-lower"
     (fun (st : State.t) ->
       {
         st with
@@ -163,14 +152,14 @@ let affine_lower () =
       })
 
 let affine_simplify () =
-  Pass.v ~required:true ~name:"affine-simplify"
+  Pass.v ~name:"affine-simplify"
     (fun (st : State.t) ->
       match st.State.affine with
       | Some f -> { st with State.affine = Some (Pom_affine.Passes.simplify f) }
       | None -> invalid_arg "affine-simplify: no affine IR in the state")
 
 let emit_hls_c () =
-  Pass.v ~required:true ~name:"emit-hls-c"
+  Pass.v ~name:"emit-hls-c"
     (fun (st : State.t) ->
       match st.State.affine with
       | Some f -> { st with State.hls_c = Some (Pom_emit.Emit.hls_c f) }

@@ -1,18 +1,12 @@
 (** The passes shared by every compile flow.  Each is a {!Pass.t} over
     {!State.t}; flows (POM auto, the baselines, manual schedules) prepend
-    their own transform passes and share this tail.  A pass whose output
-    the compile exists to deliver is created [required]: schedule
-    application, synthesis, lowering, simplification and emission.  The
-    analyses (legality, lint, verify-ir) and directive accumulation are
-    not. *)
-
-(** Record a degraded pass failure on the state: a warning diagnostic with
-    the typed error's code/pass/context, plus a trace line. *)
-val record_failure : State.t -> Pom_resilience.Error.t -> State.t
-
-(** [guard p] is {!Pass.guarded} with {!record_failure} as the diagnostic
-    hook — the standard wrapping for every pass over {!State.t}. *)
-val guard : State.t Pass.t -> State.t Pass.t
+    their own transform passes and share this tail.  Only the three
+    analyses declare a [degrade] fallback, so under [--on-error degrade]
+    [lint-pragmas] and [verify-ir] are skipped with a warning diagnostic
+    and a [degraded:] trace line, and [legality-check] rejects the
+    schedule with an error diagnostic carrying the failure's own code
+    (POM300, or POM301 for a timeout).  Every other pass aborts the
+    compile when it fails. *)
 
 (** Append the specification's structural fusion directives. *)
 val structural : unit -> State.t Pass.t
@@ -26,14 +20,10 @@ val schedule_apply : unit -> State.t Pass.t
 
 (** Check the current program against the structural reference with the
     polyhedral dependence checker; the verdict is appended to the trace and
-    the violation count stored in [legality_violations]. *)
+    the violation count stored in [legality_violations].  Its [degrade]
+    fallback rejects the schedule: a proof that fails or runs out of budget
+    never passes as legal. *)
 val legality_check : unit -> State.t Pass.t
-
-(** The trace line {!legality_check} appends when, under the [degrade]
-    policy, the proof ran out of budget: the schedule is then
-    conservatively rejected, with [legality_violations = 1] as a sentinel
-    rather than a count of reversed dependences. *)
-val legality_timeout_trace : string
 
 (** Run {!Pom_analysis.Lint} on the scheduled program: recurrence-II vs
     requested [pipeline_ii], serializing unrolls, bank conflicts, dead and

@@ -67,23 +67,5 @@ let dump t =
   | None, None, Some prog -> Format.asprintf "%a" Pom_polyir.Prog.pp prog
   | None, None, None -> "(no IR constructed yet)"
 
-let verify t =
-  match t.prog with
-  | None -> "no polyhedral IR yet"
-  | Some prog -> (
-      match
-        Pom_polyir.Legality.violations
-          ~original:(Pom_polyir.Prog.reference t.func)
-          ~transformed:prog
-      with
-      | [] -> "legal"
-      | vs -> Printf.sprintf "%d reversed dependences" (List.length vs))
-
-let instruments ?(dump_after = []) ?(verify_each = false) () =
-  {
-    Pass.stats = Some stats;
-    dump = Some dump;
-    dump_after;
-    verify = Some verify;
-    verify_each;
-  }
+let instruments ?(dump_after = []) () =
+  { Pass.stats = Some stats; dump = Some dump; dump_after }

@@ -57,13 +57,7 @@ val stats : t -> Stats.t
     of the affine level, else the polyhedral program). *)
 val dump : t -> string
 
-(** Post-pass verification verdict: polyhedral legality against
-    {!Pom_polyir.Prog.reference}. *)
-val verify : t -> string
-
-(** Pass-manager hooks observing this state: statistics, dumps and
-    verification are wired to {!stats}, {!dump} and {!verify};
-    [dump_after] and [verify_each] come from the caller (the CLI's
-    [--dump-after] and [--verify-each]). *)
-val instruments :
-  ?dump_after:string list -> ?verify_each:bool -> unit -> t Pass.instruments
+(** Pass-manager hooks observing this state: statistics and dumps are
+    wired to {!stats} and {!dump}; [dump_after] comes from the caller (the
+    CLI's [--dump-after]). *)
+val instruments : ?dump_after:string list -> unit -> t Pass.instruments

@@ -74,7 +74,7 @@ let diff d = Linexpr.sub (Linexpr.var (snk_dim d)) (Linexpr.var (src_dim d))
    non-empty, in order, each mapped by [found level conflict].  The
    polyhedron is proven non-empty once, here; [found] reads distances off it
    without re-testing. *)
-let carried_levels ~levels ~domain ~source ~sink ~found ~unknown =
+let carried_levels ~levels ~domain ~source ~sink ~found =
   if source.array <> sink.array then []
   else if List.length source.indices <> List.length sink.indices then
     invalid_arg "Dep: access rank mismatch"
@@ -82,17 +82,8 @@ let carried_levels ~levels ~domain ~source ~sink ~found ~unknown =
     List.filter_map
       (fun level ->
         let conflict = conflict_at_level ~domain ~source ~sink level in
-        try
-          if Feasible.is_empty conflict then None
-          else Some (found level conflict)
-        with Pom_resilience.Budget.Budget_exceeded _ as e ->
-          (* Degradation policy: a dependence test that ran out of budget
-             must err conservative — assume the dependence exists, with
-             unknown ([None]/[None]) distances at this level.
-             Every transform that would need the distance is then rejected
-             as unsafe, which loses performance but never correctness. *)
-          if Pom_resilience.Policy.degrading () then Some (unknown level)
-          else raise e)
+        if Feasible.is_empty conflict then None
+        else Some (found level conflict))
       levels
 
 let all_levels domain = List.init (Basic_set.n_dims domain) (fun k -> k + 1)
@@ -100,11 +91,9 @@ let all_levels domain = List.init (Basic_set.n_dims domain) (fun k -> k + 1)
 let carried_distances ?levels ~domain ~source ~sink () =
   let ds = Basic_set.dims domain in
   let levels = match levels with Some ls -> ls | None -> all_levels domain in
-  carried_levels ~levels ~domain ~source ~sink
-    ~found:(fun level conflict ->
+  carried_levels ~levels ~domain ~source ~sink ~found:(fun level conflict ->
       let d = List.nth ds (level - 1) in
       (level, fst (Feasible.range_nonempty (diff d) conflict)))
-    ~unknown:(fun level -> (level, None))
 
 let analyze ~domain ~source ~sink =
   let ds = Basic_set.dims domain in
@@ -119,11 +108,6 @@ let analyze ~domain ~source ~sink =
                 let dmin, dmax = Feasible.range_nonempty (diff d) conflict in
                 { dmin; dmax })
               ds;
-        })
-      ~unknown:(fun level ->
-        {
-          level;
-          distance = List.map (fun _ -> { dmin = None; dmax = None }) ds;
         })
   in
   if carried = [] then None else Some { carried }

@@ -45,11 +45,12 @@ val analyze : domain:Basic_set.t -> source:access -> sink:access -> t option
 (** [carried_distances ~domain ~source ~sink ()] is the part of {!analyze}
     that the QoR model reads: for each carrying level, outermost first, the
     level and its minimal distance at that same level ([None] when
-    unbounded, or when the level's test ran out of budget under the
-    degradation policy).  [[]] exactly when {!analyze} is [None]; otherwise
-    it equals [(ld.level, (List.nth ld.distance (ld.level - 1)).dmin)] over
+    unbounded).  [[]] exactly when {!analyze} is [None]; otherwise it
+    equals [(ld.level, (List.nth ld.distance (ld.level - 1)).dmin)] over
     [analyze]'s carried levels, without building the other distance
-    entries.
+    entries.  A test that runs out of budget raises
+    {!Pom_resilience.Budget.Budget_exceeded}, as {!analyze} does: no
+    answer is ever assumed.
 
     [levels] (ascending, 1-based; default every level) restricts the test
     to those levels: the result is then the full result's entries at

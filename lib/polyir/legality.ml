@@ -168,8 +168,8 @@ let violations ~original ~transformed =
   in
   let pair_violations a b =
     (* cooperative deadline check between pairs: a legality run on a big
-       statement set stops at a pair boundary, and the guard layer maps the
-       timeout to "reject the transform" (POM302) *)
+       statement set stops at a pair boundary, and the legality-check
+       pass's fallback rejects the schedule it could not prove *)
     Pom_resilience.Budget.check "legality:pair";
     Pom_resilience.Fault.point "legality:pair";
     let accesses =

@@ -32,8 +32,8 @@ let of_func_unscheduled func =
   }
 
 (* The last partition directive per array wins, and it applies only with
-   one factor per dimension of the array: decided here, once, so every
-   reader of [factors] prices, lowers and checks the same banks. *)
+   one positive factor per dimension of the array: decided here, once, so
+   every reader of [factors] prices, lowers and checks the same banks. *)
 let apply t directive =
   match (directive : Schedule.t) with
   | Schedule.Partition { array; factors; kind } ->
@@ -44,7 +44,10 @@ let apply t directive =
         factors =
           Names.update array
             (Option.map (fun current ->
-                 if List.compare_lengths factors current = 0 then factors
+                 if
+                   List.compare_lengths factors current = 0
+                   && List.for_all (fun f -> f > 0) factors
+                 then factors
                  else unpartitioned current))
             t.factors;
       }

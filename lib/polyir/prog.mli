@@ -31,9 +31,8 @@ val of_func_unscheduled : Func.t -> t
 (** The reference program every semantic check compares against: the
     unscheduled lowering plus the specification's fusion structure
     ({!Pom_dsl.Func.structure}), with every other directive left out.
-    The legality-check pass, [--verify-each], [Pom.check_legality], the
-    semantic refute oracle and [Interp.divergence] all compare against
-    it. *)
+    The legality-check pass, [Pom.check_legality], the semantic refute
+    oracle and [Interp.divergence] all compare against it. *)
 val reference : Func.t -> t
 
 (** Apply one more directive. *)
@@ -46,12 +45,12 @@ val stmt : t -> string -> Stmt_poly.t
 
 (** The per-dimension partition factors the array named [array] gets
     ([[1; 1; ...]] when unpartitioned, [[]] for a name no compute
-    accesses).  A partition directive with one factor per array dimension
-    applies; one with another number of factors does not, and the
-    analyzer reports it as an error (POM207), as it does a directive
-    naming an array no compute accesses.  The one answer: pricing, the
-    lowering, the linter, the timeline and the QoR oracle's bounds all
-    read it. *)
+    accesses).  A partition directive with one positive factor per array
+    dimension applies; one with another number of factors, or a factor
+    below 1, does not, and the analyzer reports it as an error (POM207),
+    as it does a directive naming an array no compute accesses.  The one
+    answer: pricing, the lowering, the linter, the timeline and the QoR
+    oracle's bounds all read it. *)
 val partition_of : t -> string -> int list
 
 (** Generate the polyhedral AST for all statements (Fig. 9 (c) step 3). *)

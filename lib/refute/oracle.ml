@@ -272,7 +272,7 @@ let analysis_sites = [ "legality:pair"; "poly:fm-projection" ]
 
 let manual_pipeline () =
   let open Pom_pipeline in
-  List.map Passes.guard
+  List.map Pass.guarded
     ([
        Passes.user_schedule ();
        Passes.schedule_apply ();
@@ -313,14 +313,20 @@ let check_degrade f =
                   match run_degrade_compile f with
                   | st -> `Done st
                   | exception Pom_resilience.Error.Error _ -> `Abort
-                  | exception Pom_resilience.Fault.Injected _ -> `Abort
-                  | exception Pom_resilience.Budget.Budget_exceeded _ -> `Abort)
+                  | exception e -> `Escaped e)
             in
             match result with
             | `Abort ->
-                (* the fault landed in a required pass: aborting IS the
-                   contract (no partial design escapes) *)
+                (* the fault landed in a pass without a fallback: aborting
+                   with the typed error IS the contract (no partial design
+                   escapes) *)
                 acc
+            | `Escaped e ->
+                fail ~code:"POM404" ~loc
+                  (Printf.sprintf
+                     "degraded run (fault %s at %s, visit %d) raised %s"
+                     kind site visit (Printexc.to_string e))
+                  ~note:"a failure must surface as a typed error or not at all"
             | `Done st ->
                 if st.Pom_pipeline.State.hls_c <> clean_design then
                   fail ~code:"POM404" ~loc
@@ -333,8 +339,9 @@ let check_degrade f =
                        the artifact"
                 else acc)
       in
-      (* later visits too: a fault whose first visit lands in a required
-         pass (which must abort) may reach an analysis on a later one *)
+      (* later visits too: a fault whose first visit lands in a pass
+         without a fallback (which must abort) may reach an analysis on a
+         later one *)
       let combos =
         List.concat_map
           (fun site ->

@@ -10,8 +10,8 @@
     Code range [POM3xx] (resilience):
     - [POM300] pass failed (unexpected exception)
     - [POM301] budget exceeded (deadline or work cap)
-    - [POM302] legality proof timed out — schedule conservatively rejected
-    - [POM303] dependence proof timed out — dependence assumed
+    - [POM302], [POM303] retired (were: legality proof and dependence
+      proof timed out); a timeout is [POM301] wherever it strikes
     - [POM304] DSE candidate evaluation failed — candidate skipped
     - [POM305] injected kill — the [pom_compile] driver's report of a
       [kill] fault (simulated process death)

@@ -2,11 +2,12 @@
 
     [Abort] (the default) turns any guarded failure into a typed
     {!Error.Error} that unwinds to the driver and its exit-code contract.
-    [Degrade] lets each guard apply its conservative fallback instead:
-    a skippable pass failure becomes a POM3xx diagnostic, a timed-out
-    dependence proof assumes the dependence, a timed-out legality proof
-    rejects the transform, and a failed DSE candidate evaluation is
-    skipped. *)
+    [Degrade] lets a pass that declares a fallback apply it instead (a
+    failed lint or IR verification becomes a POM3xx warning, a failed or
+    timed-out legality proof rejects the schedule), and lets the searches
+    skip a failed DSE candidate or stop at the incumbent when the budget
+    runs out.  Read by [Pom_pipeline.Pass.guarded] and
+    [Pom_dse.Stage2.step] only. *)
 
 type t = Abort | Degrade
 

@@ -108,7 +108,9 @@ let doitgen ?(np = 32) n =
   in
   f
 
-let bicg n =
+(* bicg's two computes in separate nests, as the specification writes
+   them before it fuses them *)
+let bicg_distributed n =
   let f = Func.create "bicg" in
   let i = Var.make "i" 0 n and j = Var.make "j" 0 n in
   let a = Placeholder.make "A" [ n; n ] f32 in
@@ -126,7 +128,33 @@ let bicg n =
       ~body:(access q [ ix i ] +: (access a [ ix i; ix j ] *: access p [ ix j ]))
       ~dest:(q, [ ix i ]) ()
   in
+  f
+
+let bicg n =
+  let f = bicg_distributed n in
   Func.schedule f (Schedule.fuse "s_s" "s_q" ~level:2);
+  f
+
+let bicg_expert n =
+  let f = bicg_distributed n in
+  let u = 24 in
+  List.iter (Func.schedule f)
+    [
+      (* interchange the q statement so its reduction moves outward *)
+      Schedule.interchange "s_q" "i" "j";
+      (* each loop: strip-mine the parallel dimension, pipeline, unroll *)
+      Schedule.split "s_s" "j" u "j_o" "j_i";
+      Schedule.pipeline "s_s" "j_o" 1;
+      Schedule.unroll "s_s" "j_i" u;
+      Schedule.split "s_q" "i" u "i_o" "i_i";
+      Schedule.pipeline "s_q" "i_o" 1;
+      Schedule.unroll "s_q" "i_i" u;
+      (* the expert under-partitions the shared matrix (banks are costly),
+         accepting II = 2 on each loop *)
+      Schedule.partition "A" [ 8; 8 ] Schedule.Cyclic;
+      Schedule.partition "s" [ 8 ] Schedule.Cyclic;
+      Schedule.partition "q" [ 8 ] Schedule.Cyclic;
+    ];
   f
 
 let gesummv n =

@@ -35,6 +35,16 @@ val doitgen : ?np:int -> int -> Func.t
     requirements — the paper's motivating example (Fig. 2). *)
 val bicg : int -> Func.t
 
+(** Table IV's hand-optimized BICG design: bicg's two computes left in
+    separate nests (the expert distributes the fused nest), the q
+    statement interchanged so its reduction moves outward, each loop
+    strip-mined, pipelined and unrolled separately, with matching
+    partitions.  Good, but it neither re-fuses the two loops nor balances
+    the bank budget, so it lands behind the DSE design while spending
+    more operators.  Compile it with [`Pom_manual]; it is not in
+    {!by_name}. *)
+val bicg_expert : int -> Func.t
+
 (** [tmp = A*x; y = B*x; y = alpha*tmp + beta*y] — two fused
     matrix-vector products and an epilogue. *)
 val gesummv : int -> Func.t

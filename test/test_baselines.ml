@@ -2,7 +2,6 @@
    design below also passed legality, lint, lowering, verify-ir and
    emission. *)
 
-open Pom_baselines
 open Pom_workloads
 
 let speedup func (r : Pom_hls.Report.t) =
@@ -96,16 +95,18 @@ let test_scalehls_correctness () =
 let test_manual_between_unopt_and_dse () =
   let n = 1024 in
   let func = Polybench.bicg n in
-  let m = Manual.bicg n in
+  let m = Pom.compile ~framework:`Pom_manual (Polybench.bicg_expert n) in
   let d = Pom_dse.Engine.run (Polybench.bicg n) in
-  let manual_s = speedup func m.Manual.report in
+  let manual_s = speedup func m.Pom.report in
   let dse_s =
     speedup func d.Pom_dse.Engine.result.Pom_dse.Stage2.report
   in
   Alcotest.(check bool) "manual beats unoptimized" true (manual_s > 20.0);
   Alcotest.(check bool) "DSE beats manual" true (dse_s > manual_s);
+  Alcotest.(check int) "manual schedule is legal" 0 m.Pom.legality_violations;
+  let small = Pom.compile ~framework:`Pom_manual (Polybench.bicg_expert 8) in
   Alcotest.(check (float 0.0)) "manual schedule is correct" 0.0
-    (Pom_sim.Interp.divergence (Polybench.bicg 8) (Manual.bicg 8).Manual.prog)
+    (Pom_sim.Interp.divergence (Polybench.bicg 8) small.Pom.prog)
 
 let () =
   Alcotest.run "baselines"

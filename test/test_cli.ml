@@ -47,12 +47,13 @@ let test_usage_errors () =
   Alcotest.(check int) "malformed schedule" 1
     (run "-w gemm -f pom-manual --schedule \"pipeline s\"");
   (* command-line parse errors, including flags of retired scheduler
-     modes and of the retired DSE journal that old scripts may still
-     pass *)
+     modes, of the retired DSE journal and of the retired per-pass
+     legality re-check that old scripts may still pass *)
   Alcotest.(check int) "unknown flag" 1 (run "-w gemm --bogus-flag");
   Alcotest.(check int) "--jobs-mode" 1 (run "-w gemm --jobs-mode procs");
   Alcotest.(check int) "--chunk" 1 (run "-w gemm --chunk 8");
   Alcotest.(check int) "--checkpoint" 1 (run "-w gemm -s 32 --checkpoint x");
+  Alcotest.(check int) "--verify-each" 1 (run "-w gemm -s 32 --verify-each");
   (* a directive a Schedule constructor or the workload's loops reject (a
      dimension the compute lacks, a new name it already has), named by its
      message, on the local path and before connecting *)
@@ -133,7 +134,27 @@ let test_analysis_failures () =
   in
   Alcotest.(check int) "unapplied partition: exit code" 2 code;
   Alcotest.(check bool) "unapplied partition: priced unpartitioned" true
-    (contains out "DSP 5, LUT 2425, FF 1498, BRAM18 3,")
+    (contains out "DSP 5, LUT 2425, FF 1498, BRAM18 3,");
+  (* a factor below 1 does not apply either: no pragma is emitted for the
+     array, the price is the unpartitioned one, and only the linter's
+     POM207 reports it (the emitted design has nothing for the IR
+     verifier's POM106 to find) *)
+  let code, out =
+    run_capture `Stdout
+      "-w gemm -s 8 -f pom-manual --schedule \"partition A cyclic 0 4\" \
+       --emit-c"
+  in
+  Alcotest.(check int) "non-positive factor: exit code" 2 code;
+  Alcotest.(check bool) "non-positive factor: priced unpartitioned" true
+    (contains out "DSP 5, LUT 2425, FF 1498, BRAM18 3,");
+  Alcotest.(check bool) "non-positive factor: no pragma for A" false
+    (contains out "variable=A");
+  let _, err =
+    run_stderr
+      "-w gemm -s 8 -f pom-manual --schedule \"partition A cyclic 0 4\""
+  in
+  Alcotest.(check bool) "non-positive factor: POM207, no POM106" true
+    (contains err "POM207" && not (contains err "POM106"))
 
 (* A failure anywhere in a compile — the speedup baseline, which profiles
    the input before any pass runs, included — exits 3 with the typed
@@ -170,9 +191,9 @@ let test_resource_fraction_range () =
     (run "-w gemm -s 32 -f pom-manual --resource-fraction 1")
 
 (* Under --on-error degrade a legality proof that runs out of budget
-   rejects the schedule (POM302, exit 2).  The violation count is then a
-   sentinel, so the verdict line names the timeout instead of reporting
-   reversed dependences. *)
+   rejects the schedule with a POM301 error diagnostic (exit 2) that names
+   the timeout; it reports no reversed dependences, since none were
+   found. *)
 let test_legality_timeout_named () =
   let code, err =
     run_stderr
@@ -183,6 +204,52 @@ let test_legality_timeout_named () =
   Alcotest.(check bool) "names the timeout" true (contains err "timed out");
   Alcotest.(check bool) "no reversed-dependence count" false
     (contains err "reversed dependences")
+
+(* Under --on-error degrade a legality proof that fails rejects the
+   schedule as a timed-out one does: an unproven schedule is never passed
+   as legal.  Seidel under pluto reverses two dependences, so a skipped
+   proof would exit 0 with an illegal design. *)
+let test_legality_failure_rejects () =
+  List.iter
+    (fun fault ->
+      let code, err =
+        run_stderr
+          ("-w seidel -s 256 -f pluto --on-error degrade --check-legality \
+            --inject " ^ fault)
+      in
+      Alcotest.(check int) (fault ^ ": exit code") 2 code;
+      Alcotest.(check bool) (fault ^ ": names the rejection") true
+        (contains err "POM300 error [legality-check"
+        && contains err "the schedule is rejected"))
+    [ "legality:pair=fail@1"; "pass:legality-check=fail@1" ]
+
+(* A --from-c kernel's sizes are the C source's own, so the workload and
+   validation lines name the file, not the -s default, on the local and
+   the --connect paths alike. *)
+let test_from_c_names_the_file () =
+  let path =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../../../examples/kernels/trmm.c"
+  in
+  let code, out =
+    run_capture `Stdout
+      ("--from-c " ^ Filename.quote path ^ " -f pom --validate")
+  in
+  Alcotest.(check int) "local: exit code" 0 code;
+  Alcotest.(check bool) "local: workload line" true
+    (contains out (Printf.sprintf "workload:    trmm (%s)\n" path));
+  Alcotest.(check bool) "local: validation line" true
+    (contains out (Printf.sprintf "validation:  max divergence 0 (%s)\n" path));
+  let code, out =
+    run_capture `Stdout
+      ("--from-c " ^ Filename.quote path
+     ^ " -f pom --connect /nonexistent/pom.sock --retries 1 --retry-backoff \
+        0.01")
+  in
+  Alcotest.(check int) "--connect: exit code" 0 code;
+  Alcotest.(check bool) "--connect: workload line" true
+    (contains out (Printf.sprintf "workload:    trmm (%s)\n" path))
 
 (* A size too small for a workload leaves a loop with no iterations.  That
    is a usage error naming the workload and the size, on the local and the
@@ -260,7 +327,7 @@ let test_connect_diagnostics () =
       ( "analyzer error",
         "-w gemm -s 64 -f pom-manual --schedule \"partition A cyclic 0 4\"",
         2,
-        "POM106" );
+        "POM207" );
       ( "--Werror",
         "-w gemm -s 32 -f pom-manual --schedule \"pipeline s k 1\" --Werror",
         2,
@@ -289,7 +356,6 @@ let test_connect_local_only_flags () =
     [
       ("--timing", "");
       ("--dump-after", "all");
-      ("--verify-each", "");
       ("--validate", "");
       ("--check-legality", "");
       ("--timeline", "");
@@ -414,6 +480,10 @@ let () =
             test_resource_fraction_range;
           Alcotest.test_case "legality timeout named" `Quick
             test_legality_timeout_named;
+          Alcotest.test_case "legality failure rejects" `Quick
+            test_legality_failure_rejects;
+          Alcotest.test_case "--from-c names the file" `Quick
+            test_from_c_names_the_file;
           Alcotest.test_case "size too small" `Quick test_size_too_small;
           Alcotest.test_case "cycle count overflow" `Quick
             test_cycle_count_overflow;

@@ -1,5 +1,5 @@
 (* The instrumented pass manager: ordering, timing/statistics records,
-   dump-after and verify hooks, and the compile flows built on it. *)
+   dump-after hooks, and the compile flows built on it. *)
 
 open Pom_pipeline
 open Pom_workloads
@@ -36,8 +36,6 @@ let test_instruments () =
             { Stats.zero with Stats.ops = n });
       dump = Some string_of_int;
       dump_after = [ "test-double" ];
-      verify = Some (fun n -> if n >= 0 then "ok" else "negative");
-      verify_each = true;
     }
   in
   let _, records = Pass.run ~instruments [ incr_pass; double_pass ] 1 in
@@ -47,7 +45,6 @@ let test_instruments () =
     "dump fires only for the named pass" None r1.Pass.dump;
   Alcotest.(check (option string))
     "dump captured after test-double" (Some "4") r2.Pass.dump;
-  Alcotest.(check (option string)) "verify fired" (Some "ok") r1.Pass.verdict;
   Alcotest.(check bool) "stats recorded" true (r1.Pass.stats <> None);
   (* dump_after = ["all"] captures every pass *)
   let _, records =
@@ -103,15 +100,6 @@ let test_compile_dump_after () =
        (fun (r : Pass.record) -> r.Pass.pass = "schedule-apply" || r.Pass.dump = None)
        c.Pom.passes)
 
-let test_compile_verify_each () =
-  let c =
-    Pom.compile ~framework:`Pom_manual ~verify_each:true (Polybench.bicg 32)
-  in
-  Alcotest.(check bool) "every pass carries a verdict" true
-    (List.for_all (fun (r : Pass.record) -> r.Pass.verdict <> None) c.Pom.passes);
-  Alcotest.(check bool) "schedule verified legal" true
-    (List.exists (fun (r : Pass.record) -> r.Pass.verdict = Some "legal") c.Pom.passes)
-
 (* A search sets the state's report to the design it settled on, priced as
    it searched: the synthesis pass keeps that report and prices nothing. *)
 let test_synthesize_keeps_priced_report () =
@@ -156,7 +144,6 @@ let () =
           Alcotest.test_case "hls-synthesize keeps a priced report" `Quick
             test_synthesize_keeps_priced_report;
           Alcotest.test_case "dump-after" `Quick test_compile_dump_after;
-          Alcotest.test_case "verify-each" `Quick test_compile_verify_each;
           Alcotest.test_case "warm compile equals cold" `Quick
             test_compile_warm_equals_cold;
         ] );

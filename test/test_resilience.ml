@@ -1,5 +1,5 @@
 (* The resilience layer: cooperative budgets, typed failures and per-pass
-   degradation, the crash-safe journal, client retry, and the
+   fallbacks, the crash-safe journal, client retry, and the
    deterministic fault-injection knob that exercises all of it. *)
 
 module R = Pom_resilience
@@ -180,25 +180,39 @@ let test_checkpoint_fsync_each () =
 
 (* -------- per-pass degradation matrix -------- *)
 
-(* Inject a failure into each pass of the `Baseline flow in turn.  Under
-   --on-error degrade a skippable pass becomes a POM300 warning diagnostic
-   and the compile still delivers; a required pass (one that produces the
-   artifact) aborts with the typed error under either policy. *)
-let skippable_passes =
-  [ "structural-directives"; "legality-check"; "lint-pragmas"; "verify-ir" ]
-
-let required_passes =
+(* Inject a failure into each pass in turn.  Under --on-error degrade only
+   the three analyses apply a fallback: lint-pragmas and verify-ir become
+   a POM300 warning and the compile delivers, and legality-check rejects
+   the schedule with a POM300 error.  Every other pass declares no
+   fallback, so it aborts with the typed error under either policy. *)
+let fallback_passes =
   [
-    "schedule-apply";
-    "hls-synthesize";
-    "affine-lower";
-    "affine-simplify";
-    "emit-hls-c";
+    ("legality-check", Pom_analysis.Diagnostic.Error);
+    ("lint-pragmas", Pom_analysis.Diagnostic.Warning);
+    ("verify-ir", Pom_analysis.Diagnostic.Warning);
   ]
+
+let aborting_passes =
+  List.map
+    (fun name -> (`Baseline, name))
+    [
+      "structural-directives";
+      "schedule-apply";
+      "hls-synthesize";
+      "affine-lower";
+      "affine-simplify";
+      "emit-hls-c";
+    ]
+  @ [
+      (`Pom_manual, "user-schedule");
+      (`Pluto, "pluto-locality-tiling");
+      (`Polsca, "polsca-pipeline");
+      (`Scalehls, "scalehls-interchange");
+    ]
 
 let test_fault_matrix_degrade () =
   List.iter
-    (fun name ->
+    (fun (name, severity) ->
       with_faults
         (Printf.sprintf "pass:%s=fail@1" name)
         (fun () ->
@@ -207,31 +221,32 @@ let test_fault_matrix_degrade () =
               (Polybench.gemm 16)
           in
           Alcotest.(check bool)
-            (name ^ " degraded to a POM300 diagnostic")
+            (name ^ " degraded to its POM300 diagnostic")
             true
             (List.exists
                (fun (d : Pom_analysis.Diagnostic.t) ->
                  d.Pom_analysis.Diagnostic.code = "POM300"
+                 && d.Pom_analysis.Diagnostic.severity = severity
                  && (match d.Pom_analysis.Diagnostic.loc with
                     | p :: _ -> p = name
                     | [] -> false))
                c.Pom.diags)))
-    skippable_passes;
+    fallback_passes;
   List.iter
-    (fun name ->
+    (fun (framework, name) ->
       with_faults
         (Printf.sprintf "pass:%s=fail@1" name)
         (fun () ->
           match
-            Pom.compile ~framework:`Baseline ~on_error:R.Policy.Degrade
+            Pom.compile ~framework ~on_error:R.Policy.Degrade
               (Polybench.gemm 16)
           with
           | exception R.Error.Error e ->
               Alcotest.(check string)
                 (name ^ " aborts even when degrading")
                 "POM300" e.R.Error.code
-          | _ -> Alcotest.failf "required pass %s must not be skipped" name))
-    required_passes
+          | _ -> Alcotest.failf "pass %s has no fallback to skip it" name))
+    aborting_passes
 
 let test_fault_matrix_abort_policy () =
   (* the default policy turns any guarded failure into the typed error *)
@@ -255,6 +270,37 @@ let test_fault_timeout_degrades_to_pom301 () =
            (fun (d : Pom_analysis.Diagnostic.t) ->
              d.Pom_analysis.Diagnostic.code = "POM301")
            c.Pom.diags))
+
+(* A dependence test that runs out of budget under degrade raises like
+   every other budget check, so the process-global dependence memo never
+   stores an assumed answer: once the fault is gone, the statement's
+   profile is the one a direct analysis gives.  gemm at 37 is a shape no
+   other case of this suite profiles, so the memo starts cold for it. *)
+let test_memo_keeps_no_degraded_answer () =
+  let s =
+    List.hd
+      (Pom_polyir.Prog.of_func_unscheduled (Polybench.gemm 37))
+        .Pom_polyir.Prog.stmts
+  in
+  R.Policy.with_policy R.Policy.Degrade (fun () ->
+      with_faults "poly:fm-projection=timeout@1" (fun () ->
+          match Pom_hls.Summary.of_stmt s with
+          | exception R.Budget.Budget_exceeded _ -> ()
+          | _ -> Alcotest.fail "a timed-out dependence test must raise"));
+  let domain = Pom_hls.Summary.ordered_domain s in
+  let write, reads = Pom_hls.Summary.transformed_accesses s in
+  let direct =
+    List.map
+      (fun read ->
+        Pom_poly.Dep.carried_distances ~domain ~source:write ~sink:read ())
+      reads
+  in
+  let profiled = Pom_hls.Summary.of_stmt s in
+  Alcotest.(check (list (list (pair int (option int)))))
+    "the memo serves the analysis" direct profiled.Pom_hls.Summary.carried;
+  Alcotest.(check (list (list (pair int int))))
+    "the reduction is carried at level 3 with distance 1" [ [ (3, 1) ] ]
+    profiled.Pom_hls.Summary.deps
 
 let test_fault_kill_is_never_absorbed () =
   with_faults "pass:lint-pragmas=kill@1" (fun () ->
@@ -491,6 +537,8 @@ let () =
             test_budget_ends_the_iteration;
           Alcotest.test_case "kill is never absorbed" `Quick
             test_fault_kill_is_never_absorbed;
+          Alcotest.test_case "memo keeps no degraded answer" `Quick
+            test_memo_keeps_no_degraded_answer;
         ] );
       ( "retry",
         [

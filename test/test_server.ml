@@ -592,8 +592,8 @@ let test_connect_diagnostics () =
       Alcotest.(check bool) (served ^ ": served as expected") true
         (contains stdout ("served:      " ^ served));
       Alcotest.(check int) (served ^ ": exit code") 2 code;
-      Alcotest.(check bool) (served ^ ": prints POM106") true
-        (contains stderr "POM106"))
+      Alcotest.(check bool) (served ^ ": prints POM207") true
+        (contains stderr "POM207"))
     [ "computed"; "cached" ]
 
 (* -------- daemon kill -9: retry, then local fallback -------- *)
